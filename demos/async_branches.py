@@ -17,29 +17,21 @@ import math
 
 import numpy as np
 
-from sodw import (
-    AsyncTanhSech,
-    async_trajectory,
-    check_flip_constraint,
-    flip_asymptotic_populations,
-    flip_constants,
-    off_branch_reason,
-    select_engine,
-)
+from sodw import AsyncTanhSech, check_flip_constraint, off_branch_reason, select_engine, solve
 
 
 def conserving_branch():
     params = AsyncTanhSech(0.45, 1.3, 1.0)
     times = np.linspace(-25.0, 25.0, 9)
     print("spin-conserving branch, gamma = 1, start = left-up:")
-    states = async_trajectory(params, 1.0, (0, 0, 1, 0), -25.0, times)
+    states = solve(params, 1.0, (0, 0, 1, 0), -25.0).states(times)
     p = np.abs(states) ** 2
     for t, row in zip(times, p):
         print(f"  t = {t:+6.2f}   P1 = {row[0]:.4f}   P3 = {row[2]:.4f}")
 
     print("balanced start (a1 = a3): nothing moves")
     r = 1 / math.sqrt(2)
-    states = async_trajectory(params, 1.0, (r, 0, r, 0), -25.0, times)
+    states = solve(params, 1.0, (r, 0, r, 0), -25.0).states(times)
     z31 = np.abs(states[:, 2]) ** 2 - np.abs(states[:, 0]) ** 2
     print(f"  max |Z31| over the window: {np.max(np.abs(z31)):.2e}")
 
@@ -50,10 +42,9 @@ def flip_branch():
     params = AsyncTanhSech(eps, ups, chi)
     print("\nspin-flipping branch, gamma = 1/2:")
     print(f"  constraint residual chi^2/4 + eps^2 - ups^2 = {check_flip_constraint(eps, ups, chi):.2e}")
-    c = flip_constants((1.0, 0.0), "C", params, -25.0)
-    asym = flip_asymptotic_populations(c)
-    print(f"  P1: {asym.first_minus:.4f} -> {asym.first_plus:.4f}")
-    print(f"  P4: {asym.second_minus:.4f} -> {asym.second_plus:.4f}")
+    early, late = solve(params, 0.5, (1, 0, 0, 0), -25.0).asymptotes()
+    print(f"  P1: {early.P1:.4f} -> {late.P1:.4f}")
+    print(f"  P4: {early.P4:.4f} -> {late.P4:.4f}")
 
     off = AsyncTanhSech(eps, 1.5, chi)
     print("off the constraint surface:")

@@ -19,12 +19,9 @@ import numpy as np
 from sodw import (
     AsyncTanhSech,
     SyncSech2,
-    async_asymptotic_populations,
     classify_async_conserving,
     classify_sync_condition,
-    eigen_sync,
-    evolve_sync,
-    superposition_from_initial,
+    solve,
 )
 
 rng = np.random.default_rng(7)
@@ -35,18 +32,16 @@ def random_state():
     return a / np.linalg.norm(a)
 
 
-def sync_endpoints(protocol, gamma, state0):
-    # impose the state in the far past, read it in the far future
-    eig = eigen_sync(protocol.beta, gamma)
-    tau_inf = protocol.V / protocol.Omega
-    coeffs = superposition_from_initial(eig, state0, -tau_inf)
-    return np.abs(state0) ** 2, np.abs(evolve_sync(eig, coeffs, tau_inf)) ** 2
+def endpoints(protocol, gamma, t0):
+    # impose a random state at t0, read the populations in the far past and future
+    early, late = solve(protocol, gamma, random_state(), t0).asymptotes()
+    return early.pvec, late.pvec
 
 
 def show_sync(beta, V, Omega, gamma):
     cond = classify_sync_condition(beta, V, Omega)
     label = cond.kind if cond.n is None else f"{cond.kind}(n={cond.n})"
-    p0, p1 = sync_endpoints(SyncSech2(beta, V, Omega), gamma, random_state())
+    p0, p1 = endpoints(SyncSech2(beta, V, Omega), gamma, -math.inf)
     print(f"sync  beta={beta:3.1f} 2V/Omega={2 * V / Omega / math.pi:4.2f}*pi -> {label}")
     print(f"      P(-inf) = {p0.round(4)}   wells L/R = {p0[2] + p0[3]:.4f}/{p0[0] + p0[1]:.4f}")
     print(f"      P(+inf) = {p1.round(4)}   wells L/R = {p1[2] + p1[3]:.4f}/{p1[0] + p1[1]:.4f}")
@@ -54,8 +49,7 @@ def show_sync(beta, V, Omega, gamma):
 
 def show_async(upsilon, chi, gamma):
     cond = classify_async_conserving(upsilon, chi)
-    params = AsyncTanhSech(0.45, upsilon, chi)
-    p0, p1 = async_asymptotic_populations(params, gamma, random_state(), 0.0)
+    p0, p1 = endpoints(AsyncTanhSech(0.45, upsilon, chi), gamma, 0.0)
     print(f"async ups/chi = {cond.ratio:4.2f} -> {cond.kind}")
     print(f"      P(-inf) = {p0.round(4)}")
     print(f"      P(+inf) = {p1.round(4)}")

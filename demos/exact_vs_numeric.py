@@ -13,14 +13,7 @@ import sys
 
 import numpy as np
 
-from sodw import (
-    IntegratorConfig,
-    SyncSech2,
-    compare_to_analytic,
-    exact_state_fn,
-    exact_trajectory,
-    integrate,
-)
+from sodw import IntegratorConfig, SyncSech2, compare_to_analytic, integrate, solve
 
 BETA = 0.5
 GAMMA = 0.5
@@ -31,9 +24,10 @@ def main(show_plot=False):
     protocol = SyncSech2(BETA, math.pi / 2, 1.0)
     times = np.linspace(0.0, 25.0, 1001)
 
-    exact = exact_trajectory(protocol, GAMMA, START, 0.0, times)
+    solution = solve(protocol, GAMMA, START, 0.0)
+    exact = solution.states(times)
     traj = integrate(GAMMA, protocol, START, IntegratorConfig(0.0, 25.0), times)
-    gap = compare_to_analytic(traj, exact_state_fn(protocol, GAMMA, START, 0.0))
+    gap = compare_to_analytic(traj, solution.states)
 
     p = np.abs(exact) ** 2
     r = math.hypot(1.0, BETA)

@@ -19,20 +19,15 @@ from .analysis import (
     asymptotic_extract,
     count_peaks,
     default_horizon,
-    exact_state_fn,
-    exact_trajectory,
     off_branch_reason,
     run_scan,
     select_engine,
+    solve,
 )
 from .asynchronous import (
     AsyncBranchConstants,
     AsyncConservingCondition,
-    FlipAsymptotes,
     PhasePair,
-    async_asymptotic_populations,
-    async_state_fn,
-    async_trajectory,
     check_flip_constraint,
     classify_async_conserving,
     conserving_asymptotic_imbalance,
@@ -41,7 +36,6 @@ from .asynchronous import (
     conserving_imbalance,
     evolve_async_conserving,
     evolve_async_flip,
-    flip_asymptotic_populations,
     flip_branch_sign,
     flip_constants,
     phase_integrals,
@@ -74,13 +68,10 @@ from .sync import (
     EigenSystem,
     SuperpositionCoeffs,
     SyncCondition,
-    asymptotic_imbalance_sync,
     classify_sync_condition,
     eigen_sync,
     evolve_sync,
     superposition_from_initial,
-    sync_state_fn,
-    sync_trajectory,
     tau_sech2,
 )
 

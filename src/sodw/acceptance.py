@@ -13,10 +13,9 @@ import time
 
 import numpy as np
 
-from . import asynchronous as asyn
 from . import sync
-from .analysis import count_peaks, exact_trajectory
-from .core import AsyncTanhSech, SyncSech2, as_state, hamiltonian_matrix
+from .analysis import count_peaks, solve
+from .core import AsyncTanhSech, SyncSech2, hamiltonian_matrix, imbalance
 from .oracle import IntegratorConfig, integrate
 
 __all__ = ["CRITERIA", "run_all", "format_record"]
@@ -48,8 +47,8 @@ _PAIR14_ICS = (
 
 def _sync_endpoint_z(protocol, gamma, targets):
     """Asymptotic (Z31, Z32) for a pulse-center start in the third level."""
-    z31 = sync.asymptotic_imbalance_sync(protocol, gamma, _THIRD_IC, 0.0, 3, 1)
-    z32 = sync.asymptotic_imbalance_sync(protocol, gamma, _THIRD_IC, 0.0, 3, 2)
+    p_inf = solve(protocol, gamma, _THIRD_IC, 0.0).asymptotes()[1]
+    z31, z32 = imbalance(p_inf, 3, 1), imbalance(p_inf, 3, 2)
     t31, t32 = targets
     ok = abs(z31 - t31) < 2e-3 and abs(z32 - t32) < 2e-3
     return ok, z31, z32
@@ -88,7 +87,7 @@ def _criterion_04():
     worst_exact = worst_num = 0.0
     for n in range(3):
         protocol = SyncSech2(0.0, (n + 0.5) * math.pi, 1.0)
-        z = sync.asymptotic_imbalance_sync(protocol, 1.0, _THIRD_IC, 0.0, 3, 1)
+        z = imbalance(solve(protocol, 1.0, _THIRD_IC, 0.0).asymptotes()[1], 3, 1)
         worst_exact = max(worst_exact, abs(z + 1.0))
         grid = np.linspace(0.0, 25.0, 101)
         cfg = IntegratorConfig(t_start=0.0, t_end=25.0)
@@ -105,7 +104,7 @@ def _criterion_05():
     protocol = SyncSech2(0.0, math.pi / 2, 1.0)
     T = 25.0
     ends = np.array([-T, T])
-    pe = np.abs(exact_trajectory(protocol, 0.15, _RAMP_IC, -T, ends)) ** 2
+    pe = np.abs(solve(protocol, 0.15, _RAMP_IC, -T).states(ends)) ** 2
     gap_exact = float(np.max(np.abs(pe[1] - pe[0])))
     cfg = IntegratorConfig(t_start=-T, t_end=T)
     pn = np.abs(integrate(0.15, protocol, _RAMP_IC, cfg, ends).states) ** 2
@@ -119,20 +118,16 @@ def _criterion_06():
     T = 25.0
     worst = 0.0
     for ic in _LR_MIX_ICS:
-        p = np.abs(exact_trajectory(protocol, 0.15, ic, -T, np.array([-T, T]))) ** 2
+        p = np.abs(solve(protocol, 0.15, ic, -T).states(np.array([-T, T]))) ** 2
         zlr = (p[:, 2] + p[:, 3]) - (p[:, 0] + p[:, 1])
         worst = max(worst, abs(zlr[1] + zlr[0]))
     return worst < 1e-6, f"max |Z_LR(+T)+Z_LR(-T)| = {worst:.2e} over five starts (<1e-6)"
 
 
 def _criterion_07():
-    protocol = SyncSech2(0.0, math.pi / 4, 1.0)
-    tau_inf = protocol.V / protocol.Omega
-    eig = sync.eigen_sync(0.0, 0.25)
-    coeffs = sync.superposition_from_initial(eig, as_state(_THIRD_IC), -tau_inf)
-    p = np.abs(sync.evolve_sync(eig, coeffs, tau_inf)) ** 2
-    gap = max(abs(p[0] - 0.5), abs(p[1] - 0.5))
-    return gap < 1e-6, f"P1={p[0]:.8f}, P2={p[1]:.8f} (want 0.5 each; off by {gap:.2e}, <1e-6)"
+    p = solve(SyncSech2(0.0, math.pi / 4, 1.0), 0.25, _THIRD_IC, -math.inf).asymptotes()[1]
+    gap = max(abs(p.P1 - 0.5), abs(p.P2 - 0.5))
+    return gap < 1e-6, f"P1={p.P1:.8f}, P2={p.P2:.8f} (want 0.5 each; off by {gap:.2e}, <1e-6)"
 
 
 def _criterion_08():
@@ -141,7 +136,7 @@ def _criterion_08():
     targets = (1.0, 0.5, 0.0, -0.5, -1.0)
     worst_sym = worst_anchor = 0.0
     for ic, target in zip(_PAIR13_ICS, targets):
-        p = np.abs(asyn.async_trajectory(params, 2.0, ic, -T, np.array([-T, T]))) ** 2
+        p = np.abs(solve(params, 2.0, ic, -T).states(np.array([-T, T]))) ** 2
         z = p[:, 2] - p[:, 0]
         worst_sym = max(worst_sym, abs(z[1] - z[0]))
         worst_anchor = max(worst_anchor, abs(z[0] - target))
@@ -157,11 +152,11 @@ def _criterion_09():
     T = 12.5
     worst = 0.0
     for ic in _PAIR13_ICS:
-        p = np.abs(asyn.async_trajectory(params, 2.0, ic, -T, np.array([-T, T]))) ** 2
+        p = np.abs(solve(params, 2.0, ic, -T).states(np.array([-T, T]))) ** 2
         z = p[:, 2] - p[:, 0]
         worst = max(worst, abs(z[1] + z[0]))
     times = np.linspace(-T, T, 2001)
-    p = np.abs(asyn.async_trajectory(params, 2.0, _PAIR13_ICS[2], -T, times)) ** 2
+    p = np.abs(solve(params, 2.0, _PAIR13_ICS[2], -T).states(times)) ** 2
     cdt = float(np.max(np.abs(p[:, 2] - p[:, 0])))
     ok = worst < 1e-6 and cdt < 1e-9
     return ok, (
@@ -173,18 +168,14 @@ def _criterion_09():
 def _criterion_10():
     params = AsyncTanhSech(math.sqrt(0.21), 0.5, 0.4)
     T = 62.5
-    sign = asyn.flip_branch_sign(0.5)
     worst_sym = worst_asym = 0.0
     for ic in _PAIR14_ICS:
-        state0 = as_state(ic)
-        p = np.abs(asyn.async_trajectory(params, 0.5, state0, -T, np.array([-T, T]))) ** 2
+        solution = solve(params, 0.5, ic, -T)
+        p = np.abs(solution.states(np.array([-T, T]))) ** 2
         z41 = p[:, 3] - p[:, 0]
         worst_sym = max(worst_sym, abs(z41[1] + z41[0]))
-        consts = asyn.flip_constants(state0[[0, 3]], "C", params, -T, sign)
-        asym = asyn.flip_asymptotic_populations(consts)
-        worst_asym = max(
-            worst_asym, abs(p[1, 3] - asym.second_plus), abs(p[1, 0] - asym.first_plus)
-        )
+        p_inf = solution.asymptotes()[1]
+        worst_asym = max(worst_asym, abs(p[1, 3] - p_inf.P4), abs(p[1, 0] - p_inf.P1))
     ok = worst_sym < 1e-6 and worst_asym < 1e-6
     return ok, (
         f"max |Z41(+T)+Z41(-T)| = {worst_sym:.2e}; "
@@ -199,7 +190,7 @@ def _random_state(rng):
 
 def _max_distance(gamma, protocol, state0, t_lo, t_hi, samples=121):
     grid = np.linspace(t_lo, t_hi, samples)
-    ana = exact_trajectory(protocol, gamma, state0, t_lo, grid)
+    ana = solve(protocol, gamma, state0, t_lo).states(grid)
     cfg = IntegratorConfig(t_start=t_lo, t_end=t_hi)
     num = integrate(gamma, protocol, state0, cfg, grid).states
     return float(np.max(np.linalg.norm(ana - num, axis=1)))
@@ -244,14 +235,14 @@ def _criterion_12():
             pairing_ok &= eig.lam[0] + eig.lam[1] == 0.0 and eig.lam[2] + eig.lam[3] == 0.0
     times = np.linspace(-25.0, 25.0, 2001)
     drifts = []
-    states = exact_trajectory(SyncSech2(0.5, math.pi / 2, 1.0), 0.5, _THIRD_IC, -25.0, times)
+    states = solve(SyncSech2(0.5, math.pi / 2, 1.0), 0.5, _THIRD_IC, -25.0).states(times)
     drifts.append(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
-    states = asyn.async_trajectory(AsyncTanhSech(1.0, 1.0, 1.0), 2.0, _PAIR13_ICS[1], -25.0, times)
+    states = solve(AsyncTanhSech(1.0, 1.0, 1.0), 2.0, _PAIR13_ICS[1], -25.0).states(times)
     drifts.append(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
     flip_times = np.linspace(-62.5, 62.5, 2001)
-    states = asyn.async_trajectory(
-        AsyncTanhSech(math.sqrt(0.21), 0.5, 0.4), 0.5, _PAIR14_ICS[1], -62.5, flip_times
-    )
+    states = solve(
+        AsyncTanhSech(math.sqrt(0.21), 0.5, 0.4), 0.5, _PAIR14_ICS[1], -62.5
+    ).states(flip_times)
     drifts.append(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
     ana_drift = float(max(drifts))
     grid = np.linspace(0.0, 25.0, 501)
@@ -275,13 +266,13 @@ def _criterion_12():
 def _criterion_13():
     window = (-5.0, 5.0)
     times = np.linspace(-25.0, 25.0, 2001)
-    p = np.abs(exact_trajectory(SyncSech2(0.0, math.pi / 2, 1.0), 0.15, _RAMP_IC, -25.0, times)) ** 2
+    p = np.abs(solve(SyncSech2(0.0, math.pi / 2, 1.0), 0.15, _RAMP_IC, -25.0).states(times)) ** 2
     n_return = count_peaks(times, p[:, 0], window, 0.01)
-    states = asyn.async_trajectory(AsyncTanhSech(1.0, 1.0, 1.0), 2.0, _THIRD_IC, -25.0, times)
+    states = solve(AsyncTanhSech(1.0, 1.0, 1.0), 2.0, _THIRD_IC, -25.0).states(times)
     z = np.abs(states[:, 2]) ** 2 - np.abs(states[:, 0]) ** 2
     n_cons = count_peaks(times, z, window, 0.01) + count_peaks(times, -z, window, 0.01)
     tb = np.linspace(-12.5, 12.5, 2001)
-    states = asyn.async_trajectory(AsyncTanhSech(1.0, 1.0, 2.0), 2.0, _THIRD_IC, -12.5, tb)
+    states = solve(AsyncTanhSech(1.0, 1.0, 2.0), 2.0, _THIRD_IC, -12.5).states(tb)
     zb = np.abs(states[:, 2]) ** 2 - np.abs(states[:, 0]) ** 2
     n_inv = count_peaks(tb, zb, window, 0.01) + count_peaks(tb, -zb, window, 0.01)
     ok = n_return == 1 and n_cons == 1 and n_inv == 0

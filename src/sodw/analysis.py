@@ -7,6 +7,11 @@ form covers every synchronous protocol, the asynchronous closed form covers
 the spin-conserving branch (cos pi*gamma = +-1) and the spin-flipping branch
 on its parameter surface, and everything else falls back to the numeric
 oracle.  The engine used is recorded per row.
+
+solve() is the one entry point to the closed forms.  It also holds the one
+rule for a state given at t0 = -inf: the synchronous engine imposes it
+exactly at the saturated rescaled time tau0 = -V/Omega, and the asynchronous
+branches impose it at t = -default_horizon(protocol).
 """
 
 from __future__ import annotations
@@ -15,11 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from . import asynchronous as asyn
 from . import sync
-from .core import AsyncTanhSech, PopulationSnapshot, SyncSech2, as_state, imbalance
+from .core import AsyncTanhSech, SyncSech2, as_state, imbalance
 from .oracle import IntegratorConfig, integrate
 
 __all__ = [
@@ -36,8 +40,7 @@ __all__ = [
     "select_engine",
     "off_branch_reason",
     "default_horizon",
-    "exact_trajectory",
-    "exact_state_fn",
+    "solve",
 ]
 
 ENGINE_SYNC = "sync-exact"
@@ -171,27 +174,14 @@ def _point_setup(spec, x):
     return fixed["gamma"], AsyncTanhSech(fixed["epsilon"], x * chi, chi)
 
 
-def _z_from_pvec(p, s, q):
-    snap = PopulationSnapshot(0.0, p[0], p[1], p[2], p[3])
-    return imbalance(snap, s, q)
-
-
 def _asymptotic_values(spec, gamma, protocol, engine):
-    if engine == ENGINE_SYNC:
-        return tuple(
-            sync.asymptotic_imbalance_sync(protocol, gamma, spec.state0, spec.epoch, s, q)
-            for s, q in spec.observables
-        )
-    if engine == ENGINE_ASYNC:
-        t_ref = spec.epoch if math.isfinite(spec.epoch) else -default_horizon(protocol)
-        _, p_plus = asyn.async_asymptotic_populations(protocol, gamma, spec.state0, t_ref)
-        return tuple(_z_from_pvec(p_plus, s, q) for s, q in spec.observables)
-    horizon = default_horizon(protocol)
-    t0 = spec.epoch if math.isfinite(spec.epoch) else -horizon
-    grid = np.linspace(t0, horizon, 501)
-    cfg = IntegratorConfig(t_start=t0, t_end=horizon)
-    traj = integrate(gamma, protocol, spec.state0, cfg, grid)
-    snap = traj.snapshot(traj.times.size - 1)
+    if engine == ENGINE_ORACLE:
+        horizon = default_horizon(protocol)
+        t0 = spec.epoch if math.isfinite(spec.epoch) else -horizon
+        cfg = IntegratorConfig(t_start=t0, t_end=horizon)
+        snap = integrate(gamma, protocol, spec.state0, cfg, np.array([horizon])).snapshot(0)
+    else:
+        snap = solve(protocol, gamma, spec.state0, spec.epoch).asymptotes()[1]
     return tuple(imbalance(snap, s, q) for s, q in spec.observables)
 
 
@@ -230,6 +220,9 @@ def count_peaks(times, values, window, prominence):
         raise ValueError(f"window [{lo}, {hi}] outside sampled range [{t[0]}, {t[-1]}]")
     if not prominence > 0:
         raise ValueError(f"prominence must be > 0, got {prominence}")
+    # imported here: scipy.signal costs most of a second, and only this needs it
+    from scipy.signal import find_peaks
+
     idx, _ = find_peaks(v, prominence=prominence)
     return int(np.count_nonzero((t[idx] >= lo) & (t[idx] <= hi)))
 
@@ -248,36 +241,22 @@ def asymptotic_extract(traj):
     return first, last, settled
 
 
-def exact_trajectory(protocol, gamma, state0, t0, times):
-    """Closed-form amplitudes on a time grid, shape (len(times), 4).
+def solve(protocol, gamma, state0, t0):
+    """Closed-form solution with state0 imposed at t0 (finite or -inf).
 
-    t0 = -inf anchors the synchronous engine at the infinite-past phase and
-    the asynchronous engine at the first sample time.  Raises when neither
-    analytic engine covers (protocol, gamma).
+    Picks the engine once and builds the eigensystem (sync.SyncSolution) or
+    the pair constants (asynchronous.AsyncSolution) once; both offer
+    states(times) and asymptotes() -> (P(-inf), P(+inf)) as
+    PopulationSnapshots.  Raises ValueError when neither analytic engine
+    covers (protocol, gamma).
     """
-    times = np.asarray(times, dtype=float)
+    t0 = float(t0)
+    if not t0 < math.inf:
+        raise ValueError(f"initial conditions need t0 finite or -inf, got {t0}")
     engine = select_engine(protocol, gamma)
     if engine == ENGINE_SYNC:
-        return sync.sync_trajectory(protocol, gamma, state0, t0, times)
+        return sync.SyncSolution(protocol, gamma, state0, t0)
     if engine == ENGINE_ASYNC:
-        t_ref = t0 if math.isfinite(t0) else float(times[0])
-        return asyn.async_trajectory(protocol, gamma, state0, t_ref, times)
-    raise ValueError(off_branch_reason(protocol, gamma))
-
-
-def exact_state_fn(protocol, gamma, state0, t0, anchor=None):
-    """Closed-form state evaluator t -> amplitude vector.
-
-    anchor is the finite time standing in for t0 = -inf on the asynchronous
-    branches (default: -default_horizon(protocol)).
-    """
-    engine = select_engine(protocol, gamma)
-    if engine == ENGINE_SYNC:
-        return sync.sync_state_fn(protocol, gamma, state0, t0)
-    if engine == ENGINE_ASYNC:
-        if math.isfinite(t0):
-            t_ref = t0
-        else:
-            t_ref = -default_horizon(protocol) if anchor is None else float(anchor)
-        return asyn.async_state_fn(protocol, gamma, state0, t_ref)
+        t_ref = t0 if math.isfinite(t0) else -default_horizon(protocol)
+        return asyn.AsyncSolution(protocol, gamma, state0, t_ref)
     raise ValueError(off_branch_reason(protocol, gamma))

@@ -52,13 +52,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AsyncTanhSech, as_coupling, as_state
+from .core import PopulationSnapshot, as_coupling, as_state
 
 __all__ = [
     "PhasePair",
     "AsyncBranchConstants",
     "AsyncConservingCondition",
-    "FlipAsymptotes",
+    "AsyncSolution",
     "phase_integrals",
     "conserving_branch_sign",
     "flip_branch_sign",
@@ -70,10 +70,6 @@ __all__ = [
     "check_flip_constraint",
     "flip_constants",
     "evolve_async_flip",
-    "flip_asymptotic_populations",
-    "async_trajectory",
-    "async_state_fn",
-    "async_asymptotic_populations",
 ]
 
 #: gating tolerance on the flip-branch parameter constraint chi^2/4 + eps^2 - ups^2
@@ -312,33 +308,6 @@ def evolve_async_flip(consts, params, t):
     return np.stack([first, second], axis=-1)
 
 
-@dataclass(frozen=True)
-class FlipAsymptotes:
-    """Asymptotic pair populations: the flip branch exchanges them across t=0.
-
-    For kind C (pair a1, a4): first = P1, second = P4, with
-    P1(-inf) = P4(+inf) = 2|plus|^2 and P4(-inf) = P1(+inf) = 2|minus|^2;
-    for kind D (pair a2, a3): first = P2, second = P3, with
-    P3(-inf) = P2(+inf) = 2|plus|^2 and P2(-inf) = P3(+inf) = 2|minus|^2.
-    """
-
-    first_minus: float
-    first_plus: float
-    second_minus: float
-    second_plus: float
-
-
-def flip_asymptotic_populations(consts):
-    """Exact t -> +/-inf pair populations from the constants (no finite-T truncation)."""
-    two_p = 2.0 * abs(consts.plus) ** 2
-    two_m = 2.0 * abs(consts.minus) ** 2
-    if consts.kind == "C":
-        return FlipAsymptotes(two_p, two_m, two_m, two_p)
-    if consts.kind == "D":
-        return FlipAsymptotes(two_m, two_p, two_p, two_m)
-    raise ValueError(f"flip asymptotes need kind 'C' or 'D', got {consts.kind!r}")
-
-
 def _branch_error(gamma):
     g = as_coupling(gamma)
     return ValueError(
@@ -349,76 +318,65 @@ def _branch_error(gamma):
     )
 
 
-def _async_constants(params, gamma, state0, t_ref):
-    """Branch-split a full state into the two pair-constant objects."""
-    state0 = as_state(state0)
-    sign = conserving_branch_sign(gamma)
-    if sign is not None:
-        pairs = _CONSERVING_PAIRS
-        build = conserving_constants
-    else:
-        sign = flip_branch_sign(gamma)
-        if sign is None:
-            raise _branch_error(gamma)
-        pairs = _FLIP_PAIRS
-        build = flip_constants
-    return {
-        kind: build(state0[list(idx)], kind, params, t_ref, sign) for kind, idx in pairs.items()
-    }
+class AsyncSolution:
+    """Exact solution on one asynchronous branch, with the state imposed at finite t_ref.
 
-
-def async_trajectory(params, gamma, state0, t_ref, times):
-    """Exact amplitudes on a time grid; state imposed at finite t_ref.
-
-    Requires gamma on one of the exact branches (and, on the flip branch, the
-    parameter constraint); otherwise raises ValueError naming the condition.
+    The pair constants are built once.  Requires gamma on one of the exact
+    branches (and, on the flip branch, the parameter constraint); otherwise
+    raises ValueError naming the condition.
     """
-    consts = _async_constants(params, gamma, state0, t_ref)
-    times = np.asarray(times, dtype=float)
-    out = np.empty(times.shape + (4,), dtype=complex)
-    if "A" in consts:
-        evolve, pairs = evolve_async_conserving, _CONSERVING_PAIRS
-    else:
-        evolve, pairs = evolve_async_flip, _FLIP_PAIRS
-    for kind, idx in pairs.items():
-        pair = evolve(consts[kind], params, times)
-        out[..., idx[0]] = pair[..., 0]
-        out[..., idx[1]] = pair[..., 1]
-    return out
 
+    def __init__(self, params, gamma, state0, t_ref):
+        state0 = as_state(state0)
+        sign = conserving_branch_sign(gamma)
+        self.conserving = sign is not None
+        if self.conserving:
+            self.pairs, build = _CONSERVING_PAIRS, conserving_constants
+        else:
+            sign = flip_branch_sign(gamma)
+            if sign is None:
+                raise _branch_error(gamma)
+            self.pairs, build = _FLIP_PAIRS, flip_constants
+        self.params = params
+        self.consts = {
+            kind: build(state0[list(idx)], kind, params, t_ref, sign)
+            for kind, idx in self.pairs.items()
+        }
 
-def async_state_fn(params, gamma, state0, t_ref):
-    """Closure t -> amplitude vector for the exact asynchronous solution."""
-    consts = _async_constants(params, gamma, state0, t_ref)
+    def states(self, times):
+        """Amplitudes at times (scalar -> shape (4,), array -> (..., 4))."""
+        times = np.asarray(times, dtype=float)
+        out = np.empty(times.shape + (4,), dtype=complex)
+        evolve = evolve_async_conserving if self.conserving else evolve_async_flip
+        for kind, idx in self.pairs.items():
+            pair = evolve(self.consts[kind], self.params, times)
+            out[..., idx[0]] = pair[..., 0]
+            out[..., idx[1]] = pair[..., 1]
+        return out
 
-    def state(t):
-        if "A" in consts:
-            pa = evolve_async_conserving(consts["A"], params, t)
-            pb = evolve_async_conserving(consts["B"], params, t)
-            return np.stack([pa[..., 0], pb[..., 0], pa[..., 1], pb[..., 1]], axis=-1)
-        pc = evolve_async_flip(consts["C"], params, t)
-        pd = evolve_async_flip(consts["D"], params, t)
-        return np.stack([pc[..., 0], pd[..., 0], pd[..., 1], pc[..., 1]], axis=-1)
+    def asymptotes(self):
+        """PopulationSnapshots at t = -inf and t = +inf, exact from the constants.
 
-    return state
-
-
-def async_asymptotic_populations(params, gamma, state0, t_ref):
-    """Exact (P(-inf), P(+inf)) 4-vectors for a branch state anchored at t_ref."""
-    consts = _async_constants(params, gamma, state0, t_ref)
-    p_minus = np.empty(4)
-    p_plus = np.empty(4)
-    if "A" in consts:
-        for kind, (i, j) in _CONSERVING_PAIRS.items():
-            c = consts[kind]
-            total = abs(c.plus) ** 2 + abs(c.minus) ** 2
-            for side, out in ((-1, p_minus), (+1, p_plus)):
-                cross = -0.5 * conserving_asymptotic_imbalance(c, params, side)
-                out[i] = total + cross
-                out[j] = total - cross
-    else:
-        for kind, (i, j) in _FLIP_PAIRS.items():
-            asym = flip_asymptotic_populations(consts[kind])
-            p_minus[i], p_minus[j] = asym.first_minus, asym.second_minus
-            p_plus[i], p_plus[j] = asym.first_plus, asym.second_plus
-    return p_minus, p_plus
+        Conserving pairs keep their total and take the imbalance from the
+        saturated phi_u.  Flip pairs exchange their populations across t = 0:
+        the first member of a C pair (a1, a4) and the second of a D pair
+        (a2, a3) hold 2|plus|^2 at -inf and 2|minus|^2 at +inf, the other
+        member the reverse.
+        """
+        p_minus = np.empty(4)
+        p_plus = np.empty(4)
+        for kind, (i, j) in self.pairs.items():
+            c = self.consts[kind]
+            if self.conserving:
+                total = abs(c.plus) ** 2 + abs(c.minus) ** 2
+                for side, out in ((-1, p_minus), (+1, p_plus)):
+                    cross = -0.5 * conserving_asymptotic_imbalance(c, self.params, side)
+                    out[i] = total + cross
+                    out[j] = total - cross
+            else:
+                two_p = 2.0 * abs(c.plus) ** 2
+                two_m = 2.0 * abs(c.minus) ** 2
+                early, late = (two_p, two_m) if kind == "C" else (two_m, two_p)
+                p_minus[i], p_minus[j] = early, late
+                p_plus[i], p_plus[j] = late, early
+        return PopulationSnapshot(-math.inf, *p_minus), PopulationSnapshot(math.inf, *p_plus)

@@ -27,10 +27,10 @@ from .analysis import (
     ENGINE_ORACLE,
     ScanSpec,
     default_horizon,
-    exact_trajectory,
     off_branch_reason,
     run_scan,
     select_engine,
+    solve,
 )
 from .asynchronous import FLIP_CONSTRAINT_TOL, check_flip_constraint, classify_async_conserving
 from .core import AsyncTanhSech, SyncSech2, as_state
@@ -195,7 +195,7 @@ def _cmd_evolve(args):
 
     ana = None
     if engine in ("exact", "both"):
-        ana = exact_trajectory(protocol, gamma, state0, epoch, times)
+        ana = solve(protocol, gamma, state0, epoch).states(times)
         columns += observable_columns(ana)
     if engine in ("oracle", "both"):
         start_state = state0 if ana is None else ana[0]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import ScanSpec, default_horizon, exact_trajectory, run_scan, select_engine
+from .analysis import ScanSpec, default_horizon, run_scan, select_engine, solve
 from .core import AsyncTanhSech, SyncSech2, as_state
 from .oracle import IntegratorConfig, integrate
 
@@ -160,7 +160,7 @@ def _build_trajectory(fig_id, samples, horizon):
     oracle_ids = []
     for k, ic in enumerate(cfg["ics"]):
         state0 = as_state(ic)
-        states = exact_trajectory(protocol, gamma, state0, epoch, times)
+        states = solve(protocol, gamma, state0, epoch).states(times)
         columns = [times] + observable_columns(states)
         # the oracle is restarted from the closed-form state at the first
         # sample so both solutions share the same finite-time anchor

@@ -1,20 +1,18 @@
 """Independent numerical integration of the raw four-level equations.
 
 This module never touches the analytic engines: it integrates
-i*da/dt = H(t)*a directly with adaptive embedded Runge-Kutta schemes from
-scipy (DOP853 by default, RK45 selectable) or a handwritten fixed-step
-classical RK4 fallback, and is the verification oracle for every exact
-solution as well as the only solver for parameters off the analytic branches.
-The problem is not stiff (the matrix entries are bounded by the drive
-amplitudes), so explicit methods are the right tool.
+i*da/dt = H(t)*a directly with scipy's adaptive embedded Runge-Kutta scheme
+DOP853, and is the verification oracle for every exact solution as well as
+the only solver for parameters off the analytic branches.  The problem is not
+stiff (the matrix entries are bounded by the drive amplitudes), so an
+explicit method is the right tool.
 
-Sampled times are exactly the requested grid values (scipy's t_eval, or RK4
-sub-stepping that lands on each grid point), never nearest-step substitutes.
+Sampled times are exactly the requested grid values (scipy's t_eval), never
+nearest-step substitutes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,24 +28,15 @@ __all__ = [
     "compare_to_analytic",
 ]
 
-_METHODS = {"dop853": "DOP853", "rk45": "RK45", "rk4": None}
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integration window, tolerances and method tag.
-
-    method is one of "dop853" / "rk45" (adaptive embedded Runge-Kutta) or
-    "rk4" (fixed-step classical 4th order; then max_step is the step size and
-    must be finite).
-    """
+    """Integration window and DOP853 tolerances."""
 
     t_start: float
     t_end: float
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
-    method: str = "dop853"
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
@@ -56,10 +45,6 @@ class IntegratorConfig:
             )
         if not (self.t_end > self.t_start):
             raise ValueError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {sorted(_METHODS)}, got {self.method!r}")
-        if self.method == "rk4" and not (0 < self.max_step < math.inf):
-            raise ValueError("fixed-step rk4 needs a finite positive max_step")
 
 
 @dataclass(frozen=True)
@@ -118,26 +103,6 @@ def _rhs_factory(gamma, protocol):
     return rhs
 
 
-def _integrate_rk4(rhs, y0, sample_grid, h_max):
-    states = np.empty((sample_grid.size, 4), dtype=complex)
-    states[0] = y0
-    y = y0.astype(complex)
-    for k in range(sample_grid.size - 1):
-        t0, t1 = sample_grid[k], sample_grid[k + 1]
-        n_sub = max(1, math.ceil((t1 - t0) / h_max - 1e-12))
-        h = (t1 - t0) / n_sub
-        t = t0
-        for _ in range(n_sub):
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-        states[k + 1] = y
-    return states
-
-
 def integrate(gamma, protocol, state0, cfg, sample_grid):
     """Integrate i*da/dt = H(t)*a and sample exactly on sample_grid.
 
@@ -161,35 +126,22 @@ def integrate(gamma, protocol, state0, cfg, sample_grid):
         raise ValueError(
             f"sample_grid [{grid[0]}, {grid[-1]}] exceeds window [{cfg.t_start}, {cfg.t_end}]"
         )
-    rhs = _rhs_factory(gamma, protocol)
-
-    if cfg.method == "rk4":
-        # re-step from t_start through every grid point with steps <= max_step
-        full_grid = grid if grid[0] == cfg.t_start else np.concatenate([[cfg.t_start], grid])
-        states = _integrate_rk4(rhs, y0, full_grid, cfg.max_step)
-        if grid[0] != cfg.t_start:
-            states = states[1:]
-        solver_id = f"rk4(h={cfg.max_step:g})"
-    else:
-        sol = solve_ivp(
-            rhs,
-            (cfg.t_start, cfg.t_end),
-            y0,
-            method=_METHODS[cfg.method],
-            t_eval=grid,
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
-            max_step=cfg.max_step,
-            dense_output=False,
-        )
-        if not sol.success:
-            last = sol.t[-1] if sol.t.size else cfg.t_start
-            raise RuntimeError(f"integration failed near t={last:g}: {sol.message}")
-        states = sol.y.T
-        solver_id = f"{cfg.method}(rtol={cfg.rel_tol:g},atol={cfg.abs_tol:g})"
-
+    sol = solve_ivp(
+        _rhs_factory(gamma, protocol),
+        (cfg.t_start, cfg.t_end),
+        y0,
+        method="DOP853",
+        t_eval=grid,
+        rtol=cfg.rel_tol,
+        atol=cfg.abs_tol,
+    )
+    if not sol.success:
+        last = sol.t[-1] if sol.t.size else cfg.t_start
+        raise RuntimeError(f"integration failed near t={last:g}: {sol.message}")
+    states = sol.y.T
     if not np.all(np.isfinite(states)):
         raise RuntimeError("integration produced non-finite amplitudes")
+    solver_id = f"dop853(rtol={cfg.rel_tol:g},atol={cfg.abs_tol:g})"
     return TrajectoryRecord(grid, states, protocol, solver_id)
 
 

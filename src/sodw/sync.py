@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIN_BRANCH_TOL, SOCoupling, as_coupling, as_state, imbalance, populations
+from .core import SIN_BRANCH_TOL, SOCoupling, as_coupling, as_state, populations
 
 __all__ = [
     "EigenSystem",
@@ -50,10 +50,8 @@ __all__ = [
     "tau_sech2",
     "superposition_from_initial",
     "evolve_sync",
-    "asymptotic_imbalance_sync",
     "classify_sync_condition",
-    "sync_trajectory",
-    "sync_state_fn",
+    "SyncSolution",
 ]
 
 
@@ -116,15 +114,21 @@ def eigen_sync(beta, gamma):
     """
     g = as_coupling(gamma)
     beta = float(beta)
-    s, c = g.sin_pg, g.cos_pg
+    s = g.sin_pg
 
     if abs(s) < SIN_BRANCH_TOL:
         return _eigen_sync_degenerate(beta, g)
 
-    r1 = math.sqrt(1.0 + beta * beta - 2.0 * beta * c)
-    r2 = math.sqrt(1.0 + beta * beta + 2.0 * beta * c)
-    alpha_minus, alpha_plus = _csc_roots(c - beta, r1, s)
-    eta_minus, eta_plus = _csc_roots(c + beta, r2, s)
+    # 1 -/+ cos(pi*gamma) as 2 sin^2 / 2 cos^2 of pi*gamma/2: near an integer
+    # gamma the direct difference loses every digit and r1 can round to 0
+    half = 0.5 * math.pi * g.gamma
+    one_minus_c = 2.0 * math.sin(half) ** 2
+    one_plus_c = 2.0 * math.cos(half) ** 2
+    d = 1.0 - beta
+    r1 = math.sqrt(d * d + 2.0 * beta * one_minus_c)
+    r2 = math.sqrt(d * d + 2.0 * beta * one_plus_c)
+    alpha_minus, alpha_plus = _csc_roots(d - one_minus_c, r1, s)
+    eta_minus, eta_plus = _csc_roots(one_plus_c - d, r2, s)
 
     lam = np.array([-r1, r1, -r2, r2])
     vec = np.stack(
@@ -211,27 +215,6 @@ def evolve_sync(eig, coeffs, tau):
     return (phases * coeffs.s) @ eig.vec
 
 
-def _sync_tau0(protocol, t0):
-    t0 = float(t0)
-    if math.isinf(t0):
-        if t0 > 0:
-            raise ValueError("initial conditions cannot be imposed at t0 = +inf")
-        return -protocol.V / protocol.Omega
-    return float(tau_sech2(protocol.V, protocol.Omega, t0))
-
-
-def asymptotic_imbalance_sync(protocol, gamma, state0, t0, s, q):
-    """Asymptotic imbalance Z_sq(+inf) for a synchronous run.
-
-    The initial state is imposed at t0 (t0 = -inf maps to tau0 = -V/Omega
-    exactly) and the exact solution is evaluated at tau = +V/Omega.
-    """
-    eig = eigen_sync(protocol.beta, gamma)
-    coeffs = superposition_from_initial(eig, state0, _sync_tau0(protocol, t0))
-    a_inf = evolve_sync(eig, coeffs, protocol.V / protocol.Omega)
-    return imbalance(populations(a_inf, math.inf), s, q)
-
-
 @dataclass(frozen=True)
 class SyncCondition:
     """Classification of a synchronous drive against the exact return/inversion conditions."""
@@ -269,19 +252,32 @@ def classify_sync_condition(beta, V, Omega, tol=1e-9):
     return SyncCondition("neither", None, ratio, beta_res, min(res_c, res_i))
 
 
-def sync_trajectory(protocol, gamma, state0, t0, times):
-    """Exact amplitudes on a time grid; initial state imposed at t0 (or -inf)."""
-    eig = eigen_sync(protocol.beta, gamma)
-    coeffs = superposition_from_initial(eig, state0, _sync_tau0(protocol, t0))
-    return evolve_sync(eig, coeffs, tau_sech2(protocol.V, protocol.Omega, times))
+class SyncSolution:
+    """Exact synchronous solution with the state imposed at t0.
 
+    The eigensystem and the superposition coefficients are built once.
+    t0 = -inf maps exactly to tau0 = -V/Omega, the saturated rescaled time.
+    """
 
-def sync_state_fn(protocol, gamma, state0, t0):
-    """Closure t -> amplitude vector for the exact synchronous solution."""
-    eig = eigen_sync(protocol.beta, gamma)
-    coeffs = superposition_from_initial(eig, state0, _sync_tau0(protocol, t0))
+    def __init__(self, protocol, gamma, state0, t0):
+        self.protocol = protocol
+        self.tau_inf = protocol.V / protocol.Omega
+        t0 = float(t0)
+        if t0 == -math.inf:
+            tau0 = -self.tau_inf
+        else:
+            tau0 = float(tau_sech2(protocol.V, protocol.Omega, t0))
+        self.eig = eigen_sync(protocol.beta, gamma)
+        self.coeffs = superposition_from_initial(self.eig, state0, tau0)
 
-    def state(t):
-        return evolve_sync(eig, coeffs, tau_sech2(protocol.V, protocol.Omega, t))
+    def states(self, times):
+        """Amplitudes at times (scalar -> shape (4,), array -> (..., 4))."""
+        tau = tau_sech2(self.protocol.V, self.protocol.Omega, times)
+        return evolve_sync(self.eig, self.coeffs, tau)
 
-    return state
+    def asymptotes(self):
+        """PopulationSnapshots at t = -inf and t = +inf."""
+        return tuple(
+            populations(evolve_sync(self.eig, self.coeffs, side * self.tau_inf), side * math.inf)
+            for side in (-1.0, 1.0)
+        )

@@ -18,12 +18,12 @@ from sodw import (
     asymptotic_extract,
     count_peaks,
     default_horizon,
-    exact_state_fn,
-    exact_trajectory,
+    imbalance,
     integrate,
     off_branch_reason,
     run_scan,
     select_engine,
+    solve,
 )
 
 _E3 = (0, 0, 1, 0)
@@ -206,7 +206,7 @@ def test_asymptotic_extract_settles():
     proto = SyncSech2(0.5, 0.5 * math.pi, 1.0)
     T = default_horizon(proto)
     times = np.linspace(-T, T, 801)
-    states = exact_trajectory(proto, 0.5, _E3, -math.inf, times)
+    states = solve(proto, 0.5, _E3, -math.inf).states(times)
     from sodw import TrajectoryRecord
 
     rec = TrajectoryRecord(times, states, proto, "sync-exact")
@@ -221,18 +221,64 @@ def test_asymptotic_extract_settles():
 
 def test_exact_trajectory_dispatch_and_refusal():
     times = np.linspace(-10.0, 10.0, 21)
-    sync_states = exact_trajectory(SyncSech2(0.0, 1.0, 1.0), 0.25, _E3, -math.inf, times)
+    sync_states = solve(SyncSech2(0.0, 1.0, 1.0), 0.25, _E3, -math.inf).states(times)
     assert sync_states.shape == (21, 4)
     flip = _flip_params(0.4, 1.0)
-    async_states = exact_trajectory(flip, 0.5, _E3, -math.inf, times)
-    assert np.linalg.norm(async_states[0] - np.asarray(_E3)) < 1e-12  # anchored at first sample
+    async_states = solve(flip, 0.5, _E3, -math.inf).states(times)
+    assert async_states.shape == (21, 4)
+    assert_allclose(np.linalg.norm(async_states, axis=1), 1.0, atol=1e-12)
     with pytest.raises(ValueError, match="no closed form"):
-        exact_trajectory(AsyncTanhSech(0.3, 1.0, 1.0), 0.3, _E3, -math.inf, times)
+        solve(AsyncTanhSech(0.3, 1.0, 1.0), 0.3, _E3, -math.inf)
+    with pytest.raises(ValueError, match="flip-branch constraint"):
+        solve(AsyncTanhSech(0.0, 1.0, 1.0), 0.5, _E3, 0.0)
 
 
 def test_exact_state_fn_anchor():
-    flip = _flip_params(0.3, 1.0)
-    fn = exact_state_fn(flip, 0.5, _E3, -math.inf, anchor=-30.0)
-    assert np.linalg.norm(fn(-30.0) - np.asarray(_E3)) < 1e-12
-    fn0 = exact_state_fn(flip, 0.5, _E3, 0.0)
-    assert np.linalg.norm(fn0(0.0) - np.asarray(_E3)) < 1e-12
+    # a state given at -inf holds at -default_horizon on the async branches
+    flip = _flip_params(0.3, 0.5)
+    past = solve(flip, 0.5, _E3, -math.inf)
+    assert np.linalg.norm(past.states(-default_horizon(flip)) - np.asarray(_E3)) < 1e-12
+    center = solve(flip, 0.5, _E3, 0.0)
+    assert np.linalg.norm(center.states(0.0) - np.asarray(_E3)) < 1e-12
+
+
+def test_infinite_past_has_one_meaning():
+    # the trajectory grid, the point-by-point states and the scan row must
+    # all put a state given at t0 = -inf at the same place
+    proto = AsyncTanhSech(1.0, 1.0, 1.0)
+    state0 = (0.5, 0.0, math.sqrt(3.0) / 2, 0.0)
+    times = np.linspace(-5.0, 5.0, 11)
+    solution = solve(proto, 2.0, state0, -math.inf)
+    states = solution.states(times)
+    for t, row in zip(times, states):
+        assert np.linalg.norm(solution.states(t) - row) <= 1e-12
+    p_inf = solution.asymptotes()[1]
+    fixed = {"epsilon": 1.0, "upsilon": 1.0, "chi": 1.0}
+    observables = ((3, 1), (3, 2), ("L", "R"))
+    spec = ScanSpec("gamma", [2.0], fixed, state0, epoch=-math.inf, observables=observables)
+    (row,) = run_scan(spec).rows
+    assert row.engine == ENGINE_ASYNC
+    for value, (s, q) in zip(row.values, observables):
+        assert abs(value - imbalance(p_inf, s, q)) <= 1e-12
+    # phi_u has saturated to round-off by t = 40, so the trajectory itself
+    # lands on the scan row
+    p_late = np.abs(solution.states(40.0)) ** 2
+    assert abs(row.values[0] - (p_late[2] - p_late[0])) <= 1e-12
+
+
+def test_asymptotes_match_late_states():
+    rng = np.random.default_rng(42)
+    cases = [
+        (SyncSech2(0.7, 1.3, 0.8), 0.37),
+        (AsyncTanhSech(0.4, 1.3, 0.9), 1.0),
+        (_flip_params(0.5, 0.9), 1.5),
+    ]
+    for proto, gamma in cases:
+        state0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        state0 /= np.linalg.norm(state0)
+        for t0 in (-math.inf, 0.4):
+            early, late = solve(proto, gamma, state0, t0).asymptotes()
+            assert early.t == -math.inf and late.t == math.inf
+            far = np.abs(solve(proto, gamma, state0, t0).states(np.array([-60.0, 60.0]))) ** 2
+            assert_allclose(early.pvec, far[0], atol=1e-9)
+            assert_allclose(late.pvec, far[1], atol=1e-9)

@@ -11,9 +11,6 @@ from sodw import (
     AsyncBranchConstants,
     AsyncTanhSech,
     IntegratorConfig,
-    async_asymptotic_populations,
-    async_state_fn,
-    async_trajectory,
     check_flip_constraint,
     classify_async_conserving,
     conserving_asymptotic_imbalance,
@@ -22,13 +19,14 @@ from sodw import (
     conserving_imbalance,
     evolve_async_conserving,
     evolve_async_flip,
-    flip_asymptotic_populations,
     flip_branch_sign,
     flip_constants,
     integrate,
     phase_integrals,
     populations,
+    solve,
 )
+from sodw.asynchronous import AsyncSolution
 
 
 def _flip_params(epsilon, chi):
@@ -132,9 +130,9 @@ def test_population_return_when_pulse_area_is_integer():
         params = AsyncTanhSech(rng.uniform(0.0, 1.5), n * chi, chi)
         gamma = float(rng.integers(0, 4))
         state0 = _random_state(rng)
-        p_minus, p_plus = async_asymptotic_populations(params, gamma, state0, 0.0)
-        assert_allclose(p_plus, p_minus, atol=1e-12)
-        assert abs(np.sum(p_plus) - 1.0) < 1e-12
+        p_minus, p_plus = solve(params, gamma, state0, 0.0).asymptotes()
+        assert_allclose(p_plus.pvec, p_minus.pvec, atol=1e-12)
+        assert abs(p_plus.norm2 - 1.0) < 1e-12
 
 
 def test_imbalance_inversion_when_pulse_area_is_half_integer():
@@ -145,9 +143,9 @@ def test_imbalance_inversion_when_pulse_area_is_half_integer():
         params = AsyncTanhSech(rng.uniform(0.0, 1.5), (n + 0.5) * chi, chi)
         gamma = float(rng.integers(0, 4))
         state0 = _random_state(rng)
-        p_minus, p_plus = async_asymptotic_populations(params, gamma, state0, 0.0)
-        assert abs((p_plus[2] - p_plus[0]) + (p_minus[2] - p_minus[0])) < 1e-12
-        assert abs((p_plus[3] - p_plus[1]) + (p_minus[3] - p_minus[1])) < 1e-12
+        p_minus, p_plus = solve(params, gamma, state0, 0.0).asymptotes()
+        assert abs((p_plus.P3 - p_plus.P1) + (p_minus.P3 - p_minus.P1)) < 1e-12
+        assert abs((p_plus.P4 - p_plus.P2) + (p_minus.P4 - p_minus.P2)) < 1e-12
 
 
 def test_classify_conserving_conditions():
@@ -217,36 +215,36 @@ def test_flip_pair_norm_constant_and_bounded_far_out():
 
 def test_flip_populations_cross_over():
     params = _flip_params(0.3, 1.2)
-    c = flip_constants((1.0, 0.0), "C", params, -6.0)
-    asym = flip_asymptotic_populations(c)
+    solution = solve(params, 0.5, (1.0, 0.0, 0.0, 0.0), -6.0)
+    p_minus, p_plus = solution.asymptotes()
     # the branch swaps the pair populations between the two ends
-    assert asym.first_minus == pytest.approx(asym.second_plus, abs=1e-15)
-    assert asym.second_minus == pytest.approx(asym.first_plus, abs=1e-15)
-    early = evolve_async_flip(c, params, -40.0)
-    late = evolve_async_flip(c, params, 40.0)
-    assert abs(np.abs(early[0]) ** 2 - asym.first_minus) < 1e-10
-    assert abs(np.abs(late[0]) ** 2 - asym.first_plus) < 1e-10
-    assert abs(np.abs(early[1]) ** 2 - asym.second_minus) < 1e-10
-    assert abs(np.abs(late[1]) ** 2 - asym.second_plus) < 1e-10
+    assert p_minus.P1 == pytest.approx(p_plus.P4, abs=1e-15)
+    assert p_minus.P4 == pytest.approx(p_plus.P1, abs=1e-15)
+    early = solution.states(-40.0)
+    late = solution.states(40.0)
+    assert abs(np.abs(early[0]) ** 2 - p_minus.P1) < 1e-10
+    assert abs(np.abs(late[0]) ** 2 - p_plus.P1) < 1e-10
+    assert abs(np.abs(early[3]) ** 2 - p_minus.P4) < 1e-10
+    assert abs(np.abs(late[3]) ** 2 - p_plus.P4) < 1e-10
 
 
 def test_flip_full_state_assembly():
     # D pair fills slots (a2, a3); check the 4-vector wiring end to end
     params = _flip_params(0.5, 0.9)
     state0 = np.array([0.0, 0.8, 0.6, 0.0], dtype=complex)
-    fn = async_state_fn(params, 0.5, state0, -1.0)
-    assert np.linalg.norm(fn(-1.0) - state0) < 1e-12
-    p_minus, p_plus = async_asymptotic_populations(params, 0.5, state0, -1.0)
-    late = populations(fn(45.0), 45.0)
-    assert abs(late.P2 - p_plus[1]) < 1e-10
-    assert abs(late.P3 - p_plus[2]) < 1e-10
-    assert abs(np.sum(p_minus) - 1.0) < 1e-12
+    solution = solve(params, 0.5, state0, -1.0)
+    assert np.linalg.norm(solution.states(-1.0) - state0) < 1e-12
+    p_minus, p_plus = solution.asymptotes()
+    late = populations(solution.states(45.0), 45.0)
+    assert abs(late.P2 - p_plus.P2) < 1e-10
+    assert abs(late.P3 - p_plus.P3) < 1e-10
+    assert abs(p_minus.norm2 - 1.0) < 1e-12
 
 
 def test_off_branch_angle_rejected():
     params = AsyncTanhSech(0.2, 1.0, 1.0)
     with pytest.raises(ValueError, match="neither exact asynchronous branch"):
-        async_trajectory(params, 0.3, (0, 0, 1, 0), 0.0, np.linspace(-1, 1, 5))
+        AsyncSolution(params, 0.3, (0, 0, 1, 0), 0.0)
 
 
 def _oracle_states(params, gamma, state0, times):
@@ -267,6 +265,6 @@ def test_exact_branches_match_numeric_oracle(gamma, params):
     rng = np.random.default_rng(26)
     state0 = _random_state(rng)
     times = np.linspace(-12.0, 12.0, 81)
-    exact = async_trajectory(params, gamma, state0, times[0], times)
+    exact = solve(params, gamma, state0, times[0]).states(times)
     numeric = _oracle_states(params, gamma, exact[0], times)
     assert np.max(np.abs(exact - numeric)) < 1e-7

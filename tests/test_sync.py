@@ -10,15 +10,14 @@ from scipy.integrate import quad
 from sodw import (
     SyncSech2,
     as_coupling,
-    asymptotic_imbalance_sync,
     classify_sync_condition,
     eigen_sync,
     evolve_sync,
     hamiltonian_matrix,
+    imbalance,
     populations,
+    solve,
     superposition_from_initial,
-    sync_state_fn,
-    sync_trajectory,
     tau_sech2,
 )
 
@@ -33,6 +32,10 @@ def _random_state(rng):
     return a / np.linalg.norm(a)
 
 
+def _z_inf(proto, gamma, state0, t0, s, q):
+    return imbalance(solve(proto, gamma, state0, t0).asymptotes()[1], s, q)
+
+
 def test_eigensystem_matches_dense_solver():
     rng = np.random.default_rng(11)
     for _ in range(30):
@@ -45,6 +48,20 @@ def test_eigensystem_matches_dense_solver():
         # every row is a genuine eigenvector of the dense matrix
         for lam, v in zip(eig.lam, eig.vec):
             assert np.linalg.norm(h @ v - lam * v) < 1e-12
+
+
+def test_eigensystem_near_integer_gamma():
+    # 1 -/+ cos(pi*gamma) must keep its digits next to the branch gates:
+    # computed as a plain difference it rounds to 0 and r1 divides by zero
+    offsets = (1.01e-9, 1e-8, 1e-7, 1e-5, 1e-3, 0.1)
+    betas = (0.0, 0.3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.001, 3.0)
+    for k in range(4):
+        for gamma in [k + sign * d for d in offsets for sign in (-1.0, 1.0)]:
+            for beta in betas:
+                eig = eigen_sync(beta, gamma)
+                h = _tau_hamiltonian(beta, gamma)
+                for lam, v in zip(eig.lam, eig.vec):
+                    assert np.linalg.norm(h @ v - lam * v) <= 1e-12, (beta, gamma)
 
 
 def test_eigenvectors_orthonormal():
@@ -147,8 +164,8 @@ def test_detuned_endpoint_matches_two_level_formula():
     r = math.hypot(1.0, beta)
     dtau = V / Omega  # state imposed at t0 = 0
     p2 = math.sin(r * dtau) ** 2 / r**2
-    z31 = asymptotic_imbalance_sync(proto, 0.5, (0, 0, 1, 0), 0.0, 3, 1)
-    z32 = asymptotic_imbalance_sync(proto, 0.5, (0, 0, 1, 0), 0.0, 3, 2)
+    z31 = _z_inf(proto, 0.5, (0, 0, 1, 0), 0.0, 3, 1)
+    z32 = _z_inf(proto, 0.5, (0, 0, 1, 0), 0.0, 3, 2)
     assert abs(z31 - (1.0 - p2)) < 1e-12
     assert abs(z32 - (1.0 - 2.0 * p2)) < 1e-12
 
@@ -157,8 +174,8 @@ def test_integer_angle_endpoint():
     # gamma = 1 keeps spin conserved; the left-up/right-up pair undergoes a
     # plain rotation by the pulse area
     proto = SyncSech2(0.0, 2.0, 1.0)
-    z31 = asymptotic_imbalance_sync(proto, 1.0, (0, 0, 1, 0), 0.0, 3, 1)
-    z32 = asymptotic_imbalance_sync(proto, 1.0, (0, 0, 1, 0), 0.0, 3, 2)
+    z31 = _z_inf(proto, 1.0, (0, 0, 1, 0), 0.0, 3, 1)
+    z32 = _z_inf(proto, 1.0, (0, 0, 1, 0), 0.0, 3, 2)
     assert abs(z31 - math.cos(4.0)) < 1e-12
     assert abs(z32 - math.cos(2.0) ** 2) < 1e-12
 
@@ -169,8 +186,8 @@ def test_left_well_empties_at_half_pi_area():
     proto = SyncSech2(0.0, 0.5 * math.pi, 1.0)
     for gamma in (0.35, 0.1, 0.8):
         g = as_coupling(gamma)
-        z31 = asymptotic_imbalance_sync(proto, gamma, (0, 0, 1, 0), 0.0, 3, 1)
-        z32 = asymptotic_imbalance_sync(proto, gamma, (0, 0, 1, 0), 0.0, 3, 2)
+        z31 = _z_inf(proto, gamma, (0, 0, 1, 0), 0.0, 3, 1)
+        z32 = _z_inf(proto, gamma, (0, 0, 1, 0), 0.0, 3, 2)
         assert abs(z31 + g.cos_pg**2) < 1e-12
         assert abs(z32 + g.sin_pg**2) < 1e-12
         assert abs(z31 + z32 + 1.0) < 1e-12
@@ -237,8 +254,8 @@ def test_quarter_angle_splits_population_evenly():
     # gamma sits a quarter turn off an integer
     proto = SyncSech2(0.0, 0.25 * math.pi, 1.0)
     for gamma in (0.25, 1.25, 2.25):
-        z12 = asymptotic_imbalance_sync(proto, gamma, (0, 0, 1, 0), -math.inf, 1, 2)
-        z31 = asymptotic_imbalance_sync(proto, gamma, (0, 0, 1, 0), -math.inf, 3, 1)
+        z12 = _z_inf(proto, gamma, (0, 0, 1, 0), -math.inf, 1, 2)
+        z31 = _z_inf(proto, gamma, (0, 0, 1, 0), -math.inf, 3, 1)
         assert abs(z12) < 1e-12
         assert abs(z31 + 0.5) < 1e-12
 
@@ -249,25 +266,27 @@ def test_large_splitting_suppresses_transfer():
     for _ in range(15):
         beta = rng.uniform(2.0, 10.0)
         proto = SyncSech2(beta, 0.5 * math.pi, 1.0)
-        z31 = asymptotic_imbalance_sync(proto, 0.5, (0, 0, 1, 0), -math.inf, 3, 1)
+        z31 = _z_inf(proto, 0.5, (0, 0, 1, 0), -math.inf, 3, 1)
         assert z31 >= 1.0 - 2.0 / (1.0 + beta**2) - 1e-12
 
 
 def test_trajectory_grid_matches_state_fn():
     proto = SyncSech2(0.8, 1.0, 0.7)
     times = np.linspace(-12.0, 12.0, 41)
-    states = sync_trajectory(proto, 0.3, (0, 0, 1, 0), -math.inf, times)
-    fn = sync_state_fn(proto, 0.3, (0, 0, 1, 0), -math.inf)
+    solution = solve(proto, 0.3, (0, 0, 1, 0), -math.inf)
+    states = solution.states(times)
     for t, row in zip(times, states):
-        assert np.linalg.norm(fn(t) - row) < 1e-12
+        assert np.linalg.norm(solution.states(t) - row) < 1e-12
     assert_allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-12)
 
 
 def test_infinite_epoch_anchors_at_saturated_tau():
     proto = SyncSech2(0.4, 1.2, 1.0)
-    fn = sync_state_fn(proto, 0.6, (0, 0, 1, 0), -math.inf)
-    early = fn(-40.0)
+    solution = solve(proto, 0.6, (0, 0, 1, 0), -math.inf)
+    early = solution.states(-40.0)
     # tanh has fully saturated at t = -40, so the state has not moved yet
     assert np.abs(early[2]) ** 2 == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError, match=r"\+inf"):
-        sync_state_fn(proto, 0.6, (0, 0, 1, 0), math.inf)
+    assert solution.asymptotes()[0].P3 == pytest.approx(1.0, abs=1e-12)
+    for t0 in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite or -inf"):
+            solve(proto, 0.6, (0, 0, 1, 0), t0)
