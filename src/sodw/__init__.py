@@ -63,7 +63,13 @@ from .figures import (
     figure_kind,
     observable_columns,
 )
-from .oracle import IntegratorConfig, TrajectoryRecord, compare_to_analytic, integrate
+from .oracle import (
+    IntegratorConfig,
+    TrajectoryRecord,
+    compare_to_analytic,
+    integrate,
+    integrate_batch,
+)
 from .sync import (
     EigenSystem,
     SuperpositionCoeffs,

@@ -40,6 +40,10 @@ at any |t|; in particular the a2 form, whose textbook prefactor contains
 always cross over antisymmetrically on this branch:
 P1(-inf) = P4(+inf) = 2|C+|^2 and P4(-inf) = P1(+inf) = 2|C-|^2.
 
+A gamma counts as on a branch when the coupling component that branch's
+closed form drops is below 1e-9: |sin(pi*gamma)| on the conserving branch,
+|cos(pi*gamma)| on the flip branch.
+
 Constants are always anchored at a finite reference time t_ref; the phase
 phi_e diverges at large |t| but only as a common phase, so populations and
 imbalances never depend on it.
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PopulationSnapshot, as_coupling, as_state
+from .core import SIN_BRANCH_TOL, PopulationSnapshot, as_coupling, as_state
 
 __all__ = [
     "PhasePair",
@@ -75,8 +79,9 @@ __all__ = [
 #: gating tolerance on the flip-branch parameter constraint chi^2/4 + eps^2 - ups^2
 FLIP_CONSTRAINT_TOL = 1e-9
 
-#: gating tolerance on |cos(pi gamma) -/+ 1| (conserving) and |sin(pi gamma) -/+ 1| (flip)
-BRANCH_GATE_TOL = 1e-9
+#: gating tolerance on the off-branch coupling component the closed forms drop:
+#: |sin(pi gamma)| on the conserving branch, |cos(pi gamma)| on the flip branch
+BRANCH_GATE_TOL = SIN_BRANCH_TOL
 
 _CONSERVING_PAIRS = {"A": (0, 2), "B": (1, 3)}
 _FLIP_PAIRS = {"C": (0, 3), "D": (1, 2)}
@@ -113,22 +118,18 @@ def phase_integrals(epsilon, upsilon, chi, t):
 
 
 def conserving_branch_sign(gamma):
-    """+1.0 / -1.0 when cos(pi*gamma) is within 1e-9 of +/-1, else None."""
+    """Sign of cos(pi*gamma) when |sin(pi*gamma)| < 1e-9, else None."""
     g = as_coupling(gamma)
-    if abs(g.cos_pg - 1.0) < BRANCH_GATE_TOL:
-        return 1.0
-    if abs(g.cos_pg + 1.0) < BRANCH_GATE_TOL:
-        return -1.0
+    if abs(g.sin_pg) < BRANCH_GATE_TOL:
+        return math.copysign(1.0, g.cos_pg)
     return None
 
 
 def flip_branch_sign(gamma):
-    """+1.0 / -1.0 when sin(pi*gamma) is within 1e-9 of +/-1, else None."""
+    """Sign of sin(pi*gamma) when |cos(pi*gamma)| < 1e-9, else None."""
     g = as_coupling(gamma)
-    if abs(g.sin_pg - 1.0) < BRANCH_GATE_TOL:
-        return 1.0
-    if abs(g.sin_pg + 1.0) < BRANCH_GATE_TOL:
-        return -1.0
+    if abs(g.cos_pg) < BRANCH_GATE_TOL:
+        return math.copysign(1.0, g.sin_pg)
     return None
 
 
@@ -312,8 +313,8 @@ def _branch_error(gamma):
     g = as_coupling(gamma)
     return ValueError(
         f"gamma = {g.gamma:.6g} lies on neither exact asynchronous branch: "
-        f"spin conservation needs |cos(pi gamma)| = 1 (got cos = {g.cos_pg:.3g}) and "
-        f"spin flipping needs |sin(pi gamma)| = 1 (got sin = {g.sin_pg:.3g}); "
+        f"spin conservation needs |sin(pi gamma)| < 1e-9 (got sin = {g.sin_pg:.3g}) and "
+        f"spin flipping needs |cos(pi gamma)| < 1e-9 (got cos = {g.cos_pg:.3g}); "
         "use the numeric oracle"
     )
 

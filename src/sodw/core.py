@@ -89,11 +89,17 @@ class SyncSech2:
         if not (self.Omega > 0):
             raise ValueError(f"Omega must be > 0, got {self.Omega}")
 
+    @staticmethod
+    def drive_values(beta, V, Omega, t):
+        """(upsilon, epsilon) at t; the parameters may be stacked arrays broadcasting with t."""
+        ups = V / np.cosh(Omega * t) ** 2
+        return ups, beta * ups
+
     def upsilon(self, t):
-        return self.V / np.cosh(self.Omega * np.asarray(t, dtype=float)) ** 2
+        return self.drive_values(self.beta, self.V, self.Omega, np.asarray(t, dtype=float))[0]
 
     def epsilon(self, t):
-        return self.beta * self.upsilon(t)
+        return self.drive_values(self.beta, self.V, self.Omega, np.asarray(t, dtype=float))[1]
 
 
 @dataclass(frozen=True)
@@ -108,11 +114,19 @@ class AsyncTanhSech:
         if not (self.chi > 0):
             raise ValueError(f"chi must be > 0, got {self.chi}")
 
+    @staticmethod
+    def drive_values(epsilon_amp, upsilon_amp, chi, t):
+        """(upsilon, epsilon) at t; the parameters may be stacked arrays broadcasting with t."""
+        x = chi * t
+        return upsilon_amp / np.cosh(x), epsilon_amp * np.tanh(x)
+
     def upsilon(self, t):
-        return self.upsilon_amp / np.cosh(self.chi * np.asarray(t, dtype=float))
+        args = (self.epsilon_amp, self.upsilon_amp, self.chi, np.asarray(t, dtype=float))
+        return self.drive_values(*args)[0]
 
     def epsilon(self, t):
-        return self.epsilon_amp * np.tanh(self.chi * np.asarray(t, dtype=float))
+        args = (self.epsilon_amp, self.upsilon_amp, self.chi, np.asarray(t, dtype=float))
+        return self.drive_values(*args)[1]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import ScanSpec, default_horizon, run_scan, select_engine, solve
 from .core import AsyncTanhSech, SyncSech2, as_state
-from .oracle import IntegratorConfig, integrate
+from .oracle import IntegratorConfig, integrate_batch
 
 __all__ = [
     "Dataset",
@@ -156,19 +156,17 @@ def _build_trajectory(fig_id, samples, horizon):
     times = np.linspace(t_lo, T, samples)
     engine = select_engine(protocol, gamma)
 
+    exact = [solve(protocol, gamma, as_state(ic), epoch).states(times) for ic in cfg["ics"]]
+    # the oracle is restarted from the closed-form state at the first sample so
+    # both solutions share the same finite-time anchor; all starts form one batch
+    ocfg = IntegratorConfig(t_start=times[0], t_end=times[-1])
+    fractions = (times - times[0]) / (times[-1] - times[0])
+    trajs = integrate_batch([(gamma, protocol, states[0], ocfg) for states in exact], fractions)
+
     datasets = []
-    oracle_ids = []
-    for k, ic in enumerate(cfg["ics"]):
-        state0 = as_state(ic)
-        states = solve(protocol, gamma, state0, epoch).states(times)
-        columns = [times] + observable_columns(states)
-        # the oracle is restarted from the closed-form state at the first
-        # sample so both solutions share the same finite-time anchor
-        ocfg = IntegratorConfig(t_start=times[0], t_end=times[-1])
-        traj = integrate(gamma, protocol, states[0], ocfg, times)
-        columns += observable_columns(traj.states)
-        oracle_ids.append(traj.solver_id)
-        name = fig_id if len(cfg["ics"]) == 1 else f"{fig_id}_ic{k + 1}"
+    for k, (states, traj) in enumerate(zip(exact, trajs)):
+        columns = [times] + observable_columns(states) + observable_columns(traj.states)
+        name = fig_id if len(exact) == 1 else f"{fig_id}_ic{k + 1}"
         table = np.column_stack(columns)
         datasets.append(Dataset(name, _TRAJ_HEADER + _NUM_HEADER, tuple(map(tuple, table))))
 
@@ -184,7 +182,7 @@ def _build_trajectory(fig_id, samples, horizon):
         "figure": fig_id,
         "kind": "trajectory",
         "engine": engine,
-        "oracle": oracle_ids[0],
+        "oracle": trajs[0].solver_id,
         "gamma": f"{gamma:.17g}",
         "epoch": "-inf" if epoch == -math.inf else f"{epoch:.17g}",
         "horizon": f"{T:.17g}",

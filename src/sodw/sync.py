@@ -277,7 +277,5 @@ class SyncSolution:
 
     def asymptotes(self):
         """PopulationSnapshots at t = -inf and t = +inf."""
-        return tuple(
-            populations(evolve_sync(self.eig, self.coeffs, side * self.tau_inf), side * math.inf)
-            for side in (-1.0, 1.0)
-        )
+        ends = evolve_sync(self.eig, self.coeffs, np.array([-self.tau_inf, self.tau_inf]))
+        return populations(ends[0], -math.inf), populations(ends[1], math.inf)

@@ -282,3 +282,49 @@ def test_asymptotes_match_late_states():
             far = np.abs(solve(proto, gamma, state0, t0).states(np.array([-60.0, 60.0]))) ** 2
             assert_allclose(early.pvec, far[0], atol=1e-9)
             assert_allclose(late.pvec, far[1], atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "center,fixed",
+    [
+        (1.0, {"epsilon": 1.0, "upsilon": 1.0, "chi": 1.0}),
+        (2.0, {"epsilon": 0.3, "upsilon": 0.7, "chi": 1.3}),
+        (0.5, {"epsilon": math.sqrt(0.21), "upsilon": 0.5, "chi": 0.4}),
+        (1.5, {"epsilon": 0.4, "upsilon": math.hypot(0.5, 0.4), "chi": 1.0}),
+    ],
+)
+def test_scan_is_continuous_across_the_branch_gate(center, fixed):
+    # the gate sits at |gamma - center| = 1e-9/pi; rows just inside come from
+    # the closed form, rows just outside from the oracle
+    offsets = np.array([-1e-9, -1e-10, 1e-10, 1e-9])
+    rng = np.random.default_rng(45)
+    state0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    spec = ScanSpec(
+        "gamma",
+        center + offsets,
+        fixed,
+        state0 / np.linalg.norm(state0),
+        epoch=-math.inf,
+        observables=((3, 1), (4, 2), ("L", "R")),
+    )
+    res = run_scan(spec)
+    engines = [row.engine for row in res.rows]
+    assert engines == [ENGINE_ORACLE, ENGINE_ASYNC, ENGINE_ASYNC, ENGINE_ORACLE]
+    values = np.array([row.values for row in res.rows])
+    assert np.max(values.max(axis=0) - values.min(axis=0)) < 1e-6
+
+
+def test_failed_oracle_batch_is_recorded_in_every_oracle_row(monkeypatch):
+    def failing_batch(members, fractions):
+        raise RuntimeError("integration failed near window fraction 0.5: step size too small")
+
+    monkeypatch.setattr("sodw.analysis.integrate_batch", failing_batch)
+    fixed = {"epsilon": 0.3, "upsilon": 1.0, "chi": 1.0}
+    spec = ScanSpec("gamma", [0.0, 0.3, 0.7, 1.0], fixed, _E3, observables=((3, 1),))
+    res = run_scan(spec)
+    assert [row.engine for row in res.rows] == [
+        ENGINE_ASYNC, ENGINE_ORACLE, ENGINE_ORACLE, ENGINE_ASYNC
+    ]
+    for row in res.rows[1:3]:
+        assert "step size too small" in row.error and math.isnan(row.values[0])
+    assert res.rows[0].error is None and res.rows[3].error is None

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from sodw import (
+    ENGINE_ASYNC,
     AsyncBranchConstants,
     AsyncTanhSech,
     IntegratorConfig,
@@ -22,8 +23,10 @@ from sodw import (
     flip_branch_sign,
     flip_constants,
     integrate,
+    integrate_batch,
     phase_integrals,
     populations,
+    select_engine,
     solve,
 )
 from sodw.asynchronous import AsyncSolution
@@ -268,3 +271,31 @@ def test_exact_branches_match_numeric_oracle(gamma, params):
     exact = solve(params, gamma, state0, times[0]).states(times)
     numeric = _oracle_states(params, gamma, exact[0], times)
     assert np.max(np.abs(exact - numeric)) < 1e-7
+
+
+
+def test_exact_engine_only_where_the_closed_form_holds():
+    # the closed forms drop the off-branch coupling (sin pi*gamma on the
+    # conserving branch, cos pi*gamma on the flip branch), so every gamma
+    # routed to the exact engine must match a tight oracle solve
+    rng = np.random.default_rng(44)
+    conserving = AsyncTanhSech(1.0, 1.0, 1.0)
+    flip = AsyncTanhSech(math.sqrt(0.21), 0.5, 0.4)
+    centers = [(0.0, conserving), (1.0, conserving), (2.0, conserving), (0.5, flip), (1.5, flip)]
+    cases = []
+    for center, params in centers:
+        for offset in (1e-10, 1e-6, 1.4e-5):
+            for gamma in (center - offset, center + offset):
+                on_branch = select_engine(params, gamma) == ENGINE_ASYNC
+                assert on_branch or offset > 1e-10, f"gamma={gamma!r} left the exact engine"
+                if on_branch:
+                    cases.append((gamma, params, _random_state(rng)))
+    members = []
+    for gamma, params, state0 in cases:
+        T = 25.0 / params.chi
+        members.append((gamma, params, state0, IntegratorConfig(-T, T, 1e-12, 1e-14)))
+    trajs = integrate_batch(members, [1.0])
+    for (gamma, params, state0, cfg), traj in zip(members, trajs):
+        exact = solve(params, gamma, state0, cfg.t_start).states(cfg.t_end)
+        gap = np.max(np.abs(np.abs(exact) ** 2 - traj.population_array[0]))
+        assert gap < 1e-6, f"gamma={gamma!r}: exact and oracle populations differ by {gap:.2e}"

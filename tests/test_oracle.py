@@ -6,14 +6,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import sodw.oracle
 from sodw import (
+    ENGINE_ORACLE,
     AsyncTanhSech,
     CustomDrive,
     IntegratorConfig,
+    ScanSpec,
     SyncSech2,
     TrajectoryRecord,
+    build_figure,
     compare_to_analytic,
     integrate,
+    integrate_batch,
+    run_all,
+    run_scan,
+    solve,
 )
 
 _E3 = (0, 0, 1, 0)
@@ -117,3 +125,113 @@ def test_compare_modes():
     assert compare_to_analytic(rec, shifted, "global-phase-invariant") < 1e-15
     with pytest.raises(ValueError, match="phase_mode"):
         compare_to_analytic(rec, same, "loose")
+
+
+def _random_state(rng):
+    a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return a / np.linalg.norm(a)
+
+
+def _mixed_batch(rng, protocols):
+    # windows, couplings and states all differ from member to member
+    members = []
+    for protocol in protocols:
+        t_lo = -rng.uniform(3.0, 12.0)
+        cfg = IntegratorConfig(t_lo, t_lo + rng.uniform(5.0, 20.0))
+        members.append((rng.uniform(0.0, 2.0), protocol, _random_state(rng), cfg))
+    return members
+
+
+@pytest.mark.parametrize("kind", ["sync", "async", "mixed"])
+def test_batch_matches_member_by_member_integration(kind):
+    rng = np.random.default_rng(61)
+    sync = [SyncSech2(*rng.uniform([0, 0.3, 0.5], [2, 2, 2])) for _ in range(4)]
+    asyn = [AsyncTanhSech(*rng.uniform([0, 0.05, 0.4], [2, 2, 2])) for _ in range(4)]
+    custom = [CustomDrive(lambda t: 0.6 / math.cosh(t), lambda t: 0.2 * math.tanh(2 * t))]
+    protocols = {"sync": sync, "async": asyn, "mixed": sync[:2] + custom + asyn[:2]}[kind]
+    members = _mixed_batch(rng, protocols)
+    fractions = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 20)), [1.0]])
+    records = integrate_batch(members, fractions)
+    assert len(records) == len(members)
+    for (gamma, protocol, state0, cfg), rec in zip(members, records):
+        times = cfg.t_start + fractions * (cfg.t_end - cfg.t_start)
+        assert np.array_equal(rec.times, times)
+        alone = integrate(gamma, protocol, state0, cfg, times)
+        assert np.max(np.abs(rec.states - alone.states)) < 1e-9
+        assert rec.solver_id == alone.solver_id and rec.protocol is protocol
+
+
+def test_batch_of_one_is_integrate():
+    proto = AsyncTanhSech(0.3, 1.0, 1.0)
+    cfg = IntegratorConfig(0.0, 2.0)
+    fractions = np.linspace(0.0, 1.0, 11)
+    (rec,) = integrate_batch([(0.3, proto, _E3, cfg)], fractions)
+    alone = integrate(0.3, proto, _E3, cfg, 2.0 * fractions)
+    assert np.array_equal(rec.times, alone.times)
+    assert np.array_equal(rec.states, alone.states)
+    assert rec.solver_id == alone.solver_id
+    assert rec.norm_drift_max == alone.norm_drift_max
+
+
+def test_batch_validation():
+    cfg = IntegratorConfig(0.0, 1.0)
+    member = (0.5, SyncSech2(0.0, 1.0, 1.0), _E3, cfg)
+    assert integrate_batch([], [0.0, 1.0]) == []
+    with pytest.raises(ValueError, match="non-empty"):
+        integrate_batch([member], [])
+    with pytest.raises(ValueError, match="exceed"):
+        integrate_batch([member], [0.5, 1.5])
+    loose = (0.5, SyncSech2(0.0, 1.0, 1.0), _E3, IntegratorConfig(0.0, 1.0, rel_tol=1e-6))
+    with pytest.raises(ValueError, match="share rel_tol"):
+        integrate_batch([member, loose], [1.0])
+
+
+def test_driven_member_keeps_its_solo_accuracy_among_idle_ones():
+    # the error norm averages over all members, so without the per-member
+    # tolerance rule a lone driven member would be held sqrt(N) times looser
+    driven = SyncSech2(0.5, 3.0 * math.pi, 1.0)
+    idle = SyncSech2(0.0, 0.0, 1.0)
+    cfg = IntegratorConfig(-10.0, 10.0, rel_tol=1e-6, abs_tol=1e-8)
+    grid = np.linspace(-10.0, 10.0, 41)
+    exact = solve(driven, 0.3, _E3, -10.0).states(grid)
+    solo = integrate(0.3, driven, _E3, cfg, grid)
+    solo_err = float(np.max(np.abs(solo.states - exact)))
+    members = [(0.3, driven, _E3, cfg)] + [(0.7, idle, _E3, cfg)] * 99
+    batch = integrate_batch(members, (grid + 10.0) / 20.0)
+    batch_err = float(np.max(np.abs(batch[0].states - exact)))
+    assert solo_err > 1e-9  # loose enough that the tolerance, not round-off, sets the error
+    assert batch_err < 1.5 * solo_err
+    assert np.max(np.abs(batch[1].states - np.array(_E3))) < 1e-12
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    calls = []
+    solver = sodw.oracle.solve_ivp
+
+    def counted(fun, t_span, y0, **kwargs):
+        calls.append(len(y0) // 4)
+        return solver(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(sodw.oracle, "solve_ivp", counted)
+    return calls
+
+
+def test_criterion_11_makes_one_solve_per_branch(solver_calls):
+    (record,) = run_all({11})
+    assert record["passed"]
+    assert solver_calls == [50, 50, 50]
+
+
+def test_multi_start_figure_makes_one_solve(solver_calls):
+    build_figure("3a")
+    assert solver_calls == [5]
+
+
+def test_scan_sends_only_off_branch_points_to_one_solve(solver_calls):
+    fixed = {"epsilon": 0.4, "upsilon": math.hypot(0.5, 0.4), "chi": 1.0}
+    spec = ScanSpec("gamma", np.linspace(0.0, 2.0, 41), fixed, _E3, observables=((3, 1),))
+    res = run_scan(spec)
+    oracle_rows = sum(row.engine == ENGINE_ORACLE for row in res.rows)
+    assert oracle_rows == 36  # gamma = 0, 0.5, 1, 1.5, 2 have closed forms
+    assert solver_calls == [oracle_rows]
