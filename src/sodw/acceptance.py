@@ -16,38 +16,15 @@ import numpy as np
 from . import sync
 from .analysis import count_peaks, solve
 from .core import AsyncTanhSech, SyncSech2, hamiltonian_matrix, imbalance
+from .figures import IC_RAMP, IC_THIRD, ICS_13, ICS_14, ICS_LR_MIX
 from .oracle import IntegratorConfig, integrate, integrate_batch
 
 __all__ = ["CRITERIA", "run_all", "format_record"]
 
-_THIRD_IC = (0.0, 0.0, 1.0, 0.0)
-_RAMP_IC = (math.sqrt(0.1), math.sqrt(0.2), math.sqrt(0.3), math.sqrt(0.4))
-_LR_MIX_ICS = (
-    (0.0, 0.0, math.sqrt(3 / 8), math.sqrt(5 / 8)),
-    (math.sqrt(1 / 8), math.sqrt(1 / 8), 0.5, math.sqrt(0.5)),
-    (0.5, 0.5, math.sqrt(1 / 8), math.sqrt(3 / 8)),
-    (0.5, math.sqrt(0.5), math.sqrt(1 / 8), math.sqrt(1 / 8)),
-    (math.sqrt(3 / 8), math.sqrt(5 / 8), 0.0, 0.0),
-)
-_PAIR13_ICS = (
-    (0.0, 0.0, 1.0, 0.0),
-    (0.5, 0.0, math.sqrt(3.0) / 2, 0.0),
-    (1 / math.sqrt(2.0), 0.0, 1 / math.sqrt(2.0), 0.0),
-    (math.sqrt(3.0) / 2, 0.0, 0.5, 0.0),
-    (1.0, 0.0, 0.0, 0.0),
-)
-_PAIR14_ICS = (
-    (0.0, 0.0, 0.0, 1.0),
-    (0.5, 0.0, 0.0, math.sqrt(3.0) / 2),
-    (1 / math.sqrt(2.0), 0.0, 0.0, 1 / math.sqrt(2.0)),
-    (math.sqrt(3.0) / 2, 0.0, 0.0, 0.5),
-    (1.0, 0.0, 0.0, 0.0),
-)
-
 
 def _sync_endpoint_z(protocol, gamma, targets):
     """Asymptotic (Z31, Z32) for a pulse-center start in the third level."""
-    p_inf = solve(protocol, gamma, _THIRD_IC, 0.0).asymptotes()[1]
+    p_inf = solve(protocol, gamma, IC_THIRD, 0.0).asymptotes()[1]
     z31, z32 = imbalance(p_inf, 3, 1), imbalance(p_inf, 3, 2)
     t31, t32 = targets
     ok = abs(z31 - t31) < 2e-3 and abs(z32 - t32) < 2e-3
@@ -59,7 +36,7 @@ def _criterion_01():
     ok, z31, z32 = _sync_endpoint_z(protocol, 0.5, (0.2272, -0.5456))
     grid = np.linspace(0.0, 25.0, 251)
     cfg = IntegratorConfig(t_start=0.0, t_end=25.0, rel_tol=1e-12, abs_tol=1e-14)
-    p = np.abs(integrate(0.5, protocol, _THIRD_IC, cfg, grid).states[-1]) ** 2
+    p = np.abs(integrate(0.5, protocol, IC_THIRD, cfg, grid).states[-1]) ** 2
     gap = max(abs(z31 - (p[2] - p[0])), abs(z32 - (p[2] - p[1])))
     ok = ok and gap < 1e-9
     return ok, (
@@ -87,11 +64,11 @@ def _criterion_04():
     worst_exact = worst_num = 0.0
     for n in range(3):
         protocol = SyncSech2(0.0, (n + 0.5) * math.pi, 1.0)
-        z = imbalance(solve(protocol, 1.0, _THIRD_IC, 0.0).asymptotes()[1], 3, 1)
+        z = imbalance(solve(protocol, 1.0, IC_THIRD, 0.0).asymptotes()[1], 3, 1)
         worst_exact = max(worst_exact, abs(z + 1.0))
         grid = np.linspace(0.0, 25.0, 101)
         cfg = IntegratorConfig(t_start=0.0, t_end=25.0)
-        p = np.abs(integrate(1.0, protocol, _THIRD_IC, cfg, grid).states[-1]) ** 2
+        p = np.abs(integrate(1.0, protocol, IC_THIRD, cfg, grid).states[-1]) ** 2
         worst_num = max(worst_num, abs((p[2] - p[0]) + 1.0))
     ok = worst_exact < 1e-9 and worst_num < 1e-6
     return ok, (
@@ -104,10 +81,10 @@ def _criterion_05():
     protocol = SyncSech2(0.0, math.pi / 2, 1.0)
     T = 25.0
     ends = np.array([-T, T])
-    pe = np.abs(solve(protocol, 0.15, _RAMP_IC, -T).states(ends)) ** 2
+    pe = np.abs(solve(protocol, 0.15, IC_RAMP, -T).states(ends)) ** 2
     gap_exact = float(np.max(np.abs(pe[1] - pe[0])))
     cfg = IntegratorConfig(t_start=-T, t_end=T)
-    pn = np.abs(integrate(0.15, protocol, _RAMP_IC, cfg, ends).states) ** 2
+    pn = np.abs(integrate(0.15, protocol, IC_RAMP, cfg, ends).states) ** 2
     gap_num = float(np.max(np.abs(pn[1] - pn[0])))
     ok = gap_exact < 1e-6 and gap_num < 1e-6
     return ok, f"max |P(+T)-P(-T)|: exact {gap_exact:.2e}, oracle {gap_num:.2e} (<1e-6)"
@@ -117,7 +94,7 @@ def _criterion_06():
     protocol = SyncSech2(0.0, math.pi / 4, 1.0)
     T = 25.0
     worst = 0.0
-    for ic in _LR_MIX_ICS:
+    for ic in ICS_LR_MIX:
         p = np.abs(solve(protocol, 0.15, ic, -T).states(np.array([-T, T]))) ** 2
         zlr = (p[:, 2] + p[:, 3]) - (p[:, 0] + p[:, 1])
         worst = max(worst, abs(zlr[1] + zlr[0]))
@@ -125,7 +102,7 @@ def _criterion_06():
 
 
 def _criterion_07():
-    p = solve(SyncSech2(0.0, math.pi / 4, 1.0), 0.25, _THIRD_IC, -math.inf).asymptotes()[1]
+    p = solve(SyncSech2(0.0, math.pi / 4, 1.0), 0.25, IC_THIRD, -math.inf).asymptotes()[1]
     gap = max(abs(p.P1 - 0.5), abs(p.P2 - 0.5))
     return gap < 1e-6, f"P1={p.P1:.8f}, P2={p.P2:.8f} (want 0.5 each; off by {gap:.2e}, <1e-6)"
 
@@ -135,7 +112,7 @@ def _criterion_08():
     T = 25.0
     targets = (1.0, 0.5, 0.0, -0.5, -1.0)
     worst_sym = worst_anchor = 0.0
-    for ic, target in zip(_PAIR13_ICS, targets):
+    for ic, target in zip(ICS_13, targets):
         p = np.abs(solve(params, 2.0, ic, -T).states(np.array([-T, T]))) ** 2
         z = p[:, 2] - p[:, 0]
         worst_sym = max(worst_sym, abs(z[1] - z[0]))
@@ -151,12 +128,12 @@ def _criterion_09():
     params = AsyncTanhSech(1.0, 1.0, 2.0)
     T = 12.5
     worst = 0.0
-    for ic in _PAIR13_ICS:
+    for ic in ICS_13:
         p = np.abs(solve(params, 2.0, ic, -T).states(np.array([-T, T]))) ** 2
         z = p[:, 2] - p[:, 0]
         worst = max(worst, abs(z[1] + z[0]))
     times = np.linspace(-T, T, 2001)
-    p = np.abs(solve(params, 2.0, _PAIR13_ICS[2], -T).states(times)) ** 2
+    p = np.abs(solve(params, 2.0, ICS_13[2], -T).states(times)) ** 2
     cdt = float(np.max(np.abs(p[:, 2] - p[:, 0])))
     ok = worst < 1e-6 and cdt < 1e-9
     return ok, (
@@ -169,7 +146,7 @@ def _criterion_10():
     params = AsyncTanhSech(math.sqrt(0.21), 0.5, 0.4)
     T = 62.5
     worst_sym = worst_asym = 0.0
-    for ic in _PAIR14_ICS:
+    for ic in ICS_14:
         solution = solve(params, 0.5, ic, -T)
         p = np.abs(solution.states(np.array([-T, T]))) ** 2
         z41 = p[:, 3] - p[:, 0]
@@ -244,19 +221,19 @@ def _criterion_12():
             pairing_ok &= eig.lam[0] + eig.lam[1] == 0.0 and eig.lam[2] + eig.lam[3] == 0.0
     times = np.linspace(-25.0, 25.0, 2001)
     drifts = []
-    states = solve(SyncSech2(0.5, math.pi / 2, 1.0), 0.5, _THIRD_IC, -25.0).states(times)
+    states = solve(SyncSech2(0.5, math.pi / 2, 1.0), 0.5, IC_THIRD, -25.0).states(times)
     drifts.append(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
-    states = solve(AsyncTanhSech(1.0, 1.0, 1.0), 2.0, _PAIR13_ICS[1], -25.0).states(times)
+    states = solve(AsyncTanhSech(1.0, 1.0, 1.0), 2.0, ICS_13[1], -25.0).states(times)
     drifts.append(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
     flip_times = np.linspace(-62.5, 62.5, 2001)
     states = solve(
-        AsyncTanhSech(math.sqrt(0.21), 0.5, 0.4), 0.5, _PAIR14_ICS[1], -62.5
+        AsyncTanhSech(math.sqrt(0.21), 0.5, 0.4), 0.5, ICS_14[1], -62.5
     ).states(flip_times)
     drifts.append(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
     ana_drift = float(max(drifts))
     grid = np.linspace(0.0, 25.0, 501)
     cfg = IntegratorConfig(t_start=0.0, t_end=25.0)
-    num_drift = integrate(0.5, SyncSech2(0.5, math.pi / 2, 1.0), _THIRD_IC, cfg, grid).norm_drift_max
+    num_drift = integrate(0.5, SyncSech2(0.5, math.pi / 2, 1.0), IC_THIRD, cfg, grid).norm_drift_max
     ok = (
         worst_res < 1e-12
         and pairing_ok
@@ -275,18 +252,18 @@ def _criterion_12():
 def _criterion_13():
     window = (-5.0, 5.0)
     times = np.linspace(-25.0, 25.0, 2001)
-    p = np.abs(solve(SyncSech2(0.0, math.pi / 2, 1.0), 0.15, _RAMP_IC, -25.0).states(times)) ** 2
+    p = np.abs(solve(SyncSech2(0.0, math.pi / 2, 1.0), 0.15, IC_RAMP, -25.0).states(times)) ** 2
     n_return = count_peaks(times, p[:, 0], window, 0.01)
-    states = solve(AsyncTanhSech(1.0, 1.0, 1.0), 2.0, _THIRD_IC, -25.0).states(times)
+    states = solve(AsyncTanhSech(1.0, 1.0, 1.0), 2.0, IC_THIRD, -25.0).states(times)
     z = np.abs(states[:, 2]) ** 2 - np.abs(states[:, 0]) ** 2
     n_cons = count_peaks(times, z, window, 0.01) + count_peaks(times, -z, window, 0.01)
     tb = np.linspace(-12.5, 12.5, 2001)
-    states = solve(AsyncTanhSech(1.0, 1.0, 2.0), 2.0, _THIRD_IC, -12.5).states(tb)
+    states = solve(AsyncTanhSech(1.0, 1.0, 2.0), 2.0, IC_THIRD, -12.5).states(tb)
     zb = np.abs(states[:, 2]) ** 2 - np.abs(states[:, 0]) ** 2
     n_inv = count_peaks(tb, zb, window, 0.01) + count_peaks(tb, -zb, window, 0.01)
     ok = n_return == 1 and n_cons == 1 and n_inv == 0
     return ok, (
-        f"prominent-extremum counts: returning-pulse P1 {n_return} (want 1), "
+        f"returning-pulse P1 {n_return} (want 1), "
         f"conserving-pulse Z31 {n_cons} (want 1), inverting-pulse Z31 {n_inv} (want 0)"
     )
 

@@ -1,11 +1,15 @@
 """Command-line front end: figure datasets, evolutions, scans, classification.
 
-Outputs are deterministic flat files: `<name>_data.csv` with 17-significant-
-digit numbers, a `<name>_plot.json` description (title, axis labels, series
-to column map) and a `<name>_meta` key=value file naming every parameter,
-engine and tolerance needed to re-run.  No timestamps anywhere, so identical
-invocations produce byte-identical files.  The default output directory is
-`SODW_OUT` from the environment, falling back to the working directory.
+Every verb that writes files (figure, evolve, scan) builds one FigureData
+bundle from the pieces in the figures module, which owns what the files hold:
+column headers, named initial states, plot and meta keys.  _write_bundle is
+the one writer.  It puts each dataset in `<name>_data.csv` with
+17-significant-digit numbers, then a `<id>_plot.json` description (title,
+axis labels, series to column map) and a `<id>_meta` key=value file naming
+every parameter, engine and tolerance needed to re-run, and prints each path.
+No timestamps anywhere, so identical invocations produce byte-identical files.
+The default output directory is `SODW_OUT` from the environment, falling back
+to the working directory.
 
 Config files are flat key=value lines (# starts a comment); command-line
 flags override config values.  Note argparse needs `--epoch=-inf` (with the
@@ -28,50 +32,48 @@ from .analysis import (
     ScanSpec,
     default_horizon,
     off_branch_reason,
-    run_scan,
     select_engine,
     solve,
 )
 from .asynchronous import FLIP_CONSTRAINT_TOL, check_flip_constraint, classify_async_conserving
 from .core import AsyncTanhSech, SyncSech2, as_state
-from .figures import FIGURE_IDS, amplitude_text, build_figure, observable_columns
+from .figures import (
+    FIGURE_IDS,
+    FigureData,
+    amplitude_text,
+    build_figure,
+    protocol_meta,
+    scan_bundle,
+    trajectory_dataset,
+    trajectory_plot,
+    trajectory_times,
+)
 from .oracle import IntegratorConfig, integrate
 from .sync import classify_sync_condition
 
-_TRAJ_HEADER = ("t", "P1", "P2", "P3", "P4", "Z31", "Z32", "ZLR", "norm2")
-_NUM_HEADER = tuple(name + "_num" for name in _TRAJ_HEADER[1:])
+
+def _bundle_files(bundle):
+    """(file name, text) of each file of a bundle, in the order they are written."""
+    for ds in bundle.datasets:
+        # one %-format per table: 17 significant digits per number, strings as they are
+        first = ds.rows[0] if ds.rows else ()
+        fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first)
+        lines = [",".join(ds.header)] + [fmt % row for row in ds.rows]
+        yield f"{ds.name}_data.csv", "\n".join(lines) + "\n"
+    yield f"{bundle.id}_plot.json", json.dumps(bundle.plot, sort_keys=True, indent=2) + "\n"
+    yield f"{bundle.id}_meta", "".join(f"{key}={value}\n" for key, value in bundle.meta.items())
 
 
-def _fmt(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_plot(path, plot):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(plot, sort_keys=True, indent=2) + "\n")
-
-
-def _write_meta(path, meta):
-    with open(path, "w", newline="\n") as fh:
-        for key, value in meta.items():
-            fh.write(f"{key}={value}\n")
-
-
-def _out_dir(arg):
-    out = arg or os.environ.get("SODW_OUT") or "."
+def _write_bundle(out, bundle):
+    """Write a bundle's files under out (else $SODW_OUT, else .) and print each path."""
+    out = out or os.environ.get("SODW_OUT") or "."
     os.makedirs(out, exist_ok=True)
-    return out
+    for name, text in _bundle_files(bundle):
+        path = os.path.join(out, name)
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+        print(path)
+    return 0
 
 
 def _read_config(path):
@@ -120,20 +122,7 @@ def _parse_amplitudes(cfg):
 
 
 def _cmd_figure(args):
-    out = _out_dir(args.out)
-    data = build_figure(args.id, samples=args.grid, horizon=args.horizon)
-    written = []
-    for ds in data.datasets:
-        path = os.path.join(out, f"{ds.name}_data.csv")
-        _write_csv(path, ds.header, ds.rows)
-        written.append(path)
-    plot_path = os.path.join(out, f"{data.id}_plot.json")
-    _write_plot(plot_path, data.plot)
-    meta_path = os.path.join(out, f"{data.id}_meta")
-    _write_meta(meta_path, data.meta)
-    for path in written + [plot_path, meta_path]:
-        print(path)
-    return 0
+    return _write_bundle(args.out, build_figure(args.id, samples=args.grid, horizon=args.horizon))
 
 
 def _cmd_evolve(args):
@@ -163,67 +152,43 @@ def _cmd_evolve(args):
         horizon = default_horizon(protocol)
     grid_n = int(_setting(cfg, args, "grid", 2001))
     label = _setting(cfg, args, "label", "run")
-    out = _out_dir(_setting(cfg, args, "out"))
 
-    if math.isinf(epoch):
-        times = np.linspace(-horizon, horizon, grid_n)
-    else:
-        times = np.linspace(epoch, epoch + horizon, grid_n)
+    times = trajectory_times(epoch, horizon, grid_n)
     on_branch = select_engine(protocol, gamma) != ENGINE_ORACLE
     engine = args.engine or ("exact" if on_branch else "oracle")
     if engine in ("exact", "both") and not on_branch:
         print("cannot use the exact engine: " + off_branch_reason(protocol, gamma), file=sys.stderr)
         return 2
 
-    header = list(_TRAJ_HEADER)
-    columns = [times]
-    meta = {"label": label, "engine": engine, "protocol": kind, "gamma": _fmt(gamma)}
-    if kind == "sync":
-        meta.update(beta=_fmt(protocol.beta), V=_fmt(protocol.V), Omega=_fmt(protocol.Omega))
-    else:
-        meta.update(
-            epsilon=_fmt(protocol.epsilon_amp),
-            upsilon=_fmt(protocol.upsilon_amp),
-            chi=_fmt(protocol.chi),
-        )
-    meta.update(
-        epoch="-inf" if math.isinf(epoch) else _fmt(epoch),
-        horizon=_fmt(horizon),
-        grid=str(grid_n),
-        ic=amplitude_text(state0),
-    )
-
-    ana = None
+    params = protocol_meta(protocol)
+    meta = {
+        "label": label,
+        "engine": engine,
+        "protocol": params.pop("protocol"),
+        "gamma": f"{gamma:.17g}",
+        **params,
+        "epoch": f"{epoch:.17g}",
+        "horizon": f"{horizon:.17g}",
+        "grid": str(grid_n),
+        "ic": amplitude_text(state0),
+    }
+    solutions = []
     if engine in ("exact", "both"):
-        ana = solve(protocol, gamma, state0, epoch).states(times)
-        columns += observable_columns(ana)
+        solutions.append(solve(protocol, gamma, state0, epoch).states(times))
     if engine in ("oracle", "both"):
-        start_state = state0 if ana is None else ana[0]
+        start_state = solutions[0][0] if solutions else state0
         ocfg = IntegratorConfig(t_start=times[0], t_end=times[-1])
         traj = integrate(gamma, protocol, start_state, ocfg, times)
-        columns += observable_columns(traj.states)
         meta["oracle"] = traj.solver_id
         if engine == "both":
-            header += list(_NUM_HEADER)
-            deviation = float(np.max(np.linalg.norm(ana - traj.states, axis=1)))
-            meta["max_deviation"] = _fmt(deviation)
+            deviation = float(np.max(np.linalg.norm(solutions[0] - traj.states, axis=1)))
+            meta["max_deviation"] = f"{deviation:.17g}"
+        solutions.append(traj.states)
 
-    csv_path = os.path.join(out, f"{label}_data.csv")
-    _write_csv(csv_path, header, map(tuple, np.column_stack(columns)))
-    plot = {
-        "title": f"{label}: populations and imbalances vs time",
-        "x_label": "t",
-        "y_label": "population / imbalance",
-        "series": {name: name for name in header[1:]},
-        "files": [f"{label}_data.csv"],
-    }
-    plot_path = os.path.join(out, f"{label}_plot.json")
-    _write_plot(plot_path, plot)
-    meta_path = os.path.join(out, f"{label}_meta")
-    _write_meta(meta_path, meta)
-    for path in (csv_path, plot_path, meta_path):
-        print(path)
-    return 0
+    dataset = trajectory_dataset(label, times, *solutions)
+    plot = trajectory_plot(label, (dataset,), dataset.header[1:])
+    bundle = FigureData(label, "trajectory", (dataset,), plot, meta)
+    return _write_bundle(_setting(cfg, args, "out"), bundle)
 
 
 def _cmd_scan(args):
@@ -241,47 +206,15 @@ def _cmd_scan(args):
     state0 = _parse_amplitudes(cfg)
     epoch = float(cfg.get("epoch", 0.0))
     observables = []
-    names = []
     for token in cfg.get("observables", "31,32").split(","):
         token = token.strip()
         if len(token) != 2:
             raise SystemExit(f"bad observable token {token!r} (want pairs like 31 or LR)")
         observables.append(tuple(int(ch) if ch.isdigit() else ch.upper() for ch in token))
-        names.append(f"Z{token.upper()}_inf")
     spec = ScanSpec(cfg["swept"], np.linspace(lo, hi, n), fixed, state0, epoch, tuple(observables))
-    result = run_scan(spec)
-
     label = cfg.get("label", "scan")
-    out = _out_dir(args.out or cfg.get("out"))
-    csv_path = os.path.join(out, f"{label}_data.csv")
-    rows = [(row.param, *row.values, row.engine) for row in result.rows]
-    _write_csv(csv_path, ["param"] + names + ["engine"], rows)
-    plot = {
-        "title": f"{label}: asymptotic imbalances vs {spec.swept}",
-        "x_label": spec.swept,
-        "y_label": "asymptotic imbalance",
-        "series": {name: name for name in names},
-        "files": [f"{label}_data.csv"],
-    }
-    plot_path = os.path.join(out, f"{label}_plot.json")
-    _write_plot(plot_path, plot)
-    meta = {
-        "label": label,
-        "kind": "scan",
-        "swept": spec.swept,
-        "grid": f"{lo:.17g}:{hi:.17g}:{n}",
-        "epoch": "-inf" if math.isinf(epoch) else _fmt(epoch),
-        "ic": amplitude_text(state0),
-    }
-    for key in sorted(fixed):
-        meta[key] = _fmt(fixed[key])
-    for k, row in enumerate(r for r in result.rows if r.error is not None):
-        meta[f"failure_{k}"] = f"{row.param:.17g}: {row.error}"
-    meta_path = os.path.join(out, f"{label}_meta")
-    _write_meta(meta_path, meta)
-    for path in (csv_path, plot_path, meta_path):
-        print(path)
-    return 0
+    bundle = scan_bundle("label", label, label, spec, (lo, hi))
+    return _write_bundle(args.out or cfg.get("out"), bundle)
 
 
 def _cmd_classify(args):

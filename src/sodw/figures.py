@@ -1,11 +1,15 @@
-"""Built-in demonstration datasets: trajectories, scans, one parameter surface.
+"""Built-in demonstration datasets, and the one owner of the output format.
 
 Each figure id maps to a fully specified run (protocol, coupling, initial
-amplitudes, epoch, horizon).  Builders return plain data (column headers plus
-row tuples, a plot description dict and a meta dict); serialization to files
-lives in the cli module.  Trajectory figures carry a numeric-oracle overlay
-(columns suffixed _num) next to the closed-form columns so the two solutions
-can be compared point by point.
+amplitudes, epoch, horizon).  Every command that writes files (`sodw figure`,
+`sodw evolve`, `sodw scan`) returns its result as a FigureData bundle built
+from the pieces here: the trajectory and scan column headers, the named
+initial states, the protocol meta, the trajectory sample grid and the scan
+bundle.  A bundle is plain data (datasets of column headers plus row tuples,
+a plot description dict and a meta dict); the cli module writes it to files.
+Trajectory figures carry a numeric-oracle overlay (columns suffixed _num)
+next to the closed-form columns so the two solutions can be compared point
+by point.
 """
 
 from __future__ import annotations
@@ -27,27 +31,33 @@ __all__ = [
     "build_figure",
     "observable_columns",
     "amplitude_text",
+    "protocol_meta",
+    "trajectory_times",
+    "trajectory_dataset",
+    "trajectory_plot",
+    "scan_bundle",
 ]
 
 _SQ2 = math.sqrt(2.0)
 
-_IC_THIRD = (0.0, 0.0, 1.0, 0.0)
-_IC_RAMP = (math.sqrt(0.1), math.sqrt(0.2), math.sqrt(0.3), math.sqrt(0.4))
-_ICS_LR_MIX = (
+# the named initial states of the figures and of the acceptance criteria
+IC_THIRD = (0.0, 0.0, 1.0, 0.0)
+IC_RAMP = (math.sqrt(0.1), math.sqrt(0.2), math.sqrt(0.3), math.sqrt(0.4))
+ICS_LR_MIX = (
     (0.0, 0.0, math.sqrt(3 / 8), math.sqrt(5 / 8)),
     (math.sqrt(1 / 8), math.sqrt(1 / 8), 0.5, math.sqrt(0.5)),
     (0.5, 0.5, math.sqrt(1 / 8), math.sqrt(3 / 8)),
     (0.5, math.sqrt(0.5), math.sqrt(1 / 8), math.sqrt(1 / 8)),
     (math.sqrt(3 / 8), math.sqrt(5 / 8), 0.0, 0.0),
 )
-_ICS_13 = (
+ICS_13 = (
     (0.0, 0.0, 1.0, 0.0),
     (0.5, 0.0, math.sqrt(3.0) / 2, 0.0),
     (1 / _SQ2, 0.0, 1 / _SQ2, 0.0),
     (math.sqrt(3.0) / 2, 0.0, 0.5, 0.0),
     (1.0, 0.0, 0.0, 0.0),
 )
-_ICS_14 = (
+ICS_14 = (
     (0.0, 0.0, 0.0, 1.0),
     (0.5, 0.0, 0.0, math.sqrt(3.0) / 2),
     (1 / _SQ2, 0.0, 0.0, 1 / _SQ2),
@@ -58,19 +68,19 @@ _ICS_14 = (
 # trajectory figures: coupling gamma, protocol parameters, initial states and
 # the epoch at which they hold (0 = pulse center, -inf = infinite past)
 _TRAJECTORIES = {
-    "1d": dict(gamma=0.5, sync=(0.5, math.pi / 2, 1.0), epoch=0.0, ics=(_IC_THIRD,)),
-    "1e": dict(gamma=1.0, sync=(0.0, 2.0, 1.0), epoch=0.0, ics=(_IC_THIRD,)),
-    "1f": dict(gamma=0.35, sync=(0.0, math.pi / 2, 1.0), epoch=0.0, ics=(_IC_THIRD,)),
-    "2a": dict(gamma=0.15, sync=(0.0, math.pi / 2, 1.0), epoch=-math.inf, ics=(_IC_RAMP,)),
-    "2b": dict(gamma=0.15, sync=(0.0, math.pi / 4, 1.0), epoch=-math.inf, ics=_ICS_LR_MIX),
-    "2c": dict(gamma=0.25, sync=(0.0, math.pi / 4, 1.0), epoch=-math.inf, ics=(_IC_THIRD,)),
-    "3a": dict(gamma=2.0, asynchronous=(1.0, 1.0, 1.0), epoch=-math.inf, ics=_ICS_13),
-    "3b": dict(gamma=2.0, asynchronous=(1.0, 1.0, 2.0), epoch=-math.inf, ics=_ICS_13),
+    "1d": dict(gamma=0.5, sync=(0.5, math.pi / 2, 1.0), epoch=0.0, ics=(IC_THIRD,)),
+    "1e": dict(gamma=1.0, sync=(0.0, 2.0, 1.0), epoch=0.0, ics=(IC_THIRD,)),
+    "1f": dict(gamma=0.35, sync=(0.0, math.pi / 2, 1.0), epoch=0.0, ics=(IC_THIRD,)),
+    "2a": dict(gamma=0.15, sync=(0.0, math.pi / 2, 1.0), epoch=-math.inf, ics=(IC_RAMP,)),
+    "2b": dict(gamma=0.15, sync=(0.0, math.pi / 4, 1.0), epoch=-math.inf, ics=ICS_LR_MIX),
+    "2c": dict(gamma=0.25, sync=(0.0, math.pi / 4, 1.0), epoch=-math.inf, ics=(IC_THIRD,)),
+    "3a": dict(gamma=2.0, asynchronous=(1.0, 1.0, 1.0), epoch=-math.inf, ics=ICS_13),
+    "3b": dict(gamma=2.0, asynchronous=(1.0, 1.0, 2.0), epoch=-math.inf, ics=ICS_13),
     "3d": dict(
         gamma=0.5,
         asynchronous=(math.sqrt(0.21), 0.5, 0.4),
         epoch=-math.inf,
-        ics=_ICS_14,
+        ics=ICS_14,
     ),
 }
 
@@ -109,6 +119,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FigureData:
+    """One output bundle: its datasets, plot description and meta, written under id."""
+
     id: str
     kind: str
     datasets: tuple
@@ -146,14 +158,63 @@ def amplitude_text(state):
     return ";".join(f"{z.real:.17g},{z.imag:.17g}" for z in np.asarray(state, complex))
 
 
+def protocol_meta(protocol):
+    """Meta entries protocol=sync|async and its three parameters, 17 significant digits each."""
+    if isinstance(protocol, SyncSech2):
+        kind, params = "sync", dict(beta=protocol.beta, V=protocol.V, Omega=protocol.Omega)
+    else:
+        kind = "async"
+        params = dict(epsilon=protocol.epsilon_amp, upsilon=protocol.upsilon_amp, chi=protocol.chi)
+    return {"protocol": kind, **{key: f"{value:.17g}" for key, value in params.items()}}
+
+
+def trajectory_times(epoch, horizon, samples):
+    """Sample times of a trajectory whose start holds at epoch.
+
+    [-horizon, horizon] for epoch -inf, else [epoch, epoch + horizon].
+    Refuses an epoch of +inf or NaN, fewer than 2 samples and a horizon that
+    is not finite and positive.
+    """
+    if math.isnan(epoch) or epoch == math.inf:
+        raise ValueError(f"epoch must be finite or -inf, got {epoch}")
+    if samples < 2 or not 0.0 < horizon < math.inf:
+        raise ValueError(
+            "a trajectory needs at least 2 samples and a finite horizon > 0, "
+            f"got {samples} samples and horizon {horizon:g}"
+        )
+    if epoch == -math.inf:
+        return np.linspace(-horizon, horizon, samples)
+    return np.linspace(epoch, epoch + horizon, samples)
+
+
+def trajectory_dataset(name, times, *solutions):
+    """Times plus the observable columns of each (n, 4) amplitude array.
+
+    The columns of a second array are the _num overlay.
+    """
+    columns = [times] + [column for states in solutions for column in observable_columns(states)]
+    header = (_TRAJ_HEADER + _NUM_HEADER)[: len(columns)]
+    return Dataset(name, header, tuple(map(tuple, np.column_stack(columns))))
+
+
+def trajectory_plot(title, datasets, series):
+    """Plot description of trajectory datasets: the named series drawn against t."""
+    return {
+        "title": f"{title}: populations and imbalances vs time",
+        "x_label": "t",
+        "y_label": "population / imbalance",
+        "series": {name: name for name in series},
+        "files": [f"{d.name}_data.csv" for d in datasets],
+    }
+
+
 def _build_trajectory(fig_id, samples, horizon):
     cfg = _TRAJECTORIES[fig_id]
     protocol = _figure_protocol(cfg)
     gamma = cfg["gamma"]
     epoch = cfg["epoch"]
     T = default_horizon(protocol) if horizon is None else float(horizon)
-    t_lo = 0.0 if epoch == 0.0 else -T
-    times = np.linspace(t_lo, T, samples)
+    times = trajectory_times(epoch, T, samples)
     engine = select_engine(protocol, gamma)
 
     exact = [solve(protocol, gamma, as_state(ic), epoch).states(times) for ic in cfg["ics"]]
@@ -163,87 +224,74 @@ def _build_trajectory(fig_id, samples, horizon):
     fractions = (times - times[0]) / (times[-1] - times[0])
     trajs = integrate_batch([(gamma, protocol, states[0], ocfg) for states in exact], fractions)
 
-    datasets = []
-    for k, (states, traj) in enumerate(zip(exact, trajs)):
-        columns = [times] + observable_columns(states) + observable_columns(traj.states)
-        name = fig_id if len(exact) == 1 else f"{fig_id}_ic{k + 1}"
-        table = np.column_stack(columns)
-        datasets.append(Dataset(name, _TRAJ_HEADER + _NUM_HEADER, tuple(map(tuple, table))))
-
-    plot = {
-        "title": f"figure {fig_id}: populations and imbalances vs time",
-        "x_label": "t",
-        "y_label": "population / imbalance",
-        "series": {name: name for name in _TRAJ_HEADER[1:]},
-        "overlay_series": {name: name for name in _NUM_HEADER},
-        "files": [f"{d.name}_data.csv" for d in datasets],
-    }
+    datasets = tuple(
+        trajectory_dataset(
+            fig_id if len(exact) == 1 else f"{fig_id}_ic{k + 1}", times, states, traj.states
+        )
+        for k, (states, traj) in enumerate(zip(exact, trajs))
+    )
+    plot = trajectory_plot(f"figure {fig_id}", datasets, _TRAJ_HEADER[1:])
+    plot["overlay_series"] = {name: name for name in _NUM_HEADER}
     meta = {
         "figure": fig_id,
         "kind": "trajectory",
         "engine": engine,
         "oracle": trajs[0].solver_id,
         "gamma": f"{gamma:.17g}",
-        "epoch": "-inf" if epoch == -math.inf else f"{epoch:.17g}",
+        "epoch": f"{epoch:.17g}",
         "horizon": f"{T:.17g}",
         "samples": str(samples),
+        **protocol_meta(protocol),
     }
-    if isinstance(protocol, SyncSech2):
-        meta.update(
-            protocol="sync",
-            beta=f"{protocol.beta:.17g}",
-            V=f"{protocol.V:.17g}",
-            Omega=f"{protocol.Omega:.17g}",
-        )
-    else:
-        meta.update(
-            protocol="async",
-            epsilon=f"{protocol.epsilon_amp:.17g}",
-            upsilon=f"{protocol.upsilon_amp:.17g}",
-            chi=f"{protocol.chi:.17g}",
-        )
     for k, ic in enumerate(cfg["ics"]):
         meta[f"ic{k + 1}"] = amplitude_text(ic)
-    return FigureData(fig_id, "trajectory", tuple(datasets), plot, meta)
+    return FigureData(fig_id, "trajectory", datasets, plot, meta)
+
+
+def scan_bundle(key, name, title, spec, bounds):
+    """Run spec and bundle its rows, plot and meta under name.
+
+    key=name is the first meta entry and title starts the plot title; bounds
+    (lo, hi) are the grid ends as given, which a one-point grid cannot show.
+    """
+    result = run_scan(spec)
+    names = tuple(f"Z{s}{q}_inf" for s, q in spec.observables)
+    rows = tuple((row.param, *row.values, row.engine) for row in result.rows)
+    datasets = (Dataset(name, ("param", *names, "engine"), rows),)
+    plot = {
+        "title": f"{title}: asymptotic imbalances vs {spec.swept}",
+        "x_label": spec.swept,
+        "y_label": "asymptotic imbalance",
+        "series": {column: column for column in names},
+        "files": [f"{name}_data.csv"],
+    }
+    lo, hi = bounds
+    meta = {
+        key: name,
+        "kind": "scan",
+        "swept": spec.swept,
+        "grid": f"{lo:.17g}:{hi:.17g}:{spec.grid.size}",
+        "epoch": f"{spec.epoch:.17g}",
+        "ic": amplitude_text(spec.state0),
+    }
+    for field in sorted(spec.fixed):
+        meta[field] = f"{spec.fixed[field]:.17g}"
+    for k, row in enumerate(r for r in result.rows if r.error is not None):
+        meta[f"failure_{k}"] = f"{row.param:.17g}: {row.error}"
+    return FigureData(name, "scan", datasets, plot, meta)
 
 
 def _build_scan(fig_id, samples):
     cfg = _SCANS[fig_id]
-    lo, hi = cfg["bounds"]
     spec = ScanSpec(
         swept=cfg["swept"],
-        grid=np.linspace(lo, hi, samples),
+        grid=np.linspace(*cfg["bounds"], samples),
         fixed=cfg["fixed"],
-        state0=_IC_THIRD,
+        state0=IC_THIRD,
         epoch=0.0,
         observables=((3, 1), (3, 2)),
     )
-    result = run_scan(spec)
-    rows = tuple(
-        (row.param, row.values[0], row.values[1], row.engine) for row in result.rows
-    )
-    datasets = (Dataset(fig_id, ("param", "Z31_inf", "Z32_inf", "engine"), rows),)
-    plot = {
-        "title": f"figure {fig_id}: asymptotic imbalances vs {spec.swept}",
-        "x_label": spec.swept,
-        "y_label": "asymptotic imbalance",
-        "series": {"Z31_inf": "Z31_inf", "Z32_inf": "Z32_inf"},
-        "files": [f"{fig_id}_data.csv"],
-    }
-    meta = {
-        "figure": fig_id,
-        "kind": "scan",
-        "swept": spec.swept,
-        "grid": f"{lo:.17g}:{hi:.17g}:{samples}",
-        "epoch": "0",
-        "ic": amplitude_text(_IC_THIRD),
-    }
-    for key in sorted(cfg["fixed"]):
-        meta[key] = f"{cfg['fixed'][key]:.17g}"
-    failures = [row for row in result.rows if row.error is not None]
-    for k, row in enumerate(failures):
-        meta[f"failure_{k}"] = f"{row.param:.17g}: {row.error}"
-    return FigureData(fig_id, "scan", datasets, plot, meta)
+    return scan_bundle("figure", fig_id, f"figure {fig_id}", spec, cfg["bounds"])
 
 
 def _build_surface(samples):

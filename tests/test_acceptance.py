@@ -15,3 +15,4 @@ def test_acceptance_criterion(cid, capsys):
     with capsys.disabled():
         print(format_record(record))
     assert record["passed"], record["details"]
+    assert not record["details"].startswith(record["name"]), "details repeat the name"

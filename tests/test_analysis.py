@@ -7,24 +7,25 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sodw import (
-    ENGINE_ASYNC,
-    ENGINE_ORACLE,
-    ENGINE_SYNC,
     AsyncTanhSech,
-    CustomDrive,
     IntegratorConfig,
     ScanSpec,
     SyncSech2,
-    asymptotic_extract,
-    count_peaks,
-    default_horizon,
-    imbalance,
     integrate,
     off_branch_reason,
     run_scan,
     select_engine,
     solve,
 )
+from sodw.analysis import (
+    ENGINE_ASYNC,
+    ENGINE_ORACLE,
+    ENGINE_SYNC,
+    asymptotic_extract,
+    count_peaks,
+    default_horizon,
+)
+from sodw.core import CustomDrive, imbalance
 
 _E3 = (0, 0, 1, 0)
 
@@ -207,7 +208,7 @@ def test_asymptotic_extract_settles():
     T = default_horizon(proto)
     times = np.linspace(-T, T, 801)
     states = solve(proto, 0.5, _E3, -math.inf).states(times)
-    from sodw import TrajectoryRecord
+    from sodw.oracle import TrajectoryRecord
 
     rec = TrajectoryRecord(times, states, proto, "sync-exact")
     first, last, settled = asymptotic_extract(rec)

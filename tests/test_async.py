@@ -8,12 +8,19 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from sodw import (
-    ENGINE_ASYNC,
-    AsyncBranchConstants,
     AsyncTanhSech,
     IntegratorConfig,
     check_flip_constraint,
     classify_async_conserving,
+    integrate,
+    integrate_batch,
+    select_engine,
+    solve,
+)
+from sodw.analysis import ENGINE_ASYNC
+from sodw.asynchronous import (
+    AsyncBranchConstants,
+    AsyncSolution,
     conserving_asymptotic_imbalance,
     conserving_branch_sign,
     conserving_constants,
@@ -22,14 +29,9 @@ from sodw import (
     evolve_async_flip,
     flip_branch_sign,
     flip_constants,
-    integrate,
-    integrate_batch,
     phase_integrals,
-    populations,
-    select_engine,
-    solve,
 )
-from sodw.asynchronous import AsyncSolution
+from sodw.core import populations
 
 
 def _flip_params(epsilon, chi):

@@ -259,3 +259,40 @@ def test_console_script_installed():
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "CCPC (async, spin-conserving)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--protocol", "async", "--gamma", "0.3", "--epoch=inf"],
+        ["--protocol", "sync", "--gamma", "0.5", "--engine", "oracle", "--epoch=inf"],
+        ["--protocol", "sync", "--gamma", "0.5", "--epoch=inf"],
+        ["--protocol", "sync", "--gamma", "0.5", "--epoch=nan"],
+        ["--protocol", "async", "--gamma", "0.3", "--epoch=nan"],
+    ],
+)
+def test_evolve_refuses_epoch_plus_inf_and_nan(argv, tmp_path, capsys):
+    assert main(["evolve", *argv, "--out", str(tmp_path)]) == 2
+    assert "epoch must be finite or -inf" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure", "--id", "1d", "--grid", "0"],
+        ["figure", "--id", "2b", "--grid", "1"],
+        ["figure", "--id", "1d", "--horizon=-3"],
+        ["figure", "--id", "3a", "--horizon=0"],
+        ["evolve", "--protocol", "sync", "--gamma", "0.5", "--grid", "0"],
+        ["evolve", "--protocol", "sync", "--gamma", "0.5", "--grid", "1"],
+        ["evolve", "--protocol", "sync", "--gamma", "0.5", "--horizon=-3"],
+        ["evolve", "--protocol", "async", "--gamma", "0.3", "--horizon=-3"],
+        ["evolve", "--protocol", "sync", "--gamma", "0.5", "--engine", "both", "--horizon=inf"],
+    ],
+)
+def test_trajectory_refuses_short_grid_and_bad_horizon(argv, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "a trajectory needs at least 2 samples and a finite horizon > 0" in err
+    assert list(tmp_path.iterdir()) == []

@@ -1,12 +1,14 @@
-"""Every demo script runs to its end against the current API."""
+"""Every demo script and the README quickstart run to their end against the current API."""
 
 import pathlib
+import re
 import runpy
 import sys
 
 import pytest
 
-_DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+_ROOT = pathlib.Path(__file__).parent.parent
+_DEMOS = sorted((_ROOT / "demos").glob("*.py"))
 
 
 def test_all_demos_found():
@@ -17,4 +19,10 @@ def test_all_demos_found():
 def test_demo_runs(path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(path)])
     runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()
+
+
+def test_readme_quickstart_runs(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", (_ROOT / "README.md").read_text(), re.S)
+    exec(compile(block, "README.md", "exec"), {"__name__": "__main__"})
     assert capsys.readouterr().out.strip()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sodw import FIGURE_IDS, build_figure, figure_kind
+from sodw.figures import FIGURE_IDS, build_figure, figure_kind
 
 
 def test_figure_kind_covers_registry():

@@ -8,21 +8,21 @@ from numpy.testing import assert_allclose
 
 import sodw.oracle
 from sodw import (
-    ENGINE_ORACLE,
     AsyncTanhSech,
-    CustomDrive,
     IntegratorConfig,
     ScanSpec,
     SyncSech2,
-    TrajectoryRecord,
-    build_figure,
     compare_to_analytic,
     integrate,
     integrate_batch,
-    run_all,
     run_scan,
     solve,
 )
+from sodw.acceptance import run_all
+from sodw.analysis import ENGINE_ORACLE
+from sodw.core import CustomDrive
+from sodw.figures import build_figure
+from sodw.oracle import TrajectoryRecord
 
 _E3 = (0, 0, 1, 0)
 

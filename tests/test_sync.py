@@ -7,19 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from sodw import (
-    SyncSech2,
-    as_coupling,
-    classify_sync_condition,
-    eigen_sync,
-    evolve_sync,
-    hamiltonian_matrix,
-    imbalance,
-    populations,
-    solve,
-    superposition_from_initial,
-    tau_sech2,
-)
+from sodw import SyncSech2, classify_sync_condition, solve
+from sodw.core import as_coupling, hamiltonian_matrix, imbalance, populations
+from sodw.sync import eigen_sync, evolve_sync, superposition_from_initial, tau_sech2
 
 
 def _tau_hamiltonian(beta, gamma):
