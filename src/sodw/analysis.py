@@ -6,8 +6,11 @@ routed to the cheapest engine that is valid there: the synchronous closed
 form covers every synchronous protocol, the asynchronous closed form covers
 the spin-conserving branch (cos pi*gamma = +-1) and the spin-flipping branch
 on its parameter surface, and everything else falls back to the numeric
-oracle, all oracle points of a scan in one batch.  The engine used is
-recorded per row.
+oracle.  The engine used is recorded per row.  A scan builds its grid's
+parameters once, as a stack of drives, routes every point with the branch
+gate evaluated as a mask, and solves each engine's points together: the
+closed-form points of one engine in one array pass, the oracle points in one
+batch.
 
 solve() is the one entry point to the closed forms.  It also holds the one
 rule for a state given at t0 = -inf: the synchronous engine imposes it
@@ -19,12 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import asynchronous as asyn
 from . import sync
-from .core import AsyncTanhSech, SyncSech2, as_state, imbalance
+from .core import AsyncTanhSech, SyncSech2, as_coupling, as_state, imbalance
 from .oracle import IntegratorConfig, integrate_batch
 
 __all__ = [
@@ -66,18 +70,25 @@ def default_horizon(protocol):
 
 def select_engine(protocol, gamma, flip_tol=asyn.FLIP_CONSTRAINT_TOL):
     """Pick the analytic engine valid for (protocol, gamma), else the oracle."""
+    return _engines(protocol, gamma, flip_tol).item()
+
+
+def _engines(protocol, gamma, flip_tol=asyn.FLIP_CONSTRAINT_TOL):
+    """Engine name of every member of a (stacked) protocol: the branch gate as a mask.
+
+    On the asynchronous drive a gamma that is not finite is on neither branch.
+    """
     if isinstance(protocol, SyncSech2):
-        return ENGINE_SYNC
+        shape = np.broadcast_shapes(np.shape(gamma), np.shape(protocol.beta), np.shape(protocol.V))
+        return np.full(shape, ENGINE_SYNC)
     if isinstance(protocol, AsyncTanhSech):
-        if asyn.conserving_branch_sign(gamma) is not None:
-            return ENGINE_ASYNC
-        if asyn.flip_branch_sign(gamma) is not None:
-            residual = asyn.check_flip_constraint(
-                protocol.epsilon_amp, protocol.upsilon_amp, protocol.chi
-            )
-            if abs(residual) <= flip_tol:
-                return ENGINE_ASYNC
-    return ENGINE_ORACLE
+        conserving, flip = asyn.branch_signs(gamma)
+        residual = asyn.check_flip_constraint(
+            protocol.epsilon_amp, protocol.upsilon_amp, protocol.chi
+        )
+        exact = (conserving != 0) | ((flip != 0) & (np.abs(residual) <= flip_tol))
+        return np.where(exact, ENGINE_ASYNC, ENGINE_ORACLE)
+    return np.full(np.shape(gamma), ENGINE_ORACLE)
 
 
 def off_branch_reason(protocol, gamma):
@@ -133,8 +144,9 @@ class ScanSpec:
         object.__setattr__(self, "observables", tuple((s, q) for s, q in self.observables))
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
+    """One grid point: swept value, imbalance values, engine and error text (None when solved)."""
+
     param: float
     values: tuple
     engine: str
@@ -147,20 +159,20 @@ class ScanResult:
     rows: tuple
 
     def __post_init__(self):
-        for row in self.rows:
-            if row.error is None:
-                for v in row.values:
-                    if not abs(v) <= 1.0 + 1e-9:
-                        raise ValueError(
-                            f"imbalance {v} at {self.spec.swept}={row.param} is unphysical"
-                        )
+        solved = [row for row in self.rows if row.error is None]
+        values = np.array([row.values for row in solved], dtype=float)
+        bad = np.argwhere(~(np.abs(values) <= 1.0 + 1e-9))
+        if bad.size:
+            row = solved[bad[0][0]]
+            v = row.values[bad[0][1]]
+            raise ValueError(f"imbalance {v} at {self.spec.swept}={row.param} is unphysical")
 
     def observable_column(self, k):
         return np.array([row.values[k] for row in self.rows])
 
 
 def _point_setup(spec, x):
-    """Protocol and gamma at one grid point."""
+    """gamma and protocol at grid value x, or a stack of drives over an array of them."""
     fixed = spec.fixed
     if spec.swept == "beta":
         return fixed["gamma"], SyncSech2(x, fixed["V"], fixed["Omega"])
@@ -182,41 +194,64 @@ def _oracle_member(spec, gamma, protocol):
     return gamma, protocol, spec.state0, IntegratorConfig(t_start=t0, t_end=horizon)
 
 
-def _values(spec, snap):
-    return tuple(imbalance(snap, s, q) for s, q in spec.observables)
-
-
 def run_scan(spec):
     """One row per grid point; failures are recorded in-row, the scan continues.
 
-    Closed-form points are solved as they come.  All oracle points go into one
-    endpoint-only batch; if it fails, each oracle row records the error.
+    The grid becomes one stack of drives, and the branch gate routes every
+    point at once.  The closed-form points of each engine are solved in one
+    array pass, and the imbalance columns are taken from their (N, 4)
+    populations at t = +inf.  All oracle points go into one endpoint-only
+    batch; if it fails, each oracle row records the error.  A missing or
+    invalid fixed value fails every row, and a gamma that is not finite fails
+    its own.
     """
-    nan_values = tuple(math.nan for _ in spec.observables)
-    rows = []
-    pending = []
-    for x in spec.grid:
-        x = float(x)
-        engine = ENGINE_ORACLE
+    grid = spec.grid
+    values = np.full((grid.size, len(spec.observables)), math.nan)
+    errors = [None] * grid.size
+    try:
+        gamma, protocol = _point_setup(spec, grid)
+        gamma = np.broadcast_to(np.asarray(gamma, dtype=float), grid.shape)
+        engines = _engines(protocol, gamma)
+    except Exception as exc:
+        engines = np.full(grid.shape, ENGINE_ORACLE)
+        errors = [str(exc)] * grid.size
+        return _scan_result(spec, values, engines, errors)
+    finite = np.isfinite(gamma)
+    for k in np.flatnonzero(~finite):
         try:
-            gamma, protocol = _point_setup(spec, x)
-            engine = select_engine(protocol, gamma)
-            if engine == ENGINE_ORACLE:
-                pending.append((len(rows), x, _oracle_member(spec, gamma, protocol)))
-                rows.append(None)
-                continue
-            snap = _solution(engine, protocol, gamma, spec.state0, spec.epoch).asymptotes()[1]
-            rows.append(ScanRow(x, _values(spec, snap), engine))
-        except Exception as exc:
-            rows.append(ScanRow(x, nan_values, engine, error=str(exc)))
-    if pending:
+            as_coupling(gamma[k])
+        except ValueError as exc:
+            errors[k] = str(exc)
+
+    def record(idx, populations):
+        for j, (s, q) in enumerate(spec.observables):
+            values[idx, j] = imbalance(populations, s, q)
+
+    for engine in (ENGINE_SYNC, ENGINE_ASYNC):
+        idx = np.flatnonzero(finite & (engines == engine))
+        if idx.size:
+            try:
+                members_gamma, members = _point_setup(spec, grid[idx])
+                solution = _solution(engine, members, members_gamma, spec.state0, spec.epoch)
+                record(idx, solution.asymptotic_populations()[1])
+            except Exception as exc:
+                for k in idx:
+                    errors[k] = str(exc)
+    idx = np.flatnonzero(finite & (engines == ENGINE_ORACLE))
+    if idx.size:
         try:
-            trajs = integrate_batch([member for _, _, member in pending], [1.0])
-            results = [(_values(spec, traj.snapshot(0)), None) for traj in trajs]
+            members = [_oracle_member(spec, *_point_setup(spec, x)) for x in grid[idx].tolist()]
+            trajs = integrate_batch(members, [1.0])
+            record(idx, np.array([traj.population_array[0] for traj in trajs]))
         except Exception as exc:
-            results = [(nan_values, str(exc))] * len(pending)
-        for (k, x, _), (values, error) in zip(pending, results):
-            rows[k] = ScanRow(x, values, ENGINE_ORACLE, error=error)
+            for k in idx:
+                errors[k] = str(exc)
+    return _scan_result(spec, values, engines, errors)
+
+
+def _scan_result(spec, values, engines, errors):
+    values[[error is not None for error in errors]] = math.nan
+    rows = map(ScanRow, spec.grid.tolist(), map(tuple, values.tolist()), engines.tolist(), errors)
     return ScanResult(spec, tuple(rows))
 
 

@@ -47,6 +47,10 @@ closed form drops is below 1e-9: |sin(pi*gamma)| on the conserving branch,
 Constants are always anchored at a finite reference time t_ref; the phase
 phi_e diverges at large |t| but only as a common phase, so populations and
 imbalances never depend on it.
+
+Every function works on a stack of members: the drive amplitudes, chi, the
+pair amplitudes, t_ref and the coupling sign may be arrays that broadcast
+against each other (and against t), such as the points of a scan.
 """
 
 from __future__ import annotations
@@ -56,7 +60,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIN_BRANCH_TOL, PopulationSnapshot, as_coupling, as_state
+from .core import (
+    SIN_BRANCH_TOL,
+    AsyncTanhSech,
+    SOCoupling,
+    as_coupling,
+    as_state,
+    asymptote_snapshots,
+    coupling_values,
+)
 
 __all__ = [
     "PhasePair",
@@ -64,6 +76,7 @@ __all__ = [
     "AsyncConservingCondition",
     "AsyncSolution",
     "phase_integrals",
+    "branch_signs",
     "conserving_branch_sign",
     "flip_branch_sign",
     "conserving_constants",
@@ -108,8 +121,8 @@ def _log_cosh(x):
 
 
 def phase_integrals(epsilon, upsilon, chi, t):
-    """PhasePair at time t (scalar or array)."""
-    if not (chi > 0):
+    """PhasePair at time t; the arguments broadcast against each other."""
+    if not np.all(np.asarray(chi) > 0):
         raise ValueError(f"chi must be > 0, got {chi}")
     x = chi * np.asarray(t, dtype=float)
     phi_u = (2.0 * upsilon / chi) * np.arctan(np.tanh(0.5 * x))
@@ -117,20 +130,30 @@ def phase_integrals(epsilon, upsilon, chi, t):
     return PhasePair(phi_u, phi_e)
 
 
+def branch_signs(gamma):
+    """Coupling signs (conserving, flip) of every gamma: +/-1 on a branch, 0 off it.
+
+    conserving is the sign of cos(pi*gamma) where |sin(pi*gamma)| < 1e-9 and
+    flip the sign of sin(pi*gamma) where |cos(pi*gamma)| < 1e-9.  A gamma
+    that is not finite lies on neither branch.
+    """
+    g = np.asarray(gamma.gamma if isinstance(gamma, SOCoupling) else gamma, dtype=float)
+    # a gamma that is not finite is evaluated at 1/4, which is on neither branch
+    x = np.pi * np.where(np.isfinite(g), g, 0.25)
+    sin_pg, cos_pg = np.sin(x), np.cos(x)
+    conserving = np.where(np.abs(sin_pg) < BRANCH_GATE_TOL, np.copysign(1.0, cos_pg), 0.0)
+    flip = np.where(np.abs(cos_pg) < BRANCH_GATE_TOL, np.copysign(1.0, sin_pg), 0.0)
+    return conserving, flip
+
+
 def conserving_branch_sign(gamma):
     """Sign of cos(pi*gamma) when |sin(pi*gamma)| < 1e-9, else None."""
-    g = as_coupling(gamma)
-    if abs(g.sin_pg) < BRANCH_GATE_TOL:
-        return math.copysign(1.0, g.cos_pg)
-    return None
+    return float(branch_signs(as_coupling(gamma))[0]) or None
 
 
 def flip_branch_sign(gamma):
     """Sign of sin(pi*gamma) when |cos(pi*gamma)| < 1e-9, else None."""
-    g = as_coupling(gamma)
-    if abs(g.cos_pg) < BRANCH_GATE_TOL:
-        return math.copysign(1.0, g.sin_pg)
-    return None
+    return float(branch_signs(as_coupling(gamma))[1]) or None
 
 
 @dataclass(frozen=True)
@@ -141,20 +164,21 @@ class AsyncBranchConstants:
     pairs (a1,a4)/(a2,a3).  coupling_sign carries the sign of the effective
     coupling (cos(pi*gamma) for conserving, sin(pi*gamma) for flip, rounded
     to +/-1) so evolution uses the same convention the constants were built
-    with.
+    with.  plus, minus, t_ref and coupling_sign may be arrays over members.
     """
 
     kind: str
-    plus: complex
-    minus: complex
-    t_ref: float
-    coupling_sign: float = 1.0
+    plus: complex | np.ndarray
+    minus: complex | np.ndarray
+    t_ref: float | np.ndarray
+    coupling_sign: float | np.ndarray = 1.0
 
 
 def _require_finite_t_ref(t_ref):
-    t_ref = float(t_ref)
-    if not math.isfinite(t_ref):
-        raise ValueError(f"constants must be anchored at finite t_ref, got {t_ref}")
+    t_ref = np.asarray(t_ref, dtype=float)
+    bad = t_ref[~np.isfinite(t_ref)]
+    if bad.size:
+        raise ValueError(f"constants must be anchored at finite t_ref, got {float(bad[0])}")
     return t_ref
 
 
@@ -179,7 +203,7 @@ def conserving_constants(pair0, pair_id, params, t_ref, coupling_sign=1.0):
     sign of phi_e flipped.
     """
     t_ref = _require_finite_t_ref(t_ref)
-    b1, b2 = complex(pair0[0]), complex(pair0[1])
+    b1, b2 = np.asarray(pair0[0], dtype=complex), np.asarray(pair0[1], dtype=complex)
     e1, e2 = _conserving_phases(pair_id, params, coupling_sign, t_ref)
     plus = 0.5 * (b1 + b2) / e1
     minus = 0.5 * (b1 - b2) / e2
@@ -204,7 +228,7 @@ def conserving_imbalance(consts, params, t):
 def conserving_asymptotic_imbalance(consts, params, side):
     """Imbalance limit at t -> side*inf (side = +1 or -1), from the saturated phi_u."""
     pu_inf = side * consts.coupling_sign * 0.5 * math.pi * params.upsilon_amp / params.chi
-    return float(-4.0 * np.real(consts.plus * np.conj(consts.minus) * np.exp(2j * pu_inf)))
+    return -4.0 * np.real(consts.plus * np.conj(consts.minus) * np.exp(2j * pu_inf))
 
 
 @dataclass(frozen=True)
@@ -248,13 +272,13 @@ def check_flip_constraint(epsilon, upsilon, chi):
 
 def _require_on_constraint(params):
     residual = check_flip_constraint(params.epsilon_amp, params.upsilon_amp, params.chi)
-    if abs(residual) > FLIP_CONSTRAINT_TOL:
+    bad = np.asarray(residual)[np.abs(residual) > FLIP_CONSTRAINT_TOL]
+    if bad.size:
         raise ValueError(
             "flip-branch constraint chi^2/4 + epsilon^2 - upsilon^2 = 0 violated "
-            f"(residual {residual:.6g}); off-constraint parameters have no closed form, "
+            f"(residual {bad[0]:.6g}); off-constraint parameters have no closed form, "
             "use the numeric oracle"
         )
-    return residual
 
 
 def _sqrt_sech_exp(x, sign):
@@ -292,12 +316,12 @@ def flip_constants(pair0, pair_id, params, t_ref, coupling_sign=1.0):
     """
     _require_on_constraint(params)
     t_ref = _require_finite_t_ref(t_ref)
-    b1, b2 = complex(pair0[0]), complex(pair0[1])
+    b1, b2 = np.asarray(pair0[0], dtype=complex), np.asarray(pair0[1], dtype=complex)
     m11, m12, m21, m22 = _flip_matrix(pair_id, params, coupling_sign, t_ref)
     det = m11 * m22 - m12 * m21
     plus = (m22 * b1 - m12 * b2) / det
     minus = (m11 * b2 - m21 * b1) / det
-    return AsyncBranchConstants(pair_id, complex(plus), complex(minus), t_ref, coupling_sign)
+    return AsyncBranchConstants(pair_id, plus, minus, t_ref, coupling_sign)
 
 
 def evolve_async_flip(consts, params, t):
@@ -319,44 +343,83 @@ def _branch_error(gamma):
     )
 
 
-class AsyncSolution:
-    """Exact solution on one asynchronous branch, with the state imposed at finite t_ref.
+def _conserving_limits(consts, params):
+    """Pair populations at (-inf, +inf): the total, split by the saturated imbalance."""
+    total = np.abs(consts.plus) ** 2 + np.abs(consts.minus) ** 2
+    sides = (-1, 1)
+    cross = -0.5 * np.stack([conserving_asymptotic_imbalance(consts, params, k) for k in sides])
+    return total + cross, total - cross
 
-    The pair constants are built once.  Requires gamma on one of the exact
-    branches (and, on the flip branch, the parameter constraint); otherwise
-    raises ValueError naming the condition.
+
+def _flip_limits(consts, params):
+    """Pair populations at (-inf, +inf): 2|plus|^2 and 2|minus|^2 change places across t = 0."""
+    two_p = 2.0 * np.abs(consts.plus) ** 2
+    two_m = 2.0 * np.abs(consts.minus) ** 2
+    early, late = (two_p, two_m) if consts.kind == "C" else (two_m, two_p)
+    return np.stack([early, late]), np.stack([late, early])
+
+
+_BRANCHES = (
+    (_CONSERVING_PAIRS, conserving_constants, evolve_async_conserving, _conserving_limits),
+    (_FLIP_PAIRS, flip_constants, evolve_async_flip, _flip_limits),
+)
+
+
+class AsyncSolution:
+    """Exact solution on the asynchronous branches, with the state imposed at finite t_ref.
+
+    The drive's amplitudes and chi, gamma and t_ref may be arrays of one
+    broadcast shape S, a stack of members such as the points of a scan; a
+    single drive is the S = () case.  Each member may lie on either branch.
+    The pair constants are built once, for all members of a branch together.
+    A member on neither branch, or off the parameter constraint on the flip
+    branch, raises ValueError naming the condition.
     """
 
     def __init__(self, params, gamma, state0, t_ref):
         state0 = as_state(state0)
-        sign = conserving_branch_sign(gamma)
-        self.conserving = sign is not None
-        if self.conserving:
-            self.pairs, build = _CONSERVING_PAIRS, conserving_constants
-        else:
-            sign = flip_branch_sign(gamma)
-            if sign is None:
-                raise _branch_error(gamma)
-            self.pairs, build = _FLIP_PAIRS, flip_constants
-        self.params = params
-        self.consts = {
-            kind: build(state0[list(idx)], kind, params, t_ref, sign)
-            for kind, idx in self.pairs.items()
-        }
+        gamma = coupling_values(gamma)
+        conserving, flip = branch_signs(gamma)
+        members = np.broadcast_arrays(
+            params.epsilon_amp, params.upsilon_amp, params.chi, gamma, t_ref, conserving, flip
+        )
+        self.shape = members[0].shape
+        eps, ups, chi, gamma, t_ref, conserving, flip = (np.ravel(x) for x in members)
+        off = np.flatnonzero((conserving == 0) & (flip == 0))
+        if off.size:
+            raise _branch_error(gamma[off[0]])
+        self.size = eps.size
+        # per branch: its members, their drive, pair constants, evolution and limits
+        self.branches = []
+        for (pairs, build, evolve, limits), on, signs in zip(
+            _BRANCHES, (conserving != 0, conserving == 0), (conserving, flip)
+        ):
+            idx = np.flatnonzero(on)
+            if idx.size:
+                sub = AsyncTanhSech(eps[idx], ups[idx], chi[idx])
+                consts = {
+                    kind: build(state0[list(pair)], kind, sub, t_ref[idx], signs[idx])
+                    for kind, pair in pairs.items()
+                }
+                self.branches.append((idx, pairs, sub, consts, evolve, limits))
 
     def states(self, times):
-        """Amplitudes at times (scalar -> shape (4,), array -> (..., 4))."""
-        times = np.asarray(times, dtype=float)
-        out = np.empty(times.shape + (4,), dtype=complex)
-        evolve = evolve_async_conserving if self.conserving else evolve_async_flip
-        for kind, idx in self.pairs.items():
-            pair = evolve(self.consts[kind], self.params, times)
-            out[..., idx[0]] = pair[..., 0]
-            out[..., idx[1]] = pair[..., 1]
-        return out
+        """Amplitudes at times, which broadcast against S (one member: T -> T + (4,))."""
+        t = np.asarray(times, dtype=float)
+        t = np.broadcast_to(t, np.broadcast_shapes(t.shape, self.shape))
+        lead = t.shape[: t.ndim - len(self.shape)]
+        t = t.reshape(lead + (self.size,))
+        out = np.empty(t.shape + (4,), dtype=complex)
+        for idx, pairs, sub, consts, evolve, _ in self.branches:
+            t_members = t[..., idx]
+            for kind, (i, j) in pairs.items():
+                pair = evolve(consts[kind], sub, t_members)
+                out[..., idx, i] = pair[..., 0]
+                out[..., idx, j] = pair[..., 1]
+        return out.reshape(lead + self.shape + (4,))
 
-    def asymptotes(self):
-        """PopulationSnapshots at t = -inf and t = +inf, exact from the constants.
+    def asymptotic_populations(self):
+        """P(-inf) and P(+inf) of every member, shape (2,) + S + (4,), exact from the constants.
 
         Conserving pairs keep their total and take the imbalance from the
         saturated phi_u.  Flip pairs exchange their populations across t = 0:
@@ -364,20 +427,12 @@ class AsyncSolution:
         (a2, a3) hold 2|plus|^2 at -inf and 2|minus|^2 at +inf, the other
         member the reverse.
         """
-        p_minus = np.empty(4)
-        p_plus = np.empty(4)
-        for kind, (i, j) in self.pairs.items():
-            c = self.consts[kind]
-            if self.conserving:
-                total = abs(c.plus) ** 2 + abs(c.minus) ** 2
-                for side, out in ((-1, p_minus), (+1, p_plus)):
-                    cross = -0.5 * conserving_asymptotic_imbalance(c, self.params, side)
-                    out[i] = total + cross
-                    out[j] = total - cross
-            else:
-                two_p = 2.0 * abs(c.plus) ** 2
-                two_m = 2.0 * abs(c.minus) ** 2
-                early, late = (two_p, two_m) if kind == "C" else (two_m, two_p)
-                p_minus[i], p_minus[j] = early, late
-                p_plus[i], p_plus[j] = late, early
-        return PopulationSnapshot(-math.inf, *p_minus), PopulationSnapshot(math.inf, *p_plus)
+        p = np.empty((2, self.size, 4))
+        for idx, pairs, sub, consts, _, limits in self.branches:
+            for kind, (i, j) in pairs.items():
+                p[:, idx, i], p[:, idx, j] = limits(consts[kind], sub)
+        return p.reshape((2,) + self.shape + (4,))
+
+    def asymptotes(self):
+        """PopulationSnapshots at t = -inf and t = +inf of a single member."""
+        return asymptote_snapshots(self.asymptotic_populations())

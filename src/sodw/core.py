@@ -39,6 +39,7 @@ __all__ = [
     "is_normalized",
     "hamiltonian_matrix",
     "populations",
+    "asymptote_snapshots",
     "imbalance",
 ]
 
@@ -62,9 +63,7 @@ class SOCoupling:
     cos_pg: float = field(init=False)
 
     def __post_init__(self):
-        g = float(self.gamma)
-        if not math.isfinite(g):
-            raise ValueError(f"gamma must be finite, got {g!r}")
+        g = float(coupling_values(self.gamma))
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "sin_pg", math.sin(math.pi * g))
         object.__setattr__(self, "cos_pg", math.cos(math.pi * g))
@@ -77,9 +76,22 @@ def as_coupling(gamma):
     return SOCoupling(float(gamma))
 
 
+def coupling_values(gamma):
+    """gamma as a float array (an SOCoupling gives its value); refused unless all finite."""
+    g = np.asarray(gamma.gamma if isinstance(gamma, SOCoupling) else gamma, dtype=float)
+    bad = g[~np.isfinite(g)]
+    if bad.size:
+        raise ValueError(f"gamma must be finite, got {float(bad[0])!r}")
+    return g
+
+
 @dataclass(frozen=True)
 class SyncSech2:
-    """Synchronous drive: upsilon(t) = V*sech^2(Omega*t), epsilon(t) = beta*upsilon(t)."""
+    """Synchronous drive: upsilon(t) = V*sech^2(Omega*t), epsilon(t) = beta*upsilon(t).
+
+    beta and V may be arrays of one shape: a stack of drives sharing Omega,
+    such as the points of a scan.
+    """
 
     beta: float
     V: float
@@ -104,14 +116,18 @@ class SyncSech2:
 
 @dataclass(frozen=True)
 class AsyncTanhSech:
-    """Asynchronous drive: upsilon(t) = upsilon*sech(chi*t), epsilon(t) = epsilon*tanh(chi*t)."""
+    """Asynchronous drive: upsilon(t) = upsilon*sech(chi*t), epsilon(t) = epsilon*tanh(chi*t).
+
+    epsilon_amp, upsilon_amp and chi may be arrays of one shape: a stack of
+    drives, such as the points of a scan.
+    """
 
     epsilon_amp: float
     upsilon_amp: float
     chi: float
 
     def __post_init__(self):
-        if not (self.chi > 0):
+        if not np.all(np.asarray(self.chi) > 0):
             raise ValueError(f"chi must be > 0, got {self.chi}")
 
     @staticmethod
@@ -237,27 +253,37 @@ def populations(state, t=0.0):
     return PopulationSnapshot(float(t), float(p[0]), float(p[1]), float(p[2]), float(p[3]))
 
 
-_WELL_KEYS = {"L", "R"}
+def asymptote_snapshots(p):
+    """PopulationSnapshots at t = -inf and t = +inf from the (2, 4) array (P(-inf), P(+inf))."""
+    early, late = np.asarray(p, dtype=float).tolist()
+    return PopulationSnapshot(-math.inf, *early), PopulationSnapshot(math.inf, *late)
 
 
-def _component(snap, key):
+def _component(p, key):
     if isinstance(key, str):
         k = key.upper()
         if k == "L":
-            return snap.PL
+            return p[..., 2] + p[..., 3]
         if k == "R":
-            return snap.PR
+            return p[..., 0] + p[..., 1]
         raise ValueError(f"imbalance index must be 1..4, 'L' or 'R', got {key!r}")
     k = int(key)
     if k not in (1, 2, 3, 4):
         raise ValueError(f"imbalance index must be 1..4, 'L' or 'R', got {key!r}")
-    return getattr(snap, f"P{k}")
+    return p[..., k - 1]
 
 
 def imbalance(snap, s, q):
-    """Population imbalance Z_sq = P_s - P_q; s and q in {1,2,3,4,'L','R'}, s != q."""
+    """Population imbalance Z_sq = P_s - P_q; s and q in {1,2,3,4,'L','R'}, s != q.
+
+    snap is a PopulationSnapshot (the result is a float) or an array with
+    the four populations on its last axis (the result drops that axis).
+    """
     ks = s.upper() if isinstance(s, str) else int(s)
     kq = q.upper() if isinstance(q, str) else int(q)
     if ks == kq:
         raise ValueError(f"imbalance requires distinct indices, got s={s!r}, q={q!r}")
-    return _component(snap, ks) - _component(snap, kq)
+    if isinstance(snap, PopulationSnapshot):
+        return float(_component(snap.pvec, ks) - _component(snap.pvec, kq))
+    p = np.asarray(snap, dtype=float)
+    return _component(p, ks) - _component(p, kq)

@@ -295,7 +295,12 @@ def _build_scan(fig_id, samples):
 
 
 def _build_surface(samples):
-    """Spin-flip solvability surface upsilon = sqrt(chi^2/4 + epsilon^2)."""
+    """Spin-flip solvability surface upsilon = sqrt(chi^2/4 + epsilon^2).
+
+    Refuses fewer than 2 samples per axis.
+    """
+    if samples < 2:
+        raise ValueError(f"a surface needs at least 2 samples per axis, got {samples}")
     chi_grid = np.linspace(0.0, 2.0, samples)
     eps_grid = np.linspace(0.0, 2.0, samples)
     rows = []

@@ -34,7 +34,6 @@ from dataclasses import astuple, dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import as_state, hamiltonian_matrix, populations
 
@@ -106,6 +105,17 @@ class TrajectoryRecord:
     @property
     def snapshots(self):
         return [self.snapshot(k) for k in range(self.times.size)]
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first use.
+
+    Importing scipy.integrate costs most of a second, and only the oracle
+    needs it, so closed-form work never pays for it.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _member_by_member(protocols):

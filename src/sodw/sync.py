@@ -28,9 +28,13 @@ coefficients are nevertheless obtained from the full 4x4 linear system, which
 stays correct whether or not that observation is trusted.
 
 When |sin(pi*gamma)| < 1e-9 the alpha/eta expressions are indeterminate; H_tau
-then decouples into the 2x2 blocks (a1,a3) and (a2,a4) and the engine builds
-the eigensystem from the blocks' closed-form eigenpairs instead (the
-csc-based constants are reported as NaN on that branch).
+then decouples into the 2x2 blocks (a1,a3) and (a2,a4), and those members take
+the blocks' closed-form eigenpairs instead (the csc-based constants are
+reported as NaN there).
+
+Every function works on a stack of members: beta, gamma and the pulse's V
+may be arrays, and each result gains their broadcast shape S in front of its
+own axes.  A single drive is the S = () case.
 """
 
 from __future__ import annotations
@@ -40,11 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIN_BRANCH_TOL, SOCoupling, as_coupling, as_state, populations
+from .core import SIN_BRANCH_TOL, as_state, asymptote_snapshots, coupling_values
 
 __all__ = [
     "EigenSystem",
-    "SuperpositionCoeffs",
     "SyncCondition",
     "eigen_sync",
     "tau_sech2",
@@ -59,28 +62,19 @@ __all__ = [
 class EigenSystem:
     """Characteristic values and vectors of the constant tau-frame matrix.
 
-    lam[m] and vec[m] (rows) satisfy H_tau vec[m] = lam[m] vec[m] with
-    lam[0] = -lam[1], lam[2] = -lam[3].  alpha/eta are the auxiliary
-    csc(pi*gamma) constants of the closed-form branch (NaN on the degenerate
-    branch, where they are not defined).
+    For members of shape S, lam has shape S + (4,) and vec S + (4, 4): the
+    rows vec[..., m, :] satisfy H_tau vec[..., m, :] = lam[..., m] vec[..., m, :]
+    with lam[..., 0] = -lam[..., 1] and lam[..., 2] = -lam[..., 3].
+    alpha/eta (shape S) are the auxiliary csc(pi*gamma) constants of the
+    closed-form branch, NaN on degenerate members, where they are not defined.
     """
 
     lam: np.ndarray
     vec: np.ndarray
-    alpha_minus: float
-    alpha_plus: float
-    eta_minus: float
-    eta_plus: float
-    beta: float
-    gamma: SOCoupling
-
-
-@dataclass(frozen=True)
-class SuperpositionCoeffs:
-    """Complex weights s[m] of the eigenvector expansion, anchored at tau0."""
-
-    s: np.ndarray
-    tau0: float
+    alpha_minus: np.ndarray
+    alpha_plus: np.ndarray
+    eta_minus: np.ndarray
+    eta_plus: np.ndarray
 
 
 def _csc_roots(base, radical, sin_pg):
@@ -89,100 +83,81 @@ def _csc_roots(base, radical, sin_pg):
     The two roots multiply to -1 (since radical^2 - base^2 = sin_pg^2), so the
     smaller-magnitude one is recovered from the stably computed larger one.
     """
-    if base >= 0.0:
-        plus = (base + radical) / sin_pg
-        minus = -1.0 / plus
-    else:
-        minus = (base - radical) / sin_pg
-        plus = -1.0 / minus
-    return minus, plus
+    nonneg = base >= 0.0
+    large = np.where(nonneg, base + radical, base - radical) / sin_pg
+    small = -1.0 / large
+    return np.where(nonneg, small, large), np.where(nonneg, large, small)
 
 
-def _pair_vector(x, second_half_sign):
-    """Normalized (1, x, s, s*(-x)) with s = +/-1 ... see eigen_sync."""
-    n = 1.0 / math.sqrt(2.0 + 2.0 * x * x)
-    if second_half_sign > 0:
-        return np.array([n, x * n, n, -x * n])
-    return np.array([n, x * n, -n, x * n])
+# eigenvectors of the decoupled blocks: (a1,a3) symmetric and antisymmetric,
+# then (a2,a4) symmetric and antisymmetric, with eigenvalues beta - c,
+# beta + c, -beta - c and -beta + c for c = cos(pi*gamma) = +/-1
+_BLOCK_VECTORS = np.array(
+    [[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, -1.0]]
+) / math.sqrt(2.0)
+
+# third component of each normalized (1, x, s, -s*x) vector, over the slots
+_PAIR_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 def eigen_sync(beta, gamma):
     """Eigen-decomposition of H_tau = hamiltonian_matrix(gamma, 1, beta).
 
-    Returns an EigenSystem with normalized vectors; routes to the decoupled
-    2x2-block construction when |sin(pi*gamma)| < 1e-9.
+    beta and gamma broadcast to the member shape S.  Returns an EigenSystem
+    with normalized vectors; members with |sin(pi*gamma)| < 1e-9 take the
+    decoupled 2x2-block eigenpairs.
     """
-    g = as_coupling(gamma)
-    beta = float(beta)
-    s = g.sin_pg
-
-    if abs(s) < SIN_BRANCH_TOL:
-        return _eigen_sync_degenerate(beta, g)
+    beta, gamma = np.broadcast_arrays(np.asarray(beta, dtype=float), coupling_values(gamma))
+    degenerate = np.abs(np.sin(np.pi * gamma)) < SIN_BRANCH_TOL
+    # degenerate members run the closed-form branch at gamma = 1/2, where it
+    # is well defined, and take the block eigenpairs below
+    g = np.where(degenerate, 0.5, gamma)
 
     # 1 -/+ cos(pi*gamma) as 2 sin^2 / 2 cos^2 of pi*gamma/2: near an integer
-    # gamma the direct difference loses every digit and r1 can round to 0
-    half = 0.5 * math.pi * g.gamma
-    one_minus_c = 2.0 * math.sin(half) ** 2
-    one_plus_c = 2.0 * math.cos(half) ** 2
-    d = 1.0 - beta
-    r1 = math.sqrt(d * d + 2.0 * beta * one_minus_c)
-    r2 = math.sqrt(d * d + 2.0 * beta * one_plus_c)
-    alpha_minus, alpha_plus = _csc_roots(d - one_minus_c, r1, s)
-    eta_minus, eta_plus = _csc_roots(one_plus_c - d, r2, s)
+    # gamma the direct difference loses every digit and r1 can round to 0.
+    # With d = 1 - |beta| both radicands are sums of non-negative terms,
+    # d^2 + 2|beta|(1 -/+ c) for beta >= 0; for beta < 0 the two swap roles.
+    half = 0.5 * np.pi * g
+    one_minus_c = 2.0 * np.sin(half) ** 2
+    one_plus_c = 2.0 * np.cos(half) ** 2
+    negative = beta < 0.0
+    sign = np.where(negative, -1.0, 1.0)
+    first = np.where(negative, one_plus_c, one_minus_c)
+    second = np.where(negative, one_minus_c, one_plus_c)
+    d = 1.0 - np.abs(beta)
+    r1 = np.sqrt(d * d + 2.0 * np.abs(beta) * first)
+    r2 = np.sqrt(d * d + 2.0 * np.abs(beta) * second)
+    sin_pg = np.sin(np.pi * g)
+    alpha_minus, alpha_plus = _csc_roots(sign * (d - first), r1, sin_pg)
+    eta_minus, eta_plus = _csc_roots(sign * (second - d), r2, sin_pg)
 
-    lam = np.array([-r1, r1, -r2, r2])
-    vec = np.stack(
+    lam = np.stack([-r1, r1, -r2, r2], axis=-1)
+    slopes = np.stack([alpha_minus, alpha_plus, eta_plus, eta_minus], axis=-1)
+    n = 1.0 / np.sqrt(2.0 + 2.0 * slopes * slopes)
+    vec = np.stack([n, slopes * n, _PAIR_SIGNS * n, -_PAIR_SIGNS * slopes * n], axis=-1)
+    if not degenerate.any():
+        return EigenSystem(lam, vec, alpha_minus, alpha_plus, eta_minus, eta_plus)
+
+    # degenerate members: the blocks' eigenpairs go to the lambda slots
+    # -|1 -/+ c*beta|, +|1 -/+ c*beta| so the slot formulas match the
+    # closed-form limits.  Slot 0 holds beta - c (the (a1,a3) symmetric
+    # vector) when beta <= c and c - beta ((a2,a4) antisymmetric) otherwise,
+    # slot 1 the other one; slots 2 and 3 likewise with beta + c and -beta - c.
+    c = np.where(np.cos(np.pi * gamma) > 0.0, 1.0, -1.0)
+    low = np.abs(1.0 - c * beta)
+    high = np.abs(1.0 + c * beta)
+    order = np.concatenate(
         [
-            _pair_vector(alpha_minus, +1),
-            _pair_vector(alpha_plus, +1),
-            _pair_vector(eta_plus, -1),
-            _pair_vector(eta_minus, -1),
-        ]
+            np.where((beta <= c)[..., None], (0, 3), (3, 0)),
+            np.where((beta <= -c)[..., None], (1, 2), (2, 1)),
+        ],
+        axis=-1,
     )
-    return EigenSystem(lam, vec, alpha_minus, alpha_plus, eta_minus, eta_plus, beta, g)
-
-
-_E13_PLUS = np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0)
-_E13_MINUS = np.array([1.0, 0.0, -1.0, 0.0]) / math.sqrt(2.0)
-_E24_PLUS = np.array([0.0, 1.0, 0.0, 1.0]) / math.sqrt(2.0)
-_E24_MINUS = np.array([0.0, 1.0, 0.0, -1.0]) / math.sqrt(2.0)
-
-
-def _eigen_sync_degenerate(beta, g):
-    """Eigensystem at cos(pi*gamma) = +/-1, where H_tau splits into 2x2 blocks.
-
-    The (a1,a3) block is [[beta, -c], [-c, beta]] and the (a2,a4) block is
-    [[-beta, -c], [-c, -beta]] with c = round(cos(pi*gamma)); their eigenpairs
-    are assigned to the lambda slots -|1 -/+ c*beta|, +|1 -/+ c*beta| so the
-    slot formulas match the closed-form branch limits.
-    """
-    c = 1.0 if g.cos_pg > 0 else -1.0
-    candidates = [
-        [beta - c, _E13_PLUS],
-        [beta + c, _E13_MINUS],
-        [-beta - c, _E24_PLUS],
-        [-beta + c, _E24_MINUS],
-    ]
-    targets = [
-        -abs(1.0 - c * beta),
-        abs(1.0 - c * beta),
-        -abs(1.0 + c * beta),
-        abs(1.0 + c * beta),
-    ]
-    used = [False] * 4
-    lam = np.empty(4)
-    vec = np.empty((4, 4))
-    for slot, target in enumerate(targets):
-        for k, (value, v) in enumerate(candidates):
-            if not used[k] and abs(value - target) <= 1e-12 * max(1.0, abs(target)):
-                used[k] = True
-                lam[slot] = target
-                vec[slot] = v
-                break
-        else:  # pragma: no cover - the multisets always coincide
-            raise AssertionError("degenerate-branch eigenvalue matching failed")
-    nan = float("nan")
-    return EigenSystem(lam, vec, nan, nan, nan, nan, beta, g)
+    lam = np.where(degenerate[..., None], np.stack([-low, low, -high, high], axis=-1), lam)
+    vec = np.where(degenerate[..., None, None], _BLOCK_VECTORS[order], vec)
+    csc = (alpha_minus, alpha_plus, eta_minus, eta_plus)
+    alpha_minus, alpha_plus, eta_minus, eta_plus = (np.where(degenerate, math.nan, x) for x in csc)
+    return EigenSystem(lam, vec, alpha_minus, alpha_plus, eta_minus, eta_plus)
 
 
 def tau_sech2(V, Omega, t):
@@ -193,26 +168,28 @@ def tau_sech2(V, Omega, t):
 
 
 def superposition_from_initial(eig, state0, tau0):
-    """Coefficients s with sum_m s_m vec[m] e^{-i lam_m tau0} = state0.
+    """Coefficients s with sum_m s_m vec[m] e^{-i lam_m tau0} = state0, shape S + (4,).
 
-    Solved as a full 4x4 linear system (robust at the beta=0 eigenvalue
-    degeneracy regardless of basis orthogonality).
+    tau0 broadcasts against the member shape.  Solved as full 4x4 linear
+    systems (robust at the beta=0 eigenvalue degeneracy regardless of basis
+    orthogonality), all members in one call.
     """
     state0 = as_state(state0)
-    tau0 = float(tau0)
-    basis = eig.vec.T * np.exp(-1j * eig.lam * tau0)
-    s = np.linalg.solve(basis, state0)
-    return SuperpositionCoeffs(s, tau0)
+    tau0 = np.asarray(tau0, dtype=float)
+    phases = np.exp(-1j * eig.lam * tau0[..., None])
+    basis = np.swapaxes(eig.vec, -1, -2) * phases[..., None, :]
+    return np.linalg.solve(basis, state0[:, None])[..., 0]
 
 
 def evolve_sync(eig, coeffs, tau):
-    """Amplitudes a_k(tau) = sum_m s_m vec[m]_k e^{-i lam_m tau}.
+    """Amplitudes a_k(tau) = sum_m s_m vec[m]_k e^{-i lam_m tau}, shape (...) + (4,).
 
-    tau may be a scalar (returns shape (4,)) or an array (returns (..., 4)).
+    tau broadcasts against the member shape; for a single member any tau
+    shape T gives T + (4,).
     """
     tau = np.asarray(tau, dtype=float)
-    phases = np.exp(-1j * np.multiply.outer(tau, eig.lam))
-    return (phases * coeffs.s) @ eig.vec
+    phases = np.exp(-1j * (tau[..., None] * eig.lam))
+    return ((phases * coeffs)[..., None, :] @ eig.vec)[..., 0, :]
 
 
 @dataclass(frozen=True)
@@ -255,27 +232,35 @@ def classify_sync_condition(beta, V, Omega, tol=1e-9):
 class SyncSolution:
     """Exact synchronous solution with the state imposed at t0.
 
-    The eigensystem and the superposition coefficients are built once.
-    t0 = -inf maps exactly to tau0 = -V/Omega, the saturated rescaled time.
+    The protocol's beta and V and gamma may be arrays of one broadcast shape
+    S, a stack of members such as the points of a scan; a single drive is the
+    S = () case.  The eigensystems and the superposition coefficients are
+    built once, every member in one pass.  t0 = -inf maps exactly to
+    tau0 = -V/Omega, the saturated rescaled time.
     """
 
     def __init__(self, protocol, gamma, state0, t0):
         self.protocol = protocol
-        self.tau_inf = protocol.V / protocol.Omega
+        tau_inf = np.divide(protocol.V, protocol.Omega)
         t0 = float(t0)
         if t0 == -math.inf:
-            tau0 = -self.tau_inf
+            tau0 = -tau_inf
         else:
-            tau0 = float(tau_sech2(protocol.V, protocol.Omega, t0))
+            tau0 = tau_sech2(protocol.V, protocol.Omega, t0)
         self.eig = eigen_sync(protocol.beta, gamma)
         self.coeffs = superposition_from_initial(self.eig, state0, tau0)
+        self.tau_inf = np.broadcast_to(tau_inf, self.coeffs.shape[:-1])
 
     def states(self, times):
-        """Amplitudes at times (scalar -> shape (4,), array -> (..., 4))."""
+        """Amplitudes at times, which broadcast against S (one member: T -> T + (4,))."""
         tau = tau_sech2(self.protocol.V, self.protocol.Omega, times)
         return evolve_sync(self.eig, self.coeffs, tau)
 
+    def asymptotic_populations(self):
+        """P(-inf) and P(+inf) of every member, shape (2,) + S + (4,)."""
+        ends = evolve_sync(self.eig, self.coeffs, np.stack([-self.tau_inf, self.tau_inf]))
+        return np.abs(ends) ** 2
+
     def asymptotes(self):
-        """PopulationSnapshots at t = -inf and t = +inf."""
-        ends = evolve_sync(self.eig, self.coeffs, np.array([-self.tau_inf, self.tau_inf]))
-        return populations(ends[0], -math.inf), populations(ends[1], math.inf)
+        """PopulationSnapshots at t = -inf and t = +inf of a single member."""
+        return asymptote_snapshots(self.asymptotic_populations())

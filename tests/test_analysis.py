@@ -329,3 +329,60 @@ def test_failed_oracle_batch_is_recorded_in_every_oracle_row(monkeypatch):
     for row in res.rows[1:3]:
         assert "step size too small" in row.error and math.isnan(row.values[0])
     assert res.rows[0].error is None and res.rows[3].error is None
+
+
+def _point_solution(swept, x, fixed, state0, epoch):
+    # one grid point built by hand, solved on its own
+    p = dict(fixed)
+    if swept == "V_over_Omega":
+        p["V"] = x * p["Omega"]
+    elif swept == "upsilon_over_chi":
+        p["upsilon"] = x * p["chi"]
+    else:
+        p[swept] = x
+    if "chi" in p:
+        protocol = AsyncTanhSech(p["epsilon"], p["upsilon"], p["chi"])
+    else:
+        protocol = SyncSech2(p["beta"], p["V"], p["Omega"])
+    return solve(protocol, p["gamma"], state0, epoch)
+
+
+_FLIP_FIXED = {"epsilon": 0.4, "upsilon": math.hypot(0.5, 0.4), "chi": 1.0}
+
+
+@pytest.mark.parametrize(
+    "swept,grid,fixed,epoch,engines",
+    [
+        # generic sync, negative splittings included
+        ("beta", np.linspace(-2.0, 3.0, 11), {"gamma": 0.37, "V": 1.3, "Omega": 0.8}, 0.0,
+         {ENGINE_SYNC}),
+        # integer gamma: every member on the degenerate mask
+        ("V_over_Omega", np.linspace(0.1, 3.0, 9), {"gamma": 1.0, "beta": 0.4, "Omega": 1.2},
+         -math.inf, {ENGINE_SYNC}),
+        # gamma = k +/- 1.01e-9 beside an integer gamma in one stack
+        ("gamma", [1.0 - 1.01e-9, 1.0 + 1.01e-9, 2.0 - 1.01e-9, 2.0, 2.0 + 1.01e-9],
+         {"beta": 0.7, "V": 1.1, "Omega": 1.0}, 0.0, {ENGINE_SYNC}),
+        ("upsilon_over_chi", np.linspace(0.0, 3.0, 13), {"gamma": 2.0, "epsilon": 0.4, "chi": 0.9},
+         -math.inf, {ENGINE_ASYNC}),
+        ("upsilon_over_chi", np.linspace(0.0, 3.0, 13), {"gamma": 1.0, "epsilon": 0.4, "chi": 0.9},
+         0.3, {ENGINE_ASYNC}),
+        ("gamma", [-0.5, 0.5, 1.5, 2.5], _FLIP_FIXED, -math.inf, {ENGINE_ASYNC}),
+        # conserving, flip and oracle rows in one sweep
+        ("gamma", np.linspace(0.0, 2.0, 9), _FLIP_FIXED, -math.inf,
+         {ENGINE_ASYNC, ENGINE_ORACLE}),
+    ],
+)
+def test_batched_scan_rows_match_single_solutions(swept, grid, fixed, epoch, engines):
+    rng = np.random.default_rng(46)
+    state0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    state0 /= np.linalg.norm(state0)
+    observables = ((3, 1), (4, 2), ("L", "R"))
+    res = run_scan(ScanSpec(swept, grid, fixed, state0, epoch, observables))
+    assert {row.engine for row in res.rows} == engines
+    for row in res.rows:
+        assert row.error is None
+        if row.engine == ENGINE_ORACLE:
+            continue
+        p_inf = _point_solution(swept, row.param, fixed, state0, epoch).asymptotes()[1]
+        single = [imbalance(p_inf, s, q) for s, q in observables]
+        assert np.max(np.abs(np.subtract(row.values, single))) <= 1e-14, row.param

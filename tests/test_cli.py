@@ -296,3 +296,28 @@ def test_trajectory_refuses_short_grid_and_bad_horizon(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "a trajectory needs at least 2 samples and a finite horizon > 0" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_surface_refuses_short_grid(samples, tmp_path, capsys):
+    assert main(["figure", "--id", "3c", "--grid", samples, "--out", str(tmp_path)]) == 2
+    assert "a surface needs at least 2 samples per axis" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb", ["import", "classify", "scan"])
+def test_closed_form_work_leaves_scipy_integrate_unimported(verb, tmp_path):
+    # the oracle's integrator import costs most of a second; only the oracle pays it
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("swept=beta\ngrid_n=5\ngamma=0.5\nV=1\nOmega=1\n")
+    argv = {
+        "import": None,
+        "classify": ["classify", "--V", "1.5", "--Omega", "1"],
+        "scan": ["scan", "--config", str(cfg), "--out", str(tmp_path / "out")],
+    }[verb]
+    code = "import sys\nimport sodw\n"
+    if argv is not None:
+        code += f"from sodw.cli import main\nassert main({argv!r}) == 0\n"
+    code += "assert 'scipy.integrate' not in sys.modules\n"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

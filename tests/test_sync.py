@@ -43,15 +43,25 @@ def test_eigensystem_matches_dense_solver():
 def test_eigensystem_near_integer_gamma():
     # 1 -/+ cos(pi*gamma) must keep its digits next to the branch gates:
     # computed as a plain difference it rounds to 0 and r1 divides by zero
+    # (for beta < 0 the two radicands swap roles)
     offsets = (1.01e-9, 1e-8, 1e-7, 1e-5, 1e-3, 0.1)
     betas = (0.0, 0.3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.001, 3.0)
-    for k in range(4):
-        for gamma in [k + sign * d for d in offsets for sign in (-1.0, 1.0)]:
-            for beta in betas:
-                eig = eigen_sync(beta, gamma)
-                h = _tau_hamiltonian(beta, gamma)
-                for lam, v in zip(eig.lam, eig.vec):
-                    assert np.linalg.norm(h @ v - lam * v) <= 1e-12, (beta, gamma)
+    betas += tuple(-beta for beta in betas[1:])
+    gammas = [k + sign * d for k in range(4) for d in offsets for sign in (-1.0, 1.0)]
+    gammas += [0.0, 1.0, 2.0, 3.0]
+    # every pair once in a single stacked call (integer gamma on the
+    # degenerate mask beside the closed-form members) and once on its own
+    beta_grid, gamma_grid = np.meshgrid(betas, gammas)
+    stacked = eigen_sync(beta_grid, gamma_grid)
+    assert stacked.lam.shape == beta_grid.shape + (4,)
+    assert stacked.vec.shape == beta_grid.shape + (4, 4)
+    for (i, j), beta in np.ndenumerate(beta_grid):
+        gamma = gamma_grid[i, j]
+        h = _tau_hamiltonian(beta, gamma)
+        eig = eigen_sync(beta, gamma)
+        for lams, vecs in ((eig.lam, eig.vec), (stacked.lam[i, j], stacked.vec[i, j])):
+            for lam, v in zip(lams, vecs):
+                assert np.linalg.norm(h @ v - lam * v) <= 1e-12, (beta, gamma)
 
 
 def test_eigenvectors_orthonormal():
@@ -128,7 +138,7 @@ def test_superposition_roundtrip_and_norm():
         eig = eigen_sync(beta, gamma)
         coeffs = superposition_from_initial(eig, state0, tau0)
         # orthonormal basis: the coefficient weights carry the full norm
-        assert abs(np.sum(np.abs(coeffs.s) ** 2) - 1.0) < 1e-12
+        assert abs(np.sum(np.abs(coeffs) ** 2) - 1.0) < 1e-12
         back = evolve_sync(eig, coeffs, tau0)
         assert np.linalg.norm(back - state0) < 1e-12
         taus = rng.uniform(-4.0, 4.0, size=7)
@@ -142,7 +152,7 @@ def test_equal_weight_coefficients_at_zero_splitting():
     # stationary vectors contribute (+, +, -, -) with weight 1/2 each
     eig = eigen_sync(0.0, 0.5)
     coeffs = superposition_from_initial(eig, (0, 0, 1, 0), 0.0)
-    assert_allclose(coeffs.s, [0.5, 0.5, -0.5, -0.5], atol=1e-12)
+    assert_allclose(coeffs, [0.5, 0.5, -0.5, -0.5], atol=1e-12)
 
 
 def test_detuned_endpoint_matches_two_level_formula():
