@@ -12,6 +12,11 @@ gate evaluated as a mask, and solves each engine's points together: the
 closed-form points of one engine in one array pass, the oracle points in one
 batch.
 
+The branch gate itself is asynchronous.gate; _engines turns its answer into
+an engine per member and a refusal text.  select_engine and off_branch_reason
+read it for one drive, and solve() raises the same text, so every entry point
+gives the same answer at the same (drive, gamma).
+
 solve() is the one entry point to the closed forms.  It also holds the one
 rule for a state given at t0 = -inf: the synchronous engine imposes it
 exactly at the saturated rescaled time tau0 = -V/Omega, and the asynchronous
@@ -28,7 +33,7 @@ import numpy as np
 
 from . import asynchronous as asyn
 from . import sync
-from .core import AsyncTanhSech, SyncSech2, as_coupling, as_state, imbalance
+from .core import AsyncTanhSech, SyncSech2, as_state, coupling_values, imbalance
 from .oracle import IntegratorConfig, integrate_batch
 
 __all__ = [
@@ -68,46 +73,30 @@ def default_horizon(protocol):
     raise ValueError("no default horizon for custom drive protocols")
 
 
-def select_engine(protocol, gamma, flip_tol=asyn.FLIP_CONSTRAINT_TOL):
+def select_engine(protocol, gamma):
     """Pick the analytic engine valid for (protocol, gamma), else the oracle."""
-    return _engines(protocol, gamma, flip_tol).item()
-
-
-def _engines(protocol, gamma, flip_tol=asyn.FLIP_CONSTRAINT_TOL):
-    """Engine name of every member of a (stacked) protocol: the branch gate as a mask.
-
-    On the asynchronous drive a gamma that is not finite is on neither branch.
-    """
-    if isinstance(protocol, SyncSech2):
-        shape = np.broadcast_shapes(np.shape(gamma), np.shape(protocol.beta), np.shape(protocol.V))
-        return np.full(shape, ENGINE_SYNC)
-    if isinstance(protocol, AsyncTanhSech):
-        conserving, flip = asyn.branch_signs(gamma)
-        residual = asyn.check_flip_constraint(
-            protocol.epsilon_amp, protocol.upsilon_amp, protocol.chi
-        )
-        exact = (conserving != 0) | ((flip != 0) & (np.abs(residual) <= flip_tol))
-        return np.where(exact, ENGINE_ASYNC, ENGINE_ORACLE)
-    return np.full(np.shape(gamma), ENGINE_ORACLE)
+    return _engines(protocol, coupling_values(gamma))[0].item()
 
 
 def off_branch_reason(protocol, gamma):
-    """Human-readable reason why no closed form applies."""
+    """Why no closed form applies at (protocol, gamma), or None where one does."""
+    return _engines(protocol, coupling_values(gamma))[1]
+
+
+def _engines(protocol, gamma):
+    """(engines, refusal) of a (stacked) protocol: the branch gate's answer per member.
+
+    engines holds the engine name of every member; refusal is the text for
+    the first member no closed form covers, or None.  On the asynchronous
+    drive a gamma that is not finite is on neither branch.
+    """
+    if isinstance(protocol, SyncSech2):
+        shape = np.broadcast_shapes(np.shape(gamma), np.shape(protocol.beta), np.shape(protocol.V))
+        return np.full(shape, ENGINE_SYNC), None
     if isinstance(protocol, AsyncTanhSech):
-        if asyn.flip_branch_sign(gamma) is not None:
-            residual = asyn.check_flip_constraint(
-                protocol.epsilon_amp, protocol.upsilon_amp, protocol.chi
-            )
-            return (
-                "flip-branch constraint chi^2/4 + epsilon^2 - upsilon^2 = 0 "
-                f"violated (residual {residual:.6g})"
-            )
-        return (
-            f"no closed form at gamma={float(gamma):g}: the drive needs "
-            "|sin(pi*gamma)| < 1e-9 (spin-conserving) or |cos(pi*gamma)| < 1e-9 "
-            "(spin-flipping)"
-        )
-    return "no closed form for this drive protocol"
+        conserving, flip, refusal = asyn.gate(protocol, gamma)
+        return np.where((conserving != 0) | (flip != 0), ENGINE_ASYNC, ENGINE_ORACLE), refusal
+    return np.full(np.shape(gamma), ENGINE_ORACLE), "no closed form for this drive protocol"
 
 
 @dataclass(frozen=True)
@@ -167,9 +156,6 @@ class ScanResult:
             v = row.values[bad[0][1]]
             raise ValueError(f"imbalance {v} at {self.spec.swept}={row.param} is unphysical")
 
-    def observable_column(self, k):
-        return np.array([row.values[k] for row in self.rows])
-
 
 def _point_setup(spec, x):
     """gamma and protocol at grid value x, or a stack of drives over an array of them."""
@@ -211,7 +197,7 @@ def run_scan(spec):
     try:
         gamma, protocol = _point_setup(spec, grid)
         gamma = np.broadcast_to(np.asarray(gamma, dtype=float), grid.shape)
-        engines = _engines(protocol, gamma)
+        engines = _engines(protocol, gamma)[0]
     except Exception as exc:
         engines = np.full(grid.shape, ENGINE_ORACLE)
         errors = [str(exc)] * grid.size
@@ -219,7 +205,7 @@ def run_scan(spec):
     finite = np.isfinite(gamma)
     for k in np.flatnonzero(~finite):
         try:
-            as_coupling(gamma[k])
+            coupling_values(gamma[k])
         except ValueError as exc:
             errors[k] = str(exc)
 
@@ -232,7 +218,7 @@ def run_scan(spec):
         if idx.size:
             try:
                 members_gamma, members = _point_setup(spec, grid[idx])
-                solution = _solution(engine, members, members_gamma, spec.state0, spec.epoch)
+                solution = solve(members, members_gamma, spec.state0, spec.epoch)
                 record(idx, solution.asymptotic_populations()[1])
             except Exception as exc:
                 for k in idx:
@@ -297,23 +283,19 @@ def asymptotic_extract(traj):
 def solve(protocol, gamma, state0, t0):
     """Closed-form solution with state0 imposed at t0 (finite or -inf).
 
-    Picks the engine once and builds the eigensystem (sync.SyncSolution) or
-    the pair constants (asynchronous.AsyncSolution) once; both offer
-    states(times) and asymptotes() -> (P(-inf), P(+inf)) as
-    PopulationSnapshots.  Raises ValueError when neither analytic engine
-    covers (protocol, gamma).
+    The drive type picks the solution class, which builds the eigensystem
+    (sync.SyncSolution) or gates the drive and builds the pair constants
+    (asynchronous.AsyncSolution) once; both offer states(times) and
+    asymptotes() -> (P(-inf), P(+inf)) as PopulationSnapshots.  The drive's
+    fields and gamma may be stacks of members.  Raises ValueError with the
+    gate's refusal text when no closed form covers (protocol, gamma).
     """
     t0 = float(t0)
     if not t0 < math.inf:
         raise ValueError(f"initial conditions need t0 finite or -inf, got {t0}")
-    return _solution(select_engine(protocol, gamma), protocol, gamma, state0, t0)
-
-
-def _solution(engine, protocol, gamma, state0, t0):
-    """The closed-form solution object for an engine already selected."""
-    if engine == ENGINE_SYNC:
+    if isinstance(protocol, SyncSech2):
         return sync.SyncSolution(protocol, gamma, state0, t0)
-    if engine == ENGINE_ASYNC:
+    if isinstance(protocol, AsyncTanhSech):
         t_ref = t0 if math.isfinite(t0) else -default_horizon(protocol)
         return asyn.AsyncSolution(protocol, gamma, state0, t_ref)
     raise ValueError(off_branch_reason(protocol, gamma))

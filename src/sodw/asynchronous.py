@@ -40,9 +40,12 @@ at any |t|; in particular the a2 form, whose textbook prefactor contains
 always cross over antisymmetrically on this branch:
 P1(-inf) = P4(+inf) = 2|C+|^2 and P4(-inf) = P1(+inf) = 2|C-|^2.
 
-A gamma counts as on a branch when the coupling component that branch's
-closed form drops is below 1e-9: |sin(pi*gamma)| on the conserving branch,
-|cos(pi*gamma)| on the flip branch.
+gate() is the one branch gate of this drive.  A gamma counts as on a branch
+when the coupling component that branch's closed form drops is below 1e-9:
+|sin(pi*gamma)| on the conserving branch, |cos(pi*gamma)| on the flip branch
+(core.branch_signs, the only test of gamma).  gate() adds the flip-branch
+constraint and returns the one refusal text for a drive that neither branch
+covers; AsyncSolution, the engine selection and the CLI all read it.
 
 Constants are always anchored at a finite reference time t_ref; the phase
 phi_e diverges at large |t| but only as a common phase, so populations and
@@ -60,15 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    SIN_BRANCH_TOL,
-    AsyncTanhSech,
-    SOCoupling,
-    as_coupling,
-    as_state,
-    asymptote_snapshots,
-    coupling_values,
-)
+from .core import AsyncTanhSech, as_state, asymptote_snapshots, branch_signs, coupling_values
 
 __all__ = [
     "PhasePair",
@@ -76,12 +71,9 @@ __all__ = [
     "AsyncConservingCondition",
     "AsyncSolution",
     "phase_integrals",
-    "branch_signs",
-    "conserving_branch_sign",
-    "flip_branch_sign",
+    "gate",
     "conserving_constants",
     "evolve_async_conserving",
-    "conserving_imbalance",
     "conserving_asymptotic_imbalance",
     "classify_async_conserving",
     "check_flip_constraint",
@@ -91,10 +83,6 @@ __all__ = [
 
 #: gating tolerance on the flip-branch parameter constraint chi^2/4 + eps^2 - ups^2
 FLIP_CONSTRAINT_TOL = 1e-9
-
-#: gating tolerance on the off-branch coupling component the closed forms drop:
-#: |sin(pi gamma)| on the conserving branch, |cos(pi gamma)| on the flip branch
-BRANCH_GATE_TOL = SIN_BRANCH_TOL
 
 _CONSERVING_PAIRS = {"A": (0, 2), "B": (1, 3)}
 _FLIP_PAIRS = {"C": (0, 3), "D": (1, 2)}
@@ -128,32 +116,6 @@ def phase_integrals(epsilon, upsilon, chi, t):
     phi_u = (2.0 * upsilon / chi) * np.arctan(np.tanh(0.5 * x))
     phi_e = (epsilon / chi) * _log_cosh(x)
     return PhasePair(phi_u, phi_e)
-
-
-def branch_signs(gamma):
-    """Coupling signs (conserving, flip) of every gamma: +/-1 on a branch, 0 off it.
-
-    conserving is the sign of cos(pi*gamma) where |sin(pi*gamma)| < 1e-9 and
-    flip the sign of sin(pi*gamma) where |cos(pi*gamma)| < 1e-9.  A gamma
-    that is not finite lies on neither branch.
-    """
-    g = np.asarray(gamma.gamma if isinstance(gamma, SOCoupling) else gamma, dtype=float)
-    # a gamma that is not finite is evaluated at 1/4, which is on neither branch
-    x = np.pi * np.where(np.isfinite(g), g, 0.25)
-    sin_pg, cos_pg = np.sin(x), np.cos(x)
-    conserving = np.where(np.abs(sin_pg) < BRANCH_GATE_TOL, np.copysign(1.0, cos_pg), 0.0)
-    flip = np.where(np.abs(cos_pg) < BRANCH_GATE_TOL, np.copysign(1.0, sin_pg), 0.0)
-    return conserving, flip
-
-
-def conserving_branch_sign(gamma):
-    """Sign of cos(pi*gamma) when |sin(pi*gamma)| < 1e-9, else None."""
-    return float(branch_signs(as_coupling(gamma))[0]) or None
-
-
-def flip_branch_sign(gamma):
-    """Sign of sin(pi*gamma) when |cos(pi*gamma)| < 1e-9, else None."""
-    return float(branch_signs(as_coupling(gamma))[1]) or None
 
 
 @dataclass(frozen=True)
@@ -218,13 +180,6 @@ def evolve_async_conserving(consts, params, t):
     return np.stack([common + split, common - split], axis=-1)
 
 
-def conserving_imbalance(consts, params, t):
-    """Imbalance (second minus first), e.g. Z31 for pair A: -4 Re(A+ conj(A-) e^{2i phi_u})."""
-    phases = phase_integrals(params.epsilon_amp, params.upsilon_amp, params.chi, t)
-    pu = consts.coupling_sign * phases.phi_u
-    return -4.0 * np.real(consts.plus * np.conj(consts.minus) * np.exp(2j * pu))
-
-
 def conserving_asymptotic_imbalance(consts, params, side):
     """Imbalance limit at t -> side*inf (side = +1 or -1), from the saturated phi_u."""
     pu_inf = side * consts.coupling_sign * 0.5 * math.pi * params.upsilon_amp / params.chi
@@ -270,15 +225,53 @@ def check_flip_constraint(epsilon, upsilon, chi):
     return 0.25 * chi * chi + epsilon * epsilon - upsilon * upsilon
 
 
+def _off_constraint(params):
+    """Flip-constraint residual of every member, and where it is not within tolerance (NaN too)."""
+    residual = np.asarray(check_flip_constraint(params.epsilon_amp, params.upsilon_amp, params.chi))
+    return residual, ~(np.abs(residual) <= FLIP_CONSTRAINT_TOL)
+
+
+def _constraint_refusal(residual):
+    return (
+        "flip-branch constraint chi^2/4 + epsilon^2 - upsilon^2 = 0 "
+        f"violated (residual {residual:.6g})"
+    )
+
+
 def _require_on_constraint(params):
-    residual = check_flip_constraint(params.epsilon_amp, params.upsilon_amp, params.chi)
-    bad = np.asarray(residual)[np.abs(residual) > FLIP_CONSTRAINT_TOL]
-    if bad.size:
-        raise ValueError(
-            "flip-branch constraint chi^2/4 + epsilon^2 - upsilon^2 = 0 violated "
-            f"(residual {bad[0]:.6g}); off-constraint parameters have no closed form, "
-            "use the numeric oracle"
-        )
+    residual, off = _off_constraint(params)
+    if off.any():
+        raise ValueError(_constraint_refusal(residual[off][0]))
+
+
+def gate(params, gamma):
+    """The branch gate over a stack of drives: (conserving, flip, refusal).
+
+    conserving and flip hold every member's coupling sign on that branch
+    (+/-1), or 0 where the member is not on it; a member on the flip angle
+    counts only when its drive meets the flip constraint within 1e-9.
+    refusal is the text for the first member that no closed form covers, or
+    None when every member is covered.
+    """
+    conserving, flip = branch_signs(gamma)
+    residual, off = _off_constraint(params)
+    conserving, flip, residual, off, gamma = np.broadcast_arrays(
+        conserving, flip, residual, off, gamma
+    )
+    refused = (flip != 0) & off
+    flip = np.where(refused, 0.0, flip)
+    missing = np.flatnonzero((conserving == 0) & (flip == 0))
+    if not missing.size:
+        return conserving, flip, None
+    k = missing[0]
+    if refused.flat[k]:
+        return conserving, flip, _constraint_refusal(residual.flat[k])
+    refusal = (
+        f"no closed form at gamma={float(gamma.flat[k]):g}: the drive needs "
+        "|sin(pi*gamma)| < 1e-9 (spin-conserving) or |cos(pi*gamma)| < 1e-9 "
+        "(spin-flipping)"
+    )
+    return conserving, flip, refusal
 
 
 def _sqrt_sech_exp(x, sign):
@@ -333,16 +326,6 @@ def evolve_async_flip(consts, params, t):
     return np.stack([first, second], axis=-1)
 
 
-def _branch_error(gamma):
-    g = as_coupling(gamma)
-    return ValueError(
-        f"gamma = {g.gamma:.6g} lies on neither exact asynchronous branch: "
-        f"spin conservation needs |sin(pi gamma)| < 1e-9 (got sin = {g.sin_pg:.3g}) and "
-        f"spin flipping needs |cos(pi gamma)| < 1e-9 (got cos = {g.cos_pg:.3g}); "
-        "use the numeric oracle"
-    )
-
-
 def _conserving_limits(consts, params):
     """Pair populations at (-inf, +inf): the total, split by the saturated imbalance."""
     total = np.abs(consts.plus) ** 2 + np.abs(consts.minus) ** 2
@@ -372,27 +355,25 @@ class AsyncSolution:
     broadcast shape S, a stack of members such as the points of a scan; a
     single drive is the S = () case.  Each member may lie on either branch.
     The pair constants are built once, for all members of a branch together.
-    A member on neither branch, or off the parameter constraint on the flip
-    branch, raises ValueError naming the condition.
+    When gate() refuses a member, the constructor raises ValueError with
+    the gate's refusal text.
     """
 
     def __init__(self, params, gamma, state0, t_ref):
         state0 = as_state(state0)
-        gamma = coupling_values(gamma)
-        conserving, flip = branch_signs(gamma)
+        conserving, flip, refusal = gate(params, coupling_values(gamma))
+        if refusal is not None:
+            raise ValueError(refusal)
         members = np.broadcast_arrays(
-            params.epsilon_amp, params.upsilon_amp, params.chi, gamma, t_ref, conserving, flip
+            params.epsilon_amp, params.upsilon_amp, params.chi, t_ref, conserving, flip
         )
         self.shape = members[0].shape
-        eps, ups, chi, gamma, t_ref, conserving, flip = (np.ravel(x) for x in members)
-        off = np.flatnonzero((conserving == 0) & (flip == 0))
-        if off.size:
-            raise _branch_error(gamma[off[0]])
+        eps, ups, chi, t_ref, conserving, flip = (np.ravel(x) for x in members)
         self.size = eps.size
         # per branch: its members, their drive, pair constants, evolution and limits
         self.branches = []
         for (pairs, build, evolve, limits), on, signs in zip(
-            _BRANCHES, (conserving != 0, conserving == 0), (conserving, flip)
+            _BRANCHES, (conserving != 0, flip != 0), (conserving, flip)
         ):
             idx = np.flatnonzero(on)
             if idx.size:

@@ -27,14 +27,7 @@ import sys
 import numpy as np
 
 from . import acceptance
-from .analysis import (
-    ENGINE_ORACLE,
-    ScanSpec,
-    default_horizon,
-    off_branch_reason,
-    select_engine,
-    solve,
-)
+from .analysis import ScanSpec, default_horizon, off_branch_reason, solve
 from .asynchronous import FLIP_CONSTRAINT_TOL, check_flip_constraint, classify_async_conserving
 from .core import AsyncTanhSech, SyncSech2, as_state
 from .figures import (
@@ -154,10 +147,10 @@ def _cmd_evolve(args):
     label = _setting(cfg, args, "label", "run")
 
     times = trajectory_times(epoch, horizon, grid_n)
-    on_branch = select_engine(protocol, gamma) != ENGINE_ORACLE
-    engine = args.engine or ("exact" if on_branch else "oracle")
-    if engine in ("exact", "both") and not on_branch:
-        print("cannot use the exact engine: " + off_branch_reason(protocol, gamma), file=sys.stderr)
+    reason = off_branch_reason(protocol, gamma)
+    engine = args.engine or ("exact" if reason is None else "oracle")
+    if engine in ("exact", "both") and reason is not None:
+        print("cannot use the exact engine: " + reason, file=sys.stderr)
         return 2
 
     params = protocol_meta(protocol)

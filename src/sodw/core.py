@@ -16,6 +16,13 @@ by :func:`hamiltonian_matrix` from the instantaneous Zeeman splitting
 spin-orbit coupling strength ``gamma`` (which enters only through sin(pi*gamma)
 and cos(pi*gamma)).
 
+Which closed form holds is decided in one place.  :func:`branch_signs` is the
+only test of gamma against the two coupling branches (|sin(pi*gamma)| < 1e-9
+or |cos(pi*gamma)| < 1e-9); the synchronous eigensystem takes its degenerate
+members from it, and ``asynchronous.gate`` adds the flip-branch parameter
+constraint and the refusal text to it.  SyncSech2 and AsyncTanhSech refuse
+every parameter that is not finite; CustomDrive values go unchecked.
+
 Everything here is dimensionless and immutable; all functions are pure and
 safe to call concurrently.
 """
@@ -23,66 +30,57 @@ safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SOCoupling",
-    "as_coupling",
     "SyncSech2",
     "AsyncTanhSech",
     "CustomDrive",
     "PopulationSnapshot",
     "as_state",
-    "norm2",
-    "is_normalized",
+    "branch_signs",
     "hamiltonian_matrix",
     "populations",
     "asymptote_snapshots",
     "imbalance",
 ]
 
-#: tolerance below which a state counts as normalized
-NORMALIZED_TOL = 1e-9
-
-#: branch threshold for singular-limit tests on sin(pi*gamma)
+#: branch threshold on |sin(pi*gamma)| and |cos(pi*gamma)|, used by branch_signs
 SIN_BRANCH_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SOCoupling:
-    """Effective spin-orbit coupling strength gamma.
-
-    sin(pi*gamma) and cos(pi*gamma) are precomputed once so that every module
-    branches on the same evaluation point.
-    """
-
-    gamma: float
-    sin_pg: float = field(init=False)
-    cos_pg: float = field(init=False)
-
-    def __post_init__(self):
-        g = float(coupling_values(self.gamma))
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "sin_pg", math.sin(math.pi * g))
-        object.__setattr__(self, "cos_pg", math.cos(math.pi * g))
-
-
-def as_coupling(gamma):
-    """Coerce a float (or SOCoupling) to an SOCoupling."""
-    if isinstance(gamma, SOCoupling):
-        return gamma
-    return SOCoupling(float(gamma))
+def _require_finite(name, value):
+    """value as a float array; refused unless every member is finite."""
+    v = np.asarray(value, dtype=float)
+    bad = v[~np.isfinite(v)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")
+    return v
 
 
 def coupling_values(gamma):
-    """gamma as a float array (an SOCoupling gives its value); refused unless all finite."""
-    g = np.asarray(gamma.gamma if isinstance(gamma, SOCoupling) else gamma, dtype=float)
-    bad = g[~np.isfinite(g)]
-    if bad.size:
-        raise ValueError(f"gamma must be finite, got {float(bad[0])!r}")
-    return g
+    """gamma as a float array; refused unless all finite."""
+    return _require_finite("gamma", gamma)
+
+
+def branch_signs(gamma):
+    """Coupling signs (conserving, flip) of every gamma: +/-1 on a branch, 0 off it.
+
+    This is the one test of gamma against the branches.  conserving is the
+    sign of cos(pi*gamma) where |sin(pi*gamma)| < 1e-9 (the coupling is
+    spin-conserving; the synchronous eigensystem decouples there) and flip
+    the sign of sin(pi*gamma) where |cos(pi*gamma)| < 1e-9.  A gamma that is
+    not finite lies on neither branch.
+    """
+    g = np.asarray(gamma, dtype=float)
+    # a gamma that is not finite is evaluated at 1/4, which is on neither branch
+    x = np.pi * np.where(np.isfinite(g), g, 0.25)
+    sin_pg, cos_pg = np.sin(x), np.cos(x)
+    conserving = np.where(np.abs(sin_pg) < SIN_BRANCH_TOL, np.copysign(1.0, cos_pg), 0.0)
+    flip = np.where(np.abs(cos_pg) < SIN_BRANCH_TOL, np.copysign(1.0, sin_pg), 0.0)
+    return conserving, flip
 
 
 @dataclass(frozen=True)
@@ -100,6 +98,8 @@ class SyncSech2:
     def __post_init__(self):
         if not (self.Omega > 0):
             raise ValueError(f"Omega must be > 0, got {self.Omega}")
+        for name, value in (("beta", self.beta), ("V", self.V), ("Omega", self.Omega)):
+            _require_finite(name, value)
 
     @staticmethod
     def drive_values(beta, V, Omega, t):
@@ -129,6 +129,9 @@ class AsyncTanhSech:
     def __post_init__(self):
         if not np.all(np.asarray(self.chi) > 0):
             raise ValueError(f"chi must be > 0, got {self.chi}")
+        fields = (("epsilon", self.epsilon_amp), ("upsilon", self.upsilon_amp), ("chi", self.chi))
+        for name, value in fields:
+            _require_finite(name, value)
 
     @staticmethod
     def drive_values(epsilon_amp, upsilon_amp, chi, t):
@@ -200,22 +203,12 @@ def as_state(amplitudes):
     return a
 
 
-def norm2(state):
-    """Squared norm |a1|^2 + |a2|^2 + |a3|^2 + |a4|^2."""
-    a = np.asarray(state)
-    return float(np.sum(np.abs(a) ** 2))
-
-
-def is_normalized(state, tol=NORMALIZED_TOL):
-    return abs(norm2(state) - 1.0) < tol
-
-
 def hamiltonian_matrix(gamma, upsilon_val, epsilon_val):
     """Coefficient matrix H of i*da/dt = H*a for instantaneous drive values.
 
     Parameters
     ----------
-    gamma : SOCoupling or float
+    gamma : float
         Spin-orbit coupling strength.
     upsilon_val, epsilon_val : float
         Instantaneous tunneling rate and Zeeman splitting.
@@ -227,15 +220,15 @@ def hamiltonian_matrix(gamma, upsilon_val, epsilon_val):
         H13 = H31 = -ups*cos(pi*gamma), H14 = H41 = -ups*sin(pi*gamma),
         H23 = H32 = +ups*sin(pi*gamma), H24 = H42 = -ups*cos(pi*gamma).
     """
-    g = as_coupling(gamma)
+    g = float(coupling_values(gamma))
     ups = float(upsilon_val)
     eps = float(epsilon_val)
     if not (math.isfinite(ups) and math.isfinite(eps)):
         raise ValueError(
             f"drive values must be finite, got upsilon={upsilon_val!r}, epsilon={epsilon_val!r}"
         )
-    uc = ups * g.cos_pg
-    us = ups * g.sin_pg
+    uc = ups * math.cos(math.pi * g)
+    us = ups * math.sin(math.pi * g)
     return np.array(
         [
             [eps, 0.0, -uc, -us],

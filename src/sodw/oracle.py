@@ -102,10 +102,6 @@ class TrajectoryRecord:
     def snapshot(self, k):
         return populations(self.states[k], self.times[k])
 
-    @property
-    def snapshots(self):
-        return [self.snapshot(k) for k in range(self.times.size)]
-
 
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported on first use.
@@ -255,7 +251,7 @@ def integrate(gamma, protocol, state0, cfg, sample_grid):
 
     Parameters
     ----------
-    gamma : SOCoupling or float
+    gamma : float
     protocol : object with upsilon(t)/epsilon(t)
     state0 : length-4 complex sequence, the state at cfg.t_start
     cfg : IntegratorConfig
@@ -278,18 +274,10 @@ def integrate(gamma, protocol, state0, cfg, sample_grid):
     return TrajectoryRecord(grid, states[:, 0], protocol, _solver_id(cfg))
 
 
-def compare_to_analytic(traj, analytic_eval, phase_mode="strict"):
+def compare_to_analytic(traj, analytic_eval):
     """Max amplitude-vector distance between a trajectory and an analytic solution.
 
-    analytic_eval maps a scalar time to a length-4 amplitude vector.  In
-    "global-phase-invariant" mode a single phase is first chosen to maximize
-    the overlap at the initial sample, then the strict distance is measured.
+    analytic_eval maps a scalar time to a length-4 amplitude vector.
     """
     ana = np.array([np.asarray(analytic_eval(t), dtype=complex) for t in traj.times])
-    if phase_mode == "global-phase-invariant":
-        overlap = np.vdot(ana[0], traj.states[0])
-        if abs(overlap) > 0:
-            ana = ana * (overlap / abs(overlap))
-    elif phase_mode != "strict":
-        raise ValueError(f"phase_mode must be 'strict' or 'global-phase-invariant', got {phase_mode!r}")
     return float(np.max(np.linalg.norm(traj.states - ana, axis=1)))

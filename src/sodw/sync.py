@@ -27,10 +27,11 @@ pair alpha_plus*alpha_minus = eta_plus*eta_minus = -1).  The superposition
 coefficients are nevertheless obtained from the full 4x4 linear system, which
 stays correct whether or not that observation is trusted.
 
-When |sin(pi*gamma)| < 1e-9 the alpha/eta expressions are indeterminate; H_tau
-then decouples into the 2x2 blocks (a1,a3) and (a2,a4), and those members take
-the blocks' closed-form eigenpairs instead (the csc-based constants are
-reported as NaN there).
+When |sin(pi*gamma)| < 1e-9 (core.branch_signs puts gamma on the conserving
+branch) the alpha/eta expressions are indeterminate; H_tau then decouples
+into the 2x2 blocks (a1,a3) and (a2,a4), and those members take the blocks'
+closed-form eigenpairs instead (the csc-based constants are reported as NaN
+there).
 
 Every function works on a stack of members: beta, gamma and the pulse's V
 may be arrays, and each result gains their broadcast shape S in front of its
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIN_BRANCH_TOL, as_state, asymptote_snapshots, coupling_values
+from .core import as_state, asymptote_snapshots, branch_signs, coupling_values
 
 __all__ = [
     "EigenSystem",
@@ -108,7 +109,9 @@ def eigen_sync(beta, gamma):
     decoupled 2x2-block eigenpairs.
     """
     beta, gamma = np.broadcast_arrays(np.asarray(beta, dtype=float), coupling_values(gamma))
-    degenerate = np.abs(np.sin(np.pi * gamma)) < SIN_BRANCH_TOL
+    # c = cos(pi*gamma) = +/-1 on the degenerate members, 0 elsewhere
+    c = branch_signs(gamma)[0]
+    degenerate = c != 0.0
     # degenerate members run the closed-form branch at gamma = 1/2, where it
     # is well defined, and take the block eigenpairs below
     g = np.where(degenerate, 0.5, gamma)
@@ -143,7 +146,6 @@ def eigen_sync(beta, gamma):
     # closed-form limits.  Slot 0 holds beta - c (the (a1,a3) symmetric
     # vector) when beta <= c and c - beta ((a2,a4) antisymmetric) otherwise,
     # slot 1 the other one; slots 2 and 3 likewise with beta + c and -beta - c.
-    c = np.where(np.cos(np.pi * gamma) > 0.0, 1.0, -1.0)
     low = np.abs(1.0 - c * beta)
     high = np.abs(1.0 + c * beta)
     order = np.concatenate(

@@ -25,6 +25,7 @@ from sodw.analysis import (
     count_peaks,
     default_horizon,
 )
+from sodw.asynchronous import AsyncSolution
 from sodw.core import CustomDrive, imbalance
 
 _E3 = (0, 0, 1, 0)
@@ -32,6 +33,10 @@ _E3 = (0, 0, 1, 0)
 
 def _flip_params(epsilon, chi):
     return AsyncTanhSech(epsilon, math.hypot(0.5 * chi, epsilon), chi)
+
+
+def _column(res, k):
+    return np.array([row.values[k] for row in res.rows])
 
 
 def test_default_horizon():
@@ -100,7 +105,7 @@ def test_pulse_area_scan_alternates_return_and_inversion():
         observables=((3, 1),),
     )
     res = run_scan(spec)
-    assert_allclose(res.observable_column(0), [-1.0, 1.0, -1.0, 1.0], atol=1e-9)
+    assert_allclose(_column(res, 0), [-1.0, 1.0, -1.0, 1.0], atol=1e-9)
 
 
 def test_angle_scan_sum_rule():
@@ -114,7 +119,7 @@ def test_angle_scan_sum_rule():
         epoch=0.0,
     )
     res = run_scan(spec)
-    total = res.observable_column(0) + res.observable_column(1)
+    total = _column(res, 0) + _column(res, 1)
     assert_allclose(total, -1.0, atol=1e-9)
 
 
@@ -130,7 +135,7 @@ def test_angle_scan_routes_async_branches():
     engines = [row.engine for row in res.rows]
     assert engines == [ENGINE_ASYNC, ENGINE_ASYNC, ENGINE_ASYNC, ENGINE_ORACLE]
     assert all(row.error is None for row in res.rows)
-    assert np.all(np.abs(res.observable_column(0)) <= 1.0 + 1e-9)
+    assert np.all(np.abs(_column(res, 0)) <= 1.0 + 1e-9)
 
 
 def test_pulse_ratio_scan_conserving_conditions():
@@ -143,7 +148,7 @@ def test_pulse_ratio_scan_conserving_conditions():
         observables=((3, 1),),
     )
     res = run_scan(spec)
-    z = res.observable_column(0)
+    z = _column(res, 0)
     # integer ratio returns the start value, half-integer inverts it
     assert abs(z[0] - 1.0) < 1e-9
     assert abs(z[1] + 1.0) < 1e-9
@@ -386,3 +391,67 @@ def test_batched_scan_rows_match_single_solutions(swept, grid, fixed, epoch, eng
         p_inf = _point_solution(swept, row.param, fixed, state0, epoch).asymptotes()[1]
         single = [imbalance(p_inf, s, q) for s, q in observables]
         assert np.max(np.abs(np.subtract(row.values, single))) <= 1e-14, row.param
+
+
+@pytest.mark.parametrize(
+    "swept,fixed",
+    [
+        ("beta", {"gamma": 0.5, "V": math.nan, "Omega": 1.0}),
+        ("upsilon_over_chi", {"gamma": 2.0, "epsilon": math.nan, "chi": 1.0}),
+    ],
+)
+def test_scan_with_nonfinite_fixed_value_fails_every_row(swept, fixed):
+    # the closed forms used to fill such a scan with NaN rows, which the
+    # |Z| <= 1 check then refused for the whole scan
+    res = run_scan(ScanSpec(swept, [0.0, 0.5, 1.0], fixed, _E3))
+    assert len(res.rows) == 3
+    for row in res.rows:
+        assert "must be finite" in row.error
+        assert all(math.isnan(v) for v in row.values)
+
+
+_CONSERVING = AsyncTanhSech(0.3, 1.0, 1.0)
+# flip drives with constraint residual 0, about 1e-8 and -1.84
+_FLIP_DRIVES = (
+    AsyncTanhSech(math.sqrt(0.21), 0.5, 0.4),
+    AsyncTanhSech(0.4, math.sqrt(0.41 - 1e-8), 1.0),
+    AsyncTanhSech(0.4, 1.5, 1.0),
+)
+_GATE_CASES = (
+    [pytest.param(SyncSech2(0.5, 1.2, 1.0), 0.3, id="sync")]
+    + [
+        pytest.param(_CONSERVING, center + offset, id=f"conserving-{center + offset!r}")
+        for center in (0.0, 1.0, 2.0)
+        for offset in (0.0, -1e-10, 1e-10, -1e-6, 1e-6)
+    ]
+    + [
+        pytest.param(drive, gamma, id=f"flip-{gamma}-residual{k}")
+        for gamma in (0.5, 1.5)
+        for k, drive in enumerate(_FLIP_DRIVES)
+    ]
+    + [pytest.param(_CONSERVING, 0.3, id="neither-0.3")]
+)
+
+
+@pytest.mark.parametrize("protocol,gamma", _GATE_CASES)
+def test_every_entry_point_gives_the_gates_answer(protocol, gamma):
+    engine = select_engine(protocol, gamma)
+    reason = off_branch_reason(protocol, gamma)
+    try:
+        solve(protocol, gamma, _E3, 0.0)
+        refusal = None
+    except ValueError as exc:
+        refusal = str(exc)
+    assert (engine == ENGINE_ORACLE) == (reason is not None) == (refusal is not None)
+    if refusal is not None:
+        assert refusal == reason
+        with pytest.raises(ValueError) as direct:
+            AsyncSolution(protocol, gamma, _E3, 0.0)
+        assert str(direct.value) == reason
+    if isinstance(protocol, SyncSech2):
+        fixed = {"beta": protocol.beta, "V": protocol.V, "Omega": protocol.Omega}
+    else:
+        fixed = {"epsilon": protocol.epsilon_amp, "upsilon": protocol.upsilon_amp,
+                 "chi": protocol.chi}
+    (row,) = run_scan(ScanSpec("gamma", [gamma], fixed, _E3)).rows
+    assert row.engine == engine and row.error is None

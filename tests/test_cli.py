@@ -321,3 +321,19 @@ def test_closed_form_work_leaves_scipy_integrate_unimported(verb, tmp_path):
     code += "assert 'scipy.integrate' not in sys.modules\n"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--protocol", "sync", "--gamma", "0.5", "--beta", "nan"],
+        ["--protocol", "sync", "--gamma", "0.5", "--V", "inf"],
+        ["--protocol", "async", "--gamma", "2", "--epsilon", "nan"],
+        ["--protocol", "async", "--gamma", "2", "--upsilon", "inf"],
+    ],
+)
+def test_evolve_refuses_nonfinite_drive(argv, tmp_path, capsys):
+    # the exact engine used to write an all-NaN trajectory and exit 0
+    assert main(["evolve", *argv, "--engine", "exact", "--out", str(tmp_path)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,6 @@
 """Every demo script and the README quickstart run to their end against the current API."""
 
+import importlib
 import pathlib
 import re
 import runpy
@@ -26,3 +27,15 @@ def test_readme_quickstart_runs(capsys):
     (block,) = re.findall(r"```python\n(.*?)```", (_ROOT / "README.md").read_text(), re.S)
     exec(compile(block, "README.md", "exec"), {"__name__": "__main__"})
     assert capsys.readouterr().out.strip()
+
+
+_MODULES = ("core", "sync", "asynchronous", "oracle", "analysis", "figures", "acceptance", "cli")
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_every_name_in_all_resolves(name):
+    # tools that walk a module's public surface look each __all__ name up,
+    # so a name left there after its definition is gone breaks them
+    module = importlib.import_module(f"sodw.{name}")
+    names = getattr(module, "__all__", ())
+    assert [n for n in names if not hasattr(module, n)] == []

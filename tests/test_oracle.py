@@ -107,7 +107,6 @@ def test_trajectory_record_accessors():
     assert rec.population_array.shape == (3, 4)
     snap = rec.snapshot(2)
     assert snap.t == 2.0 and snap.P4 == pytest.approx(0.64)
-    assert len(rec.snapshots) == 3
     with pytest.raises(ValueError, match="strictly increasing"):
         TrajectoryRecord(times[::-1], states, None, "unit")
     with pytest.raises(ValueError, match="shape"):
@@ -122,9 +121,6 @@ def test_compare_modes():
     assert compare_to_analytic(rec, same) == 0.0
     shifted = lambda t: states[0] * np.exp(0.3j)
     assert compare_to_analytic(rec, shifted) > 0.1
-    assert compare_to_analytic(rec, shifted, "global-phase-invariant") < 1e-15
-    with pytest.raises(ValueError, match="phase_mode"):
-        compare_to_analytic(rec, same, "loose")
 
 
 def _random_state(rng):
