@@ -43,8 +43,8 @@ def flip_branch():
     print("\nspin-flipping branch, gamma = 1/2:")
     print(f"  constraint residual chi^2/4 + eps^2 - ups^2 = {check_flip_constraint(eps, ups, chi):.2e}")
     early, late = solve(params, 0.5, (1, 0, 0, 0), -25.0).asymptotes()
-    print(f"  P1: {early.P1:.4f} -> {late.P1:.4f}")
-    print(f"  P4: {early.P4:.4f} -> {late.P4:.4f}")
+    print(f"  P1: {early[0]:.4f} -> {late[0]:.4f}")
+    print(f"  P4: {early[3]:.4f} -> {late[3]:.4f}")
 
     off = AsyncTanhSech(eps, 1.5, chi)
     print("off the constraint surface:")

@@ -34,8 +34,7 @@ def random_state():
 
 def endpoints(protocol, gamma, t0):
     # impose a random state at t0, read the populations in the far past and future
-    early, late = solve(protocol, gamma, random_state(), t0).asymptotes()
-    return early.pvec, late.pvec
+    return solve(protocol, gamma, random_state(), t0).asymptotes()
 
 
 def show_sync(beta, V, Omega, gamma):

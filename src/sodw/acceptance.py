@@ -103,8 +103,8 @@ def _criterion_06():
 
 def _criterion_07():
     p = solve(SyncSech2(0.0, math.pi / 4, 1.0), 0.25, IC_THIRD, -math.inf).asymptotes()[1]
-    gap = max(abs(p.P1 - 0.5), abs(p.P2 - 0.5))
-    return gap < 1e-6, f"P1={p.P1:.8f}, P2={p.P2:.8f} (want 0.5 each; off by {gap:.2e}, <1e-6)"
+    gap = max(abs(p[0] - 0.5), abs(p[1] - 0.5))
+    return gap < 1e-6, f"P1={p[0]:.8f}, P2={p[1]:.8f} (want 0.5 each; off by {gap:.2e}, <1e-6)"
 
 
 def _criterion_08():
@@ -152,7 +152,7 @@ def _criterion_10():
         z41 = p[:, 3] - p[:, 0]
         worst_sym = max(worst_sym, abs(z41[1] + z41[0]))
         p_inf = solution.asymptotes()[1]
-        worst_asym = max(worst_asym, abs(p[1, 3] - p_inf.P4), abs(p[1, 0] - p_inf.P1))
+        worst_asym = max(worst_asym, abs(p[1, 3] - p_inf[3]), abs(p[1, 0] - p_inf[0]))
     ok = worst_sym < 1e-6 and worst_asym < 1e-6
     return ok, (
         f"max |Z41(+T)+Z41(-T)| = {worst_sym:.2e}; "

@@ -17,9 +17,14 @@ an engine per member and a refusal text.  select_engine and off_branch_reason
 read it for one drive, and solve() raises the same text, so every entry point
 gives the same answer at the same (drive, gamma).
 
-solve() is the one entry point to the closed forms.  It also holds the one
-rule for a state given at t0 = -inf: the synchronous engine imposes it
-exactly at the saturated rescaled time tau0 = -V/Omega, and the asynchronous
+solve() is the one entry point to the closed forms.  Each engine is only
+what differs between the drives: sync.modes and asynchronous.modes gate the
+drive once and return its mode basis B(t), with a(t) = B(t) c, and limit
+matrices L-/+, with P(-/+inf) = |L-/+ c|^2.  Solution fixes c from the
+initial state and serves every engine alike; populations are plain arrays
+with the four levels on their last axis.  solve() also holds the one rule
+for a state given at t0 = -inf: the synchronous engine imposes it exactly,
+at B(-inf) (the rescaled time saturates at -V/Omega), and the asynchronous
 branches impose it at t = -default_horizon(protocol).
 """
 
@@ -50,6 +55,7 @@ __all__ = [
     "select_engine",
     "off_branch_reason",
     "default_horizon",
+    "Solution",
     "solve",
 ]
 
@@ -147,15 +153,6 @@ class ScanResult:
     spec: ScanSpec
     rows: tuple
 
-    def __post_init__(self):
-        solved = [row for row in self.rows if row.error is None]
-        values = np.array([row.values for row in solved], dtype=float)
-        bad = np.argwhere(~(np.abs(values) <= 1.0 + 1e-9))
-        if bad.size:
-            row = solved[bad[0][0]]
-            v = row.values[bad[0][1]]
-            raise ValueError(f"imbalance {v} at {self.spec.swept}={row.param} is unphysical")
-
 
 def _point_setup(spec, x):
     """gamma and protocol at grid value x, or a stack of drives over an array of them."""
@@ -219,7 +216,7 @@ def run_scan(spec):
             try:
                 members_gamma, members = _point_setup(spec, grid[idx])
                 solution = solve(members, members_gamma, spec.state0, spec.epoch)
-                record(idx, solution.asymptotic_populations()[1])
+                record(idx, solution.asymptotes()[1])
             except Exception as exc:
                 for k in idx:
                     errors[k] = str(exc)
@@ -236,7 +233,14 @@ def run_scan(spec):
 
 
 def _scan_result(spec, values, engines, errors):
-    values[[error is not None for error in errors]] = math.nan
+    """The rows of a scan; refuses a solved row with |Z| > 1 + 1e-9."""
+    failed = np.array([error is not None for error in errors], dtype=bool)
+    values[failed] = math.nan
+    bad = np.argwhere(~(np.abs(values) <= 1.0 + 1e-9) & ~failed[:, None])
+    if bad.size:
+        k, j = bad[0]
+        v, x = float(values[k, j]), float(spec.grid[k])
+        raise ValueError(f"imbalance {v} at {spec.swept}={x} is unphysical")
     rows = map(ScanRow, spec.grid.tolist(), map(tuple, values.tolist()), engines.tolist(), errors)
     return ScanResult(spec, tuple(rows))
 
@@ -267,35 +271,54 @@ def count_peaks(times, values, window, prominence):
 
 
 def asymptotic_extract(traj):
-    """Snapshots at the first and last sample plus a settled flag.
+    """Populations at the first and last sample, shape (4,) each, plus a settled flag.
 
     settled is true iff every population varies by less than 1e-7 over the
     final 10% of the horizon.
     """
-    first = traj.snapshot(0)
-    last = traj.snapshot(traj.times.size - 1)
+    p = traj.population_array
     t0, t1 = traj.times[0], traj.times[-1]
-    tail = traj.population_array[traj.times >= t1 - 0.1 * (t1 - t0)]
+    tail = p[traj.times >= t1 - 0.1 * (t1 - t0)]
     settled = bool(np.all(tail.max(axis=0) - tail.min(axis=0) < SETTLE_TOL))
-    return first, last, settled
+    return p[0], p[-1], settled
+
+
+class Solution:
+    """Closed-form solution a(t) = basis(t) @ coeffs with state0 imposed at finite t0.
+
+    basis and limits are an engine's modes(): basis(t) of shape S + (4, 4)
+    over members of shape S, limits of shape (2,) + S + (4, 4).  The
+    coefficients solve basis(t0) @ coeffs = state0 for every member at once.
+    """
+
+    def __init__(self, basis, limits, state0, t0):
+        self.basis = basis
+        self.limits = limits
+        self.coeffs = np.linalg.solve(basis(t0), as_state(state0)[:, None])[..., 0]
+
+    def states(self, times):
+        """Amplitudes at times, which broadcast against S (one member: T -> T + (4,))."""
+        return (self.basis(times) @ self.coeffs[..., None])[..., 0]
+
+    def asymptotes(self):
+        """Populations P(-inf) and P(+inf) of every member, shape (2,) + S + (4,)."""
+        return np.abs((self.limits @ self.coeffs[..., None])[..., 0]) ** 2
 
 
 def solve(protocol, gamma, state0, t0):
-    """Closed-form solution with state0 imposed at t0 (finite or -inf).
+    """Closed-form Solution with state0 imposed at t0 (finite or -inf).
 
-    The drive type picks the solution class, which builds the eigensystem
-    (sync.SyncSolution) or gates the drive and builds the pair constants
-    (asynchronous.AsyncSolution) once; both offer states(times) and
-    asymptotes() -> (P(-inf), P(+inf)) as PopulationSnapshots.  The drive's
-    fields and gamma may be stacks of members.  Raises ValueError with the
-    gate's refusal text when no closed form covers (protocol, gamma).
+    The drive type picks the engine, whose modes() gate the drive and build
+    its basis once.  The drive's fields and gamma may be stacks of members.
+    Raises ValueError with the gate's refusal text when no closed form covers
+    (protocol, gamma).
     """
     t0 = float(t0)
     if not t0 < math.inf:
         raise ValueError(f"initial conditions need t0 finite or -inf, got {t0}")
     if isinstance(protocol, SyncSech2):
-        return sync.SyncSolution(protocol, gamma, state0, t0)
+        return Solution(*sync.modes(protocol, gamma), state0, t0)
     if isinstance(protocol, AsyncTanhSech):
         t_ref = t0 if math.isfinite(t0) else -default_horizon(protocol)
-        return asyn.AsyncSolution(protocol, gamma, state0, t_ref)
+        return Solution(*asyn.modes(protocol, gamma), state0, t_ref)
     raise ValueError(off_branch_reason(protocol, gamma))

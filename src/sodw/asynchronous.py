@@ -35,7 +35,7 @@ and read (C pair; the D pair is analogous)
 Every sqrt(sech(chi t))*e^{+/-chi t/2} product is computed through the
 analytically reduced grouping sqrt(2)*e^{(s*x-|x|)/2}/sqrt(1+e^{-2|x|})
 (s = +/-1, x = chi t), whose exponent is never positive, so nothing overflows
-at any |t|; in particular the a2 form, whose textbook prefactor contains
+at any finite t; in particular the a2 form, whose textbook prefactor contains
 1/sqrt(sech), is evaluated only in this reduced bounded form.  Populations
 always cross over antisymmetrically on this branch:
 P1(-inf) = P4(+inf) = 2|C+|^2 and P4(-inf) = P1(+inf) = 2|C-|^2.
@@ -45,15 +45,17 @@ when the coupling component that branch's closed form drops is below 1e-9:
 |sin(pi*gamma)| on the conserving branch, |cos(pi*gamma)| on the flip branch
 (core.branch_signs, the only test of gamma).  gate() adds the flip-branch
 constraint and returns the one refusal text for a drive that neither branch
-covers; AsyncSolution, the engine selection and the CLI all read it.
+covers; modes(), the engine selection and the CLI all read it.
 
-Constants are always anchored at a finite reference time t_ref; the phase
-phi_e diverges at large |t| but only as a common phase, so populations and
-imbalances never depend on it.
+modes() holds both branches in one form: a basis B(t) of the mode functions
+with a(t) = B(t) c for the four pair constants c, and limit matrices L-/+
+with P(-/+inf) = |L-/+ c|^2.  The phase phi_e diverges at large |t| but only
+as a phase common to a pair, so populations and imbalances never depend on
+it, and the limits leave it out.
 
-Every function works on a stack of members: the drive amplitudes, chi, the
-pair amplitudes, t_ref and the coupling sign may be arrays that broadcast
-against each other (and against t), such as the points of a scan.
+Every function works on a stack of members: the drive amplitudes, chi and
+gamma may be arrays that broadcast against each other (and against t), such
+as the points of a scan.
 """
 
 from __future__ import annotations
@@ -63,29 +65,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AsyncTanhSech, as_state, asymptote_snapshots, branch_signs, coupling_values
+from .core import CONDITION_TOL, branch_signs, coupling_values
 
 __all__ = [
     "PhasePair",
-    "AsyncBranchConstants",
     "AsyncConservingCondition",
-    "AsyncSolution",
     "phase_integrals",
     "gate",
-    "conserving_constants",
-    "evolve_async_conserving",
-    "conserving_asymptotic_imbalance",
+    "modes",
     "classify_async_conserving",
     "check_flip_constraint",
-    "flip_constants",
-    "evolve_async_flip",
 ]
 
 #: gating tolerance on the flip-branch parameter constraint chi^2/4 + eps^2 - ups^2
 FLIP_CONSTRAINT_TOL = 1e-9
 
-_CONSERVING_PAIRS = {"A": (0, 2), "B": (1, 3)}
-_FLIP_PAIRS = {"C": (0, 3), "D": (1, 2)}
+# amplitude indices of each branch's two pairs: A (a1, a3) and B (a2, a4)
+# conserve spin, C (a1, a4) and D (a2, a3) flip it
+_CONSERVING_PAIRS = ((0, 2), (1, 3))
+_FLIP_PAIRS = ((0, 3), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -119,74 +117,6 @@ def phase_integrals(epsilon, upsilon, chi, t):
 
 
 @dataclass(frozen=True)
-class AsyncBranchConstants:
-    """Complex pair of superposition constants fixing one exact branch solution.
-
-    kind "A"/"B" are the conserving pairs (a1,a3)/(a2,a4); "C"/"D" the flip
-    pairs (a1,a4)/(a2,a3).  coupling_sign carries the sign of the effective
-    coupling (cos(pi*gamma) for conserving, sin(pi*gamma) for flip, rounded
-    to +/-1) so evolution uses the same convention the constants were built
-    with.  plus, minus, t_ref and coupling_sign may be arrays over members.
-    """
-
-    kind: str
-    plus: complex | np.ndarray
-    minus: complex | np.ndarray
-    t_ref: float | np.ndarray
-    coupling_sign: float | np.ndarray = 1.0
-
-
-def _require_finite_t_ref(t_ref):
-    t_ref = np.asarray(t_ref, dtype=float)
-    bad = t_ref[~np.isfinite(t_ref)]
-    if bad.size:
-        raise ValueError(f"constants must be anchored at finite t_ref, got {float(bad[0])}")
-    return t_ref
-
-
-def _conserving_phases(kind, params, sign, t):
-    """The two unit phase factors (e1, e2) with pair = (e1*plus + e2*minus, e1*plus - e2*minus)."""
-    phases = phase_integrals(params.epsilon_amp, params.upsilon_amp, params.chi, t)
-    pu = sign * phases.phi_u
-    pe = phases.phi_e
-    if kind == "A":
-        return np.exp(1j * (pu - pe)), np.exp(-1j * (pu + pe))
-    if kind == "B":
-        return np.exp(1j * (pu + pe)), np.exp(-1j * (pu - pe))
-    raise ValueError(f"conserving pair id must be 'A' or 'B', got {kind!r}")
-
-
-def conserving_constants(pair0, pair_id, params, t_ref, coupling_sign=1.0):
-    """Constants (plus, minus) reproducing the two amplitudes pair0 at t_ref.
-
-    pair_id "A" takes pair0 = (a1, a3), "B" takes (a2, a4).  For pair A:
-    plus = (a1+a3)/2 * e^{-i(phi_u-phi_e)(t_ref)} and
-    minus = (a1-a3)/2 * e^{+i(phi_u+phi_e)(t_ref)}; pair B analogous with the
-    sign of phi_e flipped.
-    """
-    t_ref = _require_finite_t_ref(t_ref)
-    b1, b2 = np.asarray(pair0[0], dtype=complex), np.asarray(pair0[1], dtype=complex)
-    e1, e2 = _conserving_phases(pair_id, params, coupling_sign, t_ref)
-    plus = 0.5 * (b1 + b2) / e1
-    minus = 0.5 * (b1 - b2) / e2
-    return AsyncBranchConstants(pair_id, plus, minus, t_ref, coupling_sign)
-
-
-def evolve_async_conserving(consts, params, t):
-    """Pair amplitudes at t (scalar -> shape (2,), array -> (..., 2))."""
-    e1, e2 = _conserving_phases(consts.kind, params, consts.coupling_sign, t)
-    common = e1 * consts.plus
-    split = e2 * consts.minus
-    return np.stack([common + split, common - split], axis=-1)
-
-
-def conserving_asymptotic_imbalance(consts, params, side):
-    """Imbalance limit at t -> side*inf (side = +1 or -1), from the saturated phi_u."""
-    pu_inf = side * consts.coupling_sign * 0.5 * math.pi * params.upsilon_amp / params.chi
-    return -4.0 * np.real(consts.plus * np.conj(consts.minus) * np.exp(2j * pu_inf))
-
-
-@dataclass(frozen=True)
 class AsyncConservingCondition:
     """Classification of a conserving-branch drive by its pulse area ratio ups/chi.
 
@@ -204,18 +134,16 @@ class AsyncConservingCondition:
     imbalance_sign: int | None
 
 
-def classify_async_conserving(upsilon, chi, tol=1e-9):
-    """CCPC iff |sin(pi ups/chi)| <= tol; CCPI iff |cos(pi ups/chi)| <= tol."""
+def classify_async_conserving(upsilon, chi):
+    """CCPC iff |sin(pi ups/chi)| <= 1e-9; CCPI iff |cos(pi ups/chi)| <= 1e-9."""
     if not (chi > 0):
         raise ValueError(f"chi must be > 0, got {chi}")
-    if not (tol > 0):
-        raise ValueError(f"tol must be > 0, got {tol}")
     ratio = upsilon / chi
     sin_val = math.sin(math.pi * ratio)
     cos_val = math.cos(math.pi * ratio)
-    if abs(sin_val) <= tol:
+    if abs(sin_val) <= CONDITION_TOL:
         return AsyncConservingCondition("CCPC", ratio, sin_val, cos_val, -round(cos_val))
-    if abs(cos_val) <= tol:
+    if abs(cos_val) <= CONDITION_TOL:
         return AsyncConservingCondition("CCPI", ratio, sin_val, cos_val, round(sin_val))
     return AsyncConservingCondition("neither", ratio, sin_val, cos_val, None)
 
@@ -236,12 +164,6 @@ def _constraint_refusal(residual):
         "flip-branch constraint chi^2/4 + epsilon^2 - upsilon^2 = 0 "
         f"violated (residual {residual:.6g})"
     )
-
-
-def _require_on_constraint(params):
-    residual, off = _off_constraint(params)
-    if off.any():
-        raise ValueError(_constraint_refusal(residual[off][0]))
 
 
 def gate(params, gamma):
@@ -267,11 +189,43 @@ def gate(params, gamma):
     if refused.flat[k]:
         return conserving, flip, _constraint_refusal(residual.flat[k])
     refusal = (
-        f"no closed form at gamma={float(gamma.flat[k]):g}: the drive needs "
+        f"no closed form at gamma={float(gamma.flat[k])!r}: the drive needs "
         "|sin(pi*gamma)| < 1e-9 (spin-conserving) or |cos(pi*gamma)| < 1e-9 "
         "(spin-flipping)"
     )
     return conserving, flip, refusal
+
+
+def _blocks(pairs, *blocks):
+    """4x4 matrices from the entries (m11, m12, m21, m22) of each pair's 2x2 block.
+
+    The amplitudes pairs[0] take the constants c[0:2], pairs[1] take c[2:4].
+    """
+    shape = np.broadcast_shapes(*(np.shape(m) for block in blocks for m in block))
+    out = np.zeros(shape + (4, 4), dtype=complex)
+    for (i, j), k, (m11, m12, m21, m22) in zip(pairs, (0, 2), blocks):
+        out[..., i, k], out[..., i, k + 1] = m11, m12
+        out[..., j, k], out[..., j, k + 1] = m21, m22
+    return out
+
+
+def _conserving(eps, ups, chi, sign):
+    """(basis, limits) of members on the spin-conserving branch."""
+
+    def basis(t):
+        phases = phase_integrals(eps, ups, chi, t)
+        pu = sign * phases.phi_u
+        pe = phases.phi_e
+        a1, a2 = np.exp(1j * (pu - pe)), np.exp(-1j * (pu + pe))
+        b1, b2 = np.exp(1j * (pu + pe)), np.exp(-1j * (pu - pe))
+        return _blocks(_CONSERVING_PAIRS, (a1, a2, a1, -a2), (b1, b2, b1, -b2))
+
+    # phi_u at t = -/+inf; the diverging phase of each pair, e^{-i phi_e} on
+    # pair A and e^{+i phi_e} on pair B, is left out
+    pu = np.multiply.outer([-1.0, 1.0], sign * 0.5 * math.pi * ups / chi)
+    u1, u2 = np.exp(1j * pu), np.exp(-1j * pu)
+    pair = (u1, u2, u1, -u2)
+    return basis, _blocks(_CONSERVING_PAIRS, pair, pair)
 
 
 def _sqrt_sech_exp(x, sign):
@@ -280,140 +234,74 @@ def _sqrt_sech_exp(x, sign):
     return math.sqrt(2.0) * np.exp(0.5 * (sign * x - ax)) / np.sqrt(1.0 + np.exp(-2.0 * ax))
 
 
-def _flip_matrix(kind, params, sign, t):
-    """Row coefficients with (first, second) = M @ (plus, minus) for a flip pair."""
-    chi = params.chi
-    eps = params.epsilon_amp
-    ups_eff = sign * params.upsilon_amp
-    t = np.asarray(t, dtype=float)
-    x = chi * t
-    ep = np.exp(1j * eps * t)
-    em = np.conj(ep)
-    grow = _sqrt_sech_exp(x, +1)
-    decay = _sqrt_sech_exp(x, -1)
-    if kind == "C":  # first = a1, second = a4
-        pref = (eps - 0.5j * chi) / ups_eff
-        return pref * decay * ep, -pref * grow * em, grow * ep, decay * em
-    if kind == "D":  # first = a2, second = a3
-        pref = (eps + 0.5j * chi) / ups_eff
-        return -pref * grow * ep, pref * decay * em, decay * ep, grow * em
-    raise ValueError(f"flip pair id must be 'C' or 'D', got {kind!r}")
-
-
-def flip_constants(pair0, pair_id, params, t_ref, coupling_sign=1.0):
-    """Constants (plus, minus) reproducing pair0 at t_ref on the flip branch.
-
-    pair_id "C" takes pair0 = (a1, a4), "D" takes (a2, a3).  Solves the 2x2
-    system given by the closed-form amplitudes at t_ref (its determinant has
-    unit modulus times 2, so it is never singular at finite t_ref).
-    """
-    _require_on_constraint(params)
-    t_ref = _require_finite_t_ref(t_ref)
-    b1, b2 = np.asarray(pair0[0], dtype=complex), np.asarray(pair0[1], dtype=complex)
-    m11, m12, m21, m22 = _flip_matrix(pair_id, params, coupling_sign, t_ref)
-    det = m11 * m22 - m12 * m21
-    plus = (m22 * b1 - m12 * b2) / det
-    minus = (m11 * b2 - m21 * b1) / det
-    return AsyncBranchConstants(pair_id, plus, minus, t_ref, coupling_sign)
-
-
-def evolve_async_flip(consts, params, t):
-    """Pair amplitudes at t (scalar -> shape (2,), array -> (..., 2))."""
-    _require_on_constraint(params)
-    m11, m12, m21, m22 = _flip_matrix(consts.kind, params, consts.coupling_sign, t)
-    first = m11 * consts.plus + m12 * consts.minus
-    second = m21 * consts.plus + m22 * consts.minus
-    return np.stack([first, second], axis=-1)
-
-
-def _conserving_limits(consts, params):
-    """Pair populations at (-inf, +inf): the total, split by the saturated imbalance."""
-    total = np.abs(consts.plus) ** 2 + np.abs(consts.minus) ** 2
-    sides = (-1, 1)
-    cross = -0.5 * np.stack([conserving_asymptotic_imbalance(consts, params, k) for k in sides])
-    return total + cross, total - cross
-
-
-def _flip_limits(consts, params):
-    """Pair populations at (-inf, +inf): 2|plus|^2 and 2|minus|^2 change places across t = 0."""
-    two_p = 2.0 * np.abs(consts.plus) ** 2
-    two_m = 2.0 * np.abs(consts.minus) ** 2
-    early, late = (two_p, two_m) if consts.kind == "C" else (two_m, two_p)
-    return np.stack([early, late]), np.stack([late, early])
-
-
-_BRANCHES = (
-    (_CONSERVING_PAIRS, conserving_constants, evolve_async_conserving, _conserving_limits),
-    (_FLIP_PAIRS, flip_constants, evolve_async_flip, _flip_limits),
+# at t = -inf only the decaying factor sqrt(sech)e^{-chi t/2} -> sqrt(2) of each
+# flip pair survives, at t = +inf only the growing one; phases left out
+_KEEP, _SWAP = (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)
+_FLIP_LIMITS = math.sqrt(2.0) * np.stack(
+    [_blocks(_FLIP_PAIRS, _KEEP, _SWAP), _blocks(_FLIP_PAIRS, _SWAP, _KEEP)]
 )
 
 
-class AsyncSolution:
-    """Exact solution on the asynchronous branches, with the state imposed at finite t_ref.
+def _flip(eps, ups, chi, sign):
+    """(basis, limits) of members on the spin-flipping branch."""
+    pref_c = (eps - 0.5j * chi) / (sign * ups)
+    pref_d = (eps + 0.5j * chi) / (sign * ups)
 
-    The drive's amplitudes and chi, gamma and t_ref may be arrays of one
-    broadcast shape S, a stack of members such as the points of a scan; a
-    single drive is the S = () case.  Each member may lie on either branch.
-    The pair constants are built once, for all members of a branch together.
-    When gate() refuses a member, the constructor raises ValueError with
-    the gate's refusal text.
+    def basis(t):
+        ep = np.exp(1j * eps * t)
+        em = np.conj(ep)
+        grow = _sqrt_sech_exp(chi * t, +1)
+        decay = _sqrt_sech_exp(chi * t, -1)
+        pair_c = (pref_c * decay * ep, -pref_c * grow * em, grow * ep, decay * em)
+        pair_d = (-pref_d * grow * ep, pref_d * decay * em, decay * ep, grow * em)
+        return _blocks(_FLIP_PAIRS, pair_c, pair_d)
+
+    return basis, np.broadcast_to(_FLIP_LIMITS[:, None], (2, sign.size, 4, 4))
+
+
+def modes(params, gamma):
+    """(basis, limits) of an AsyncTanhSech drive, with a(t) = basis(t) @ c.
+
+    Gates the drive once and raises ValueError with the gate's refusal text
+    when a member has no closed form.  Each member may lie on either branch;
+    its c holds the two pair constants, (A+, A-, B+, B-) or (C+, C-, D+, D-).
+    basis(t) has shape S + (4, 4) for members of shape S; t must be finite
+    and broadcasts against S (one member: T + (4, 4)).  limits, shape
+    (2,) + S + (4, 4), gives P(-/+inf) = |limits @ c|^2: the conserving pair
+    blocks at the saturated phi_u and the sqrt(2) exchange of each flip pair.
     """
+    conserving, flip, refusal = gate(params, coupling_values(gamma))
+    if refusal is not None:
+        raise ValueError(refusal)
+    members = np.broadcast_arrays(
+        params.epsilon_amp, params.upsilon_amp, params.chi, conserving, flip
+    )
+    shape = members[0].shape
+    eps, ups, chi, conserving, flip = (np.ravel(x) for x in members)
+    size = eps.size
+    # per branch: its members, the basis of their drives and their limits
+    parts = []
+    for signs, branch in ((conserving, _conserving), (flip, _flip)):
+        idx = np.flatnonzero(signs)
+        if idx.size:
+            parts.append((idx, *branch(eps[idx], ups[idx], chi[idx], signs[idx])))
 
-    def __init__(self, params, gamma, state0, t_ref):
-        state0 = as_state(state0)
-        conserving, flip, refusal = gate(params, coupling_values(gamma))
-        if refusal is not None:
-            raise ValueError(refusal)
-        members = np.broadcast_arrays(
-            params.epsilon_amp, params.upsilon_amp, params.chi, t_ref, conserving, flip
-        )
-        self.shape = members[0].shape
-        eps, ups, chi, t_ref, conserving, flip = (np.ravel(x) for x in members)
-        self.size = eps.size
-        # per branch: its members, their drive, pair constants, evolution and limits
-        self.branches = []
-        for (pairs, build, evolve, limits), on, signs in zip(
-            _BRANCHES, (conserving != 0, flip != 0), (conserving, flip)
-        ):
-            idx = np.flatnonzero(on)
-            if idx.size:
-                sub = AsyncTanhSech(eps[idx], ups[idx], chi[idx])
-                consts = {
-                    kind: build(state0[list(pair)], kind, sub, t_ref[idx], signs[idx])
-                    for kind, pair in pairs.items()
-                }
-                self.branches.append((idx, pairs, sub, consts, evolve, limits))
+    def gather(lead, values):
+        # one value per part, over that part's members, into lead + (size, 4, 4)
+        if len(parts) == 1:
+            return values[0]
+        out = np.empty(lead + (size, 4, 4), dtype=complex)
+        for (idx, _, _), value in zip(parts, values):
+            out[..., idx, :, :] = value
+        return out
 
-    def states(self, times):
-        """Amplitudes at times, which broadcast against S (one member: T -> T + (4,))."""
+    def basis(times):
         t = np.asarray(times, dtype=float)
-        t = np.broadcast_to(t, np.broadcast_shapes(t.shape, self.shape))
-        lead = t.shape[: t.ndim - len(self.shape)]
-        t = t.reshape(lead + (self.size,))
-        out = np.empty(t.shape + (4,), dtype=complex)
-        for idx, pairs, sub, consts, evolve, _ in self.branches:
-            t_members = t[..., idx]
-            for kind, (i, j) in pairs.items():
-                pair = evolve(consts[kind], sub, t_members)
-                out[..., idx, i] = pair[..., 0]
-                out[..., idx, j] = pair[..., 1]
-        return out.reshape(lead + self.shape + (4,))
+        t = np.broadcast_to(t, np.broadcast_shapes(t.shape, shape))
+        lead = t.shape[: t.ndim - len(shape)]
+        t = t.reshape(lead + (size,))
+        out = gather(lead, [part_basis(t[..., idx]) for idx, part_basis, _ in parts])
+        return out.reshape(lead + shape + (4, 4))
 
-    def asymptotic_populations(self):
-        """P(-inf) and P(+inf) of every member, shape (2,) + S + (4,), exact from the constants.
-
-        Conserving pairs keep their total and take the imbalance from the
-        saturated phi_u.  Flip pairs exchange their populations across t = 0:
-        the first member of a C pair (a1, a4) and the second of a D pair
-        (a2, a3) hold 2|plus|^2 at -inf and 2|minus|^2 at +inf, the other
-        member the reverse.
-        """
-        p = np.empty((2, self.size, 4))
-        for idx, pairs, sub, consts, _, limits in self.branches:
-            for kind, (i, j) in pairs.items():
-                p[:, idx, i], p[:, idx, j] = limits(consts[kind], sub)
-        return p.reshape((2,) + self.shape + (4,))
-
-    def asymptotes(self):
-        """PopulationSnapshots at t = -inf and t = +inf of a single member."""
-        return asymptote_snapshots(self.asymptotic_populations())
+    limits = gather((2,), [part_limits for _, _, part_limits in parts])
+    return basis, limits.reshape((2,) + shape + (4, 4))

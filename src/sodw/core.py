@@ -7,8 +7,9 @@ vectors of four complex probability amplitudes in the fixed basis order
 
 i.e. a1/a2 are the right-well spin components and a3/a4 the left-well spin
 components.  Throughout the package an amplitude vector is a plain numpy
-array of shape (4,) and dtype complex; all matrices and output files use the
-basis order above.
+array of shape (4,) and dtype complex, and populations P_m = |a_m|^2 are
+float arrays with the four levels on their last axis; all matrices and
+output files use the basis order above.
 
 The amplitudes obey i*da/dt = H(t)*a with the real symmetric matrix H built
 by :func:`hamiltonian_matrix` from the instantaneous Zeeman splitting
@@ -38,17 +39,17 @@ __all__ = [
     "SyncSech2",
     "AsyncTanhSech",
     "CustomDrive",
-    "PopulationSnapshot",
     "as_state",
     "branch_signs",
     "hamiltonian_matrix",
-    "populations",
-    "asymptote_snapshots",
     "imbalance",
 ]
 
 #: branch threshold on |sin(pi*gamma)| and |cos(pi*gamma)|, used by branch_signs
 SIN_BRANCH_TOL = 1e-9
+
+#: residual within which the CCPC/CCPI classifications of both drives hold
+CONDITION_TOL = 1e-9
 
 
 def _require_finite(name, value):
@@ -162,37 +163,6 @@ class CustomDrive:
         return self.epsilon_fn(t)
 
 
-@dataclass(frozen=True)
-class PopulationSnapshot:
-    """Occupation probabilities P_m = |a_m|^2 at one instant.
-
-    PL = P3 + P4 (left well), PR = P1 + P2 (right well) and norm2 is the sum
-    of all four, so sum(P) == norm2 holds exactly by construction.
-    """
-
-    t: float
-    P1: float
-    P2: float
-    P3: float
-    P4: float
-
-    @property
-    def PL(self):
-        return self.P3 + self.P4
-
-    @property
-    def PR(self):
-        return self.P1 + self.P2
-
-    @property
-    def norm2(self):
-        return self.P1 + self.P2 + self.P3 + self.P4
-
-    @property
-    def pvec(self):
-        return np.array([self.P1, self.P2, self.P3, self.P4])
-
-
 def as_state(amplitudes):
     """Coerce a length-4 sequence to a complex amplitude vector, checking finiteness."""
     a = np.asarray(amplitudes, dtype=complex)
@@ -239,19 +209,6 @@ def hamiltonian_matrix(gamma, upsilon_val, epsilon_val):
     )
 
 
-def populations(state, t=0.0):
-    """PopulationSnapshot of a state at time t."""
-    a = np.asarray(state, dtype=complex)
-    p = np.abs(a) ** 2
-    return PopulationSnapshot(float(t), float(p[0]), float(p[1]), float(p[2]), float(p[3]))
-
-
-def asymptote_snapshots(p):
-    """PopulationSnapshots at t = -inf and t = +inf from the (2, 4) array (P(-inf), P(+inf))."""
-    early, late = np.asarray(p, dtype=float).tolist()
-    return PopulationSnapshot(-math.inf, *early), PopulationSnapshot(math.inf, *late)
-
-
 def _component(p, key):
     if isinstance(key, str):
         k = key.upper()
@@ -266,17 +223,15 @@ def _component(p, key):
     return p[..., k - 1]
 
 
-def imbalance(snap, s, q):
+def imbalance(p, s, q):
     """Population imbalance Z_sq = P_s - P_q; s and q in {1,2,3,4,'L','R'}, s != q.
 
-    snap is a PopulationSnapshot (the result is a float) or an array with
-    the four populations on its last axis (the result drops that axis).
+    p holds the four populations P_m = |a_m|^2 on its last axis; the result
+    drops that axis.
     """
     ks = s.upper() if isinstance(s, str) else int(s)
     kq = q.upper() if isinstance(q, str) else int(q)
     if ks == kq:
         raise ValueError(f"imbalance requires distinct indices, got s={s!r}, q={q!r}")
-    if isinstance(snap, PopulationSnapshot):
-        return float(_component(snap.pvec, ks) - _component(snap.pvec, kq))
-    p = np.asarray(snap, dtype=float)
+    p = np.asarray(p, dtype=float)
     return _component(p, ks) - _component(p, kq)

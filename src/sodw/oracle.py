@@ -35,7 +35,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .core import as_state, hamiltonian_matrix, populations
+from .core import as_state, hamiltonian_matrix
 
 __all__ = [
     "IntegratorConfig",
@@ -98,9 +98,6 @@ class TrajectoryRecord:
     @cached_property
     def norms(self):
         return np.sum(self.population_array, axis=1)
-
-    def snapshot(self, k):
-        return populations(self.states[k], self.times[k])
 
 
 def solve_ivp(*args, **kwargs):

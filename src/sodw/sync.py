@@ -16,8 +16,11 @@ with eigenvectors proportional to (1, alpha, 1, -alpha) for the first pair and
     alpha = (cos(pi*gamma) - beta + lambda) / sin(pi*gamma),
     eta   = (cos(pi*gamma) + beta - lambda) / sin(pi*gamma).
 
-The general solution is a_k(tau) = sum_m s_m vec[m]_k exp(-i lambda_m tau); the
-coefficients s_m are fixed by the state at one reference tau0.
+The general solution is a_k(tau) = sum_m s_m vec[m]_k exp(-i lambda_m tau), so
+modes() returns the basis B(t)[k, m] = vec[m]_k exp(-i lambda_m tau(t)) with
+a(t) = B(t) s, and the limit matrices B(-inf), B(+inf), which are exact
+because tau saturates at -/+V/Omega.  The coefficients s_m are fixed by the
+state at one reference time (analysis.solve).
 
 Note on the basis: by their (1, x, 1, -x) / (1, y, -1, y) structure the four
 vectors are mutually orthogonal for EVERY (beta, gamma), including at the
@@ -45,17 +48,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_state, asymptote_snapshots, branch_signs, coupling_values
+from .core import CONDITION_TOL, branch_signs, coupling_values
 
 __all__ = [
     "EigenSystem",
     "SyncCondition",
     "eigen_sync",
     "tau_sech2",
-    "superposition_from_initial",
-    "evolve_sync",
+    "modes",
     "classify_sync_condition",
-    "SyncSolution",
 ]
 
 
@@ -169,29 +170,22 @@ def tau_sech2(V, Omega, t):
     return (V / Omega) * np.tanh(Omega * np.asarray(t, dtype=float))
 
 
-def superposition_from_initial(eig, state0, tau0):
-    """Coefficients s with sum_m s_m vec[m] e^{-i lam_m tau0} = state0, shape S + (4,).
+def modes(protocol, gamma):
+    """(basis, limits) of a SyncSech2 drive, with a(t) = basis(t) @ s.
 
-    tau0 broadcasts against the member shape.  Solved as full 4x4 linear
-    systems (robust at the beta=0 eigenvalue degeneracy regardless of basis
-    orthogonality), all members in one call.
+    basis(t)[..., k, m] = vec[m]_k exp(-i lam_m tau(t)) has shape S + (4, 4)
+    for members of shape S (t broadcasts against S; one member: T + (4, 4)).
+    limits = basis(-/+inf), shape (2,) + S + (4, 4), so P(-/+inf) = |limits @ s|^2.
     """
-    state0 = as_state(state0)
-    tau0 = np.asarray(tau0, dtype=float)
-    phases = np.exp(-1j * eig.lam * tau0[..., None])
-    basis = np.swapaxes(eig.vec, -1, -2) * phases[..., None, :]
-    return np.linalg.solve(basis, state0[:, None])[..., 0]
+    eig = eigen_sync(protocol.beta, gamma)
+    vectors = np.swapaxes(eig.vec, -1, -2)
 
+    def basis(t):
+        tau = tau_sech2(protocol.V, protocol.Omega, t)
+        return vectors * np.exp(-1j * eig.lam * tau[..., None])[..., None, :]
 
-def evolve_sync(eig, coeffs, tau):
-    """Amplitudes a_k(tau) = sum_m s_m vec[m]_k e^{-i lam_m tau}, shape (...) + (4,).
-
-    tau broadcasts against the member shape; for a single member any tau
-    shape T gives T + (4,).
-    """
-    tau = np.asarray(tau, dtype=float)
-    phases = np.exp(-1j * (tau[..., None] * eig.lam))
-    return ((phases * coeffs)[..., None, :] @ eig.vec)[..., 0, :]
+    shape = np.broadcast_shapes(eig.lam.shape[:-1], np.shape(protocol.V))
+    return basis, basis(np.reshape([-math.inf, math.inf], (2,) + (1,) * len(shape)))
 
 
 @dataclass(frozen=True)
@@ -205,64 +199,25 @@ class SyncCondition:
     grid_residual: float
 
 
-def classify_sync_condition(beta, V, Omega, tol=1e-9):
+def classify_sync_condition(beta, V, Omega):
     """Classify (beta, V, Omega).
 
     CCPC(n): beta = 0 and 2V/Omega = n*pi (n >= 1) -- every population
     returns to its initial value.  CCPI(n): beta = 0 and
     2V/Omega = (n + 1/2)*pi (n >= 0) -- the left/right populations invert.
-    Both tested within tol.
+    Both tested within 1e-9.
     """
     if not (Omega > 0):
         raise ValueError(f"Omega must be > 0, got {Omega}")
-    if not (tol > 0):
-        raise ValueError(f"tol must be > 0, got {tol}")
     ratio = 2.0 * V / Omega
     beta_res = abs(float(beta))
     n_c = round(ratio / math.pi)
     res_c = abs(ratio - n_c * math.pi)
     n_i = round(ratio / math.pi - 0.5)
     res_i = abs(ratio - (n_i + 0.5) * math.pi)
-    if beta_res <= tol:
-        if n_c >= 1 and res_c <= tol:
+    if beta_res <= CONDITION_TOL:
+        if n_c >= 1 and res_c <= CONDITION_TOL:
             return SyncCondition("CCPC", n_c, ratio, beta_res, res_c)
-        if n_i >= 0 and res_i <= tol:
+        if n_i >= 0 and res_i <= CONDITION_TOL:
             return SyncCondition("CCPI", n_i, ratio, beta_res, res_i)
     return SyncCondition("neither", None, ratio, beta_res, min(res_c, res_i))
-
-
-class SyncSolution:
-    """Exact synchronous solution with the state imposed at t0.
-
-    The protocol's beta and V and gamma may be arrays of one broadcast shape
-    S, a stack of members such as the points of a scan; a single drive is the
-    S = () case.  The eigensystems and the superposition coefficients are
-    built once, every member in one pass.  t0 = -inf maps exactly to
-    tau0 = -V/Omega, the saturated rescaled time.
-    """
-
-    def __init__(self, protocol, gamma, state0, t0):
-        self.protocol = protocol
-        tau_inf = np.divide(protocol.V, protocol.Omega)
-        t0 = float(t0)
-        if t0 == -math.inf:
-            tau0 = -tau_inf
-        else:
-            tau0 = tau_sech2(protocol.V, protocol.Omega, t0)
-        self.eig = eigen_sync(protocol.beta, gamma)
-        self.coeffs = superposition_from_initial(self.eig, state0, tau0)
-        self.tau_inf = np.broadcast_to(tau_inf, self.coeffs.shape[:-1])
-
-    def states(self, times):
-        """Amplitudes at times, which broadcast against S (one member: T -> T + (4,))."""
-        tau = tau_sech2(self.protocol.V, self.protocol.Omega, times)
-        return evolve_sync(self.eig, self.coeffs, tau)
-
-    def asymptotic_populations(self):
-        """P(-inf) and P(+inf) of every member, shape (2,) + S + (4,)."""
-        ends = evolve_sync(self.eig, self.coeffs, np.stack([-self.tau_inf, self.tau_inf]))
-        return np.abs(ends) ** 2
-
-    def asymptotes(self):
-        """PopulationSnapshots at t = -inf and t = +inf of a single member."""
-        return asymptote_snapshots(self.asymptotic_populations())

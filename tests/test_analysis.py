@@ -25,7 +25,7 @@ from sodw.analysis import (
     count_peaks,
     default_horizon,
 )
-from sodw.asynchronous import AsyncSolution
+from sodw.asynchronous import modes as async_modes
 from sodw.core import CustomDrive, imbalance
 
 _E3 = (0, 0, 1, 0)
@@ -61,6 +61,9 @@ def test_off_branch_reason_strings():
     assert "flip-branch constraint" in msg and "residual" in msg
     msg = off_branch_reason(AsyncTanhSech(0.0, 1.0, 1.0), 0.3)
     assert "cos(pi*gamma)" in msg and "sin(pi*gamma)" in msg
+    assert msg.startswith("no closed form at gamma=0.3:")
+    msg = off_branch_reason(AsyncTanhSech(0.0, 1.0, 1.0), 1.000001)
+    assert msg.startswith("no closed form at gamma=1.000001:")
     assert "protocol" in off_branch_reason(CustomDrive(lambda t: 0, lambda t: 0), 0.5)
 
 
@@ -218,8 +221,8 @@ def test_asymptotic_extract_settles():
     rec = TrajectoryRecord(times, states, proto, "sync-exact")
     first, last, settled = asymptotic_extract(rec)
     assert settled
-    assert first.P3 == pytest.approx(1.0, abs=1e-9)
-    assert first.t == -T and last.t == T
+    assert first[2] == pytest.approx(1.0, abs=1e-9)
+    assert_allclose(last, np.abs(states[-1]) ** 2, atol=0.0)
     # a window ending at the pulse peak is still moving
     mid = TrajectoryRecord(times[:401], states[:401], proto, "sync-exact")
     assert not asymptotic_extract(mid)[2]
@@ -284,10 +287,56 @@ def test_asymptotes_match_late_states():
         state0 /= np.linalg.norm(state0)
         for t0 in (-math.inf, 0.4):
             early, late = solve(proto, gamma, state0, t0).asymptotes()
-            assert early.t == -math.inf and late.t == math.inf
             far = np.abs(solve(proto, gamma, state0, t0).states(np.array([-60.0, 60.0]))) ** 2
-            assert_allclose(early.pvec, far[0], atol=1e-9)
-            assert_allclose(late.pvec, far[1], atol=1e-9)
+            assert_allclose(early, far[0], atol=1e-9)
+            assert_allclose(late, far[1], atol=1e-9)
+
+
+_EPS = np.array([0.5, -0.3, 0.8, 0.0, 1.1])
+_CHI = 0.9  # one chi for the stack, as in a scan, so it has one default horizon
+# (protocol, gamma) per case: every engine and branch, one member and stacked;
+# a random state fills all four levels, so both pairs of a branch are covered
+_ANCHOR_CASES = {
+    "sync": (SyncSech2(0.7, 1.3, 0.8), 0.37),
+    "sync-stack": (
+        SyncSech2(np.array([-1.2, 0.0, 0.4, 2.5, 0.7]), np.array([0.3, 1.0, 2.2, 1.3, 0.9]), 1.1),
+        np.array([0.37, 1.0, 2.0 + 1.01e-9, 0.5, 3.0]),
+    ),
+    "conserving-even": (AsyncTanhSech(0.4, 1.3, 0.9), 2.0),
+    "conserving-odd": (AsyncTanhSech(-0.6, 0.7, 1.4), 1.0),
+    "flip-plus": (_flip_params(0.5, 0.9), 0.5),
+    "flip-minus": (_flip_params(-0.3, 1.6), 1.5),
+    # flip drives, so every member may take either branch
+    "async-stack": (
+        AsyncTanhSech(_EPS, np.hypot(0.5 * _CHI, _EPS), _CHI),
+        np.array([0.0, 0.5, 1.0, 1.5, 2.0]),
+    ),
+}
+
+
+@pytest.mark.parametrize("t0", [-math.inf, -1.7, 0.4], ids=["t0=-inf", "t0=-1.7", "t0=0.4"])
+@pytest.mark.parametrize("case", list(_ANCHOR_CASES))
+def test_solution_reproduces_anchor_and_asymptotes(case, t0):
+    protocol, gamma = _ANCHOR_CASES[case]
+    rng = np.random.default_rng(47)
+    state0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    state0 /= np.linalg.norm(state0)
+    solution = solve(protocol, gamma, state0, t0)
+    sync = isinstance(protocol, SyncSech2)
+    shape = np.shape(gamma)
+    lead = (1,) * len(shape)
+    # the anchor: -inf is exact on the sync drive, -default_horizon on the async one
+    anchor = t0 if sync or math.isfinite(t0) else -default_horizon(protocol)
+    anchored = solution.states(anchor)
+    assert anchored.shape == shape + (4,)
+    assert np.max(np.abs(anchored - state0)) <= 1e-12
+    T = 40.0 / min(1.0, protocol.Omega if sync else protocol.chi)
+    far = np.abs(solution.states(np.reshape([-T, T], (2,) + lead))) ** 2
+    p = solution.asymptotes()
+    assert p.shape == (2,) + shape + (4,)
+    assert np.max(np.abs(p - far)) <= 1e-10
+    times = np.reshape(np.linspace(-T, T, 9), (9,) + lead)
+    assert_allclose(np.sum(np.abs(solution.states(times)) ** 2, axis=-1), 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -446,7 +495,7 @@ def test_every_entry_point_gives_the_gates_answer(protocol, gamma):
     if refusal is not None:
         assert refusal == reason
         with pytest.raises(ValueError) as direct:
-            AsyncSolution(protocol, gamma, _E3, 0.0)
+            async_modes(protocol, gamma)
         assert str(direct.value) == reason
     if isinstance(protocol, SyncSech2):
         fixed = {"beta": protocol.beta, "V": protocol.V, "Omega": protocol.Omega}

@@ -337,3 +337,11 @@ def test_evolve_refuses_nonfinite_drive(argv, tmp_path, capsys):
     assert main(["evolve", *argv, "--engine", "exact", "--out", str(tmp_path)]) == 2
     assert "must be finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("gamma", ["1.000001", "0.3"])
+def test_refusal_names_gamma_as_given(gamma, tmp_path, capsys):
+    # six significant digits printed gamma = 1.000001 as 1, a gamma on the branch
+    argv = ["evolve", "--protocol", "async", "--gamma", gamma, "--engine", "exact"]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert f"no closed form at gamma={gamma}:" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from sodw.core import (
     coupling_values,
     hamiltonian_matrix,
     imbalance,
-    populations,
 )
 
 
@@ -91,18 +90,18 @@ def test_as_state_validation():
 
 
 def test_populations_and_imbalance():
-    snap = populations(as_state([0.5, 0.5j, -0.5, 0.5]), t=2.0)
-    assert snap.t == 2.0
-    assert snap.norm2 == pytest.approx(1.0)
-    assert snap.PL == pytest.approx(0.5)
-    assert snap.PR == pytest.approx(0.5)
-    assert np.allclose(snap.pvec, 0.25)
-    assert imbalance(snap, 3, 1) == pytest.approx(0.0)
-    assert imbalance(snap, "l", "R") == pytest.approx(0.0)
+    p = np.abs(as_state([0.5, 0.5j, -0.5, 0.5])) ** 2
+    assert np.allclose(p, 0.25)
+    assert imbalance(p, 3, 1) == pytest.approx(0.0)
+    assert imbalance(p, "l", "R") == pytest.approx(0.0)
+    assert imbalance(p, 1, "L") == pytest.approx(-0.25)
+    # a stack of population rows gives one imbalance per row
+    stack = np.array([p, [0.0, 0.0, 1.0, 0.0]])
+    assert np.allclose(imbalance(stack, "L", "R"), [0.0, 1.0])
 
 
 def test_imbalance_rejects_duplicate_or_unknown_indices():
-    snap = populations([1, 0, 0, 0])
+    snap = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         imbalance(snap, 2, 2)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Every demo script and the README quickstart run to their end against the current API."""
 
 import importlib
+import math
 import pathlib
 import re
 import runpy
@@ -39,3 +40,29 @@ def test_every_name_in_all_resolves(name):
     module = importlib.import_module(f"sodw.{name}")
     names = getattr(module, "__all__", ())
     assert [n for n in names if not hasattr(module, n)] == []
+
+
+# perfbench/tracing.py hooks these functions by name and tallies the scan
+# points of each engine by the engine names of the rows
+_TRACED = (
+    ("oracle", "integrate"),
+    ("sync", "eigen_sync"),
+    ("analysis", "run_scan"),
+    ("acceptance", "run_all"),
+)
+
+
+def test_traced_functions_and_engine_names_stay():
+    for module, name in _TRACED:
+        assert name in importlib.import_module(f"sodw.{module}").__all__, f"{module}.{name}"
+    from sodw.analysis import ScanSpec, run_scan
+
+    flip = {"epsilon": 0.4, "upsilon": math.hypot(0.5, 0.4), "chi": 1.0}
+    specs = [
+        ScanSpec("beta", [0.0, 1.0], {"gamma": 0.5, "V": 1.0, "Omega": 1.0}, (0, 0, 1, 0)),
+        ScanSpec("gamma", [0.0, 0.3, 0.5], flip, (0, 0, 1, 0)),
+        ScanSpec("beta", [0.0, 1.0], {"gamma": 0.5, "V": 1.0}, (0, 0, 1, 0)),  # fails every row
+    ]
+    for spec in specs:
+        for row in run_scan(spec).rows:
+            assert row.engine in ("sync-exact", "async-exact", "oracle"), row

@@ -105,8 +105,7 @@ def test_trajectory_record_accessors():
     assert_allclose(rec.norms, 1.0, atol=1e-15)
     assert rec.norm_drift_max == 0.0
     assert rec.population_array.shape == (3, 4)
-    snap = rec.snapshot(2)
-    assert snap.t == 2.0 and snap.P4 == pytest.approx(0.64)
+    assert rec.population_array[2, 3] == pytest.approx(0.64)
     with pytest.raises(ValueError, match="strictly increasing"):
         TrajectoryRecord(times[::-1], states, None, "unit")
     with pytest.raises(ValueError, match="shape"):

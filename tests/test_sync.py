@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from sodw import SyncSech2, classify_sync_condition, solve
-from sodw.core import hamiltonian_matrix, imbalance, populations
-from sodw.sync import eigen_sync, evolve_sync, superposition_from_initial, tau_sech2
+from sodw.core import hamiltonian_matrix, imbalance
+from sodw.sync import eigen_sync, tau_sech2
 
 
 def _tau_hamiltonian(beta, gamma):
@@ -128,30 +128,10 @@ def test_tau_map_saturates_at_pulse_area():
         tau_sech2(1.0, 0.0, 1.0)
 
 
-def test_superposition_roundtrip_and_norm():
-    rng = np.random.default_rng(14)
-    for _ in range(25):
-        beta = rng.uniform(0.0, 3.0)
-        gamma = rng.uniform(0.0, 2.0)
-        tau0 = rng.uniform(-3.0, 3.0)
-        state0 = _random_state(rng)
-        eig = eigen_sync(beta, gamma)
-        coeffs = superposition_from_initial(eig, state0, tau0)
-        # orthonormal basis: the coefficient weights carry the full norm
-        assert abs(np.sum(np.abs(coeffs) ** 2) - 1.0) < 1e-12
-        back = evolve_sync(eig, coeffs, tau0)
-        assert np.linalg.norm(back - state0) < 1e-12
-        taus = rng.uniform(-4.0, 4.0, size=7)
-        states = evolve_sync(eig, coeffs, taus)
-        assert states.shape == (7, 4)
-        assert_allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-12)
-
-
 def test_equal_weight_coefficients_at_zero_splitting():
     # beta = 0, gamma = 1/2, start in the left-up level at tau0 = 0: the four
     # stationary vectors contribute (+, +, -, -) with weight 1/2 each
-    eig = eigen_sync(0.0, 0.5)
-    coeffs = superposition_from_initial(eig, (0, 0, 1, 0), 0.0)
+    coeffs = solve(SyncSech2(0.0, 1.0, 1.0), 0.5, (0, 0, 1, 0), 0.0).coeffs
     assert_allclose(coeffs, [0.5, 0.5, -0.5, -0.5], atol=1e-12)
 
 
@@ -221,11 +201,9 @@ def test_return_condition_restores_every_population():
         V = 0.5 * n * math.pi * Omega
         gamma = rng.uniform(0.0, 3.0)
         assert classify_sync_condition(0.0, V, Omega).kind == "CCPC"
-        eig = eigen_sync(0.0, gamma)
         state0 = _random_state(rng)
-        coeffs = superposition_from_initial(eig, state0, -V / Omega)
-        out = evolve_sync(eig, coeffs, V / Omega)
-        assert_allclose(np.abs(out) ** 2, np.abs(state0) ** 2, atol=1e-9)
+        p_plus = solve(SyncSech2(0.0, V, Omega), gamma, state0, -math.inf).asymptotes()[1]
+        assert_allclose(p_plus, np.abs(state0) ** 2, atol=1e-9)
 
 
 def test_inversion_condition_swaps_well_populations():
@@ -237,14 +215,11 @@ def test_inversion_condition_swaps_well_populations():
         V = 0.5 * (n + 0.5) * math.pi * Omega
         gamma = rng.uniform(0.0, 3.0)
         assert classify_sync_condition(0.0, V, Omega).kind == "CCPI"
-        eig = eigen_sync(0.0, gamma)
         state0 = _random_state(rng)
-        coeffs = superposition_from_initial(eig, state0, -V / Omega)
-        out = evolve_sync(eig, coeffs, V / Omega)
-        p0 = populations(state0)
-        p1 = populations(out)
-        assert abs(p1.PL - p0.PR) < 1e-9
-        assert abs(p1.PR - p0.PL) < 1e-9
+        p0 = np.abs(state0) ** 2
+        p1 = solve(SyncSech2(0.0, V, Omega), gamma, state0, -math.inf).asymptotes()[1]
+        assert abs((p1[2] + p1[3]) - (p0[0] + p0[1])) < 1e-9
+        assert abs((p1[0] + p1[1]) - (p0[2] + p0[3])) < 1e-9
 
 
 def test_quarter_angle_splits_population_evenly():
@@ -285,7 +260,7 @@ def test_infinite_epoch_anchors_at_saturated_tau():
     early = solution.states(-40.0)
     # tanh has fully saturated at t = -40, so the state has not moved yet
     assert np.abs(early[2]) ** 2 == pytest.approx(1.0, abs=1e-12)
-    assert solution.asymptotes()[0].P3 == pytest.approx(1.0, abs=1e-12)
+    assert solution.asymptotes()[0][2] == pytest.approx(1.0, abs=1e-12)
     for t0 in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite or -inf"):
             solve(proto, 0.6, (0, 0, 1, 0), t0)
