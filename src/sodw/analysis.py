@@ -51,6 +51,7 @@ __all__ = [
     "ScanResult",
     "run_scan",
     "count_peaks",
+    "prominent_peaks",
     "asymptotic_extract",
     "select_engine",
     "off_branch_reason",
@@ -71,12 +72,18 @@ SETTLE_TOL = 1e-7
 
 
 def default_horizon(protocol):
-    """Horizon T so that the drive envelope is negligible beyond |t| = T."""
+    """Horizon T so that the drive envelope is negligible beyond |t| = T.
+
+    A float for one drive, an array with one horizon per member for a stack.
+    """
     if isinstance(protocol, SyncSech2):
-        return 25.0 / min(protocol.Omega, 1.0)
-    if isinstance(protocol, AsyncTanhSech):
-        return 25.0 / min(protocol.chi, 1.0)
-    raise ValueError("no default horizon for custom drive protocols")
+        rate = protocol.Omega
+    elif isinstance(protocol, AsyncTanhSech):
+        rate = protocol.chi
+    else:
+        raise ValueError("no default horizon for custom drive protocols")
+    horizon = 25.0 / np.minimum(rate, 1.0)
+    return float(horizon) if horizon.ndim == 0 else horizon
 
 
 def select_engine(protocol, gamma):
@@ -246,11 +253,13 @@ def _scan_result(spec, values, engines, errors):
 
 
 def count_peaks(times, values, window, prominence):
-    """Number of local maxima inside window whose prominence exceeds the threshold.
+    """Number of local maxima inside window whose prominence reaches the threshold.
 
     Prominence is the rise of a maximum above the higher of its two flanking
-    minima, measured over the full series; the window only selects which
-    peaks are counted and must lie inside the sampled range.
+    minima, each taken over the full series up to the next strictly higher
+    sample; the window only selects which peaks are counted and must lie
+    inside the sampled range.  The peaks and their prominences are those of
+    scipy.signal.find_peaks(values, prominence=prominence).
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -263,11 +272,31 @@ def count_peaks(times, values, window, prominence):
         raise ValueError(f"window [{lo}, {hi}] outside sampled range [{t[0]}, {t[-1]}]")
     if not prominence > 0:
         raise ValueError(f"prominence must be > 0, got {prominence}")
-    # imported here: scipy.signal costs most of a second, and only this needs it
-    from scipy.signal import find_peaks
+    peaks = t[prominent_peaks(v, prominence)]
+    return int(np.count_nonzero((peaks >= lo) & (peaks <= hi)))
 
-    idx, _ = find_peaks(v, prominence=prominence)
-    return int(np.count_nonzero((t[idx] >= lo) & (t[idx] <= hi)))
+
+def prominent_peaks(values, prominence):
+    """Indices of the local maxima of values whose prominence is at least prominence.
+
+    A flat top counts once, at its middle index; the first and last samples
+    are never maxima.  The indices are those of
+    scipy.signal.find_peaks(values, prominence=prominence).
+    """
+    v = np.asarray(values, dtype=float)
+    diff = np.diff(v)
+    steps = np.flatnonzero(diff)  # v[k + 1] != v[k]
+    rises = diff[steps] > 0
+    top = np.flatnonzero(rises[:-1] & ~rises[1:])  # a rise, then (after a flat run) a fall
+    peaks = (steps[top] + 1 + steps[top + 1]) // 2
+    bases = [max(_flank_min(v[k::-1], v[k]), _flank_min(v[k:], v[k])) for k in peaks.tolist()]
+    return peaks[v[peaks] - np.array(bases, dtype=float) >= prominence]
+
+
+def _flank_min(side, peak):
+    """Lowest value of side (running away from a peak) before one exceeds the peak."""
+    higher = np.flatnonzero(side > peak)
+    return side[: higher[0] if higher.size else side.size].min()
 
 
 def asymptotic_extract(traj):

@@ -88,8 +88,8 @@ def branch_signs(gamma):
 class SyncSech2:
     """Synchronous drive: upsilon(t) = V*sech^2(Omega*t), epsilon(t) = beta*upsilon(t).
 
-    beta and V may be arrays of one shape: a stack of drives sharing Omega,
-    such as the points of a scan.
+    beta, V and Omega may be arrays of one shape: a stack of drives, such as
+    the points of a scan.
     """
 
     beta: float
@@ -97,7 +97,7 @@ class SyncSech2:
     Omega: float
 
     def __post_init__(self):
-        if not (self.Omega > 0):
+        if not np.all(np.asarray(self.Omega) > 0):
             raise ValueError(f"Omega must be > 0, got {self.Omega}")
         for name, value in (("beta", self.beta), ("V", self.V), ("Omega", self.Omega)):
             _require_finite(name, value)

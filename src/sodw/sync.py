@@ -165,7 +165,7 @@ def eigen_sync(beta, gamma):
 
 def tau_sech2(V, Omega, t):
     """Rescaled time tau(t) = (V/Omega)*tanh(Omega*t) for the sech^2 pulse."""
-    if not (Omega > 0):
+    if not np.all(np.asarray(Omega) > 0):
         raise ValueError(f"Omega must be > 0, got {Omega}")
     return (V / Omega) * np.tanh(Omega * np.asarray(t, dtype=float))
 
@@ -184,7 +184,7 @@ def modes(protocol, gamma):
         tau = tau_sech2(protocol.V, protocol.Omega, t)
         return vectors * np.exp(-1j * eig.lam * tau[..., None])[..., None, :]
 
-    shape = np.broadcast_shapes(eig.lam.shape[:-1], np.shape(protocol.V))
+    shape = np.broadcast_shapes(eig.lam.shape[:-1], np.shape(protocol.V), np.shape(protocol.Omega))
     return basis, basis(np.reshape([-math.inf, math.inf], (2,) + (1,) * len(shape)))
 
 

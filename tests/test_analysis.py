@@ -1,6 +1,7 @@
 """Scan driver, engine routing, peak counting, asymptotic extraction."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from sodw.analysis import (
     asymptotic_extract,
     count_peaks,
     default_horizon,
+    prominent_peaks,
 )
+from sodw.acceptance import IC_RAMP, IC_THIRD
 from sodw.asynchronous import modes as async_modes
 from sodw.core import CustomDrive, imbalance
 
@@ -45,6 +48,26 @@ def test_default_horizon():
     assert default_horizon(AsyncTanhSech(0.0, 1.0, 0.4)) == 62.5
     with pytest.raises(ValueError):
         default_horizon(CustomDrive(lambda t: 0.0, lambda t: 0.0))
+
+
+def test_stacked_drives_get_a_horizon_per_member():
+    # min(chi, 1.0) on a stack raised "truth value of an array ... is ambiguous"
+    chi = np.array([1.0, 0.5, 2.0])
+    omega = np.array([0.5, 1.0, 4.0])
+    assert_allclose(default_horizon(AsyncTanhSech(0.4, 1.0, chi)), [25.0, 50.0, 25.0], rtol=0)
+    assert_allclose(default_horizon(SyncSech2(0.5, 1.0, omega)), [50.0, 25.0, 25.0], rtol=0)
+    assert type(default_horizon(AsyncTanhSech(0.4, 1.0, 0.5))) is float
+    rng = np.random.default_rng(5)
+    state0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    state0 /= np.linalg.norm(state0)
+    times = np.linspace(-3.0, 3.0, 7)[:, None]
+    stacks = [(AsyncTanhSech(0.4, 1.0, chi), 2.0), (SyncSech2(0.5, 1.0, omega), 0.3)]
+    for protocol, gamma in stacks:
+        stacked = solve(protocol, gamma, state0, -math.inf)
+        for k in range(3):
+            fields = [np.asarray(v)[k] if np.ndim(v) else v for v in astuple(protocol)]
+            alone = solve(type(protocol)(*fields), gamma, state0, -math.inf)
+            assert np.max(np.abs(stacked.states(times)[:, k] - alone.states(times[:, 0]))) < 1e-12
 
 
 def test_select_engine_routing():
@@ -209,6 +232,35 @@ def test_count_peaks_shift_and_scale_invariance():
         scale = rng.uniform(0.5, 4.0)
         assert count_peaks(t + shift, v, (-6.0 + shift, 6.0 + shift), 0.05) == base
         assert count_peaks(t, scale * v, (-6.0, 6.0), 0.05 * scale) == base
+
+
+def _criterion_13_series():
+    # the series criterion 13 counts peaks on, each with its sign flip
+    times = np.linspace(-25.0, 25.0, 2001)
+    p = np.abs(solve(SyncSech2(0.0, math.pi / 2, 1.0), 0.15, IC_RAMP, -25.0).states(times)) ** 2
+    a = solve(AsyncTanhSech(1.0, 1.0, 1.0), 2.0, IC_THIRD, -25.0).states(times)
+    b = solve(AsyncTanhSech(1.0, 1.0, 2.0), 2.0, IC_THIRD, -12.5).states(
+        np.linspace(-12.5, 12.5, 2001)
+    )
+    z, zb = (np.abs(x[:, 2]) ** 2 - np.abs(x[:, 0]) ** 2 for x in (a, b))
+    return [p[:, 0], z, -z, zb, -zb]
+
+
+def test_prominent_peaks_match_scipy_find_peaks():
+    from scipy.signal import find_peaks
+
+    rng = np.random.default_rng(43)
+    series = [(v, 0.01) for v in _criterion_13_series()]
+    for k in range(2000):
+        # rounding the walk to 0-2 decimals makes ties and flat tops
+        walk = np.round(np.cumsum(rng.standard_normal(rng.integers(3, 80))), k % 3)
+        series.append((walk, (0.01, 0.3, 1.0)[k // 3 % 3]))
+    flat_tops = 0
+    for v, prominence in series:
+        expected = find_peaks(v, prominence=prominence)[0]
+        assert np.array_equal(prominent_peaks(v, prominence), expected), (v, prominence)
+        flat_tops += int(np.count_nonzero(v[expected] == v[expected + 1]))
+    assert flat_tops > 100
 
 
 def test_asymptotic_extract_settles():

@@ -323,6 +323,23 @@ def test_closed_form_work_leaves_scipy_integrate_unimported(verb, tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+def test_oracle_figure_and_verify_leave_scipy_unimported(tmp_path):
+    # the oracle's DOP853 and the peak counter are numpy; only the tests need scipy
+    out = str(tmp_path)
+    commands = [
+        ["figure", "--id", "3a", "--out", out],
+        ["evolve", "--protocol", "async", "--gamma", "0.3", "--engine", "oracle", "--out", out],
+        ["verify", "--criteria", "1,11,13"],
+    ]
+    code = "import sys\nfrom sodw.cli import main\n"
+    code += "".join(f"assert main({argv!r}) == 0\n" for argv in commands)
+    code += "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+    code += "assert not loaded, loaded\n"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "3/3 criteria passed" in run.stdout
+
+
 @pytest.mark.parametrize(
     "argv",
     [

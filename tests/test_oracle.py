@@ -230,3 +230,102 @@ def test_scan_sends_only_off_branch_points_to_one_solve(solver_calls):
     oracle_rows = sum(row.engine == ENGINE_ORACLE for row in res.rows)
     assert oracle_rows == 36  # gamma = 0, 0.5, 1, 1.5, 2 have closed forms
     assert solver_calls == [oracle_rows]
+
+
+@pytest.fixture
+def beside_scipy(monkeypatch):
+    """Every oracle solve, run again by scipy's DOP853 on the same system.
+
+    Records (ours, scipy's, rerun) per solve; rerun(**options) repeats the
+    scipy solve with more solve_ivp options.
+    """
+    from functools import partial
+
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    pairs = []
+    ours = sodw.oracle.solve_ivp
+
+    def both(fun, t_span, y0, *, t_eval, rtol, atol):
+        sol = ours(fun, t_span, y0, t_eval=t_eval, rtol=rtol, atol=atol)
+
+        def rhs(s, y):
+            (m,) = fun(np.array([s]))
+            return (m @ y.reshape(m.shape[0], -1, 1)).reshape(y.shape)
+
+        rerun = partial(scipy_solve_ivp, rhs, t_span, y0, method="DOP853", rtol=rtol, atol=atol)
+        pairs.append((sol, rerun(t_eval=t_eval), rerun))
+        return sol
+
+    monkeypatch.setattr(sodw.oracle, "solve_ivp", both)
+    return pairs
+
+
+def _kick():
+    # a short strong pulse after a quiet stretch: long steps run into it and are rejected
+    drive = CustomDrive(lambda t: 8.0 * math.exp(-50.0 * (t - 3.0) ** 2), lambda t: 0.1)
+    cfg = IntegratorConfig(-10.0, 10.0, rel_tol=1e-6, abs_tol=1e-8)
+    integrate(0.3, drive, _E3, cfg, [-10.0, 2.5, 10.0])
+
+
+_SCIPY_CASES = {
+    "criterion-11": lambda: run_all({11}),
+    "figure-3a": lambda: build_figure("3a"),
+    "custom-and-numpy-drives": lambda: integrate_batch(
+        _mixed_batch(
+            np.random.default_rng(73),
+            [
+                SyncSech2(0.4, 1.1, 0.9),
+                CustomDrive(lambda t: 0.6 / math.cosh(t), lambda t: 0.2 * math.tanh(2 * t)),
+                AsyncTanhSech(0.3, 0.8, 1.2),
+                SyncSech2(1.2, 0.5, 1.7),
+            ],
+        ),
+        np.linspace(0.0, 1.0, 31),
+    ),
+    "rel_tol=1e-12": lambda: integrate(
+        0.3,
+        AsyncTanhSech(0.3, 1.0, 1.0),
+        _random_state(np.random.default_rng(79)),
+        IntegratorConfig(-10.0, 10.0, rel_tol=1e-12, abs_tol=1e-14),
+        np.linspace(-9.3, 10.0, 41),
+    ),
+    # below 100*eps: rtol is clamped there
+    "rel_tol=1e-15": lambda: integrate(
+        0.5,
+        SyncSech2(0.5, 1.0, 1.0),
+        _E3,
+        IntegratorConfig(0.0, 2.0, rel_tol=1e-15, abs_tol=1e-16),
+        [1.0, 2.0],
+    ),
+    "endpoint-only": lambda: run_scan(
+        ScanSpec(
+            "gamma",
+            np.linspace(0.0, 2.0, 9),
+            {"epsilon": 0.4, "upsilon": math.hypot(0.5, 0.4), "chi": 1.0},
+            _E3,
+            observables=((3, 1),),
+        )
+    ),
+    "rejects-steps": _kick,
+}
+
+
+@pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
+@pytest.mark.parametrize("case", list(_SCIPY_CASES))
+def test_dop853_matches_scipy_step_for_step(case, beside_scipy):
+    _SCIPY_CASES[case]()
+    assert beside_scipy
+    for ours, ref, _ in beside_scipy:
+        assert ours.success and ref.success
+        assert ours.nfev == ref.nfev
+        assert np.array_equal(ours.t, ref.t)
+        assert np.max(np.abs(ours.y - ref.y)) <= 1e-12
+    if case == "endpoint-only":
+        assert [ours.t.tolist() for ours, _, _ in beside_scipy] == [[1.0]]
+    if case == "rejects-steps":
+        ((_, _, rerun),) = beside_scipy
+        dense = rerun(dense_output=True)
+        steps = dense.sol.ts.size - 1
+        # 2 evaluations pick the first step, 12 go into every attempt, 3 into each interpolant
+        assert dense.nfev - 2 - 3 * steps > 12 * steps
