@@ -14,7 +14,7 @@ sodw.oracle, sodw.analysis, sodw.figures, sodw.acceptance).
 from .analysis import ScanSpec, off_branch_reason, run_scan, select_engine, solve
 from .asynchronous import check_flip_constraint, classify_async_conserving
 from .core import AsyncTanhSech, SyncSech2
-from .oracle import IntegratorConfig, compare_to_analytic, integrate, integrate_batch
+from .oracle import IntegratorConfig, integrate, integrate_batch
 from .sync import classify_sync_condition
 
 __version__ = "0.1.0"

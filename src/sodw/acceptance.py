@@ -21,6 +21,11 @@ from .oracle import IntegratorConfig, integrate, integrate_batch
 
 __all__ = ["CRITERIA", "run_all", "format_record"]
 
+#: criterion 11 draws this many random cases per branch
+C11_CASES = 50
+#: criterion 11 compares exact and oracle states at this many samples per case
+C11_SAMPLES = 121
+
 
 def _sync_endpoint_z(protocol, gamma, targets):
     """Asymptotic (Z31, Z32) for a pulse-center start in the third level."""
@@ -165,8 +170,8 @@ def _random_state(rng):
     return v / np.linalg.norm(v)
 
 
-def _max_distances(cases, samples=121):
-    """Largest |exact - oracle| over 121 samples per case, from one oracle batch.
+def _max_distances(cases):
+    """Largest |exact - oracle| over C11_SAMPLES samples per case, from one oracle batch.
 
     cases are (gamma, protocol, state0, t_lo, t_hi); the oracle samples every
     window at the same fractions, and the closed form at the oracle's times.
@@ -175,7 +180,7 @@ def _max_distances(cases, samples=121):
         (gamma, protocol, state0, IntegratorConfig(t_start=t_lo, t_end=t_hi))
         for gamma, protocol, state0, t_lo, t_hi in cases
     ]
-    records = integrate_batch(members, np.linspace(0.0, 1.0, samples))
+    records = integrate_batch(members, np.linspace(0.0, 1.0, C11_SAMPLES))
     worst = 0.0
     for (gamma, protocol, state0, t_lo, _), rec in zip(cases, records):
         ana = solve(protocol, gamma, state0, t_lo).states(rec.times)
@@ -183,19 +188,19 @@ def _max_distances(cases, samples=121):
     return worst
 
 
-def _criterion_11(cases=50):
+def _criterion_11():
     rng = np.random.default_rng(20260815)
     branches = {"sync": [], "conserving": [], "flip": []}
-    for _ in range(cases):
+    for _ in range(C11_CASES):
         protocol = SyncSech2(rng.uniform(0, 2), rng.uniform(0.3, 2), rng.uniform(0.5, 2))
         T = 10.0 / protocol.Omega
         branches["sync"].append((rng.uniform(0, 2), protocol, _random_state(rng), -T, T))
-    for _ in range(cases):
+    for _ in range(C11_CASES):
         gamma = float(rng.choice([0.0, 1.0, 2.0, 3.0]))
         protocol = AsyncTanhSech(rng.uniform(0, 2), rng.uniform(0.05, 2), rng.uniform(0.4, 2))
         T = 25.0 / protocol.chi
         branches["conserving"].append((gamma, protocol, _random_state(rng), -T, T))
-    for _ in range(cases):
+    for _ in range(C11_CASES):
         gamma = float(rng.choice([0.5, 1.5]))
         chi = rng.uniform(0.4, 2.0)
         eps = rng.uniform(0.0, 2.0)
@@ -205,7 +210,7 @@ def _criterion_11(cases=50):
     worst = {name: _max_distances(batch) for name, batch in branches.items()}
     ok = all(v < 1e-6 for v in worst.values())
     detail = ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
-    return ok, f"max |exact-oracle| over {cases} random cases per branch: {detail} (<1e-6)"
+    return ok, f"max |exact-oracle| over {C11_CASES} random cases per branch: {detail} (<1e-6)"
 
 
 def _criterion_12():

@@ -1,15 +1,16 @@
 """Parameter scans, asymptotic extraction, peak counting, engine dispatch.
 
-A scan sweeps one parameter (beta, V_over_Omega, gamma or upsilon_over_chi)
-and records asymptotic population imbalances per grid point.  Each point is
-routed to the cheapest engine that is valid there: the synchronous closed
-form covers every synchronous protocol, the asynchronous closed form covers
-the spin-conserving branch (cos pi*gamma = +-1) and the spin-flipping branch
-on its parameter surface, and everything else falls back to the numeric
-oracle.  The engine used is recorded per row.  A scan builds its grid's
-parameters once, as a stack of drives, routes every point with the branch
-gate evaluated as a mask, and solves each engine's points together: the
-closed-form points of one engine in one array pass, the oracle points in one
+A protocol is a SyncSech2 or an AsyncTanhSech, whose fields may be stacks of
+members.  A scan sweeps one parameter (beta, V_over_Omega, gamma or
+upsilon_over_chi) of one drive class and records asymptotic population
+imbalances per grid point.  Each point is routed to the cheapest engine that
+is valid there: the synchronous closed form covers every synchronous
+protocol, the asynchronous closed form covers the spin-conserving branch
+(cos pi*gamma = +-1) and the spin-flipping branch on its parameter surface,
+and everything else falls back to the numeric oracle.  The engine used is
+recorded per row.  A scan builds its grid's parameters once, as a stack of
+drives, routes every point with the branch gate evaluated as a mask, and
+solves its closed-form points in one array pass and its oracle points in one
 batch.
 
 The branch gate itself is asynchronous.gate; _engines turns its answer into
@@ -76,12 +77,7 @@ def default_horizon(protocol):
 
     A float for one drive, an array with one horizon per member for a stack.
     """
-    if isinstance(protocol, SyncSech2):
-        rate = protocol.Omega
-    elif isinstance(protocol, AsyncTanhSech):
-        rate = protocol.chi
-    else:
-        raise ValueError("no default horizon for custom drive protocols")
+    rate = protocol.Omega if isinstance(protocol, SyncSech2) else protocol.chi
     horizon = 25.0 / np.minimum(rate, 1.0)
     return float(horizon) if horizon.ndim == 0 else horizon
 
@@ -106,10 +102,8 @@ def _engines(protocol, gamma):
     if isinstance(protocol, SyncSech2):
         shape = np.broadcast_shapes(np.shape(gamma), np.shape(protocol.beta), np.shape(protocol.V))
         return np.full(shape, ENGINE_SYNC), None
-    if isinstance(protocol, AsyncTanhSech):
-        conserving, flip, refusal = asyn.gate(protocol, gamma)
-        return np.where((conserving != 0) | (flip != 0), ENGINE_ASYNC, ENGINE_ORACLE), refusal
-    return np.full(np.shape(gamma), ENGINE_ORACLE), "no closed form for this drive protocol"
+    conserving, flip, refusal = asyn.gate(protocol, gamma)
+    return np.where((conserving != 0) | (flip != 0), ENGINE_ASYNC, ENGINE_ORACLE), refusal
 
 
 @dataclass(frozen=True)
@@ -178,22 +172,22 @@ def _point_setup(spec, x):
 
 
 def _oracle_member(spec, gamma, protocol):
-    """Batch member for one oracle point, integrated up to its default horizon."""
+    """Batch member for one oracle point, integrated to a default horizon past max(epoch, 0)."""
     horizon = default_horizon(protocol)
     t0 = spec.epoch if math.isfinite(spec.epoch) else -horizon
-    return gamma, protocol, spec.state0, IntegratorConfig(t_start=t0, t_end=horizon)
+    return gamma, protocol, spec.state0, IntegratorConfig(t0, max(spec.epoch, 0.0) + horizon)
 
 
 def run_scan(spec):
     """One row per grid point; failures are recorded in-row, the scan continues.
 
     The grid becomes one stack of drives, and the branch gate routes every
-    point at once.  The closed-form points of each engine are solved in one
-    array pass, and the imbalance columns are taken from their (N, 4)
-    populations at t = +inf.  All oracle points go into one endpoint-only
-    batch; if it fails, each oracle row records the error.  A missing or
-    invalid fixed value fails every row, and a gamma that is not finite fails
-    its own.
+    point at once.  The closed-form points are solved in one array pass, and
+    the imbalance columns are taken from their (N, 4) populations at
+    t = +inf.  All oracle points go into one endpoint-only batch, each
+    integrated from the epoch to a default horizon past max(epoch, 0); if it
+    fails, each oracle row records the error.  A missing or invalid fixed
+    value fails every row, and a gamma that is not finite fails its own.
     """
     grid = spec.grid
     values = np.full((grid.size, len(spec.observables)), math.nan)
@@ -217,16 +211,16 @@ def run_scan(spec):
         for j, (s, q) in enumerate(spec.observables):
             values[idx, j] = imbalance(populations, s, q)
 
-    for engine in (ENGINE_SYNC, ENGINE_ASYNC):
-        idx = np.flatnonzero(finite & (engines == engine))
-        if idx.size:
-            try:
-                members_gamma, members = _point_setup(spec, grid[idx])
-                solution = solve(members, members_gamma, spec.state0, spec.epoch)
-                record(idx, solution.asymptotes()[1])
-            except Exception as exc:
-                for k in idx:
-                    errors[k] = str(exc)
+    # a scan sweeps one drive class, so its closed-form points share one engine
+    idx = np.flatnonzero(finite & (engines != ENGINE_ORACLE))
+    if idx.size:
+        try:
+            members_gamma, members = _point_setup(spec, grid[idx])
+            solution = solve(members, members_gamma, spec.state0, spec.epoch)
+            record(idx, solution.asymptotes()[1])
+        except Exception as exc:
+            for k in idx:
+                errors[k] = str(exc)
     idx = np.flatnonzero(finite & (engines == ENGINE_ORACLE))
     if idx.size:
         try:
@@ -347,7 +341,5 @@ def solve(protocol, gamma, state0, t0):
         raise ValueError(f"initial conditions need t0 finite or -inf, got {t0}")
     if isinstance(protocol, SyncSech2):
         return Solution(*sync.modes(protocol, gamma), state0, t0)
-    if isinstance(protocol, AsyncTanhSech):
-        t_ref = t0 if math.isfinite(t0) else -default_horizon(protocol)
-        return Solution(*asyn.modes(protocol, gamma), state0, t_ref)
-    raise ValueError(off_branch_reason(protocol, gamma))
+    t_ref = t0 if math.isfinite(t0) else -default_horizon(protocol)
+    return Solution(*asyn.modes(protocol, gamma), state0, t_ref)

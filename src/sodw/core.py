@@ -21,8 +21,9 @@ Which closed form holds is decided in one place.  :func:`branch_signs` is the
 only test of gamma against the two coupling branches (|sin(pi*gamma)| < 1e-9
 or |cos(pi*gamma)| < 1e-9); the synchronous eigensystem takes its degenerate
 members from it, and ``asynchronous.gate`` adds the flip-branch parameter
-constraint and the refusal text to it.  SyncSech2 and AsyncTanhSech refuse
-every parameter that is not finite; CustomDrive values go unchecked.
+constraint and the refusal text to it.  A drive is a SyncSech2 or an
+AsyncTanhSech, the two drives the closed forms solve; both refuse every
+parameter that is not finite, and values(t) gives both drive values at once.
 
 Everything here is dimensionless and immutable; all functions are pure and
 safe to call concurrently.
@@ -38,7 +39,6 @@ import numpy as np
 __all__ = [
     "SyncSech2",
     "AsyncTanhSech",
-    "CustomDrive",
     "as_state",
     "branch_signs",
     "hamiltonian_matrix",
@@ -102,17 +102,10 @@ class SyncSech2:
         for name, value in (("beta", self.beta), ("V", self.V), ("Omega", self.Omega)):
             _require_finite(name, value)
 
-    @staticmethod
-    def drive_values(beta, V, Omega, t):
-        """(upsilon, epsilon) at t; the parameters may be stacked arrays broadcasting with t."""
-        ups = V / np.cosh(Omega * t) ** 2
-        return ups, beta * ups
-
-    def upsilon(self, t):
-        return self.drive_values(self.beta, self.V, self.Omega, np.asarray(t, dtype=float))[0]
-
-    def epsilon(self, t):
-        return self.drive_values(self.beta, self.V, self.Omega, np.asarray(t, dtype=float))[1]
+    def values(self, t):
+        """(upsilon, epsilon) at t; t broadcasts against the fields, which may be stacked."""
+        ups = self.V / np.cosh(self.Omega * t) ** 2
+        return ups, self.beta * ups
 
 
 @dataclass(frozen=True)
@@ -134,33 +127,10 @@ class AsyncTanhSech:
         for name, value in fields:
             _require_finite(name, value)
 
-    @staticmethod
-    def drive_values(epsilon_amp, upsilon_amp, chi, t):
-        """(upsilon, epsilon) at t; the parameters may be stacked arrays broadcasting with t."""
-        x = chi * t
-        return upsilon_amp / np.cosh(x), epsilon_amp * np.tanh(x)
-
-    def upsilon(self, t):
-        args = (self.epsilon_amp, self.upsilon_amp, self.chi, np.asarray(t, dtype=float))
-        return self.drive_values(*args)[0]
-
-    def epsilon(self, t):
-        args = (self.epsilon_amp, self.upsilon_amp, self.chi, np.asarray(t, dtype=float))
-        return self.drive_values(*args)[1]
-
-
-@dataclass(frozen=True)
-class CustomDrive:
-    """Arbitrary drive given by two callables upsilon(t), epsilon(t); oracle only."""
-
-    upsilon_fn: object
-    epsilon_fn: object
-
-    def upsilon(self, t):
-        return self.upsilon_fn(t)
-
-    def epsilon(self, t):
-        return self.epsilon_fn(t)
+    def values(self, t):
+        """(upsilon, epsilon) at t; t broadcasts against the fields, which may be stacked."""
+        x = self.chi * t
+        return self.upsilon_amp / np.cosh(x), self.epsilon_amp * np.tanh(x)
 
 
 def as_state(amplitudes):

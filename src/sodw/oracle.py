@@ -22,10 +22,10 @@ state is the N x 4 amplitude array, flattened, and the batch runs in the
 normalised time s in [0, 1]: member i sits at t_i = a_i + s*(b_i - a_i) and
 obeys dy_i/ds = (b_i - a_i)*f_i(t_i, y_i).  One shared, increasing fraction
 grid s_k then samples every member, member i at a_i + s_k*(b_i - a_i).
-Drive values come from one numpy expression per protocol class (its
-drive_values over the stacked parameters); other drives, such as
-CustomDrive, are evaluated member by member.  The couplings are the stacked
-hamiltonian_matrix of each member.
+Every member's protocol is a SyncSech2 or an AsyncTanhSech, all of one class:
+the batch stacks their fields into one drive of that class, whose values(t)
+gives the drive values of all members at once.  The couplings are the
+stacked hamiltonian_matrix of each member.
 
 The error norm is an RMS over all 4N components, so a member's local error
 weighs 1/sqrt(N) of what it would alone.  The batch divides rel_tol and
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +62,6 @@ __all__ = [
     "TrajectoryRecord",
     "integrate",
     "integrate_batch",
-    "compare_to_analytic",
 ]
 
 
@@ -94,7 +93,6 @@ class TrajectoryRecord:
 
     times: np.ndarray
     states: np.ndarray
-    protocol: object
     solver_id: str
     norm_drift_max: float = field(init=False)
 
@@ -248,50 +246,18 @@ def _result(ts, ys, n, nfev, success, message):
     return IvpResult(t, y, nfev, success, message)
 
 
-def _member_by_member(protocols):
-    """values(t) -> (upsilon, epsilon) arrays of t's shape (K, M), one call per member and time."""
+def _stacked_drive(protocols):
+    """One drive of the batch's class whose fields stack the members' fields.
 
-    def values(t):
-        rows = t.tolist()
-        ups = np.array([[float(p.upsilon(x)) for p, x in zip(protocols, row)] for row in rows])
-        eps = np.array([[float(p.epsilon(x)) for p, x in zip(protocols, row)] for row in rows])
-        return ups, eps
-
-    return values
-
-
-def _stacked_drive(protocols, start, length):
-    """drive(s) -> (upsilon, epsilon) arrays of shape (K, N) at the K fractions s.
-
-    Members whose protocol class has drive_values share one numpy expression
-    per class over their stacked parameters (in dataclass field order); other
-    drives, such as CustomDrive, are evaluated member by member.
+    The fields are stacked in dataclass field order, which differs between
+    the drive classes, so a batch that mixes them is refused.
     """
-    groups = {}
-    for k, protocol in enumerate(protocols):
-        cls = type(protocol)
-        groups.setdefault(cls if hasattr(cls, "drive_values") else None, []).append(k)
-    parts = []
-    for cls, idx in groups.items():
-        if cls is None:
-            values = _member_by_member([protocols[k] for k in idx])
-        else:
-            params = np.array([astuple(protocols[k]) for k in idx], dtype=float).T
-            values = partial(cls.drive_values, *params)
-        parts.append((np.array(idx), values))
-    if len(parts) == 1:
-        values = parts[0][1]
-        return lambda s: values(start + s[:, None] * length)
-
-    def drive(s):
-        t = start + s[:, None] * length
-        ups = np.empty(t.shape)
-        eps = np.empty(t.shape)
-        for idx, values in parts:
-            ups[:, idx], eps[:, idx] = values(t[:, idx])
-        return ups, eps
-
-    return drive
+    classes = {type(protocol) for protocol in protocols}
+    if len(classes) != 1:
+        names = sorted(cls.__name__ for cls in classes)
+        raise ValueError(f"batch members must share one drive class, got {names}")
+    (cls,) = classes
+    return cls(*np.array([astuple(protocol) for protocol in protocols], dtype=float).T)
 
 
 def _solve(gammas, protocols, states0, cfgs, fractions):
@@ -308,11 +274,11 @@ def _solve(gammas, protocols, states0, cfgs, fractions):
     rate = -1j * length[:, None, None]
     tunnel = rate * np.array([hamiltonian_matrix(g, 1.0, 0.0) for g in gammas])
     zeeman = rate * hamiltonian_matrix(0.0, 0.0, 1.0)
-    drive = _stacked_drive(protocols, start, length)
+    drive = _stacked_drive(protocols)
 
     def stage_matrices(s):
         """dy/ds = M y of every member at the K fractions s: M has shape (K, N, 4, 4)."""
-        ups, eps = drive(s)
+        ups, eps = drive.values(start + s[:, None] * length)
         return ups[..., None, None] * tunnel + eps[..., None, None] * zeeman
 
     y0 = np.concatenate([as_state(state0) for state0 in states0])
@@ -347,9 +313,10 @@ def integrate_batch(members, fractions):
     Parameters
     ----------
     members : sequence of (gamma, protocol, state0, cfg) tuples, the
-        arguments of integrate without the grid; all cfgs share rel_tol and
-        abs_tol, each gives its member's window [t_start, t_end]
-    fractions : increasing window fractions s_k in [0, 1]
+        arguments of integrate without the grid; all protocols are of one
+        class, all cfgs share rel_tol and abs_tol, and each cfg gives its
+        member's window [t_start, t_end]
+    fractions : strictly increasing window fractions s_k in [0, 1]
 
     Returns
     -------
@@ -360,6 +327,8 @@ def integrate_batch(members, fractions):
     fractions = np.asarray(fractions, dtype=float)
     if fractions.ndim != 1 or fractions.size < 1:
         raise ValueError("fractions must be a non-empty 1-d sequence")
+    if np.any(np.diff(fractions) <= 0):
+        raise ValueError("fractions must be strictly increasing")
     if fractions[0] < 0.0 or fractions[-1] > 1.0:
         raise ValueError(f"fractions [{fractions[0]}, {fractions[-1]}] exceed [0, 1]")
     if not members:
@@ -370,10 +339,9 @@ def integrate_batch(members, fractions):
         TrajectoryRecord(
             cfg.t_start + fractions * (cfg.t_end - cfg.t_start),
             states[:, i],
-            protocol,
             _solver_id(cfg),
         )
-        for i, (protocol, cfg) in enumerate(zip(protocols, cfgs))
+        for i, cfg in enumerate(cfgs)
     ]
 
 
@@ -385,10 +353,10 @@ def integrate(gamma, protocol, state0, cfg, sample_grid):
     Parameters
     ----------
     gamma : float
-    protocol : object with upsilon(t)/epsilon(t)
+    protocol : SyncSech2 or AsyncTanhSech
     state0 : length-4 complex sequence, the state at cfg.t_start
     cfg : IntegratorConfig
-    sample_grid : increasing times within [t_start, t_end]
+    sample_grid : strictly increasing times within [t_start, t_end]
 
     Returns
     -------
@@ -398,19 +366,13 @@ def integrate(gamma, protocol, state0, cfg, sample_grid):
     grid = np.asarray(sample_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("sample_grid must be a non-empty 1-d time sequence")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("sample_grid must be strictly increasing")
     if grid[0] < cfg.t_start - 1e-12 or grid[-1] > cfg.t_end + 1e-12:
         raise ValueError(
             f"sample_grid [{grid[0]}, {grid[-1]}] exceeds window [{cfg.t_start}, {cfg.t_end}]"
         )
     fractions = np.clip((grid - cfg.t_start) / (cfg.t_end - cfg.t_start), 0.0, 1.0)
     states = _solve((gamma,), (protocol,), (y0,), (cfg,), fractions)
-    return TrajectoryRecord(grid, states[:, 0], protocol, _solver_id(cfg))
+    return TrajectoryRecord(grid, states[:, 0], _solver_id(cfg))
 
-
-def compare_to_analytic(traj, analytic_eval):
-    """Max amplitude-vector distance between a trajectory and an analytic solution.
-
-    analytic_eval maps a scalar time to a length-4 amplitude vector.
-    """
-    ana = np.array([np.asarray(analytic_eval(t), dtype=complex) for t in traj.times])
-    return float(np.max(np.linalg.norm(traj.states - ana, axis=1)))

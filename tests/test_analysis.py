@@ -29,7 +29,7 @@ from sodw.analysis import (
 )
 from sodw.acceptance import IC_RAMP, IC_THIRD
 from sodw.asynchronous import modes as async_modes
-from sodw.core import CustomDrive, imbalance
+from sodw.core import imbalance
 
 _E3 = (0, 0, 1, 0)
 
@@ -46,8 +46,6 @@ def test_default_horizon():
     assert default_horizon(SyncSech2(0.0, 1.0, 0.5)) == 50.0
     assert default_horizon(SyncSech2(0.0, 1.0, 2.0)) == 25.0
     assert default_horizon(AsyncTanhSech(0.0, 1.0, 0.4)) == 62.5
-    with pytest.raises(ValueError):
-        default_horizon(CustomDrive(lambda t: 0.0, lambda t: 0.0))
 
 
 def test_stacked_drives_get_a_horizon_per_member():
@@ -87,7 +85,6 @@ def test_off_branch_reason_strings():
     assert msg.startswith("no closed form at gamma=0.3:")
     msg = off_branch_reason(AsyncTanhSech(0.0, 1.0, 1.0), 1.000001)
     assert msg.startswith("no closed form at gamma=1.000001:")
-    assert "protocol" in off_branch_reason(CustomDrive(lambda t: 0, lambda t: 0), 0.5)
 
 
 def test_scan_spec_validation():
@@ -203,6 +200,19 @@ def test_oracle_point_agrees_with_manual_integration():
     assert abs(res.rows[0].values[0] - z) < 1e-9
 
 
+def test_late_epoch_scan_integrates_a_horizon_past_its_epoch():
+    # the oracle window used to end at +horizon whatever the epoch, so a scan
+    # whose epoch lies past the horizon failed every oracle row
+    fixed = {"epsilon": 0.4, "upsilon": 1.1, "chi": 1.0}
+    spec = ScanSpec("gamma", np.linspace(0.1, 0.9, 5), fixed, _E3, epoch=30.0, observables=((3, 1),))
+    res = run_scan(spec)
+    proto = AsyncTanhSech(0.4, 1.1, 1.0)
+    for row in res.rows:
+        assert row.error is None and row.engine == ENGINE_ORACLE
+        p = integrate(row.param, proto, _E3, IntegratorConfig(30.0, 55.0), [55.0]).population_array
+        assert abs(row.values[0] - (p[-1, 2] - p[-1, 0])) < 1e-6
+
+
 def test_count_peaks():
     t = np.linspace(-10.0, 10.0, 2001)
     assert count_peaks(t, np.ones_like(t), (-5.0, 5.0), 0.01) == 0
@@ -270,13 +280,13 @@ def test_asymptotic_extract_settles():
     states = solve(proto, 0.5, _E3, -math.inf).states(times)
     from sodw.oracle import TrajectoryRecord
 
-    rec = TrajectoryRecord(times, states, proto, "sync-exact")
+    rec = TrajectoryRecord(times, states, "sync-exact")
     first, last, settled = asymptotic_extract(rec)
     assert settled
     assert first[2] == pytest.approx(1.0, abs=1e-9)
     assert_allclose(last, np.abs(states[-1]) ** 2, atol=0.0)
     # a window ending at the pulse peak is still moving
-    mid = TrajectoryRecord(times[:401], states[:401], proto, "sync-exact")
+    mid = TrajectoryRecord(times[:401], states[:401], "sync-exact")
     assert not asymptotic_extract(mid)[2]
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from sodw.core import (
     AsyncTanhSech,
-    CustomDrive,
     SyncSech2,
     as_state,
     coupling_values,
@@ -23,11 +22,12 @@ def test_coupling_rejects_nonfinite():
 
 def test_sync_protocol_envelopes():
     prot = SyncSech2(0.5, 2.0, 0.8)
-    assert prot.upsilon(0.0) == pytest.approx(2.0)
+    ups, eps = prot.values(np.array([0.0, 1.3, -1.3, 0.7, 80.0]))
+    assert ups[0] == pytest.approx(2.0)
     # even pulse, detuning locked to it with ratio beta
-    assert prot.upsilon(1.3) == pytest.approx(prot.upsilon(-1.3))
-    assert prot.epsilon(0.7) == pytest.approx(0.5 * prot.upsilon(0.7))
-    assert prot.upsilon(80.0) == pytest.approx(0.0, abs=1e-30)
+    assert ups[1] == pytest.approx(ups[2])
+    assert eps[3] == pytest.approx(0.5 * ups[3])
+    assert ups[4] == pytest.approx(0.0, abs=1e-30)
 
 
 def test_sync_protocol_rejects_bad_omega():
@@ -39,20 +39,28 @@ def test_sync_protocol_rejects_bad_omega():
 
 def test_async_protocol_envelopes():
     prot = AsyncTanhSech(1.5, 2.0, 0.7)
-    assert prot.upsilon(0.0) == pytest.approx(2.0)
-    assert prot.epsilon(0.0) == 0.0
+    ups, eps = prot.values(np.array([0.0, -3.0, 3.0, 60.0]))
+    assert ups[0] == pytest.approx(2.0)
+    assert eps[0] == 0.0
     # odd saturating detuning, even decaying tunneling
-    assert prot.epsilon(-3.0) == pytest.approx(-prot.epsilon(3.0))
-    assert prot.epsilon(60.0) == pytest.approx(1.5)
-    assert prot.upsilon(60.0) == pytest.approx(0.0, abs=1e-16)
+    assert eps[1] == pytest.approx(-eps[2])
+    assert eps[3] == pytest.approx(1.5)
+    assert ups[3] == pytest.approx(0.0, abs=1e-16)
     with pytest.raises(ValueError):
         AsyncTanhSech(1.0, 1.0, 0.0)
 
 
-def test_custom_drive_wraps_callables():
-    drive = CustomDrive(lambda t: 2.0 * t, lambda t: -t)
-    assert drive.upsilon(3.0) == 6.0
-    assert drive.epsilon(3.0) == -3.0
+@pytest.mark.parametrize("cls", [SyncSech2, AsyncTanhSech])
+def test_stacked_values_are_the_members_values(cls):
+    # a (K, 1) time column broadcasts against N stacked members to (K, N)
+    rng = np.random.default_rng(3)
+    fields = rng.uniform([0.0, 0.1, 0.4], [2.0, 2.0, 2.0], size=(5, 3))
+    times = np.linspace(-4.0, 4.0, 9)
+    stacked = cls(*fields.T).values(times[:, None])
+    for k, row in enumerate(fields):
+        ups, eps = cls(*row).values(times)
+        assert np.array_equal(stacked[0][:, k], ups)
+        assert np.array_equal(stacked[1][:, k], eps)
 
 
 def test_hamiltonian_structure():

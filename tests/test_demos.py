@@ -1,12 +1,14 @@
 """Every demo script and the README quickstart run to their end against the current API."""
 
 import importlib
+import inspect
 import math
 import pathlib
 import re
 import runpy
 import sys
 
+import numpy as np
 import pytest
 
 _ROOT = pathlib.Path(__file__).parent.parent
@@ -42,8 +44,10 @@ def test_every_name_in_all_resolves(name):
     assert [n for n in names if not hasattr(module, n)] == []
 
 
-# perfbench/tracing.py hooks these functions by name and tallies the scan
-# points of each engine by the engine names of the rows
+# perfbench/tracing.py hooks these functions by name, reads the grid of
+# integrate by its parameter name or position, counts nfev at
+# sodw.oracle.solve_ivp and tallies the scan points of each engine by the
+# engine names of the rows
 _TRACED = (
     ("oracle", "integrate"),
     ("sync", "eigen_sync"),
@@ -55,7 +59,13 @@ _TRACED = (
 def test_traced_functions_and_engine_names_stay():
     for module, name in _TRACED:
         assert name in importlib.import_module(f"sodw.{module}").__all__, f"{module}.{name}"
+    from sodw import oracle
     from sodw.analysis import ScanSpec, run_scan
+
+    assert list(inspect.signature(oracle.integrate).parameters)[4] == "sample_grid"
+    idle = lambda s: np.zeros((s.size, 1, 4, 4))
+    sol = oracle.solve_ivp(idle, (0.0, 1.0), np.ones(4), t_eval=[1.0], rtol=1e-6, atol=1e-8)
+    assert sol.nfev > 0
 
     flip = {"epsilon": 0.4, "upsilon": math.hypot(0.5, 0.4), "chi": 1.0}
     specs = [
