@@ -22,8 +22,9 @@ solve() is the one entry point to the closed forms.  Each engine is only
 what differs between the drives: sync.modes and asynchronous.modes gate the
 drive once and return its mode basis B(t), with a(t) = B(t) c, and limit
 matrices L-/+, with P(-/+inf) = |L-/+ c|^2.  Solution fixes c from the
-initial state and serves every engine alike; populations are plain arrays
-with the four levels on their last axis.  solve() also holds the one rule
+initial state, which may differ from member to member together with its
+time, and serves every engine alike; populations are plain arrays with the
+four levels on their last axis.  solve() also holds the one rule
 for a state given at t0 = -inf: the synchronous engine imposes it exactly,
 at B(-inf) (the rescaled time saturates at -V/Omega), and the asynchronous
 branches impose it at t = -default_horizon(protocol).
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import asynchronous as asyn
 from . import sync
-from .core import AsyncTanhSech, SyncSech2, as_state, coupling_values, imbalance
+from .core import AsyncTanhSech, SyncSech2, as_state, as_states, coupling_values, imbalance
 from .oracle import IntegratorConfig, integrate_batch
 
 __all__ = [
@@ -151,8 +152,11 @@ class ScanRow(NamedTuple):
 
 @dataclass(frozen=True)
 class ScanResult:
+    """The rows of a scan, and the text of a fixed value that failed every row (else None)."""
+
     spec: ScanSpec
     rows: tuple
+    refusal: str | None = None
 
 
 def _point_setup(spec, x):
@@ -187,7 +191,8 @@ def run_scan(spec):
     t = +inf.  All oracle points go into one endpoint-only batch, each
     integrated from the epoch to a default horizon past max(epoch, 0); if it
     fails, each oracle row records the error.  A missing or invalid fixed
-    value fails every row, and a gamma that is not finite fails its own.
+    value fails every row and is the result's refusal; a gamma that is not
+    finite fails its own row.
     """
     grid = spec.grid
     values = np.full((grid.size, len(spec.observables)), math.nan)
@@ -197,9 +202,9 @@ def run_scan(spec):
         gamma = np.broadcast_to(np.asarray(gamma, dtype=float), grid.shape)
         engines = _engines(protocol, gamma)[0]
     except Exception as exc:
+        refusal = f"missing fixed value {exc}" if isinstance(exc, KeyError) else str(exc)
         engines = np.full(grid.shape, ENGINE_ORACLE)
-        errors = [str(exc)] * grid.size
-        return _scan_result(spec, values, engines, errors)
+        return _scan_result(spec, values, engines, [refusal] * grid.size, refusal)
     finite = np.isfinite(gamma)
     for k in np.flatnonzero(~finite):
         try:
@@ -233,7 +238,7 @@ def run_scan(spec):
     return _scan_result(spec, values, engines, errors)
 
 
-def _scan_result(spec, values, engines, errors):
+def _scan_result(spec, values, engines, errors, refusal=None):
     """The rows of a scan; refuses a solved row with |Z| > 1 + 1e-9."""
     failed = np.array([error is not None for error in errors], dtype=bool)
     values[failed] = math.nan
@@ -243,7 +248,7 @@ def _scan_result(spec, values, engines, errors):
         v, x = float(values[k, j]), float(spec.grid[k])
         raise ValueError(f"imbalance {v} at {spec.swept}={x} is unphysical")
     rows = map(ScanRow, spec.grid.tolist(), map(tuple, values.tolist()), engines.tolist(), errors)
-    return ScanResult(spec, tuple(rows))
+    return ScanResult(spec, tuple(rows), refusal)
 
 
 def count_peaks(times, values, window, prominence):
@@ -311,13 +316,15 @@ class Solution:
 
     basis and limits are an engine's modes(): basis(t) of shape S + (4, 4)
     over members of shape S, limits of shape (2,) + S + (4, 4).  The
-    coefficients solve basis(t0) @ coeffs = state0 for every member at once.
+    coefficients solve basis(t0) @ coeffs = state0 for every member at once;
+    state0 (one state, or S + (4,)) and t0 (one time, or S) may differ from
+    member to member.
     """
 
     def __init__(self, basis, limits, state0, t0):
         self.basis = basis
         self.limits = limits
-        self.coeffs = np.linalg.solve(basis(t0), as_state(state0)[:, None])[..., 0]
+        self.coeffs = np.linalg.solve(basis(t0), as_states(state0)[..., None])[..., 0]
 
     def states(self, times):
         """Amplitudes at times, which broadcast against S (one member: T -> T + (4,))."""
@@ -332,14 +339,14 @@ def solve(protocol, gamma, state0, t0):
     """Closed-form Solution with state0 imposed at t0 (finite or -inf).
 
     The drive type picks the engine, whose modes() gate the drive and build
-    its basis once.  The drive's fields and gamma may be stacks of members.
-    Raises ValueError with the gate's refusal text when no closed form covers
-    (protocol, gamma).
+    its basis once.  The drive's fields, gamma, state0 (shape S + (4,)) and
+    t0 may be stacks of members.  Raises ValueError with the gate's refusal
+    text when no closed form covers (protocol, gamma).
     """
-    t0 = float(t0)
-    if not t0 < math.inf:
+    t0 = np.asarray(t0, dtype=float)
+    if not np.all(t0 < math.inf):
         raise ValueError(f"initial conditions need t0 finite or -inf, got {t0}")
     if isinstance(protocol, SyncSech2):
         return Solution(*sync.modes(protocol, gamma), state0, t0)
-    t_ref = t0 if math.isfinite(t0) else -default_horizon(protocol)
+    t_ref = np.where(np.isfinite(t0), t0, -default_horizon(protocol))
     return Solution(*asyn.modes(protocol, gamma), state0, t_ref)

@@ -24,6 +24,7 @@ members from it, and ``asynchronous.gate`` adds the flip-branch parameter
 constraint and the refusal text to it.  A drive is a SyncSech2 or an
 AsyncTanhSech, the two drives the closed forms solve; both refuse every
 parameter that is not finite, and values(t) gives both drive values at once.
+stack_drives makes one drive of several of one class, whose fields are stacks.
 
 Everything here is dimensionless and immutable; all functions are pure and
 safe to call concurrently.
@@ -32,7 +33,7 @@ safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -40,9 +41,11 @@ __all__ = [
     "SyncSech2",
     "AsyncTanhSech",
     "as_state",
+    "as_states",
     "branch_signs",
     "hamiltonian_matrix",
     "imbalance",
+    "stack_drives",
 ]
 
 #: branch threshold on |sin(pi*gamma)| and |cos(pi*gamma)|, used by branch_signs
@@ -138,9 +141,31 @@ def as_state(amplitudes):
     a = np.asarray(amplitudes, dtype=complex)
     if a.shape != (4,):
         raise ValueError(f"amplitude vector must have shape (4,), got {a.shape}")
+    return as_states(a)
+
+
+def as_states(amplitudes):
+    """Coerce one amplitude vector or a stack of them, shape S + (4,), checking finiteness."""
+    a = np.asarray(amplitudes, dtype=complex)
+    if a.shape[-1:] != (4,):
+        raise ValueError(f"amplitude vectors must have 4 levels on the last axis, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"amplitude vector must be finite, got {a!r}")
     return a
+
+
+def stack_drives(protocols):
+    """One drive of the protocols' class whose fields stack theirs, member by member.
+
+    The fields are stacked in dataclass field order, which differs between
+    the drive classes, so protocols of mixed classes are refused.
+    """
+    classes = {type(protocol) for protocol in protocols}
+    if len(classes) != 1:
+        names = sorted(cls.__name__ for cls in classes)
+        raise ValueError(f"protocols must share one drive class, got {names}")
+    (cls,) = classes
+    return cls(*np.array([astuple(protocol) for protocol in protocols], dtype=float).T)
 
 
 def hamiltonian_matrix(gamma, upsilon_val, epsilon_val):

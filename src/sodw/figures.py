@@ -253,8 +253,12 @@ def scan_bundle(key, name, title, spec, bounds):
 
     key=name is the first meta entry and title starts the plot title; bounds
     (lo, hi) are the grid ends as given, which a one-point grid cannot show.
+    Raises ValueError with the scan's refusal when a fixed value fails every
+    row, so that nothing is written for it.
     """
     result = run_scan(spec)
+    if result.refusal is not None:
+        raise ValueError(result.refusal)
     names = tuple(f"Z{s}{q}_inf" for s, q in spec.observables)
     rows = tuple((row.param, *row.values, row.engine) for row in result.rows)
     datasets = (Dataset(name, ("param", *names, "engine"), rows),)

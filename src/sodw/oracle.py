@@ -11,44 +11,48 @@ solve_ivp is scipy's DOP853 algorithm (scipy.integrate.solve_ivp with
 method="DOP853"; Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.5, II.10)
 in numpy, step for step: the same tableau, initial step, step-size control,
 error norm and dense output, so it takes the same steps and the same number
-of right-hand-side evaluations.  What it adds is that the system is linear,
-dy/ds = M(s) y: one call gives the matrices M of all stages of a step, built
-from the stacked drive values, in place of one Python right-hand side per
-stage.  scipy itself is not needed.
+of right-hand-side evaluations.  What it adds is that the system is linear
+with fixed matrices, dy/ds = u(s)*(T y) + e(s)*(z . y): T is the tunnel
+matrix and z the Zeeman diagonal, both scaled by -i times the window length,
+and u, e are the drive values.  One call gives the rate coefficients of all
+stages of a step from the stacked drive values, and each stage's rate is
+then u*(T y) + e*(z . y), with T y taken from the two entries in each row of
+T; no 4x4 stage matrix is built.  scipy itself is not needed.
 
 integrate_batch advances N independent systems (coupling, drive, initial
 state and window [a_i, b_i] per member) in one solve_ivp call.  The batch
-state is the N x 4 amplitude array, flattened, and the batch runs in the
-normalised time s in [0, 1]: member i sits at t_i = a_i + s*(b_i - a_i) and
-obeys dy_i/ds = (b_i - a_i)*f_i(t_i, y_i).  One shared, increasing fraction
-grid s_k then samples every member, member i at a_i + s_k*(b_i - a_i).
-Every member's protocol is a SyncSech2 or an AsyncTanhSech, all of one class:
-the batch stacks their fields into one drive of that class, whose values(t)
-gives the drive values of all members at once.  The couplings are the
-stacked hamiltonian_matrix of each member.
+state holds the 4N amplitudes, and the batch runs in the normalised time
+s in [0, 1]: member i sits at t_i = a_i + s*(b_i - a_i) and obeys
+dy_i/ds = (b_i - a_i)*f_i(t_i, y_i).  One shared, increasing fraction grid
+s_k then samples every member, member i at a_i + s_k*(b_i - a_i).  Every
+member's protocol is a SyncSech2 or an AsyncTanhSech, all of one class: the
+batch stacks their fields into one drive of that class, whose values(t)
+gives the drive values of all members at once.
 
 The error norm is an RMS over all 4N components, so a member's local error
 weighs 1/sqrt(N) of what it would alone.  The batch divides rel_tol and
 abs_tol by sqrt(N), which keeps each member's local-error test as strict as
 in a solve of its own; shared step control then steps every member at least
-as finely as it would be stepped alone.  integrate is the N = 1 case: it
-samples exactly at the requested grid values (t_eval), never at
-nearest-step substitutes.
+as finely as it would be stepped alone.  So a batch's step is set by its
+most demanding member, and every member takes that many steps.  integrate
+is the N = 1 case: it samples exactly at the requested grid values (t_eval),
+never at nearest-step substitutes.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _dop853_coefficients as _dop
-from .core import as_state, hamiltonian_matrix
+from .core import as_state, hamiltonian_matrix, stack_drives
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 # step-size control of scipy's explicit Runge-Kutta solvers
 _SAFETY = 0.9  # multiply steps computed from the error estimate by this
 _MIN_FACTOR = 0.2  # smallest allowed decrease of a step
@@ -56,6 +60,8 @@ _MAX_FACTOR = 10  # largest allowed increase of a step
 _ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _FINISHED = "The solver successfully reached the end of the integration interval."
+_STEP_NOT_FINITE = "Step size is not finite."
+_ERROR_NOT_FINITE = "Error estimate is not finite."
 
 __all__ = [
     "IntegratorConfig",
@@ -75,6 +81,10 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
+        for name in ("t_start", "t_end", "rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError(
                 f"tolerances must be > 0, got rel_tol={self.rel_tol}, abs_tol={self.abs_tol}"
@@ -132,81 +142,153 @@ def _rms(x):
     return np.linalg.norm(x) / x.size**0.5
 
 
-def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol):
-    """DOP853 on the block-diagonal linear system dy/ds = M(s) y, sampled at t_eval.
+# the tableau as complex numbers, so that no product with K converts it first;
+# the conversion is exact, so the products are scipy's
+_A, _E5, _E3 = (x.astype(complex) for x in (_dop.A, _dop.E5, _dop.E3))
 
-    fun(s) maps an array of K times to the (K, B, m, m) diagonal blocks of M
-    at those times; y0 holds the B*m components of y, block by block.  One
-    call gives the matrices of all stages of a step, or of the three extra
-    stages of its dense output.  Otherwise this is the algorithm of
+# each row of H(gamma, 1, 0) couples its amplitude to the same spin (_SAME) and
+# to the other spin (_OTHER) in the other well; H(gamma, 0, 1) is diagonal
+_LEVELS = np.arange(4)
+_SAME = np.array([2, 3, 0, 1])
+_OTHER = np.array([3, 2, 1, 0])
+
+
+class BatchRate:
+    """Right-hand side dy/ds = u(s)*(T y) + e(s)*(z . y) of a batch of B members.
+
+    Member b has the window [start_b, start_b + length_b], so its time is
+    t = start_b + s*length_b, and (u, e) are its drive values at t.  Its
+    tunnel matrix T_b = -i*length_b*H(gamma_b, 1, 0) and Zeeman diagonal
+    z_b = -i*length_b*diag H(0, 0, 1) stay fixed.  Every row of T_b has two
+    entries: the same spin and the other spin in the other well.  So a rate
+    needs no 4x4 matrix, only three coefficients per amplitude (e*z and u
+    times T's two entries of its row) and the amplitudes gathered into those
+    three positions.  y holds the 4B amplitudes member by member: y[4*b + k]
+    is level k of member b.
+    """
+
+    def __init__(self, gammas, drive, start, length):
+        members = len(gammas)
+        tunnel = np.array([hamiltonian_matrix(g, 1.0, 0.0) for g in gammas])
+        zeeman = np.diag(hamiltonian_matrix(0.0, 0.0, 1.0))
+        # (3, B, 4): z, then T's same-spin and other-spin entries of each row
+        entries = np.stack(
+            [
+                np.broadcast_to(zeeman, (members, 4)),
+                tunnel[:, _LEVELS, _SAME],
+                tunnel[:, _LEVELS, _OTHER],
+            ]
+        )
+        self.fixed = (-1j * length[:, None] * entries).reshape(3, -1)
+        blocks = 4 * np.arange(members)[:, None]
+        self.gather = np.stack([blocks + _LEVELS, blocks + _SAME, blocks + _OTHER]).reshape(3, -1)
+        self.drive = drive
+        self.start = start
+        self.length = length
+        self._buffer = np.empty((_dop.N_STAGES,) + self.fixed.shape, dtype=complex)
+
+    def __call__(self, s):
+        """The rate's coefficients at the K <= 12 fractions s, shape (K, 3, 4B).
+
+        They are a view of a buffer that the next call overwrites: for a large
+        batch, a new array at every step would be fresh memory, paid for in
+        page faults.
+        """
+        ups, eps = self.drive.values(self.start + s[:, None] * self.length)
+        out = self._buffer[: s.size]
+        scale = np.repeat(np.array([eps, ups, ups]), 4, axis=-1)
+        np.multiply(scale, self.fixed[:, None], out=out.swapaxes(0, 1))
+        return out
+
+    def rate(self, coefficients, y, out=None):
+        """dy/ds from one time's coefficients (3, 4B) and the amplitudes y (4B,)."""
+        return np.add.reduce(coefficients * y.take(self.gather), axis=0, out=out)
+
+
+# a step size or error estimate that overflows ends the solve as a failure, not a warning
+@np.errstate(all="ignore")
+def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol):
+    """DOP853 on dy/ds = fun.rate(fun(s), y), sampled at t_eval.
+
+    fun is a BatchRate: fun(s) maps an array of K times to the coefficients
+    of the rate at those times, and fun.rate(coefficients, y) evaluates it.
+    One call gives the coefficients of all stages of a step, or of the three
+    extra stages of its dense output.  Otherwise this is the algorithm of
     scipy.integrate.solve_ivp(method="DOP853") step for step: its initial
     step, rtol clamped to >= 100*eps, its minimum step, SAFETY, MIN_FACTOR
     and MAX_FACTOR, the 5th/3rd-order error norm, the rejection rule, and
-    dense output on the steps that hold t_eval points.  nfev counts the
-    products M y, which are scipy's right-hand-side evaluations.  Only
-    forward integration is supported: t_span[0] < t_span[1], and t_eval is
-    an increasing grid within t_span.
+    dense output on the steps that hold t_eval points.  The stage states and
+    error estimates are the same products as scipy's: the error estimate is a
+    small difference of large terms, so any other summation order moves the
+    step sizes.  nfev counts the rate evaluations, which are scipy's
+    right-hand-side evaluations.  Only forward integration over a finite
+    span is supported: t_span[0] < t_span[1], and t_eval is an increasing
+    grid within t_span.  A step size or error estimate that is not finite
+    ends the solve with success=False.
     """
     t, t_bound = map(float, t_span)
+    if not (math.isfinite(t) and math.isfinite(t_bound) and t < t_bound):
+        raise ValueError(f"t_span must be finite and increasing, got {t_span}")
     t_eval = np.asarray(t_eval, dtype=float)
     if np.any(np.diff(t_eval) <= 0):
         raise ValueError("Values in `t_eval` are not properly sorted.")
+    samples = t_eval.tolist()
     y = np.asarray(y0, dtype=complex)
-    rtol = max(rtol, 100 * _EPS)
+    rtol = max(float(rtol), 100 * _EPS)
+    atol = float(atol)
     n = y.size
-    (m,) = fun(np.array([t]))
-    blocks = m.shape[0]
+    y_eval = np.empty((t_eval.size, n), dtype=complex)
+    rate = fun.rate
     K = np.empty((_dop.N_STAGES_EXTENDED, n), dtype=complex)
+    end = _dop.N_STAGES
 
-    def rate(m, y):
-        return (m @ y.reshape(blocks, -1, 1)).reshape(n)
-
-    def fill(first, matrices, y, h):
+    def fill(first, coefficients, y, h):
         """Stages first, first + 1, ... of the step of size h from y; the last stage's state."""
-        for s, m in enumerate(matrices, start=first):
-            y_s = y + np.dot(K[:s].T, _dop.A[s, :s]) * h
-            K[s] = rate(m, y_s)
+        for s, c in enumerate(coefficients, start=first):
+            y_s = y + np.dot(K[:s].T, _A[s, :s]) * h
+            rate(c, y_s, out=K[s])
         return y_s
 
     # initial step (Hairer, Norsett & Wanner, Sec. II.4), as scipy's select_initial_step
-    f = rate(m, y)
+    f = rate(fun(np.array([t]))[0], y)
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
-    (m,) = fun(np.array([t + h0]))
-    d2 = _rms((rate(m, y + h0 * f) - f) / scale) / h0
+    d2 = _rms((rate(fun(np.array([t + h0]))[0], y + h0 * f) - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    h_abs = min(100 * h0, h1, t_bound - t)
+    h_abs = float(min(100 * h0, h1, t_bound - t))
     nfev = 2
 
-    # K[1:13] are the stages of a step; the last has the weights B, so it is the
-    # new solution at t + h and K[end] = f(t + h); K[13:16] serve dense output
-    end = _dop.N_STAGES
-    ts, ys = [], []
+    # K[1:13] are the stages of a step; the last has the weights B, so it is
+    # the new solution at t + h and K[end] = f(t + h); K[13:16] serve dense output
     i_eval = 0
     while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
+            if not math.isfinite(h_abs):
+                return _result(t_eval, y_eval, i_eval, nfev, False, _STEP_NOT_FINITE)
             if h_abs < min_step:
-                return _result(ts, ys, n, nfev, False, _TOO_SMALL_STEP)
+                return _result(t_eval, y_eval, i_eval, nfev, False, _TOO_SMALL_STEP)
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = f
             y_new = fill(1, fun(t + _dop.C[1 : end + 1] * h), y, h)
             nfev += end
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.linalg.norm(np.dot(K[: end + 1].T, _dop.E5) / scale) ** 2
-            err3 = np.linalg.norm(np.dot(K[: end + 1].T, _dop.E3) / scale) ** 2
+            err5 = float(np.linalg.norm(np.dot(K[: end + 1].T, _E5) / scale)) ** 2
+            err3 = float(np.linalg.norm(np.dot(K[: end + 1].T, _E3) / scale)) ** 2
             if err5 == 0 and err3 == 0:
                 error_norm = 0.0
             else:
-                error_norm = np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * n)
+                error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * n)
+            if not math.isfinite(error_norm):
+                return _result(t_eval, y_eval, i_eval, nfev, False, _ERROR_NOT_FINITE)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -218,7 +300,7 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol):
             rejected = True
         t_old, y_old, f_old = t, y, f
         t, y, f = t_new, y_new, K[end].copy()
-        i_new = np.searchsorted(t_eval, t, side="right")
+        i_new = bisect.bisect_right(samples, t, i_eval)
         if i_new > i_eval:
             # dense output (Sec. II.6): three more stages, then scipy's interpolant
             fill(end + 1, fun(t_old + _dop.C[end + 1 :] * h), y_old, h)
@@ -234,30 +316,14 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol):
             for i, f_i in enumerate(F[::-1]):
                 y_out += f_i
                 y_out *= x if i % 2 == 0 else 1 - x
-            ts.append(t_eval[i_eval:i_new])
-            ys.append((y_out + y_old).T)
+            y_eval[i_eval:i_new] = y_out + y_old
             i_eval = i_new
-    return _result(ts, ys, n, nfev, True, _FINISHED)
+    return _result(t_eval, y_eval, i_eval, nfev, True, _FINISHED)
 
 
-def _result(ts, ys, n, nfev, success, message):
-    t = np.concatenate(ts) if ts else np.empty(0)
-    y = np.hstack(ys) if ys else np.empty((n, 0), dtype=complex)
-    return IvpResult(t, y, nfev, success, message)
-
-
-def _stacked_drive(protocols):
-    """One drive of the batch's class whose fields stack the members' fields.
-
-    The fields are stacked in dataclass field order, which differs between
-    the drive classes, so a batch that mixes them is refused.
-    """
-    classes = {type(protocol) for protocol in protocols}
-    if len(classes) != 1:
-        names = sorted(cls.__name__ for cls in classes)
-        raise ValueError(f"batch members must share one drive class, got {names}")
-    (cls,) = classes
-    return cls(*np.array([astuple(protocol) for protocol in protocols], dtype=float).T)
+def _result(t_eval, y_eval, count, nfev, success, message):
+    """IvpResult with the first count samples, the ones the solve reached."""
+    return IvpResult(t_eval[:count], y_eval[:count].T, nfev, success, message)
 
 
 def _solve(gammas, protocols, states0, cfgs, fractions):
@@ -269,24 +335,13 @@ def _solve(gammas, protocols, states0, cfgs, fractions):
     ((rel_tol, abs_tol),) = tols
     start = np.array([cfg.t_start for cfg in cfgs])
     length = np.array([cfg.t_end - cfg.t_start for cfg in cfgs])
-    # i*da/dt = (ups*H(gamma, 1, 0) + eps*H(gamma, 0, 1)) a and dt/ds = length;
-    # the Zeeman part H(gamma, 0, 1) is diagonal and the same for every gamma
-    rate = -1j * length[:, None, None]
-    tunnel = rate * np.array([hamiltonian_matrix(g, 1.0, 0.0) for g in gammas])
-    zeeman = rate * hamiltonian_matrix(0.0, 0.0, 1.0)
-    drive = _stacked_drive(protocols)
-
-    def stage_matrices(s):
-        """dy/ds = M y of every member at the K fractions s: M has shape (K, N, 4, 4)."""
-        ups, eps = drive.values(start + s[:, None] * length)
-        return ups[..., None, None] * tunnel + eps[..., None, None] * zeeman
-
+    rate = BatchRate(gammas, stack_drives(protocols), start, length)
     y0 = np.concatenate([as_state(state0) for state0 in states0])
     # the error norm is an RMS over all 4N components, so a member's local
     # error weighs 1/sqrt(N); shrinking the tolerances restores its solo test
     shrink = math.sqrt(n)
     sol = solve_ivp(
-        stage_matrices,
+        rate,
         (0.0, 1.0),
         y0,
         t_eval=fractions,

@@ -29,7 +29,7 @@ from sodw.analysis import (
 )
 from sodw.acceptance import IC_RAMP, IC_THIRD
 from sodw.asynchronous import modes as async_modes
-from sodw.core import imbalance
+from sodw.core import imbalance, stack_drives
 
 _E3 = (0, 0, 1, 0)
 
@@ -66,6 +66,38 @@ def test_stacked_drives_get_a_horizon_per_member():
             fields = [np.asarray(v)[k] if np.ndim(v) else v for v in astuple(protocol)]
             alone = solve(type(protocol)(*fields), gamma, state0, -math.inf)
             assert np.max(np.abs(stacked.states(times)[:, k] - alone.states(times[:, 0]))) < 1e-12
+
+
+def _branch_members(branch, rng, count=12):
+    """(gamma, protocol) pairs drawn on one closed-form branch."""
+    members = []
+    for _ in range(count):
+        if branch == "sync":
+            members.append((rng.uniform(0, 2), SyncSech2(*rng.uniform([0, 0.3, 0.5], [2, 2, 2]))))
+        elif branch == "conserving":
+            gamma = float(rng.choice([0.0, 1.0, 2.0, 3.0]))
+            members.append((gamma, AsyncTanhSech(*rng.uniform([0, 0.05, 0.4], [2, 2, 2]))))
+        else:
+            gamma = float(rng.choice([0.5, 1.5]))
+            members.append((gamma, _flip_params(rng.uniform(0, 2), rng.uniform(0.4, 2))))
+    return members
+
+
+@pytest.mark.parametrize("branch", ["sync", "conserving", "flip"])
+def test_stack_with_a_start_per_member_is_member_by_member(branch):
+    # one stack with its own state0 and t0 per member, one of them at -inf,
+    # evaluated at its own times, is bit for bit the single-member solutions
+    rng = np.random.default_rng(83)
+    gammas, protocols = zip(*_branch_members(branch, rng))
+    states0 = rng.standard_normal((len(gammas), 4)) + 1j * rng.standard_normal((len(gammas), 4))
+    states0 /= np.linalg.norm(states0, axis=1, keepdims=True)
+    t0 = -rng.uniform(1.0, 20.0, len(gammas))
+    t0[3] = -math.inf
+    times = np.linspace(-2.0, 1.0, 9)[:, None] * rng.uniform(1.0, 20.0, len(gammas))
+    stack = solve(stack_drives(protocols), np.array(gammas), states0, t0).states(times)
+    for k, (gamma, protocol) in enumerate(zip(gammas, protocols)):
+        alone = solve(protocol, gamma, states0[k], t0[k]).states(times[:, k])
+        assert np.array_equal(stack[:, k], alone), k
 
 
 def test_select_engine_routing():
@@ -519,6 +551,17 @@ def test_scan_with_nonfinite_fixed_value_fails_every_row(swept, fixed):
     for row in res.rows:
         assert "must be finite" in row.error
         assert all(math.isnan(v) for v in row.values)
+
+
+def test_only_a_fixed_value_refuses_the_whole_scan():
+    fixed = {"gamma": 0.5, "V": math.nan, "Omega": 1.0}
+    res = run_scan(ScanSpec("beta", [0.0, 0.5], fixed, _E3))
+    assert res.refusal == "V must be finite, got nan"
+    # a gamma that is not finite fails its own row, even as the only point
+    flip = {"epsilon": 0.4, "upsilon": math.hypot(0.5, 0.4), "chi": 1.0}
+    res = run_scan(ScanSpec("gamma", [math.nan], flip, _E3))
+    assert res.refusal is None
+    assert "gamma must be finite" in res.rows[0].error
 
 
 _CONSERVING = AsyncTanhSech(0.3, 1.0, 1.0)

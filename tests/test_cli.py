@@ -212,6 +212,23 @@ def test_scan_rejects_bad_observable_token(tmp_path):
         main(["scan", "--config", str(cfg), "--out", str(tmp_path)])
 
 
+@pytest.mark.parametrize(
+    "fixed,refusal",
+    [
+        ("gamma=0.5\nV=nan\nOmega=1\n", "V must be finite, got nan"),
+        ("gamma=0.5\nV=1\n", "missing fixed value 'Omega'"),
+    ],
+)
+def test_scan_whose_fixed_value_fails_every_row_exits_2(fixed, refusal, tmp_path, capsys):
+    # such a scan used to exit 0 and write a nan row per point, each tagged "oracle"
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("swept=beta\ngrid_n=5\n" + fixed)
+    out = tmp_path / "out"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 2
+    assert refusal in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_figure_cli_deterministic_surface(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["figure", "--id", "3c", "--grid", "5", "--out", str(out1)]) == 0

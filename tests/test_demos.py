@@ -61,9 +61,10 @@ def test_traced_functions_and_engine_names_stay():
         assert name in importlib.import_module(f"sodw.{module}").__all__, f"{module}.{name}"
     from sodw import oracle
     from sodw.analysis import ScanSpec, run_scan
+    from sodw.core import SyncSech2
 
     assert list(inspect.signature(oracle.integrate).parameters)[4] == "sample_grid"
-    idle = lambda s: np.zeros((s.size, 1, 4, 4))
+    idle = oracle.BatchRate([0.5], SyncSech2(0.0, 0.0, 1.0), np.zeros(1), np.ones(1))
     sol = oracle.solve_ivp(idle, (0.0, 1.0), np.ones(4), t_eval=[1.0], rtol=1e-6, atol=1e-8)
     assert sol.nfev > 0
 

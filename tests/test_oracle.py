@@ -1,6 +1,8 @@
 """Numeric integrator against closed forms it never shares code with."""
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -100,6 +102,69 @@ def test_config_validation():
         IntegratorConfig(1.0, 1.0)
     with pytest.raises(ValueError, match="tolerances"):
         IntegratorConfig(0.0, 1.0, rel_tol=0.0)
+
+
+@contextlib.contextmanager
+def _deadline(seconds=2.0):
+    """Fail a block that runs longer than seconds, in this process (SIGALRM)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_CONFIG_FIELDS = ("t_start", "t_end", "rel_tol", "abs_tol")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", _CONFIG_FIELDS)
+def test_config_refuses_what_is_not_finite_by_name(field, value):
+    # an infinite window used to hang the step loop (-inf) or be refused
+    # as unsorted t_eval (+inf)
+    fields = dict(zip(_CONFIG_FIELDS, (0.0, 1.0, 1e-10, 1e-12)), **{field: value})
+    with _deadline(), pytest.raises(ValueError, match=f"^{field} must be finite"):
+        cfg = IntegratorConfig(**fields)
+        integrate(0.3, SyncSech2(0.0, 1.0, 1.0), _E3, cfg, [cfg.t_start, cfg.t_end])
+
+
+def test_infinite_past_window_is_refused_not_integrated():
+    with _deadline(), pytest.raises(ValueError, match="t_start must be finite"):
+        cfg = IntegratorConfig(-math.inf, 0.0)
+        integrate(0.3, SyncSech2(0.0, 1.0, 1.0), _E3, cfg, [-1.0, 0.0])
+
+
+class _FailingRate(sodw.oracle.BatchRate):
+    """A one-member rate whose coefficients become value for s > s_fail."""
+
+    def __init__(self, s_fail, value):
+        super().__init__([0.5], SyncSech2(0.0, 1.0, 1.0), np.zeros(1), np.ones(1))
+        self.s_fail, self.value = s_fail, value
+
+    def __call__(self, s):
+        return np.where((s > self.s_fail)[:, None, None], self.value, super().__call__(s))
+
+
+@pytest.mark.parametrize(
+    "s_fail,value,message",
+    [
+        (-1.0, math.nan, "Step size is not finite"),  # NaN from the start: the initial step is NaN
+        (0.5, math.nan, "Error estimate is not finite"),
+        (0.5, 1e308, "Error estimate is not finite"),  # the stages overflow
+    ],
+)
+def test_solver_stops_on_what_is_not_finite(s_fail, value, message):
+    rate = _FailingRate(s_fail, value)
+    with _deadline():
+        sol = sodw.oracle.solve_ivp(rate, (0.0, 1.0), _E3, t_eval=[1.0], rtol=1e-10, atol=1e-12)
+    assert not sol.success
+    assert message in sol.message
 
 
 def test_trajectory_record_accessors():
@@ -215,10 +280,17 @@ def solver_calls(monkeypatch):
     return calls
 
 
-def test_criterion_11_makes_one_solve_per_branch(solver_calls):
+def test_criterion_11_makes_one_solve_per_drive_class(solver_calls):
+    # the synchronous cases, then the conserving and flip cases together
     (record,) = run_all({11})
     assert record["passed"]
-    assert solver_calls == [50, 50, 50]
+    assert solver_calls == [50, 100]
+
+
+def test_criterion_4_makes_one_solve(solver_calls):
+    (record,) = run_all({4})
+    assert record["passed"]
+    assert solver_calls == [3]
 
 
 def test_multi_start_figure_makes_one_solve(solver_calls):
@@ -253,8 +325,8 @@ def beside_scipy(monkeypatch):
         sol = ours(fun, t_span, y0, t_eval=t_eval, rtol=rtol, atol=atol)
 
         def rhs(s, y):
-            (m,) = fun(np.array([s]))
-            return (m @ y.reshape(m.shape[0], -1, 1)).reshape(y.shape)
+            (coefficients,) = fun(np.array([s]))
+            return fun.rate(coefficients, y)
 
         rerun = partial(scipy_solve_ivp, rhs, t_span, y0, method="DOP853", rtol=rtol, atol=atol)
         pairs.append((sol, rerun(t_eval=t_eval), rerun))
@@ -273,6 +345,7 @@ def _kick():
 
 _SCIPY_CASES = {
     "criterion-11": lambda: run_all({11}),
+    "criterion-4": lambda: run_all({4}),
     "figure-3a": lambda: build_figure("3a"),
     "sync-batch": lambda: integrate_batch(
         _mixed_batch(
