@@ -1,4 +1,4 @@
-"""Parameter scans, asymptotic extraction, peak counting, engine dispatch.
+"""Parameter scans, peak counting, engine dispatch.
 
 A protocol is a SyncSech2 or an AsyncTanhSech, whose fields may be stacks of
 members.  A scan sweeps one parameter (beta, V_over_Omega, gamma or
@@ -10,8 +10,8 @@ protocol, the asynchronous closed form covers the spin-conserving branch
 and everything else falls back to the numeric oracle.  The engine used is
 recorded per row.  A scan builds its grid's parameters once, as a stack of
 drives, routes every point with the branch gate evaluated as a mask, and
-solves its closed-form points in one array pass and its oracle points in one
-batch.
+solves its closed-form points in one array pass.  Its oracle points go to
+integrate_batch as they are: one stack of drives with one window per member.
 
 The branch gate itself is asynchronous.gate; _engines turns its answer into
 an engine per member and a refusal text.  select_engine and off_branch_reason
@@ -54,7 +54,6 @@ __all__ = [
     "run_scan",
     "count_peaks",
     "prominent_peaks",
-    "asymptotic_extract",
     "select_engine",
     "off_branch_reason",
     "default_horizon",
@@ -67,11 +66,6 @@ ENGINE_ASYNC = "async-exact"
 ENGINE_ORACLE = "oracle"
 
 SWEPT_NAMES = ("beta", "V_over_Omega", "gamma", "upsilon_over_chi")
-
-# populations must each vary by less than this over the final 10% of a
-# trajectory for it to count as settled
-SETTLE_TOL = 1e-7
-
 
 def default_horizon(protocol):
     """Horizon T so that the drive envelope is negligible beyond |t| = T.
@@ -175,13 +169,6 @@ def _point_setup(spec, x):
     return fixed["gamma"], AsyncTanhSech(fixed["epsilon"], x * chi, chi)
 
 
-def _oracle_member(spec, gamma, protocol):
-    """Batch member for one oracle point, integrated to a default horizon past max(epoch, 0)."""
-    horizon = default_horizon(protocol)
-    t0 = spec.epoch if math.isfinite(spec.epoch) else -horizon
-    return gamma, protocol, spec.state0, IntegratorConfig(t0, max(spec.epoch, 0.0) + horizon)
-
-
 def run_scan(spec):
     """One row per grid point; failures are recorded in-row, the scan continues.
 
@@ -229,9 +216,12 @@ def run_scan(spec):
     idx = np.flatnonzero(finite & (engines == ENGINE_ORACLE))
     if idx.size:
         try:
-            members = [_oracle_member(spec, *_point_setup(spec, x)) for x in grid[idx].tolist()]
-            trajs = integrate_batch(members, [1.0])
-            record(idx, np.array([traj.population_array[0] for traj in trajs]))
+            members_gamma, members = _point_setup(spec, grid[idx])
+            horizon = default_horizon(members)
+            t0 = spec.epoch if math.isfinite(spec.epoch) else -horizon
+            window = IntegratorConfig(t0, max(spec.epoch, 0.0) + horizon)
+            batch = integrate_batch(members_gamma, members, spec.state0, window, [1.0])
+            record(idx, batch.population_array[0])
         except Exception as exc:
             for k in idx:
                 errors[k] = str(exc)
@@ -296,19 +286,6 @@ def _flank_min(side, peak):
     """Lowest value of side (running away from a peak) before one exceeds the peak."""
     higher = np.flatnonzero(side > peak)
     return side[: higher[0] if higher.size else side.size].min()
-
-
-def asymptotic_extract(traj):
-    """Populations at the first and last sample, shape (4,) each, plus a settled flag.
-
-    settled is true iff every population varies by less than 1e-7 over the
-    final 10% of the horizon.
-    """
-    p = traj.population_array
-    t0, t1 = traj.times[0], traj.times[-1]
-    tail = p[traj.times >= t1 - 0.1 * (t1 - t0)]
-    settled = bool(np.all(tail.max(axis=0) - tail.min(axis=0) < SETTLE_TOL))
-    return p[0], p[-1], settled
 
 
 class Solution:

@@ -65,10 +65,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONDITION_TOL, branch_signs, coupling_values
+from .core import CONDITION_TOL, _require_finite, branch_signs, coupling_values
 
 __all__ = [
-    "PhasePair",
     "AsyncConservingCondition",
     "phase_integrals",
     "gate",
@@ -86,18 +85,6 @@ _CONSERVING_PAIRS = ((0, 2), (1, 3))
 _FLIP_PAIRS = ((0, 3), (1, 2))
 
 
-@dataclass(frozen=True)
-class PhasePair:
-    """Antiderivatives (vanishing at t=0) of the two drive components.
-
-    phi_u(t) = (2 ups/chi) arctan(tanh(chi t/2)), odd, saturating at
-    +/- pi*ups/(2 chi); phi_e(t) = (eps/chi) ln cosh(chi t), even, >= 0.
-    """
-
-    phi_u: object
-    phi_e: object
-
-
 def _log_cosh(x):
     # |x| - ln 2 + log1p(e^{-2|x|}) == ln cosh(x); stable for all x, no
     # overflow in cosh, and identical to the |x| - ln 2 asymptote once
@@ -107,13 +94,18 @@ def _log_cosh(x):
 
 
 def phase_integrals(epsilon, upsilon, chi, t):
-    """PhasePair at time t; the arguments broadcast against each other."""
+    """(phi_u, phi_e) at time t, the antiderivatives of the two drive components.
+
+    Both vanish at t = 0.  phi_u(t) = (2 ups/chi) arctan(tanh(chi t/2)) is
+    odd and saturates at +/- pi*ups/(2 chi); phi_e(t) = (eps/chi) ln cosh(chi t)
+    is even and >= 0.  The arguments broadcast against each other.
+    """
     if not np.all(np.asarray(chi) > 0):
         raise ValueError(f"chi must be > 0, got {chi}")
     x = chi * np.asarray(t, dtype=float)
     phi_u = (2.0 * upsilon / chi) * np.arctan(np.tanh(0.5 * x))
     phi_e = (epsilon / chi) * _log_cosh(x)
-    return PhasePair(phi_u, phi_e)
+    return phi_u, phi_e
 
 
 @dataclass(frozen=True)
@@ -135,9 +127,14 @@ class AsyncConservingCondition:
 
 
 def classify_async_conserving(upsilon, chi):
-    """CCPC iff |sin(pi ups/chi)| <= 1e-9; CCPI iff |cos(pi ups/chi)| <= 1e-9."""
+    """CCPC iff |sin(pi ups/chi)| <= 1e-9; CCPI iff |cos(pi ups/chi)| <= 1e-9.
+
+    Refuses a chi that is not > 0 and any argument that is not finite.
+    """
     if not (chi > 0):
         raise ValueError(f"chi must be > 0, got {chi}")
+    for name, value in (("upsilon", upsilon), ("chi", chi)):
+        _require_finite(name, value)
     ratio = upsilon / chi
     sin_val = math.sin(math.pi * ratio)
     cos_val = math.cos(math.pi * ratio)
@@ -213,9 +210,8 @@ def _conserving(eps, ups, chi, sign):
     """(basis, limits) of members on the spin-conserving branch."""
 
     def basis(t):
-        phases = phase_integrals(eps, ups, chi, t)
-        pu = sign * phases.phi_u
-        pe = phases.phi_e
+        phi_u, pe = phase_integrals(eps, ups, chi, t)
+        pu = sign * phi_u
         a1, a2 = np.exp(1j * (pu - pe)), np.exp(-1j * (pu + pe))
         b1, b2 = np.exp(1j * (pu + pe)), np.exp(-1j * (pu - pe))
         return _blocks(_CONSERVING_PAIRS, (a1, a2, a1, -a2), (b1, b2, b1, -b2))

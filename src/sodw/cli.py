@@ -29,7 +29,7 @@ import numpy as np
 from . import acceptance
 from .analysis import ScanSpec, default_horizon, off_branch_reason, solve
 from .asynchronous import FLIP_CONSTRAINT_TOL, check_flip_constraint, classify_async_conserving
-from .core import AsyncTanhSech, SyncSech2, as_state
+from .core import AsyncTanhSech, SyncSech2, _require_finite, as_state
 from .figures import (
     FIGURE_IDS,
     FigureData,
@@ -211,42 +211,43 @@ def _cmd_scan(args):
 
 
 def _cmd_classify(args):
-    printed = False
+    # every line is made before any is printed, so a refused argument prints none
+    lines = []
     if args.V is not None and args.Omega is not None:
         cond = classify_sync_condition(args.beta or 0.0, args.V, args.Omega)
         if cond.kind == "neither":
-            print(
+            lines.append(
                 "sync: neither CCPC nor CCPI "
                 f"(pulse-area ratio {cond.ratio:.6g}, nearest residual {cond.grid_residual:.3g})"
             )
         else:
-            print(
+            lines.append(
                 f"sync: {cond.kind} n={cond.n} "
                 f"(beta residual {cond.beta_residual:.3g}, grid residual {cond.grid_residual:.3g})"
             )
-        printed = True
     if args.upsilon is not None and args.chi is not None:
         cond = classify_async_conserving(args.upsilon, args.chi)
         if cond.kind == "neither":
-            print(
+            lines.append(
                 "async (spin-conserving): neither CCPC nor CCPI "
                 f"(sin(pi*upsilon/chi) = {cond.sin_val:.3g}, cos = {cond.cos_val:.3g})"
             )
         else:
-            print(f"{cond.kind} (async, spin-conserving)")
+            lines.append(f"{cond.kind} (async, spin-conserving)")
         if args.epsilon is not None:
+            _require_finite("epsilon", args.epsilon)
             residual = check_flip_constraint(args.epsilon, args.upsilon, args.chi)
             state = "satisfied" if abs(residual) <= FLIP_CONSTRAINT_TOL else "violated"
             residual_text = "0" if abs(residual) < 1e-12 else f"{residual:.6g}"
-            print(f"flip-constraint {state}, residual {residual_text}")
-        printed = True
-    if not printed:
+            lines.append(f"flip-constraint {state}, residual {residual_text}")
+    if not lines:
         print(
             "nothing to classify: give --V and --Omega (sync) and/or --upsilon and --chi "
             "(async; add --epsilon for the flip constraint)",
             file=sys.stderr,
         )
         return 2
+    print("\n".join(lines))
     return 0
 
 

@@ -222,13 +222,13 @@ def _build_trajectory(fig_id, samples, horizon):
     # both solutions share the same finite-time anchor; all starts form one batch
     ocfg = IntegratorConfig(t_start=times[0], t_end=times[-1])
     fractions = (times - times[0]) / (times[-1] - times[0])
-    trajs = integrate_batch([(gamma, protocol, states[0], ocfg) for states in exact], fractions)
+    oracle = integrate_batch(gamma, protocol, [states[0] for states in exact], ocfg, fractions)
 
     datasets = tuple(
         trajectory_dataset(
-            fig_id if len(exact) == 1 else f"{fig_id}_ic{k + 1}", times, states, traj.states
+            fig_id if len(exact) == 1 else f"{fig_id}_ic{k + 1}", times, states, oracle.states[:, k]
         )
-        for k, (states, traj) in enumerate(zip(exact, trajs))
+        for k, states in enumerate(exact)
     )
     plot = trajectory_plot(f"figure {fig_id}", datasets, _TRAJ_HEADER[1:])
     plot["overlay_series"] = {name: name for name in _NUM_HEADER}
@@ -236,7 +236,7 @@ def _build_trajectory(fig_id, samples, horizon):
         "figure": fig_id,
         "kind": "trajectory",
         "engine": engine,
-        "oracle": trajs[0].solver_id,
+        "oracle": oracle.solver_id,
         "gamma": f"{gamma:.17g}",
         "epoch": f"{epoch:.17g}",
         "horizon": f"{T:.17g}",

@@ -19,15 +19,16 @@ stages of a step from the stacked drive values, and each stage's rate is
 then u*(T y) + e*(z . y), with T y taken from the two entries in each row of
 T; no 4x4 stage matrix is built.  scipy itself is not needed.
 
-integrate_batch advances N independent systems (coupling, drive, initial
-state and window [a_i, b_i] per member) in one solve_ivp call.  The batch
-state holds the 4N amplitudes, and the batch runs in the normalised time
-s in [0, 1]: member i sits at t_i = a_i + s*(b_i - a_i) and obeys
+integrate_batch takes the stacked arguments that analysis.solve takes: a
+drive whose fields may be stacks, and a coupling, an initial state and a
+window [a_i, b_i] each either per member or shared, all broadcast to the
+members' shape S.  It advances the N members in one solve_ivp call.  The
+batch state holds the 4N amplitudes, and the batch runs in the normalised
+time s in [0, 1]: member i sits at t_i = a_i + s*(b_i - a_i) and obeys
 dy_i/ds = (b_i - a_i)*f_i(t_i, y_i).  One shared, increasing fraction grid
-s_k then samples every member, member i at a_i + s_k*(b_i - a_i).  Every
-member's protocol is a SyncSech2 or an AsyncTanhSech, all of one class: the
-batch stacks their fields into one drive of that class, whose values(t)
-gives the drive values of all members at once.
+s_k then samples every member, member i at a_i + s_k*(b_i - a_i), and the
+drive's values(t) gives the drive values of all members at once.  The result
+is one TrajectoryRecord whose times have shape (K,) + S.
 
 The error norm is an RMS over all 4N components, so a member's local error
 weighs 1/sqrt(N) of what it would alone.  The batch divides rel_tol and
@@ -35,7 +36,7 @@ abs_tol by sqrt(N), which keeps each member's local-error test as strict as
 in a solve of its own; shared step control then steps every member at least
 as finely as it would be stepped alone.  So a batch's step is set by its
 most demanding member, and every member takes that many steps.  integrate
-is the N = 1 case: it samples exactly at the requested grid values (t_eval),
+is the S = () case: it samples exactly at the requested grid values (t_eval),
 never at nearest-step substitutes.
 """
 
@@ -43,14 +44,14 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _dop853_coefficients as _dop
-from .core import as_state, hamiltonian_matrix, stack_drives
+from .core import _require_finite, as_state, as_states, hamiltonian_matrix
 
 _EPS = float(np.finfo(float).eps)
 # step-size control of scipy's explicit Runge-Kutta solvers
@@ -73,7 +74,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integration window and DOP853 tolerances."""
+    """Integration window and DOP853 tolerances.
+
+    t_start and t_end may be stacks, one window per member of a batch; the
+    tolerances are one pair for the whole batch.
+    """
 
     t_start: float
     t_end: float
@@ -82,23 +87,24 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for name in ("t_start", "t_end", "rel_tol", "abs_tol"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            _require_finite(name, getattr(self, name))
+        if np.ndim(self.rel_tol) or np.ndim(self.abs_tol):
+            raise ValueError("rel_tol and abs_tol must be scalars, one pair for the whole batch")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError(
                 f"tolerances must be > 0, got rel_tol={self.rel_tol}, abs_tol={self.abs_tol}"
             )
-        if not (self.t_end > self.t_start):
+        if not np.all(np.asarray(self.t_end) > np.asarray(self.t_start)):
             raise ValueError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
 
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Sampled trajectory tagged with the solver that produced it.
+    """Sampled trajectories of members of shape S, tagged with the solver that produced them.
 
-    states has shape (len(times), 4); norm_drift_max is the largest deviation
-    of norm^2 from its initial value over the samples.
+    times has shape (K,) + S and increases along its first axis; states has
+    shape times.shape + (4,).  norm_drift_max, of shape S, is each member's
+    largest deviation of norm^2 from its value at the first sample.
     """
 
     times: np.ndarray
@@ -109,23 +115,19 @@ class TrajectoryRecord:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=complex)
-        if states.shape != (times.size, 4):
-            raise ValueError(f"states shape {states.shape} does not match {times.size} times")
-        if times.size and np.any(np.diff(times) <= 0):
+        if times.ndim < 1 or states.shape != times.shape + (4,):
+            raise ValueError(f"states shape {states.shape} does not match times {times.shape}")
+        if np.any(np.diff(times, axis=0) <= 0):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
-        norms = np.sum(np.abs(states) ** 2, axis=1)
-        drift = float(np.max(np.abs(norms - norms[0]))) if times.size else 0.0
+        norms = np.sum(np.abs(states) ** 2, axis=-1)
+        drift = np.max(np.abs(norms - norms[:1]), axis=0, initial=0.0)
         object.__setattr__(self, "norm_drift_max", drift)
 
     @cached_property
     def population_array(self):
         return np.abs(self.states) ** 2
-
-    @cached_property
-    def norms(self):
-        return np.sum(self.population_array, axis=1)
 
 
 class IvpResult(NamedTuple):
@@ -326,17 +328,59 @@ def _result(t_eval, y_eval, count, nfev, success, message):
     return IvpResult(t_eval[:count], y_eval[:count].T, nfev, success, message)
 
 
-def _solve(gammas, protocols, states0, cfgs, fractions):
-    """(K, N, 4) amplitudes of N members at the K fractions, from one DOP853 solve."""
-    n = len(cfgs)
-    tols = {(cfg.rel_tol, cfg.abs_tol) for cfg in cfgs}
-    if len(tols) != 1:
-        raise ValueError(f"batch members must share rel_tol and abs_tol, got {sorted(tols)}")
-    ((rel_tol, abs_tol),) = tols
-    start = np.array([cfg.t_start for cfg in cfgs])
-    length = np.array([cfg.t_end - cfg.t_start for cfg in cfgs])
-    rate = BatchRate(gammas, stack_drives(protocols), start, length)
-    y0 = np.concatenate([as_state(state0) for state0 in states0])
+def _samples(name, values):
+    """values as a float array, refused by name unless 1-d, non-empty, finite and increasing."""
+    v = _require_finite(name, values)
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError(f"{name} must be a non-empty 1-d sequence")
+    if np.any(np.diff(v) <= 0):
+        raise ValueError(f"{name} must be strictly increasing")
+    return v
+
+
+def integrate_batch(gamma, protocol, state0, cfg, fractions):
+    """Integrate the members of a stacked drive in one DOP853 solve.
+
+    Parameters
+    ----------
+    gamma : float, or one coupling per member
+    protocol : SyncSech2 or AsyncTanhSech, whose fields may be stacks
+    state0 : one length-4 state, or S + (4,): each member's state at its t_start
+    cfg : IntegratorConfig; t_start and t_end may be stacks, one window per member
+    fractions : strictly increasing window fractions s_k in [0, 1]
+
+    The members' shape S is the broadcast shape of gamma, the drive's fields,
+    state0 without its last axis and the window ends.
+
+    Returns
+    -------
+    TrajectoryRecord with times of shape (K,) + S, member i sampled at
+    t_start_i + s_k*(t_end_i - t_start_i), and states of shape
+    (K,) + S + (4,).  Each member's tolerances hold as if it were integrated
+    alone.
+    """
+    fractions = _samples("fractions", fractions)
+    if fractions[0] < 0.0 or fractions[-1] > 1.0:
+        raise ValueError(f"fractions [{fractions[0]}, {fractions[-1]}] exceed [0, 1]")
+    solver_id = f"dop853(rtol={cfg.rel_tol:g},atol={cfg.abs_tol:g})"
+    state0 = as_states(state0)
+    start = np.asarray(cfg.t_start, dtype=float)
+    length = np.asarray(cfg.t_end, dtype=float) - start
+    fields = astuple(protocol)
+    shape = np.broadcast_shapes(
+        np.shape(gamma), state0.shape[:-1], length.shape, *map(np.shape, fields)
+    )
+
+    def flat(x):
+        return np.broadcast_to(x, shape).ravel()
+
+    start, length = flat(start), flat(length)
+    times = (start + np.multiply.outer(fractions, length)).reshape(fractions.shape + shape)
+    n = start.size
+    if n == 0:
+        return TrajectoryRecord(times, np.zeros(times.shape + (4,), complex), solver_id)
+    rate = BatchRate(flat(gamma), type(protocol)(*map(flat, fields)), start, length)
+    y0 = np.broadcast_to(state0, shape + (4,)).ravel()
     # the error norm is an RMS over all 4N components, so a member's local
     # error weighs 1/sqrt(N); shrinking the tolerances restores its solo test
     shrink = math.sqrt(n)
@@ -345,89 +389,31 @@ def _solve(gammas, protocols, states0, cfgs, fractions):
         (0.0, 1.0),
         y0,
         t_eval=fractions,
-        rtol=rel_tol / shrink,
-        atol=abs_tol / shrink,
+        rtol=cfg.rel_tol / shrink,
+        atol=cfg.abs_tol / shrink,
     )
     if not sol.success:
         last = sol.t[-1] if sol.t.size else 0.0
         where = f"t={start[0] + last * length[0]:g}" if n == 1 else f"window fraction {last:g}"
         raise RuntimeError(f"integration failed near {where}: {sol.message}")
-    states = sol.y.T.reshape(len(fractions), n, 4)
+    states = sol.y.T.reshape(times.shape + (4,))
     if not np.all(np.isfinite(states)):
         raise RuntimeError("integration produced non-finite amplitudes")
-    return states
-
-
-def _solver_id(cfg):
-    return f"dop853(rtol={cfg.rel_tol:g},atol={cfg.abs_tol:g})"
-
-
-def integrate_batch(members, fractions):
-    """Integrate N independent systems in one DOP853 solve.
-
-    Parameters
-    ----------
-    members : sequence of (gamma, protocol, state0, cfg) tuples, the
-        arguments of integrate without the grid; all protocols are of one
-        class, all cfgs share rel_tol and abs_tol, and each cfg gives its
-        member's window [t_start, t_end]
-    fractions : strictly increasing window fractions s_k in [0, 1]
-
-    Returns
-    -------
-    list of TrajectoryRecord, one per member, member i sampled at
-    times t_start_i + s_k*(t_end_i - t_start_i).  Each member's tolerances
-    hold as if it were integrated alone.
-    """
-    fractions = np.asarray(fractions, dtype=float)
-    if fractions.ndim != 1 or fractions.size < 1:
-        raise ValueError("fractions must be a non-empty 1-d sequence")
-    if np.any(np.diff(fractions) <= 0):
-        raise ValueError("fractions must be strictly increasing")
-    if fractions[0] < 0.0 or fractions[-1] > 1.0:
-        raise ValueError(f"fractions [{fractions[0]}, {fractions[-1]}] exceed [0, 1]")
-    if not members:
-        return []
-    gammas, protocols, states0, cfgs = zip(*members)
-    states = _solve(gammas, protocols, states0, cfgs, fractions)
-    return [
-        TrajectoryRecord(
-            cfg.t_start + fractions * (cfg.t_end - cfg.t_start),
-            states[:, i],
-            _solver_id(cfg),
-        )
-        for i, cfg in enumerate(cfgs)
-    ]
+    return TrajectoryRecord(times, states, solver_id)
 
 
 def integrate(gamma, protocol, state0, cfg, sample_grid):
-    """Integrate i*da/dt = H(t)*a and sample exactly on sample_grid.
+    """Integrate i*da/dt = H(t)*a for one member and sample exactly on sample_grid.
 
-    The one-member case of integrate_batch.
-
-    Parameters
-    ----------
-    gamma : float
-    protocol : SyncSech2 or AsyncTanhSech
-    state0 : length-4 complex sequence, the state at cfg.t_start
-    cfg : IntegratorConfig
-    sample_grid : strictly increasing times within [t_start, t_end]
-
-    Returns
-    -------
-    TrajectoryRecord
+    The S = () case of integrate_batch: state0 holds at cfg.t_start, and the
+    strictly increasing sample_grid within the window is the record's times.
     """
-    y0 = as_state(state0)
-    grid = np.asarray(sample_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("sample_grid must be a non-empty 1-d time sequence")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("sample_grid must be strictly increasing")
+    state0 = as_state(state0)
+    grid = _samples("sample_grid", sample_grid)
     if grid[0] < cfg.t_start - 1e-12 or grid[-1] > cfg.t_end + 1e-12:
         raise ValueError(
             f"sample_grid [{grid[0]}, {grid[-1]}] exceeds window [{cfg.t_start}, {cfg.t_end}]"
         )
     fractions = np.clip((grid - cfg.t_start) / (cfg.t_end - cfg.t_start), 0.0, 1.0)
-    states = _solve((gamma,), (protocol,), (y0,), (cfg,), fractions)
-    return TrajectoryRecord(grid, states[:, 0], _solver_id(cfg))
-
+    record = integrate_batch(gamma, protocol, state0, cfg, fractions)
+    return TrajectoryRecord(grid, record.states, record.solver_id)

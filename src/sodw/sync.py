@@ -33,8 +33,7 @@ stays correct whether or not that observation is trusted.
 When |sin(pi*gamma)| < 1e-9 (core.branch_signs puts gamma on the conserving
 branch) the alpha/eta expressions are indeterminate; H_tau then decouples
 into the 2x2 blocks (a1,a3) and (a2,a4), and those members take the blocks'
-closed-form eigenpairs instead (the csc-based constants are reported as NaN
-there).
+closed-form eigenpairs instead.
 
 Every function works on a stack of members: beta, gamma and the pulse's V
 may be arrays, and each result gains their broadcast shape S in front of its
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONDITION_TOL, branch_signs, coupling_values
+from .core import CONDITION_TOL, _require_finite, branch_signs, coupling_values
 
 __all__ = [
     "EigenSystem",
@@ -67,16 +66,10 @@ class EigenSystem:
     For members of shape S, lam has shape S + (4,) and vec S + (4, 4): the
     rows vec[..., m, :] satisfy H_tau vec[..., m, :] = lam[..., m] vec[..., m, :]
     with lam[..., 0] = -lam[..., 1] and lam[..., 2] = -lam[..., 3].
-    alpha/eta (shape S) are the auxiliary csc(pi*gamma) constants of the
-    closed-form branch, NaN on degenerate members, where they are not defined.
     """
 
     lam: np.ndarray
     vec: np.ndarray
-    alpha_minus: np.ndarray
-    alpha_plus: np.ndarray
-    eta_minus: np.ndarray
-    eta_plus: np.ndarray
 
 
 def _csc_roots(base, radical, sin_pg):
@@ -140,7 +133,7 @@ def eigen_sync(beta, gamma):
     n = 1.0 / np.sqrt(2.0 + 2.0 * slopes * slopes)
     vec = np.stack([n, slopes * n, _PAIR_SIGNS * n, -_PAIR_SIGNS * slopes * n], axis=-1)
     if not degenerate.any():
-        return EigenSystem(lam, vec, alpha_minus, alpha_plus, eta_minus, eta_plus)
+        return EigenSystem(lam, vec)
 
     # degenerate members: the blocks' eigenpairs go to the lambda slots
     # -|1 -/+ c*beta|, +|1 -/+ c*beta| so the slot formulas match the
@@ -158,9 +151,7 @@ def eigen_sync(beta, gamma):
     )
     lam = np.where(degenerate[..., None], np.stack([-low, low, -high, high], axis=-1), lam)
     vec = np.where(degenerate[..., None, None], _BLOCK_VECTORS[order], vec)
-    csc = (alpha_minus, alpha_plus, eta_minus, eta_plus)
-    alpha_minus, alpha_plus, eta_minus, eta_plus = (np.where(degenerate, math.nan, x) for x in csc)
-    return EigenSystem(lam, vec, alpha_minus, alpha_plus, eta_minus, eta_plus)
+    return EigenSystem(lam, vec)
 
 
 def tau_sech2(V, Omega, t):
@@ -205,10 +196,13 @@ def classify_sync_condition(beta, V, Omega):
     CCPC(n): beta = 0 and 2V/Omega = n*pi (n >= 1) -- every population
     returns to its initial value.  CCPI(n): beta = 0 and
     2V/Omega = (n + 1/2)*pi (n >= 0) -- the left/right populations invert.
-    Both tested within 1e-9.
+    Both tested within 1e-9.  Refuses an Omega that is not > 0 and any
+    argument that is not finite.
     """
     if not (Omega > 0):
         raise ValueError(f"Omega must be > 0, got {Omega}")
+    for name, value in (("beta", beta), ("V", V), ("Omega", Omega)):
+        _require_finite(name, value)
     ratio = 2.0 * V / Omega
     beta_res = abs(float(beta))
     n_c = round(ratio / math.pi)

@@ -22,7 +22,6 @@ from sodw.analysis import (
     ENGINE_ASYNC,
     ENGINE_ORACLE,
     ENGINE_SYNC,
-    asymptotic_extract,
     count_peaks,
     default_horizon,
     prominent_peaks,
@@ -305,23 +304,6 @@ def test_prominent_peaks_match_scipy_find_peaks():
     assert flat_tops > 100
 
 
-def test_asymptotic_extract_settles():
-    proto = SyncSech2(0.5, 0.5 * math.pi, 1.0)
-    T = default_horizon(proto)
-    times = np.linspace(-T, T, 801)
-    states = solve(proto, 0.5, _E3, -math.inf).states(times)
-    from sodw.oracle import TrajectoryRecord
-
-    rec = TrajectoryRecord(times, states, "sync-exact")
-    first, last, settled = asymptotic_extract(rec)
-    assert settled
-    assert first[2] == pytest.approx(1.0, abs=1e-9)
-    assert_allclose(last, np.abs(states[-1]) ** 2, atol=0.0)
-    # a window ending at the pulse peak is still moving
-    mid = TrajectoryRecord(times[:401], states[:401], "sync-exact")
-    assert not asymptotic_extract(mid)[2]
-
-
 def test_exact_trajectory_dispatch_and_refusal():
     times = np.linspace(-10.0, 10.0, 21)
     sync_states = solve(SyncSech2(0.0, 1.0, 1.0), 0.25, _E3, -math.inf).states(times)
@@ -464,7 +446,7 @@ def test_scan_is_continuous_across_the_branch_gate(center, fixed):
 
 
 def test_failed_oracle_batch_is_recorded_in_every_oracle_row(monkeypatch):
-    def failing_batch(members, fractions):
+    def failing_batch(*args):
         raise RuntimeError("integration failed near window fraction 0.5: step size too small")
 
     monkeypatch.setattr("sodw.analysis.integrate_batch", failing_batch)

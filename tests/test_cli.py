@@ -54,6 +54,29 @@ def test_classify_async_and_flip_constraint(capsys):
     assert capsys.readouterr().out.strip() == "CCPI (async, spin-conserving)"
 
 
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["--V", "inf", "--Omega", "1"], "V"),
+        (["--V", "nan", "--Omega", "1"], "V"),
+        (["--beta", "nan", "--V", "1", "--Omega", "1"], "beta"),
+        (["--Omega", "inf", "--V", "1"], "Omega"),
+        (["--upsilon", "inf", "--chi", "1"], "upsilon"),
+        (["--upsilon", "nan", "--chi", "1"], "upsilon"),
+        (["--upsilon", "1", "--chi", "inf"], "chi"),
+        (["--upsilon", "1", "--chi", "1", "--epsilon", "nan"], "epsilon"),
+        (["--V", "1", "--Omega", "1", "--upsilon", "1", "--chi", "1", "--epsilon=-inf"], "epsilon"),
+    ],
+)
+def test_classify_refuses_what_is_not_finite_by_name(argv, name, capsys):
+    # these used to print a classification, or die on an OverflowError or a
+    # text that named no argument
+    assert main(["classify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name} must be finite, got ")
+    assert captured.out == ""
+
+
 def test_classify_without_enough_arguments(capsys):
     assert main(["classify", "--beta", "0.5"]) == 2
     assert "nothing to classify" in capsys.readouterr().err

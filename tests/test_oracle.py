@@ -21,6 +21,7 @@ from sodw import (
 )
 from sodw.acceptance import run_all
 from sodw.analysis import ENGINE_ORACLE
+from sodw.core import stack_drives
 from sodw.figures import build_figure
 from sodw.oracle import TrajectoryRecord
 
@@ -95,6 +96,10 @@ def test_window_and_grid_validation():
         integrate(0.5, proto, _E3, cfg, np.array([]))
     with pytest.raises(ValueError, match="sample_grid must be strictly increasing"):
         integrate(0.5, proto, _E3, cfg, np.array([0.8, 0.2]))
+    # a NaN passed every comparison and failed only after the whole solve
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^sample_grid must be finite"):
+            integrate(0.5, proto, _E3, cfg, [0.5, bad, 1.0])
 
 
 def test_config_validation():
@@ -102,6 +107,11 @@ def test_config_validation():
         IntegratorConfig(1.0, 1.0)
     with pytest.raises(ValueError, match="tolerances"):
         IntegratorConfig(0.0, 1.0, rel_tol=0.0)
+    # windows may be stacks, tolerances may not
+    with pytest.raises(ValueError, match="t_end > t_start"):
+        IntegratorConfig(np.zeros(3), np.array([1.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="rel_tol and abs_tol must be scalars"):
+        IntegratorConfig(0.0, 1.0, rel_tol=np.array([1e-10, 1e-9]))
 
 
 @contextlib.contextmanager
@@ -124,14 +134,22 @@ _CONFIG_FIELDS = ("t_start", "t_end", "rel_tol", "abs_tol")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", _CONFIG_FIELDS)
-def test_config_refuses_what_is_not_finite_by_name(field, value):
+@pytest.mark.parametrize(
+    "field,stacked",
+    [(field, False) for field in _CONFIG_FIELDS] + [(field, True) for field in _CONFIG_FIELDS],
+    ids=list(_CONFIG_FIELDS) + [f"{field}-stacked" for field in _CONFIG_FIELDS],
+)
+def test_config_refuses_what_is_not_finite_by_name(field, stacked, value):
     # an infinite window used to hang the step loop (-inf) or be refused
-    # as unsorted t_eval (+inf)
-    fields = dict(zip(_CONFIG_FIELDS, (0.0, 1.0, 1e-10, 1e-12)), **{field: value})
+    # as unsorted t_eval (+inf); in a stack of windows, one bad member is
+    # refused among finite ones
+    fields = dict(zip(_CONFIG_FIELDS, (0.0, 1.0, 1e-10, 1e-12)))
+    if stacked:
+        fields.update(t_start=np.array([0.0, -1.0, 0.5]), t_end=np.array([1.0, 2.0, 3.0]))
+    fields[field] = np.where([False, True, False], value, fields[field]) if stacked else value
     with _deadline(), pytest.raises(ValueError, match=f"^{field} must be finite"):
         cfg = IntegratorConfig(**fields)
-        integrate(0.3, SyncSech2(0.0, 1.0, 1.0), _E3, cfg, [cfg.t_start, cfg.t_end])
+        integrate_batch(0.3, SyncSech2(0.0, 1.0, 1.0), _E3, cfg, [0.0, 1.0])
 
 
 def test_infinite_past_window_is_refused_not_integrated():
@@ -174,7 +192,6 @@ def test_trajectory_record_accessors():
         dtype=complex,
     )
     rec = TrajectoryRecord(times, states, "unit")
-    assert_allclose(rec.norms, 1.0, atol=1e-15)
     assert rec.norm_drift_max == 0.0
     assert rec.population_array.shape == (3, 4)
     assert rec.population_array[2, 3] == pytest.approx(0.64)
@@ -182,6 +199,14 @@ def test_trajectory_record_accessors():
         TrajectoryRecord(times[::-1], states, "unit")
     with pytest.raises(ValueError, match="shape"):
         TrajectoryRecord(times, states[:2], "unit")
+    # two members: times (K, 2), states (K, 2, 4), one drift per member
+    both = np.stack([times, times + 5.0], axis=1)
+    pair = TrajectoryRecord(both, np.stack([states, 0.5 * states], axis=1), "unit")
+    assert_allclose(pair.norm_drift_max, [0.0, 0.0], atol=1e-15)
+    with pytest.raises(ValueError, match="shape"):
+        TrajectoryRecord(both, states, "unit")
+    with pytest.raises(ValueError, match="strictly increasing"):
+        TrajectoryRecord(both * [1.0, -1.0], np.stack([states, states], axis=1), "unit")
 
 
 def _random_state(rng):
@@ -189,39 +214,38 @@ def _random_state(rng):
     return a / np.linalg.norm(a)
 
 
-def _mixed_batch(rng, protocols):
-    # windows, couplings and states all differ from member to member
-    members = []
-    for protocol in protocols:
-        t_lo = -rng.uniform(3.0, 12.0)
-        cfg = IntegratorConfig(t_lo, t_lo + rng.uniform(5.0, 20.0))
-        members.append((rng.uniform(0.0, 2.0), protocol, _random_state(rng), cfg))
-    return members
+def _mixed_batch(rng, n):
+    """Couplings, initial states and windows that differ from member to member."""
+    t_lo = -rng.uniform(3.0, 12.0, n)
+    cfg = IntegratorConfig(t_lo, t_lo + rng.uniform(5.0, 20.0, n))
+    states0 = np.array([_random_state(rng) for _ in range(n)])
+    return rng.uniform(0.0, 2.0, n), states0, cfg
 
 
-@pytest.mark.parametrize("kind", ["sync", "async"])
-def test_batch_matches_member_by_member_integration(kind):
+@pytest.mark.parametrize("cls", [SyncSech2, AsyncTanhSech], ids=["sync", "async"])
+def test_batch_matches_member_by_member_integration(cls):
     rng = np.random.default_rng(61)
-    sync = [SyncSech2(*rng.uniform([0, 0.3, 0.5], [2, 2, 2])) for _ in range(4)]
-    asyn = [AsyncTanhSech(*rng.uniform([0, 0.05, 0.4], [2, 2, 2])) for _ in range(4)]
-    protocols = {"sync": sync, "async": asyn}[kind]
-    members = _mixed_batch(rng, protocols)
+    lower = {SyncSech2: [0, 0.3, 0.5], AsyncTanhSech: [0, 0.05, 0.4]}[cls]
+    fields = rng.uniform(lower, [2, 2, 2], size=(4, 3))
+    gammas, states0, cfg = _mixed_batch(rng, 4)
     fractions = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 20)), [1.0]])
-    records = integrate_batch(members, fractions)
-    assert len(records) == len(members)
-    for (gamma, protocol, state0, cfg), rec in zip(members, records):
-        times = cfg.t_start + fractions * (cfg.t_end - cfg.t_start)
-        assert np.array_equal(rec.times, times)
-        alone = integrate(gamma, protocol, state0, cfg, times)
-        assert np.max(np.abs(rec.states - alone.states)) < 1e-9
-        assert rec.solver_id == alone.solver_id
+    record = integrate_batch(gammas, cls(*fields.T), states0, cfg, fractions)
+    assert record.states.shape == (fractions.size, 4, 4)
+    for i in range(4):
+        times = cfg.t_start[i] + fractions * (cfg.t_end[i] - cfg.t_start[i])
+        assert np.array_equal(record.times[:, i], times)
+        window = IntegratorConfig(cfg.t_start[i], cfg.t_end[i])
+        alone = integrate(gammas[i], cls(*fields[i]), states0[i], window, times)
+        assert np.max(np.abs(record.states[:, i] - alone.states)) < 1e-9
+        assert abs(record.norm_drift_max[i] - alone.norm_drift_max) < 1e-9
+        assert record.solver_id == alone.solver_id
 
 
 def test_batch_of_one_is_integrate():
     proto = AsyncTanhSech(0.3, 1.0, 1.0)
     cfg = IntegratorConfig(0.0, 2.0)
     fractions = np.linspace(0.0, 1.0, 11)
-    (rec,) = integrate_batch([(0.3, proto, _E3, cfg)], fractions)
+    rec = integrate_batch(0.3, proto, _E3, cfg, fractions)
     alone = integrate(0.3, proto, _E3, cfg, 2.0 * fractions)
     assert np.array_equal(rec.times, alone.times)
     assert np.array_equal(rec.states, alone.states)
@@ -229,42 +253,55 @@ def test_batch_of_one_is_integrate():
     assert rec.norm_drift_max == alone.norm_drift_max
 
 
+def test_shared_drive_and_window_equal_their_stacks():
+    # a figure passes one drive and one window with several starts
+    rng = np.random.default_rng(67)
+    drive = AsyncTanhSech(0.3, 1.0, 1.0)
+    states0 = np.array([_random_state(rng) for _ in range(3)])
+    fractions = np.linspace(0.0, 1.0, 11)
+    shared = integrate_batch(0.3, drive, states0, IntegratorConfig(-5.0, 5.0), fractions)
+    window = IntegratorConfig(np.full(3, -5.0), np.full(3, 5.0))
+    drives = stack_drives([drive] * 3)
+    stacked = integrate_batch(np.full(3, 0.3), drives, states0, window, fractions)
+    assert np.array_equal(shared.times, stacked.times)
+    assert np.array_equal(shared.states, stacked.states)
+
+
 def test_batch_validation():
     cfg = IntegratorConfig(0.0, 1.0)
-    member = (0.5, SyncSech2(0.0, 1.0, 1.0), _E3, cfg)
-    assert integrate_batch([], [0.0, 1.0]) == []
+    drive = SyncSech2(0.0, 1.0, 1.0)
+    empty = integrate_batch(0.5, SyncSech2(0.0, np.array([]), 1.0), _E3, cfg, [0.0, 1.0])
+    assert empty.states.shape == (2, 0, 4)
     with pytest.raises(ValueError, match="non-empty"):
-        integrate_batch([member], [])
+        integrate_batch(0.5, drive, _E3, cfg, [])
     with pytest.raises(ValueError, match="exceed"):
-        integrate_batch([member], [0.5, 1.5])
+        integrate_batch(0.5, drive, _E3, cfg, [0.5, 1.5])
     with pytest.raises(ValueError, match="fractions must be strictly increasing"):
-        integrate_batch([member], [0.0, 0.7, 0.3, 1.0])
-    loose = (0.5, SyncSech2(0.0, 1.0, 1.0), _E3, IntegratorConfig(0.0, 1.0, rel_tol=1e-6))
-    with pytest.raises(ValueError, match="share rel_tol"):
-        integrate_batch([member, loose], [1.0])
-    # the fields of the two classes stack in different orders, so a mixed
-    # batch would misread them
-    other = (0.5, AsyncTanhSech(0.0, 1.0, 1.0), _E3, cfg)
-    with pytest.raises(ValueError, match="share one drive class"):
-        integrate_batch([member, other], [1.0])
+        integrate_batch(0.5, drive, _E3, cfg, [0.0, 0.7, 0.3, 1.0])
+    # a NaN passed every comparison and failed only after the whole solve
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^fractions must be finite"):
+            integrate_batch(0.5, drive, _E3, cfg, [0.5, bad, 1.0])
+    with pytest.raises(ValueError, match="broadcast"):
+        integrate_batch([0.5, 0.7], SyncSech2(0.0, np.ones(3), 1.0), _E3, cfg, [1.0])
 
 
 def test_driven_member_keeps_its_solo_accuracy_among_idle_ones():
     # the error norm averages over all members, so without the per-member
     # tolerance rule a lone driven member would be held sqrt(N) times looser
     driven = SyncSech2(0.5, 3.0 * math.pi, 1.0)
-    idle = SyncSech2(0.0, 0.0, 1.0)
     cfg = IntegratorConfig(-10.0, 10.0, rel_tol=1e-6, abs_tol=1e-8)
     grid = np.linspace(-10.0, 10.0, 41)
     exact = solve(driven, 0.3, _E3, -10.0).states(grid)
     solo = integrate(0.3, driven, _E3, cfg, grid)
     solo_err = float(np.max(np.abs(solo.states - exact)))
-    members = [(0.3, driven, _E3, cfg)] + [(0.7, idle, _E3, cfg)] * 99
-    batch = integrate_batch(members, (grid + 10.0) / 20.0)
-    batch_err = float(np.max(np.abs(batch[0].states - exact)))
+    idle = np.arange(100) > 0
+    drives = SyncSech2(np.where(idle, 0.0, 0.5), np.where(idle, 0.0, 3.0 * math.pi), 1.0)
+    batch = integrate_batch(np.where(idle, 0.7, 0.3), drives, _E3, cfg, (grid + 10.0) / 20.0)
+    batch_err = float(np.max(np.abs(batch.states[:, 0] - exact)))
     assert solo_err > 1e-9  # loose enough that the tolerance, not round-off, sets the error
     assert batch_err < 1.5 * solo_err
-    assert np.max(np.abs(batch[1].states - np.array(_E3))) < 1e-12
+    assert np.max(np.abs(batch.states[:, 1:] - np.array(_E3))) < 1e-12
 
 
 @pytest.fixture
@@ -336,6 +373,12 @@ def beside_scipy(monkeypatch):
     return pairs
 
 
+def _sync_batch(rng):
+    gammas, states0, cfg = _mixed_batch(rng, 3)
+    drives = SyncSech2(*np.array([[0.4, 0.9, 1.2], [1.1, 0.6, 0.5], [0.9, 1.3, 1.7]]))
+    integrate_batch(gammas, drives, states0, cfg, np.linspace(0.0, 1.0, 31))
+
+
 def _kick():
     # a short strong pulse after a quiet stretch: long steps run into it and are rejected
     drive = AsyncTanhSech(0.1, 8.0, 10.0)
@@ -347,13 +390,7 @@ _SCIPY_CASES = {
     "criterion-11": lambda: run_all({11}),
     "criterion-4": lambda: run_all({4}),
     "figure-3a": lambda: build_figure("3a"),
-    "sync-batch": lambda: integrate_batch(
-        _mixed_batch(
-            np.random.default_rng(73),
-            [SyncSech2(0.4, 1.1, 0.9), SyncSech2(0.9, 0.6, 1.3), SyncSech2(1.2, 0.5, 1.7)],
-        ),
-        np.linspace(0.0, 1.0, 31),
-    ),
+    "sync-batch": lambda: _sync_batch(np.random.default_rng(73)),
     "rel_tol=1e-12": lambda: integrate(
         0.3,
         AsyncTanhSech(0.3, 1.0, 1.0),
