@@ -65,17 +65,29 @@ def test_eigensystem_near_integer_gamma():
 
 
 def test_eigenvectors_orthonormal():
-    # within each family the two slopes multiply to -1, which keeps the small
-    # root free of subtractive cancellation; the Gram check at 1e-12 needs it
     rng = np.random.default_rng(12)
     cases = [(rng.uniform(0, 3), rng.uniform(0, 3)) for _ in range(20)]
     cases += [(0.0, 0.5), (0.7, 1.0), (1.3, 0.0), (0.0, 2.0)]
-    rng = np.random.default_rng(13)
-    cases += [(rng.uniform(0.0, 6.0), rng.uniform(0.05, 0.95)) for _ in range(25)]
     for beta, gamma in cases:
         eig = eigen_sync(beta, gamma)
         gram = eig.vec @ eig.vec.T
         assert_allclose(gram, np.eye(4), atol=1e-12)
+
+
+def test_vector_slope_product_identity():
+    # the two slopes in each family multiply to exactly -1, which is what
+    # keeps the small root free of subtractive cancellation; each vector is
+    # (1, x, s, -s*x) up to normalization, so its slope x is vec[1]/vec[0]
+    rng = np.random.default_rng(13)
+    for _ in range(25):
+        beta = rng.uniform(0.0, 6.0)
+        gamma = rng.uniform(0.05, 0.95)
+        eig = eigen_sync(beta, gamma)
+        alpha_minus, alpha_plus, eta_plus, eta_minus = eig.vec[:, 1] / eig.vec[:, 0]
+        assert abs(alpha_plus * alpha_minus + 1.0) < 1e-12
+        assert abs(eta_plus * eta_minus + 1.0) < 1e-12
+        assert_allclose(eig.vec[:, 2], [1.0, 1.0, -1.0, -1.0] * eig.vec[:, 0], atol=1e-15)
+        assert_allclose(eig.vec[:, 3], -eig.vec[:, 2] * (eig.vec[:, 1] / eig.vec[:, 0]), atol=1e-14)
 
 
 def test_eigenvalues_come_in_exact_opposite_pairs():
