@@ -81,27 +81,27 @@ def _criterion_04():
     )
 
 
+def _ends(protocol, gamma, starts, T):
+    """Closed form of N starts given at -T, and their populations at -/+T, shape (2, N, 4)."""
+    solution = solve(protocol, gamma, starts, -T)
+    return solution, np.abs(solution.states(np.array([[-T], [T]]))) ** 2
+
+
 def _criterion_05():
     protocol = SyncSech2(0.0, math.pi / 2, 1.0)
     T = 25.0
-    ends = np.array([-T, T])
-    pe = np.abs(solve(protocol, 0.15, IC_RAMP, -T).states(ends)) ** 2
+    pe = _ends(protocol, 0.15, [IC_RAMP], T)[1]
     gap_exact = float(np.max(np.abs(pe[1] - pe[0])))
     cfg = IntegratorConfig(t_start=-T, t_end=T)
-    pn = np.abs(integrate(0.15, protocol, IC_RAMP, cfg, ends).states) ** 2
+    pn = np.abs(integrate(0.15, protocol, IC_RAMP, cfg, [-T, T]).states) ** 2
     gap_num = float(np.max(np.abs(pn[1] - pn[0])))
     ok = gap_exact < 1e-6 and gap_num < 1e-6
     return ok, f"max |P(+T)-P(-T)|: exact {gap_exact:.2e}, oracle {gap_num:.2e} (<1e-6)"
 
 
 def _criterion_06():
-    protocol = SyncSech2(0.0, math.pi / 4, 1.0)
-    T = 25.0
-    worst = 0.0
-    for ic in ICS_LR_MIX:
-        p = np.abs(solve(protocol, 0.15, ic, -T).states(np.array([-T, T]))) ** 2
-        zlr = (p[:, 2] + p[:, 3]) - (p[:, 0] + p[:, 1])
-        worst = max(worst, abs(zlr[1] + zlr[0]))
+    zlr = imbalance(_ends(SyncSech2(0.0, math.pi / 4, 1.0), 0.15, ICS_LR_MIX, 25.0)[1], "L", "R")
+    worst = float(np.max(np.abs(zlr[1] + zlr[0])))
     return worst < 1e-6, f"max |Z_LR(+T)+Z_LR(-T)| = {worst:.2e} over five starts (<1e-6)"
 
 
@@ -112,15 +112,9 @@ def _criterion_07():
 
 
 def _criterion_08():
-    params = AsyncTanhSech(1.0, 1.0, 1.0)
-    T = 25.0
-    targets = (1.0, 0.5, 0.0, -0.5, -1.0)
-    worst_sym = worst_anchor = 0.0
-    for ic, target in zip(ICS_13, targets):
-        p = np.abs(solve(params, 2.0, ic, -T).states(np.array([-T, T]))) ** 2
-        z = p[:, 2] - p[:, 0]
-        worst_sym = max(worst_sym, abs(z[1] - z[0]))
-        worst_anchor = max(worst_anchor, abs(z[0] - target))
+    z = imbalance(_ends(AsyncTanhSech(1.0, 1.0, 1.0), 2.0, ICS_13, 25.0)[1], 3, 1)
+    worst_sym = float(np.max(np.abs(z[1] - z[0])))
+    worst_anchor = float(np.max(np.abs(z[0] - np.array([1.0, 0.5, 0.0, -0.5, -1.0]))))
     ok = worst_sym < 1e-6 and worst_anchor < 1e-12
     return ok, (
         f"max |Z31(+T)-Z31(-T)| = {worst_sym:.2e} (<1e-6); "
@@ -129,16 +123,13 @@ def _criterion_08():
 
 
 def _criterion_09():
-    params = AsyncTanhSech(1.0, 1.0, 2.0)
     T = 12.5
-    worst = 0.0
-    for ic in ICS_13:
-        p = np.abs(solve(params, 2.0, ic, -T).states(np.array([-T, T]))) ** 2
-        z = p[:, 2] - p[:, 0]
-        worst = max(worst, abs(z[1] + z[0]))
-    times = np.linspace(-T, T, 2001)
-    p = np.abs(solve(params, 2.0, ICS_13[2], -T).states(times)) ** 2
-    cdt = float(np.max(np.abs(p[:, 2] - p[:, 0])))
+    solution, p = _ends(AsyncTanhSech(1.0, 1.0, 2.0), 2.0, ICS_13, T)
+    z = imbalance(p, 3, 1)
+    worst = float(np.max(np.abs(z[1] + z[0])))
+    # the equal-pair start ICS_13[2] over the whole pulse
+    p = np.abs(solution.states(np.linspace(-T, T, 2001)[:, None])[:, 2]) ** 2
+    cdt = float(np.max(np.abs(imbalance(p, 3, 1))))
     ok = worst < 1e-6 and cdt < 1e-9
     return ok, (
         f"max |Z31(+T)+Z31(-T)| = {worst:.2e} (<1e-6); "
@@ -147,16 +138,10 @@ def _criterion_09():
 
 
 def _criterion_10():
-    params = AsyncTanhSech(math.sqrt(0.21), 0.5, 0.4)
-    T = 62.5
-    worst_sym = worst_asym = 0.0
-    for ic in ICS_14:
-        solution = solve(params, 0.5, ic, -T)
-        p = np.abs(solution.states(np.array([-T, T]))) ** 2
-        z41 = p[:, 3] - p[:, 0]
-        worst_sym = max(worst_sym, abs(z41[1] + z41[0]))
-        p_inf = solution.asymptotes()[1]
-        worst_asym = max(worst_asym, abs(p[1, 3] - p_inf[3]), abs(p[1, 0] - p_inf[0]))
+    solution, p = _ends(AsyncTanhSech(math.sqrt(0.21), 0.5, 0.4), 0.5, ICS_14, 62.5)
+    z41 = imbalance(p, 4, 1)
+    worst_sym = float(np.max(np.abs(z41[1] + z41[0])))
+    worst_asym = float(np.max(np.abs(p[1] - solution.asymptotes()[1])[:, [0, 3]]))
     ok = worst_sym < 1e-6 and worst_asym < 1e-6
     return ok, (
         f"max |Z41(+T)+Z41(-T)| = {worst_sym:.2e}; "
@@ -222,27 +207,22 @@ def _criterion_11():
 
 
 def _criterion_12():
-    worst_res = 0.0
-    pairing_ok = symmetric_ok = True
-    for beta in (0.0, 0.3, 1.0, 2.5):
-        for gamma in (0.0, 0.15, 0.5, 1.0, 1.3, 2.0):
-            eig = sync.eigen_sync(beta, gamma)
-            h = hamiltonian_matrix(gamma, 1.0, beta)
-            symmetric_ok &= bool(np.array_equal(h, h.T))
-            res = np.abs(h @ eig.vec.T - eig.vec.T * eig.lam)
-            worst_res = max(worst_res, float(res.max()))
-            pairing_ok &= eig.lam[0] + eig.lam[1] == 0.0 and eig.lam[2] + eig.lam[3] == 0.0
-    times = np.linspace(-25.0, 25.0, 2001)
+    gamma = np.array([0.0, 0.15, 0.5, 1.0, 1.3, 2.0])
+    beta = np.array([0.0, 0.3, 1.0, 2.5])[:, None]
+    eig = sync.eigen_sync(beta, gamma)
+    h = hamiltonian_matrix(gamma, 1.0, beta)
+    symmetric_ok = bool(np.array_equal(h, np.swapaxes(h, -1, -2)))
+    vectors = np.swapaxes(eig.vec, -1, -2)
+    worst_res = float(np.max(np.abs(h @ vectors - vectors * eig.lam[..., None, :])))
+    pairing_ok = bool(np.all(eig.lam[..., 0::2] + eig.lam[..., 1::2] == 0.0))
     drifts = []
-    states = solve(SyncSech2(0.5, math.pi / 2, 1.0), 0.5, IC_THIRD, -25.0).states(times)
-    drifts.append(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
-    states = solve(AsyncTanhSech(1.0, 1.0, 1.0), 2.0, ICS_13[1], -25.0).states(times)
-    drifts.append(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
-    flip_times = np.linspace(-62.5, 62.5, 2001)
-    states = solve(
-        AsyncTanhSech(math.sqrt(0.21), 0.5, 0.4), 0.5, ICS_14[1], -62.5
-    ).states(flip_times)
-    drifts.append(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
+    for protocol, gamma, start, T in (
+        (SyncSech2(0.5, math.pi / 2, 1.0), 0.5, IC_THIRD, 25.0),
+        (AsyncTanhSech(1.0, 1.0, 1.0), 2.0, ICS_13[1], 25.0),
+        (AsyncTanhSech(math.sqrt(0.21), 0.5, 0.4), 0.5, ICS_14[1], 62.5),
+    ):
+        states = solve(protocol, gamma, start, -T).states(np.linspace(-T, T, 2001))
+        drifts.append(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
     ana_drift = float(max(drifts))
     grid = np.linspace(0.0, 25.0, 501)
     cfg = IntegratorConfig(t_start=0.0, t_end=25.0)

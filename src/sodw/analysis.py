@@ -291,25 +291,34 @@ def _flank_min(side, peak):
 class Solution:
     """Closed-form solution a(t) = basis(t) @ coeffs with state0 imposed at finite t0.
 
-    basis and limits are an engine's modes(): basis(t) of shape S + (4, 4)
-    over members of shape S, limits of shape (2,) + S + (4, 4).  The
+    basis and limits are an engine's modes(): basis(t) of shape S_drive + (4, 4)
+    over the drive's members, limits of shape (2,) + S_drive + (4, 4).  The
     coefficients solve basis(t0) @ coeffs = state0 for every member at once;
-    state0 (one state, or S + (4,)) and t0 (one time, or S) may differ from
-    member to member.
+    state0 (one state, or a stack of them) and t0 may differ from member to
+    member, and the members' shape S is the broadcast shape of S_drive,
+    state0 without its last axis and t0.  So one drive with an (N, 4) stack of
+    starts is N members that share one basis: states(times[:, None]) has
+    shape (K, N, 4) and asymptotes() (2, N, 4).
     """
 
     def __init__(self, basis, limits, state0, t0):
         self.basis = basis
-        self.limits = limits
+        # the limit axis next to the matrix axes, so that it broadcasts past S
+        self.limits = np.moveaxis(limits, 0, -3)
         self.coeffs = np.linalg.solve(basis(t0), as_states(state0)[..., None])[..., 0]
 
     def states(self, times):
-        """Amplitudes at times, which broadcast against S (one member: T -> T + (4,))."""
-        return (self.basis(times) @ self.coeffs[..., None])[..., 0]
+        """Amplitudes at finite times, which broadcast against S (one member: T -> T + (4,))."""
+        t = np.asarray(times, dtype=float)
+        bad = t[~np.isfinite(t)]
+        if bad.size:
+            raise ValueError(f"times must be finite, got {bad[0]}; asymptotes() gives t = -/+inf")
+        return (self.basis(t) @ self.coeffs[..., None])[..., 0]
 
     def asymptotes(self):
         """Populations P(-inf) and P(+inf) of every member, shape (2,) + S + (4,)."""
-        return np.abs((self.limits @ self.coeffs[..., None])[..., 0]) ** 2
+        amplitudes = (self.limits @ self.coeffs[..., None, :, None])[..., 0]
+        return np.moveaxis(np.abs(amplitudes) ** 2, -2, 0)
 
 
 def solve(protocol, gamma, state0, t0):
@@ -317,8 +326,10 @@ def solve(protocol, gamma, state0, t0):
 
     The drive type picks the engine, whose modes() gate the drive and build
     its basis once.  The drive's fields, gamma, state0 (shape S + (4,)) and
-    t0 may be stacks of members.  Raises ValueError with the gate's refusal
-    text when no closed form covers (protocol, gamma).
+    t0 may be stacks of members.  One drive with an (N, 4) stack of starts
+    shares its basis: states(times[:, None]) is (K, N, 4) and asymptotes()
+    (2, N, 4).  Raises ValueError with the gate's refusal text when no
+    closed form covers (protocol, gamma).
     """
     t0 = np.asarray(t0, dtype=float)
     if not np.all(t0 < math.inf):

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONDITION_TOL, _require_finite, branch_signs, coupling_values
+from .core import CONDITION_TOL, AsyncTanhSech, branch_signs, coupling_values
 
 __all__ = [
     "AsyncConservingCondition",
@@ -110,39 +110,29 @@ def phase_integrals(epsilon, upsilon, chi, t):
 
 @dataclass(frozen=True)
 class AsyncConservingCondition:
-    """Classification of a conserving-branch drive by its pulse area ratio ups/chi.
-
-    imbalance_sign resolves the sign convention of the asymptotic imbalance:
-    for CCPC, Z31(+/-inf) = sign * 4 Re(A+ conj(A-)) (sign = -cos(pi ups/chi)
-    rounded); for CCPI, Z31(+inf) = sign * 4 Im(A+ conj(A-)) = -Z31(-inf)
-    (sign = sin(pi ups/chi) rounded).  Both follow from the normative form
-    Z31 = -4 Re(A+ conj(A-) e^{2i phi_u}).
-    """
+    """Classification of a conserving-branch drive by its pulse area ratio ups/chi."""
 
     kind: str  # "CCPC", "CCPI" or "neither"
     ratio: float
     sin_val: float
     cos_val: float
-    imbalance_sign: int | None
 
 
 def classify_async_conserving(upsilon, chi):
     """CCPC iff |sin(pi ups/chi)| <= 1e-9; CCPI iff |cos(pi ups/chi)| <= 1e-9.
 
-    Refuses a chi that is not > 0 and any argument that is not finite.
+    Refuses a chi that is not > 0 and any argument that is not finite, as
+    the drive does.
     """
-    if not (chi > 0):
-        raise ValueError(f"chi must be > 0, got {chi}")
-    for name, value in (("upsilon", upsilon), ("chi", chi)):
-        _require_finite(name, value)
+    AsyncTanhSech(0.0, upsilon, chi)
     ratio = upsilon / chi
     sin_val = math.sin(math.pi * ratio)
     cos_val = math.cos(math.pi * ratio)
     if abs(sin_val) <= CONDITION_TOL:
-        return AsyncConservingCondition("CCPC", ratio, sin_val, cos_val, -round(cos_val))
+        return AsyncConservingCondition("CCPC", ratio, sin_val, cos_val)
     if abs(cos_val) <= CONDITION_TOL:
-        return AsyncConservingCondition("CCPI", ratio, sin_val, cos_val, round(sin_val))
-    return AsyncConservingCondition("neither", ratio, sin_val, cos_val, None)
+        return AsyncConservingCondition("CCPI", ratio, sin_val, cos_val)
+    return AsyncConservingCondition("neither", ratio, sin_val, cos_val)
 
 
 def check_flip_constraint(epsilon, upsilon, chi):

@@ -29,7 +29,7 @@ import numpy as np
 from . import acceptance
 from .analysis import ScanSpec, default_horizon, off_branch_reason, solve
 from .asynchronous import FLIP_CONSTRAINT_TOL, check_flip_constraint, classify_async_conserving
-from .core import AsyncTanhSech, SyncSech2, _require_finite, as_state
+from .core import AsyncTanhSech, SyncSech2, as_state
 from .figures import (
     FIGURE_IDS,
     FigureData,
@@ -235,7 +235,7 @@ def _cmd_classify(args):
         else:
             lines.append(f"{cond.kind} (async, spin-conserving)")
         if args.epsilon is not None:
-            _require_finite("epsilon", args.epsilon)
+            AsyncTanhSech(args.epsilon, args.upsilon, args.chi)
             residual = check_flip_constraint(args.epsilon, args.upsilon, args.chi)
             state = "satisfied" if abs(residual) <= FLIP_CONSTRAINT_TOL else "violated"
             residual_text = "0" if abs(residual) < 1e-12 else f"{residual:.6g}"

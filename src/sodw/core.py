@@ -32,7 +32,6 @@ safe to call concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -173,35 +172,34 @@ def hamiltonian_matrix(gamma, upsilon_val, epsilon_val):
 
     Parameters
     ----------
-    gamma : float
+    gamma : float or array
         Spin-orbit coupling strength.
-    upsilon_val, epsilon_val : float
+    upsilon_val, epsilon_val : float or array
         Instantaneous tunneling rate and Zeeman splitting.
+
+    The three arguments broadcast against each other to the members' shape S.
 
     Returns
     -------
-    (4, 4) float ndarray, real symmetric (hence Hermitian):
+    S + (4, 4) float ndarray, real symmetric (hence Hermitian):
         diag(eps, -eps, eps, -eps) with tunneling couplings
         H13 = H31 = -ups*cos(pi*gamma), H14 = H41 = -ups*sin(pi*gamma),
         H23 = H32 = +ups*sin(pi*gamma), H24 = H42 = -ups*cos(pi*gamma).
     """
-    g = float(coupling_values(gamma))
-    ups = float(upsilon_val)
-    eps = float(epsilon_val)
-    if not (math.isfinite(ups) and math.isfinite(eps)):
-        raise ValueError(
-            f"drive values must be finite, got upsilon={upsilon_val!r}, epsilon={epsilon_val!r}"
-        )
-    uc = ups * math.cos(math.pi * g)
-    us = ups * math.sin(math.pi * g)
-    return np.array(
-        [
-            [eps, 0.0, -uc, -us],
-            [0.0, -eps, us, -uc],
-            [-uc, us, eps, 0.0],
-            [-us, -uc, 0.0, -eps],
-        ]
-    )
+    g = coupling_values(gamma)
+    ups = _require_finite("upsilon", upsilon_val)
+    eps = _require_finite("epsilon", epsilon_val)
+    uc = ups * np.cos(np.pi * g)
+    us = ups * np.sin(np.pi * g)
+    uc, us, eps = np.broadcast_arrays(uc, us, eps)
+    zero = np.zeros_like(eps)
+    rows = [
+        [eps, zero, -uc, -us],
+        [zero, -eps, us, -uc],
+        [-uc, us, eps, zero],
+        [-us, -uc, zero, -eps],
+    ]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def _component(p, key):

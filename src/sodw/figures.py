@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import ScanSpec, default_horizon, run_scan, select_engine, solve
-from .core import AsyncTanhSech, SyncSech2, as_state
+from .core import AsyncTanhSech, SyncSech2
 from .oracle import IntegratorConfig, integrate_batch
 
 __all__ = [
@@ -65,22 +65,21 @@ ICS_14 = (
     (1.0, 0.0, 0.0, 0.0),
 )
 
-# trajectory figures: coupling gamma, protocol parameters, initial states and
+# trajectory figures: coupling gamma, drive, initial states as one stack and
 # the epoch at which they hold (0 = pulse center, -inf = infinite past)
 _TRAJECTORIES = {
-    "1d": dict(gamma=0.5, sync=(0.5, math.pi / 2, 1.0), epoch=0.0, ics=(IC_THIRD,)),
-    "1e": dict(gamma=1.0, sync=(0.0, 2.0, 1.0), epoch=0.0, ics=(IC_THIRD,)),
-    "1f": dict(gamma=0.35, sync=(0.0, math.pi / 2, 1.0), epoch=0.0, ics=(IC_THIRD,)),
-    "2a": dict(gamma=0.15, sync=(0.0, math.pi / 2, 1.0), epoch=-math.inf, ics=(IC_RAMP,)),
-    "2b": dict(gamma=0.15, sync=(0.0, math.pi / 4, 1.0), epoch=-math.inf, ics=ICS_LR_MIX),
-    "2c": dict(gamma=0.25, sync=(0.0, math.pi / 4, 1.0), epoch=-math.inf, ics=(IC_THIRD,)),
-    "3a": dict(gamma=2.0, asynchronous=(1.0, 1.0, 1.0), epoch=-math.inf, ics=ICS_13),
-    "3b": dict(gamma=2.0, asynchronous=(1.0, 1.0, 2.0), epoch=-math.inf, ics=ICS_13),
+    "1d": dict(gamma=0.5, drive=SyncSech2(0.5, math.pi / 2, 1.0), epoch=0.0, ics=(IC_THIRD,)),
+    "1e": dict(gamma=1.0, drive=SyncSech2(0.0, 2.0, 1.0), epoch=0.0, ics=(IC_THIRD,)),
+    "1f": dict(gamma=0.35, drive=SyncSech2(0.0, math.pi / 2, 1.0), epoch=0.0, ics=(IC_THIRD,)),
+    "2a": dict(gamma=0.15, drive=SyncSech2(0.0, math.pi / 2, 1.0), epoch=-math.inf, ics=(IC_RAMP,)),
+    "2b": dict(gamma=0.15, drive=SyncSech2(0.0, math.pi / 4, 1.0), epoch=-math.inf, ics=ICS_LR_MIX),
+    "2c": dict(
+        gamma=0.25, drive=SyncSech2(0.0, math.pi / 4, 1.0), epoch=-math.inf, ics=(IC_THIRD,)
+    ),
+    "3a": dict(gamma=2.0, drive=AsyncTanhSech(1.0, 1.0, 1.0), epoch=-math.inf, ics=ICS_13),
+    "3b": dict(gamma=2.0, drive=AsyncTanhSech(1.0, 1.0, 2.0), epoch=-math.inf, ics=ICS_13),
     "3d": dict(
-        gamma=0.5,
-        asynchronous=(math.sqrt(0.21), 0.5, 0.4),
-        epoch=-math.inf,
-        ics=ICS_14,
+        gamma=0.5, drive=AsyncTanhSech(math.sqrt(0.21), 0.5, 0.4), epoch=-math.inf, ics=ICS_14
     ),
 }
 
@@ -136,12 +135,6 @@ def figure_kind(fig_id):
     if fig_id == "3c":
         return "surface"
     raise ValueError(f"unknown figure id {fig_id!r}; known ids: {', '.join(FIGURE_IDS)}")
-
-
-def _figure_protocol(cfg):
-    if "sync" in cfg:
-        return SyncSech2(*cfg["sync"])
-    return AsyncTanhSech(*cfg["asynchronous"])
 
 
 def observable_columns(states):
@@ -210,25 +203,23 @@ def trajectory_plot(title, datasets, series):
 
 def _build_trajectory(fig_id, samples, horizon):
     cfg = _TRAJECTORIES[fig_id]
-    protocol = _figure_protocol(cfg)
-    gamma = cfg["gamma"]
-    epoch = cfg["epoch"]
+    protocol, gamma, epoch, ics = cfg["drive"], cfg["gamma"], cfg["epoch"], cfg["ics"]
     T = default_horizon(protocol) if horizon is None else float(horizon)
     times = trajectory_times(epoch, T, samples)
     engine = select_engine(protocol, gamma)
 
-    exact = [solve(protocol, gamma, as_state(ic), epoch).states(times) for ic in cfg["ics"]]
+    # every start shares the drive's basis: one solve, states of shape (K, N, 4)
+    exact = solve(protocol, gamma, ics, epoch).states(times[:, None])
     # the oracle is restarted from the closed-form state at the first sample so
     # both solutions share the same finite-time anchor; all starts form one batch
     ocfg = IntegratorConfig(t_start=times[0], t_end=times[-1])
     fractions = (times - times[0]) / (times[-1] - times[0])
-    oracle = integrate_batch(gamma, protocol, [states[0] for states in exact], ocfg, fractions)
+    oracle = integrate_batch(gamma, protocol, exact[0], ocfg, fractions)
 
+    names = [fig_id] if len(ics) == 1 else [f"{fig_id}_ic{k + 1}" for k in range(len(ics))]
     datasets = tuple(
-        trajectory_dataset(
-            fig_id if len(exact) == 1 else f"{fig_id}_ic{k + 1}", times, states, oracle.states[:, k]
-        )
-        for k, states in enumerate(exact)
+        trajectory_dataset(name, times, exact[:, k], oracle.states[:, k])
+        for k, name in enumerate(names)
     )
     plot = trajectory_plot(f"figure {fig_id}", datasets, _TRAJ_HEADER[1:])
     plot["overlay_series"] = {name: name for name in _NUM_HEADER}
@@ -243,7 +234,7 @@ def _build_trajectory(fig_id, samples, horizon):
         "samples": str(samples),
         **protocol_meta(protocol),
     }
-    for k, ic in enumerate(cfg["ics"]):
+    for k, ic in enumerate(ics):
         meta[f"ic{k + 1}"] = amplitude_text(ic)
     return FigureData(fig_id, "trajectory", datasets, plot, meta)
 

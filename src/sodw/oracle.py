@@ -170,9 +170,9 @@ class BatchRate:
     """
 
     def __init__(self, gammas, drive, start, length):
-        members = len(gammas)
-        tunnel = np.array([hamiltonian_matrix(g, 1.0, 0.0) for g in gammas])
+        tunnel = hamiltonian_matrix(gammas, 1.0, 0.0)
         zeeman = np.diag(hamiltonian_matrix(0.0, 0.0, 1.0))
+        members = len(tunnel)
         # (3, B, 4): z, then T's same-spin and other-spin entries of each row
         entries = np.stack(
             [
@@ -407,8 +407,13 @@ def integrate(gamma, protocol, state0, cfg, sample_grid):
 
     The S = () case of integrate_batch: state0 holds at cfg.t_start, and the
     strictly increasing sample_grid within the window is the record's times.
+    A stacked gamma, drive field or window end is refused.
     """
     state0 = as_state(state0)
+    window = (("t_start", cfg.t_start), ("t_end", cfg.t_end))
+    for name, value in (("gamma", gamma), *vars(protocol).items(), *window):
+        if np.ndim(value):
+            raise ValueError(f"{name} is a stack: integrate solves one member; use integrate_batch")
     grid = _samples("sample_grid", sample_grid)
     if grid[0] < cfg.t_start - 1e-12 or grid[-1] > cfg.t_end + 1e-12:
         raise ValueError(

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONDITION_TOL, _require_finite, branch_signs, coupling_values
+from .core import CONDITION_TOL, SyncSech2, branch_signs, coupling_values
 
 __all__ = [
     "EigenSystem",
@@ -197,12 +197,9 @@ def classify_sync_condition(beta, V, Omega):
     returns to its initial value.  CCPI(n): beta = 0 and
     2V/Omega = (n + 1/2)*pi (n >= 0) -- the left/right populations invert.
     Both tested within 1e-9.  Refuses an Omega that is not > 0 and any
-    argument that is not finite.
+    argument that is not finite, as the drive does.
     """
-    if not (Omega > 0):
-        raise ValueError(f"Omega must be > 0, got {Omega}")
-    for name, value in (("beta", beta), ("V", V), ("Omega", Omega)):
-        _require_finite(name, value)
+    SyncSech2(beta, V, Omega)
     ratio = 2.0 * V / Omega
     beta_res = abs(float(beta))
     n_c = round(ratio / math.pi)

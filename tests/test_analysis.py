@@ -97,6 +97,27 @@ def test_stack_with_a_start_per_member_is_member_by_member(branch):
     for k, (gamma, protocol) in enumerate(zip(gammas, protocols)):
         alone = solve(protocol, gamma, states0[k], t0[k]).states(times[:, k])
         assert np.array_equal(stack[:, k], alone), k
+    # one drive and a stack of starts: one basis serves every start
+    gamma, protocol = gammas[0], protocols[0]
+    starts = solve(protocol, gamma, states0, t0[0])
+    stack, limits = starts.states(times[:, :1]), starts.asymptotes()
+    assert stack.shape == (times.shape[0], len(gammas), 4)
+    assert limits.shape == (2, len(gammas), 4)
+    for k, state0 in enumerate(states0):
+        alone = solve(protocol, gamma, state0, t0[0])
+        assert np.array_equal(stack[:, k], alone.states(times[:, 0])), k
+        assert np.array_equal(limits[:, k], alone.asymptotes()), k
+
+
+@pytest.mark.parametrize(
+    "protocol,gamma", [(SyncSech2(0.0, 1.0, 1.0), 0.3), (AsyncTanhSech(0.4, 1.0, 1.0), 2.0)]
+)
+def test_states_refuse_a_time_that_is_not_finite(protocol, gamma):
+    # a NaN time gave NaN amplitudes, and t = inf on the async drive NaN after a warning
+    solution = solve(protocol, gamma, _E3, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^times must be finite.*asymptotes\(\)"):
+            solution.states([0.0, bad])
 
 
 def test_select_engine_routing():
@@ -401,8 +422,9 @@ def test_solution_reproduces_anchor_and_asymptotes(case, t0):
     sync = isinstance(protocol, SyncSech2)
     shape = np.shape(gamma)
     lead = (1,) * len(shape)
-    # the anchor: -inf is exact on the sync drive, -default_horizon on the async one
-    anchor = t0 if sync or math.isfinite(t0) else -default_horizon(protocol)
+    # the anchor: -inf is exact on the sync drive, -default_horizon on the async one;
+    # states() takes finite times only, and tanh(Omega*t) is exactly -1 at t = -1e300
+    anchor = t0 if math.isfinite(t0) else -1e300 if sync else -default_horizon(protocol)
     anchored = solution.states(anchor)
     assert anchored.shape == shape + (4,)
     assert np.max(np.abs(anchored - state0)) <= 1e-12

@@ -114,13 +114,10 @@ def test_imbalance_inversion_when_pulse_area_is_half_integer():
 
 def test_classify_conserving_conditions():
     c = classify_async_conserving(2.0, 1.0)
-    assert (c.kind, c.ratio, c.imbalance_sign) == ("CCPC", 2.0, -1)
-    c = classify_async_conserving(1.5, 1.0)
-    assert (c.kind, c.imbalance_sign) == ("CCPI", -1)
-    c = classify_async_conserving(0.5, 1.0)
-    assert (c.kind, c.imbalance_sign) == ("CCPI", 1)
-    c = classify_async_conserving(0.8, 1.0)
-    assert c.kind == "neither" and c.imbalance_sign is None
+    assert (c.kind, c.ratio) == ("CCPC", 2.0)
+    assert classify_async_conserving(1.5, 1.0).kind == "CCPI"
+    assert classify_async_conserving(0.5, 1.0).kind == "CCPI"
+    assert classify_async_conserving(0.8, 1.0).kind == "neither"
     with pytest.raises(ValueError):
         classify_async_conserving(1.0, 0.0)
 

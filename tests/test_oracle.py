@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import sodw.acceptance
+import sodw.figures
 import sodw.oracle
 from sodw import (
     AsyncTanhSech,
@@ -100,6 +102,18 @@ def test_window_and_grid_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="^sample_grid must be finite"):
             integrate(0.5, proto, _E3, cfg, [0.5, bad, 1.0])
+    # a stack failed on a shape mismatch after the whole solve, or on an ambiguous truth value
+    stacks = [
+        ("gamma", dict(gamma=np.array([0.5, 0.7]))),
+        ("V", dict(protocol=SyncSech2(0.0, np.array([1.0, 2.0]), 1.0))),
+        ("chi", dict(protocol=AsyncTanhSech(0.4, 1.0, np.array([1.0, 2.0])))),
+        ("t_start", dict(cfg=IntegratorConfig(np.zeros(2), 1.0))),
+        ("t_end", dict(cfg=IntegratorConfig(0.0, np.ones(2)))),
+    ]
+    for name, stack in stacks:
+        args = dict(gamma=0.5, protocol=proto, state0=_E3, cfg=cfg, sample_grid=[0.5])
+        with pytest.raises(ValueError, match=f"^{name} is a stack: .* use integrate_batch"):
+            integrate(**{**args, **stack})
 
 
 def test_config_validation():
@@ -330,9 +344,48 @@ def test_criterion_4_makes_one_solve(solver_calls):
     assert solver_calls == [3]
 
 
-def test_multi_start_figure_makes_one_solve(solver_calls):
+@pytest.fixture
+def closed_form_calls(monkeypatch):
+    """Calls of analysis.solve from the figures and the acceptance criteria."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(sodw.figures, "solve", counted)
+    monkeypatch.setattr(sodw.acceptance, "solve", counted)
+    return calls
+
+
+def test_multi_start_figure_makes_one_solve(solver_calls, closed_form_calls):
     build_figure("3a")
     assert solver_calls == [5]
+    assert len(closed_form_calls) == 1
+
+
+@pytest.mark.parametrize("criterion", [6, 8, 10])
+def test_multi_start_criterion_makes_one_closed_form_solve(criterion, closed_form_calls):
+    (record,) = run_all({criterion})
+    assert record["passed"]
+    assert len(closed_form_calls) == 1
+
+
+def test_batch_builds_its_matrices_once(monkeypatch):
+    # the tunnel matrices of all members and the Zeeman diagonal, whatever the member count
+    calls = []
+    matrix = sodw.oracle.hamiltonian_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return matrix(*args)
+
+    monkeypatch.setattr(sodw.oracle, "hamiltonian_matrix", counted)
+    for members in (1, 7):
+        calls.clear()
+        gammas = np.linspace(0.1, 0.9, members)
+        integrate_batch(gammas, SyncSech2(0.5, 1.0, 1.0), _E3, IntegratorConfig(0.0, 1.0), [1.0])
+        assert len(calls) <= 2
 
 
 def test_scan_sends_only_off_branch_points_to_one_solve(solver_calls):
