@@ -41,6 +41,7 @@ import numpy as np
 from . import asynchronous as asyn
 from . import sync
 from .core import AsyncTanhSech, SyncSech2, as_state, as_states, coupling_values, imbalance
+from .core import _imbalance_keys
 from .oracle import IntegratorConfig, integrate_batch
 
 __all__ = [
@@ -107,8 +108,9 @@ class ScanSpec:
 
     fixed supplies the protocol fields not being swept (sync: gamma, beta, V,
     Omega; async: gamma, epsilon, upsilon, chi).  epoch is the time at which
-    state0 holds: 0.0 or -inf.  observables are (s, q) imbalance pairs with
-    s, q in 1..4 or 'L'/'R'.
+    state0 holds: 0.0 or -inf.  observables are distinct (s, q) imbalance
+    pairs with s, q in 1..4 or 'L'/'R'; an invalid or repeated pair is
+    refused under the name observables.
     """
 
     swept: str
@@ -132,6 +134,13 @@ class ScanSpec:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "fixed", dict(self.fixed))
         object.__setattr__(self, "state0", as_state(self.state0))
+        try:
+            keys = [_imbalance_keys(s, q) for s, q in self.observables]
+        except ValueError as exc:
+            raise ValueError(f"observables: {exc}") from None
+        repeated = [pair for k, pair in enumerate(keys) if pair in keys[:k]]
+        if repeated:
+            raise ValueError(f"observables repeat the pair {repeated[0]}")
         object.__setattr__(self, "observables", tuple((s, q) for s, q in self.observables))
 
 

@@ -142,7 +142,7 @@ def check_flip_constraint(epsilon, upsilon, chi):
 
 def _off_constraint(params):
     """Flip-constraint residual of every member, and where it is not within tolerance (NaN too)."""
-    residual = np.asarray(check_flip_constraint(params.epsilon_amp, params.upsilon_amp, params.chi))
+    residual = np.asarray(check_flip_constraint(params.epsilon, params.upsilon, params.chi))
     return residual, ~(np.abs(residual) <= FLIP_CONSTRAINT_TOL)
 
 
@@ -259,9 +259,7 @@ def modes(params, gamma):
     conserving, flip, refusal = gate(params, coupling_values(gamma))
     if refusal is not None:
         raise ValueError(refusal)
-    members = np.broadcast_arrays(
-        params.epsilon_amp, params.upsilon_amp, params.chi, conserving, flip
-    )
+    members = np.broadcast_arrays(params.epsilon, params.upsilon, params.chi, conserving, flip)
     shape = members[0].shape
     eps, ups, chi, conserving, flip = (np.ravel(x) for x in members)
     size = eps.size

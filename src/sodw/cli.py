@@ -1,19 +1,21 @@
 """Command-line front end: figure datasets, evolutions, scans, classification.
 
-Every verb that writes files (figure, evolve, scan) builds one FigureData
-bundle from the pieces in the figures module, which owns what the files hold:
-column headers, named initial states, plot and meta keys.  _write_bundle is
-the one writer.  It puts each dataset in `<name>_data.csv` with
-17-significant-digit numbers, then a `<id>_plot.json` description (title,
-axis labels, series to column map) and a `<id>_meta` key=value file naming
-every parameter, engine and tolerance needed to re-run, and prints each path.
-No timestamps anywhere, so identical invocations produce byte-identical files.
-The default output directory is `SODW_OUT` from the environment, falling back
-to the working directory.
+Each verb that writes files (figure, evolve, scan) parses its arguments,
+makes one call to a builder of the figures module (build_figure,
+evolve_bundle, scan_bundle) and hands the bundle it returns to _write_bundle,
+the one writer.  The figures module owns what the files hold and runs every
+trajectory; this module only parses and writes.  _write_bundle puts each
+dataset in `<name>_data.csv` with 17-significant-digit numbers, then a
+`<id>_plot.json` description (title, axis labels, series to column map) and
+a `<id>_meta` key=value file naming every parameter, engine and tolerance
+needed to re-run, and prints each path.  No timestamps anywhere, so identical
+invocations produce byte-identical files.  The default output directory is
+`SODW_OUT` from the environment, falling back to the working directory.
 
 Config files are flat key=value lines (# starts a comment); command-line
-flags override config values.  Note argparse needs `--epoch=-inf` (with the
-equals sign) for negative non-numeric-looking values.
+flags override config values.  A value that does not parse as a number is
+refused under its key.  Note argparse needs `--epoch=-inf` (with the equals
+sign) for negative non-numeric-looking values.
 """
 
 from __future__ import annotations
@@ -27,21 +29,10 @@ import sys
 import numpy as np
 
 from . import acceptance
-from .analysis import ScanSpec, default_horizon, off_branch_reason, solve
+from .analysis import ScanSpec, off_branch_reason
 from .asynchronous import FLIP_CONSTRAINT_TOL, check_flip_constraint, classify_async_conserving
 from .core import AsyncTanhSech, SyncSech2, as_state
-from .figures import (
-    FIGURE_IDS,
-    FigureData,
-    amplitude_text,
-    build_figure,
-    protocol_meta,
-    scan_bundle,
-    trajectory_dataset,
-    trajectory_plot,
-    trajectory_times,
-)
-from .oracle import IntegratorConfig, integrate
+from .figures import FIGURE_IDS, build_figure, evolve_bundle, scan_bundle
 from .sync import classify_sync_condition
 
 
@@ -83,26 +74,31 @@ def _read_config(path):
     return cfg
 
 
+def _number(key, value, kind):
+    """value (a config string or a parsed flag) as kind, float or int, refused by key."""
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {noun}, got {value!r}") from None
+
+
 def _setting(cfg, args, key, default=None):
     """Config value for key, overridden by an identically named flag."""
     flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cfg[key]
-    return default
+    return cfg.get(key, default) if flag is None else flag
 
 
 def _float_setting(cfg, args, key, default=None):
     value = _setting(cfg, args, key, default)
-    return value if value is None else float(value)
+    return value if value is None else _number(key, value, float)
 
 
 def _parse_amplitudes(cfg):
-    amps = [
-        complex(float(cfg.get(f"a{k}_re", 0.0)), float(cfg.get(f"a{k}_im", 0.0)))
-        for k in (1, 2, 3, 4)
-    ]
+    def part(key):
+        return _number(key, cfg.get(key, 0.0), float)
+
+    amps = [complex(part(f"a{k}_re"), part(f"a{k}_im")) for k in (1, 2, 3, 4)]
     if not any(abs(a) > 0 for a in amps):
         amps = [0j, 0j, 1 + 0j, 0j]
     state0 = as_state(amps)
@@ -114,6 +110,13 @@ def _parse_amplitudes(cfg):
     return state0
 
 
+# the drive of each evolve protocol, and the defaults of its fields
+_DRIVES = {
+    "sync": (SyncSech2, {"beta": 0.0, "V": math.pi / 2, "Omega": 1.0}),
+    "async": (AsyncTanhSech, {"epsilon": 0.0, "upsilon": 1.0, "chi": 1.0}),
+}
+
+
 def _cmd_figure(args):
     return _write_bundle(args.out, build_figure(args.id, samples=args.grid, horizon=args.horizon))
 
@@ -121,66 +124,26 @@ def _cmd_figure(args):
 def _cmd_evolve(args):
     cfg = _read_config(args.config) if args.config else {}
     kind = args.protocol or cfg.get("protocol")
-    if kind not in ("sync", "async"):
+    if kind not in _DRIVES:
         raise SystemExit("evolve needs protocol=sync or protocol=async (config or --protocol)")
     gamma = _float_setting(cfg, args, "gamma")
     if gamma is None:
         raise SystemExit("evolve needs gamma (config or --gamma)")
-    if kind == "sync":
-        protocol = SyncSech2(
-            _float_setting(cfg, args, "beta", 0.0),
-            _float_setting(cfg, args, "V", math.pi / 2),
-            _float_setting(cfg, args, "Omega", 1.0),
-        )
-    else:
-        protocol = AsyncTanhSech(
-            _float_setting(cfg, args, "epsilon", 0.0),
-            _float_setting(cfg, args, "upsilon", 1.0),
-            _float_setting(cfg, args, "chi", 1.0),
-        )
+    drive, defaults = _DRIVES[kind]
+    fields = {key: _float_setting(cfg, args, key, default) for key, default in defaults.items()}
+    protocol = drive(**fields)
     state0 = _parse_amplitudes(cfg)
     epoch = _float_setting(cfg, args, "epoch", -math.inf)
     horizon = _float_setting(cfg, args, "horizon")
-    if horizon is None:
-        horizon = default_horizon(protocol)
-    grid_n = int(_setting(cfg, args, "grid", 2001))
+    grid_n = _number("grid", _setting(cfg, args, "grid", 2001), int)
     label = _setting(cfg, args, "label", "run")
 
-    times = trajectory_times(epoch, horizon, grid_n)
     reason = off_branch_reason(protocol, gamma)
     engine = args.engine or ("exact" if reason is None else "oracle")
     if engine in ("exact", "both") and reason is not None:
         print("cannot use the exact engine: " + reason, file=sys.stderr)
         return 2
-
-    params = protocol_meta(protocol)
-    meta = {
-        "label": label,
-        "engine": engine,
-        "protocol": params.pop("protocol"),
-        "gamma": f"{gamma:.17g}",
-        **params,
-        "epoch": f"{epoch:.17g}",
-        "horizon": f"{horizon:.17g}",
-        "grid": str(grid_n),
-        "ic": amplitude_text(state0),
-    }
-    solutions = []
-    if engine in ("exact", "both"):
-        solutions.append(solve(protocol, gamma, state0, epoch).states(times))
-    if engine in ("oracle", "both"):
-        start_state = solutions[0][0] if solutions else state0
-        ocfg = IntegratorConfig(t_start=times[0], t_end=times[-1])
-        traj = integrate(gamma, protocol, start_state, ocfg, times)
-        meta["oracle"] = traj.solver_id
-        if engine == "both":
-            deviation = float(np.max(np.linalg.norm(solutions[0] - traj.states, axis=1)))
-            meta["max_deviation"] = f"{deviation:.17g}"
-        solutions.append(traj.states)
-
-    dataset = trajectory_dataset(label, times, *solutions)
-    plot = trajectory_plot(label, (dataset,), dataset.header[1:])
-    bundle = FigureData(label, "trajectory", (dataset,), plot, meta)
+    bundle = evolve_bundle(label, protocol, gamma, state0, epoch, horizon, grid_n, engine)
     return _write_bundle(_setting(cfg, args, "out"), bundle)
 
 
@@ -188,21 +151,21 @@ def _cmd_scan(args):
     cfg = _read_config(args.config)
     if "swept" not in cfg:
         raise SystemExit("scan config needs swept=<beta|V_over_Omega|gamma|upsilon_over_chi>")
-    lo = float(cfg.get("grid_lo", 0.0))
-    hi = float(cfg.get("grid_hi", 1.0))
-    n = int(cfg.get("grid_n", 401))
+    lo = _number("grid_lo", cfg.get("grid_lo", 0.0), float)
+    hi = _number("grid_hi", cfg.get("grid_hi", 1.0), float)
+    n = _number("grid_n", cfg.get("grid_n", 401), int)
     fixed = {
-        key: float(cfg[key])
+        key: _number(key, cfg[key], float)
         for key in ("gamma", "beta", "V", "Omega", "epsilon", "upsilon", "chi")
         if key in cfg
     }
     state0 = _parse_amplitudes(cfg)
-    epoch = float(cfg.get("epoch", 0.0))
+    epoch = _number("epoch", cfg.get("epoch", 0.0), float)
     observables = []
     for token in cfg.get("observables", "31,32").split(","):
         token = token.strip()
         if len(token) != 2:
-            raise SystemExit(f"bad observable token {token!r} (want pairs like 31 or LR)")
+            raise ValueError(f"bad observable token {token!r} (want pairs like 31 or LR)")
         observables.append(tuple(int(ch) if ch.isdigit() else ch.upper() for ch in token))
     spec = ScanSpec(cfg["swept"], np.linspace(lo, hi, n), fixed, state0, epoch, tuple(observables))
     label = cfg.get("label", "scan")
@@ -254,7 +217,7 @@ def _cmd_classify(args):
 def _cmd_verify(args):
     ids = None
     if args.criteria:
-        ids = {int(token) for token in args.criteria.replace(",", " ").split()}
+        ids = {_number("criteria", token, int) for token in args.criteria.replace(",", " ").split()}
     records = acceptance.run_all(ids)
     if not records:
         print("no matching criteria", file=sys.stderr)

@@ -101,7 +101,7 @@ class SyncSech2:
     def __post_init__(self):
         if not np.all(np.asarray(self.Omega) > 0):
             raise ValueError(f"Omega must be > 0, got {self.Omega}")
-        for name, value in (("beta", self.beta), ("V", self.V), ("Omega", self.Omega)):
+        for name, value in vars(self).items():
             _require_finite(name, value)
 
     def values(self, t):
@@ -114,25 +114,24 @@ class SyncSech2:
 class AsyncTanhSech:
     """Asynchronous drive: upsilon(t) = upsilon*sech(chi*t), epsilon(t) = epsilon*tanh(chi*t).
 
-    epsilon_amp, upsilon_amp and chi may be arrays of one shape: a stack of
-    drives, such as the points of a scan.
+    epsilon, upsilon and chi may be arrays of one shape: a stack of drives,
+    such as the points of a scan.
     """
 
-    epsilon_amp: float
-    upsilon_amp: float
+    epsilon: float
+    upsilon: float
     chi: float
 
     def __post_init__(self):
         if not np.all(np.asarray(self.chi) > 0):
             raise ValueError(f"chi must be > 0, got {self.chi}")
-        fields = (("epsilon", self.epsilon_amp), ("upsilon", self.upsilon_amp), ("chi", self.chi))
-        for name, value in fields:
+        for name, value in vars(self).items():
             _require_finite(name, value)
 
     def values(self, t):
         """(upsilon, epsilon) at t; t broadcasts against the fields, which may be stacked."""
         x = self.chi * t
-        return self.upsilon_amp / np.cosh(x), self.epsilon_amp * np.tanh(x)
+        return self.upsilon / np.cosh(x), self.epsilon * np.tanh(x)
 
 
 def as_state(amplitudes):
@@ -202,18 +201,23 @@ def hamiltonian_matrix(gamma, upsilon_val, epsilon_val):
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
+def _imbalance_keys(s, q):
+    """(s, q) as imbalance indices 1..4, 'L' or 'R'; refused unless both are valid and distinct."""
+    ks, kq = (key.upper() if isinstance(key, str) else int(key) for key in (s, q))
+    if ks == kq:
+        raise ValueError(f"imbalance requires distinct indices, got s={s!r}, q={q!r}")
+    for key in (ks, kq):
+        if key not in (1, 2, 3, 4, "L", "R"):
+            raise ValueError(f"imbalance index must be 1..4, 'L' or 'R', got {key!r}")
+    return ks, kq
+
+
 def _component(p, key):
-    if isinstance(key, str):
-        k = key.upper()
-        if k == "L":
-            return p[..., 2] + p[..., 3]
-        if k == "R":
-            return p[..., 0] + p[..., 1]
-        raise ValueError(f"imbalance index must be 1..4, 'L' or 'R', got {key!r}")
-    k = int(key)
-    if k not in (1, 2, 3, 4):
-        raise ValueError(f"imbalance index must be 1..4, 'L' or 'R', got {key!r}")
-    return p[..., k - 1]
+    if key == "L":
+        return p[..., 2] + p[..., 3]
+    if key == "R":
+        return p[..., 0] + p[..., 1]
+    return p[..., key - 1]
 
 
 def imbalance(p, s, q):
@@ -222,9 +226,6 @@ def imbalance(p, s, q):
     p holds the four populations P_m = |a_m|^2 on its last axis; the result
     drops that axis.
     """
-    ks = s.upper() if isinstance(s, str) else int(s)
-    kq = q.upper() if isinstance(q, str) else int(q)
-    if ks == kq:
-        raise ValueError(f"imbalance requires distinct indices, got s={s!r}, q={q!r}")
+    ks, kq = _imbalance_keys(s, q)
     p = np.asarray(p, dtype=float)
     return _component(p, ks) - _component(p, kq)

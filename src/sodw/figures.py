@@ -1,15 +1,17 @@
 """Built-in demonstration datasets, and the one owner of the output format.
 
 Each figure id maps to a fully specified run (protocol, coupling, initial
-amplitudes, epoch, horizon).  Every command that writes files (`sodw figure`,
-`sodw evolve`, `sodw scan`) returns its result as a FigureData bundle built
-from the pieces here: the trajectory and scan column headers, the named
-initial states, the protocol meta, the trajectory sample grid and the scan
-bundle.  A bundle is plain data (datasets of column headers plus row tuples,
-a plot description dict and a meta dict); the cli module writes it to files.
-Trajectory figures carry a numeric-oracle overlay (columns suffixed _num)
-next to the closed-form columns so the two solutions can be compared point
-by point.
+amplitudes, epoch, horizon).  Every command that writes files returns its
+result as a FigureData bundle from one builder here: build_figure for `sodw
+figure`, evolve_bundle for `sodw evolve` and scan_bundle for `sodw scan`.  A
+bundle is plain data (datasets of column headers plus row tuples, a plot
+description dict and a meta dict); the cli module writes it to files.
+
+One runner, _run_trajectory, serves the trajectory figures and evolve_bundle
+alike: one solve call for all starts and one integrate_batch call for the
+oracle, which under both engines restarts from the closed form at the first
+sample.  Its columns (suffixed _num) sit next to the closed-form ones for a
+point-by-point comparison; each builder keeps its own meta and plot.
 """
 
 from __future__ import annotations
@@ -25,16 +27,11 @@ from .oracle import IntegratorConfig, integrate_batch
 
 __all__ = [
     "Dataset",
-    "FigureData",
     "FIGURE_IDS",
     "figure_kind",
     "build_figure",
+    "evolve_bundle",
     "observable_columns",
-    "amplitude_text",
-    "protocol_meta",
-    "trajectory_times",
-    "trajectory_dataset",
-    "trajectory_plot",
     "scan_bundle",
 ]
 
@@ -121,7 +118,6 @@ class FigureData:
     """One output bundle: its datasets, plot description and meta, written under id."""
 
     id: str
-    kind: str
     datasets: tuple
     plot: dict
     meta: dict
@@ -146,22 +142,18 @@ def observable_columns(states):
     return [p[:, 0], p[:, 1], p[:, 2], p[:, 3], z31, z32, zlr, p.sum(axis=1)]
 
 
-def amplitude_text(state):
+def _amplitude_text(state):
     """Flat re,im;re,im;... rendering of a length-4 amplitude vector."""
     return ";".join(f"{z.real:.17g},{z.imag:.17g}" for z in np.asarray(state, complex))
 
 
-def protocol_meta(protocol):
-    """Meta entries protocol=sync|async and its three parameters, 17 significant digits each."""
-    if isinstance(protocol, SyncSech2):
-        kind, params = "sync", dict(beta=protocol.beta, V=protocol.V, Omega=protocol.Omega)
-    else:
-        kind = "async"
-        params = dict(epsilon=protocol.epsilon_amp, upsilon=protocol.upsilon_amp, chi=protocol.chi)
-    return {"protocol": kind, **{key: f"{value:.17g}" for key, value in params.items()}}
+def _protocol_meta(protocol):
+    """Meta entries protocol=sync|async and the drive's fields, 17 significant digits each."""
+    kind = "sync" if isinstance(protocol, SyncSech2) else "async"
+    return {"protocol": kind, **{key: f"{value:.17g}" for key, value in vars(protocol).items()}}
 
 
-def trajectory_times(epoch, horizon, samples):
+def _trajectory_times(epoch, horizon, samples):
     """Sample times of a trajectory whose start holds at epoch.
 
     [-horizon, horizon] for epoch -inf, else [epoch, epoch + horizon].
@@ -180,17 +172,14 @@ def trajectory_times(epoch, horizon, samples):
     return np.linspace(epoch, epoch + horizon, samples)
 
 
-def trajectory_dataset(name, times, *solutions):
-    """Times plus the observable columns of each (n, 4) amplitude array.
-
-    The columns of a second array are the _num overlay.
-    """
+def _trajectory_dataset(name, times, *solutions):
+    """Times plus the observable columns of each (n, 4) array; a second's are the _num overlay."""
     columns = [times] + [column for states in solutions for column in observable_columns(states)]
     header = (_TRAJ_HEADER + _NUM_HEADER)[: len(columns)]
     return Dataset(name, header, tuple(map(tuple, np.column_stack(columns))))
 
 
-def trajectory_plot(title, datasets, series):
+def _trajectory_plot(title, datasets, series):
     """Plot description of trajectory datasets: the named series drawn against t."""
     return {
         "title": f"{title}: populations and imbalances vs time",
@@ -201,42 +190,85 @@ def trajectory_plot(title, datasets, series):
     }
 
 
+def _run_trajectory(name, protocol, gamma, starts, epoch, times, engine):
+    """Trajectories of a stack of starts held at epoch, sampled at times.
+
+    engine "exact" is the closed form, "oracle" the oracle from the starts at
+    times[0], and "both" the closed form plus the oracle restarted from it at
+    times[0].  Each engine is one call for all starts.  Returns one dataset
+    per start (name, or name_ic1, name_ic2, ...), the state arrays, each of
+    shape (len(times), len(starts), 4), and the oracle's record or None.
+    """
+    solutions, record = [], None
+    if engine != "oracle":
+        solutions.append(solve(protocol, gamma, starts, epoch).states(times[:, None]))
+    if engine != "exact":
+        ocfg = IntegratorConfig(t_start=times[0], t_end=times[-1])
+        fractions = (times - times[0]) / (times[-1] - times[0])
+        anchor = solutions[0][0] if solutions else starts
+        record = integrate_batch(gamma, protocol, anchor, ocfg, fractions)
+        solutions.append(record.states)
+    names = [name] if len(starts) == 1 else [f"{name}_ic{k + 1}" for k in range(len(starts))]
+    datasets = tuple(
+        _trajectory_dataset(label, times, *(states[:, k] for states in solutions))
+        for k, label in enumerate(names)
+    )
+    return datasets, solutions, record
+
+
 def _build_trajectory(fig_id, samples, horizon):
     cfg = _TRAJECTORIES[fig_id]
     protocol, gamma, epoch, ics = cfg["drive"], cfg["gamma"], cfg["epoch"], cfg["ics"]
     T = default_horizon(protocol) if horizon is None else float(horizon)
-    times = trajectory_times(epoch, T, samples)
-    engine = select_engine(protocol, gamma)
-
-    # every start shares the drive's basis: one solve, states of shape (K, N, 4)
-    exact = solve(protocol, gamma, ics, epoch).states(times[:, None])
-    # the oracle is restarted from the closed-form state at the first sample so
-    # both solutions share the same finite-time anchor; all starts form one batch
-    ocfg = IntegratorConfig(t_start=times[0], t_end=times[-1])
-    fractions = (times - times[0]) / (times[-1] - times[0])
-    oracle = integrate_batch(gamma, protocol, exact[0], ocfg, fractions)
-
-    names = [fig_id] if len(ics) == 1 else [f"{fig_id}_ic{k + 1}" for k in range(len(ics))]
-    datasets = tuple(
-        trajectory_dataset(name, times, exact[:, k], oracle.states[:, k])
-        for k, name in enumerate(names)
-    )
-    plot = trajectory_plot(f"figure {fig_id}", datasets, _TRAJ_HEADER[1:])
+    times = _trajectory_times(epoch, T, samples)
+    datasets, _, record = _run_trajectory(fig_id, protocol, gamma, ics, epoch, times, "both")
+    plot = _trajectory_plot(f"figure {fig_id}", datasets, _TRAJ_HEADER[1:])
     plot["overlay_series"] = {name: name for name in _NUM_HEADER}
     meta = {
         "figure": fig_id,
         "kind": "trajectory",
-        "engine": engine,
-        "oracle": oracle.solver_id,
+        "engine": select_engine(protocol, gamma),
+        "oracle": record.solver_id,
         "gamma": f"{gamma:.17g}",
         "epoch": f"{epoch:.17g}",
         "horizon": f"{T:.17g}",
         "samples": str(samples),
-        **protocol_meta(protocol),
+        **_protocol_meta(protocol),
+        **{f"ic{k + 1}": _amplitude_text(ic) for k, ic in enumerate(ics)},
     }
-    for k, ic in enumerate(ics):
-        meta[f"ic{k + 1}"] = amplitude_text(ic)
-    return FigureData(fig_id, "trajectory", datasets, plot, meta)
+    return FigureData(fig_id, datasets, plot, meta)
+
+
+def evolve_bundle(label, protocol, gamma, state0, epoch, horizon, samples, engine):
+    """Run one start under engine (exact, oracle or both) and bundle it under label.
+
+    state0 holds at epoch, and horizon None is the drive's default_horizon.
+    The meta names the oracle's solver when it ran and, under "both", the
+    largest distance between the two solutions' states as max_deviation.
+    """
+    horizon = default_horizon(protocol) if horizon is None else horizon
+    times = _trajectory_times(epoch, horizon, samples)
+    run = _run_trajectory(label, protocol, gamma, (state0,), epoch, times, engine)
+    (dataset,), solutions, record = run
+    params = _protocol_meta(protocol)
+    meta = {
+        "label": label,
+        "engine": engine,
+        "protocol": params.pop("protocol"),
+        "gamma": f"{gamma:.17g}",
+        **params,
+        "epoch": f"{epoch:.17g}",
+        "horizon": f"{horizon:.17g}",
+        "grid": str(samples),
+        "ic": _amplitude_text(state0),
+    }
+    if record is not None:
+        meta["oracle"] = record.solver_id
+    if engine == "both":
+        deviation = float(np.max(np.linalg.norm(solutions[0] - solutions[1], axis=-1)))
+        meta["max_deviation"] = f"{deviation:.17g}"
+    plot = _trajectory_plot(label, (dataset,), dataset.header[1:])
+    return FigureData(label, (dataset,), plot, meta)
 
 
 def scan_bundle(key, name, title, spec, bounds):
@@ -267,13 +299,12 @@ def scan_bundle(key, name, title, spec, bounds):
         "swept": spec.swept,
         "grid": f"{lo:.17g}:{hi:.17g}:{spec.grid.size}",
         "epoch": f"{spec.epoch:.17g}",
-        "ic": amplitude_text(spec.state0),
+        "ic": _amplitude_text(spec.state0),
+        **{field: f"{spec.fixed[field]:.17g}" for field in sorted(spec.fixed)},
     }
-    for field in sorted(spec.fixed):
-        meta[field] = f"{spec.fixed[field]:.17g}"
     for k, row in enumerate(r for r in result.rows if r.error is not None):
         meta[f"failure_{k}"] = f"{row.param:.17g}: {row.error}"
-    return FigureData(name, "scan", datasets, plot, meta)
+    return FigureData(name, datasets, plot, meta)
 
 
 def _build_scan(fig_id, samples):
@@ -296,13 +327,9 @@ def _build_surface(samples):
     """
     if samples < 2:
         raise ValueError(f"a surface needs at least 2 samples per axis, got {samples}")
-    chi_grid = np.linspace(0.0, 2.0, samples)
-    eps_grid = np.linspace(0.0, 2.0, samples)
-    rows = []
-    for chi in chi_grid:
-        for eps in eps_grid:
-            rows.append((chi, eps, math.hypot(0.5 * chi, eps)))
-    datasets = (Dataset("3c", ("chi", "epsilon", "upsilon"), tuple(rows)),)
+    grid = np.linspace(0.0, 2.0, samples)
+    rows = tuple((chi, eps, math.hypot(0.5 * chi, eps)) for chi in grid for eps in grid)
+    datasets = (Dataset("3c", ("chi", "epsilon", "upsilon"), rows),)
     plot = {
         "title": "figure 3c: spin-flip closed-form surface",
         "x_label": "chi",
@@ -316,7 +343,7 @@ def _build_surface(samples):
         "grid": f"0:2:{samples} x 0:2:{samples}",
         "relation": "upsilon = sqrt(chi^2/4 + epsilon^2)",
     }
-    return FigureData("3c", "surface", datasets, plot, meta)
+    return FigureData("3c", datasets, plot, meta)
 
 
 def build_figure(fig_id, samples=None, horizon=None):

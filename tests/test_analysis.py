@@ -606,10 +606,6 @@ def test_every_entry_point_gives_the_gates_answer(protocol, gamma):
         with pytest.raises(ValueError) as direct:
             async_modes(protocol, gamma)
         assert str(direct.value) == reason
-    if isinstance(protocol, SyncSech2):
-        fixed = {"beta": protocol.beta, "V": protocol.V, "Omega": protocol.Omega}
-    else:
-        fixed = {"epsilon": protocol.epsilon_amp, "upsilon": protocol.upsilon_amp,
-                 "chi": protocol.chi}
-    (row,) = run_scan(ScanSpec("gamma", [gamma], fixed, _E3)).rows
+    # the drive's fields are the scan's fixed values under the same names
+    (row,) = run_scan(ScanSpec("gamma", [gamma], vars(protocol), _E3)).rows
     assert row.engine == engine and row.error is None

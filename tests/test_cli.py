@@ -228,11 +228,53 @@ def test_scan_cli_matches_formula(tmp_path):
     assert meta["swept"] == "beta" and meta["grid"] == "0:2:5"
 
 
-def test_scan_rejects_bad_observable_token(tmp_path):
+@pytest.mark.parametrize(
+    "observables,refusal",
+    [
+        ("ABC", "error: bad observable token 'ABC'"),
+        ("33", "error: observables: imbalance requires distinct indices"),
+        ("5X", "error: observables: imbalance index must be 1..4, 'L' or 'R', got 5"),
+        ("3Q", "error: observables: imbalance index must be 1..4, 'L' or 'R', got 'Q'"),
+        ("31,32,31", "error: observables repeat the pair (3, 1)"),
+        ("LR,lr", "error: observables repeat the pair ('L', 'R')"),
+    ],
+    ids=["ABC", "33", "5X", "3Q", "31,32,31", "LR,lr"],
+)
+def test_scan_rejects_bad_observable_token(observables, refusal, tmp_path, capsys):
+    # all but ABC used to exit 0 and write an all-nan CSV with a failure per row
     cfg = tmp_path / "scan.cfg"
-    cfg.write_text("swept=beta\ngamma=0.5\nV=1\nOmega=1\nobservables=ABC\n")
-    with pytest.raises(SystemExit, match="observable token"):
-        main(["scan", "--config", str(cfg), "--out", str(tmp_path)])
+    cfg.write_text(f"swept=beta\ngrid_n=5\ngamma=0.5\nV=1\nOmega=1\nobservables={observables}\n")
+    out = tmp_path / "out"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(refusal)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "verb,config,refusal",
+    [
+        ("scan", "swept=beta\ngamma=0.5\nV=1\nOmega=1\ngrid_n=abc\n", "grid_n must be an integer"),
+        ("scan", "swept=beta\ngamma=0.5\nV=abc\nOmega=1\n", "V must be a number"),
+        ("scan", "swept=beta\ngamma=0.5\nV=1\nOmega=1\na2_im=abc\n", "a2_im must be a number"),
+        ("evolve", "protocol=sync\ngamma=0.5\ngrid=abc\n", "grid must be an integer"),
+        ("evolve", "protocol=sync\ngamma=x\n", "gamma must be a number, got 'x'"),
+        ("evolve", "protocol=async\ngamma=2\nepoch=soon\n", "epoch must be a number"),
+    ],
+    ids=["scan-grid_n", "scan-V", "scan-a2_im", "evolve-grid", "evolve-gamma", "evolve-epoch"],
+)
+def test_unparsable_config_value_is_refused_by_key(verb, config, refusal, tmp_path, capsys):
+    # each used to exit 2 with Python's bare text, which names no key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(cfg), "--out", str(out)]) == 2
+    assert refusal in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unparsable_criterion_is_refused_by_name(capsys):
+    assert main(["verify", "--criteria", "1,abc"]) == 2
+    assert capsys.readouterr().err == "error: criteria must be an integer, got 'abc'\n"
 
 
 @pytest.mark.parametrize(
@@ -271,6 +313,30 @@ def test_figure_cli_trajectory(tmp_path):
     final = [float(v) for v in rows[-1]]
     assert final[5] == pytest.approx(math.cos(4.0), abs=1e-9)
     assert final[6] == pytest.approx(math.cos(2.0) ** 2, abs=1e-9)
+
+
+# the single-start trajectory figures as evolve configs: drive, gamma, epoch, start
+_FIGURE_RUNS = {
+    "1d": f"beta=0.5\nV={math.pi / 2!r}\ngamma=0.5\nepoch=0\na3_re=1\n",
+    "1e": "V=2\ngamma=1\nepoch=0\na3_re=1\n",
+    "1f": f"V={math.pi / 2!r}\ngamma=0.35\nepoch=0\na3_re=1\n",
+    "2a": f"V={math.pi / 2!r}\ngamma=0.15\nepoch=-inf\n"
+    + "".join(f"a{k}_re={math.sqrt(k / 10)!r}\n" for k in (1, 2, 3, 4)),
+    "2c": f"V={math.pi / 4!r}\ngamma=0.25\nepoch=-inf\na3_re=1\n",
+}
+
+
+@pytest.mark.parametrize("fig_id", sorted(_FIGURE_RUNS))
+def test_evolve_both_reproduces_a_single_start_figure(fig_id, tmp_path):
+    # figure and evolve run one trajectory path, so their tables agree to the byte
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"protocol=sync\nOmega=1\nlabel={fig_id}\n" + _FIGURE_RUNS[fig_id])
+    fig, run = tmp_path / "figure", tmp_path / "evolve"
+    assert main(["figure", "--id", fig_id, "--grid", "51", "--out", str(fig)]) == 0
+    argv = ["evolve", "--config", str(cfg), "--engine", "both", "--grid", "51", "--out", str(run)]
+    assert main(argv) == 0
+    name = f"{fig_id}_data.csv"
+    assert (run / name).read_bytes() == (fig / name).read_bytes()
 
 
 def test_output_dir_from_environment(tmp_path, monkeypatch):

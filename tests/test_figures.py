@@ -20,7 +20,7 @@ def test_figure_kind_covers_registry():
 
 def test_detuned_trajectory_bundle():
     fig = build_figure("1d", samples=201)
-    assert fig.kind == "trajectory" and fig.meta["engine"] == "sync-exact"
+    assert fig.meta["kind"] == "trajectory" and fig.meta["engine"] == "sync-exact"
     (ds,) = fig.datasets
     assert ds.name == "1d"
     assert ds.header[:9] == ("t", "P1", "P2", "P3", "P4", "Z31", "Z32", "ZLR", "norm2")

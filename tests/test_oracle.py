@@ -107,6 +107,7 @@ def test_window_and_grid_validation():
         ("gamma", dict(gamma=np.array([0.5, 0.7]))),
         ("V", dict(protocol=SyncSech2(0.0, np.array([1.0, 2.0]), 1.0))),
         ("chi", dict(protocol=AsyncTanhSech(0.4, 1.0, np.array([1.0, 2.0])))),
+        ("epsilon", dict(protocol=AsyncTanhSech(np.array([0.4, 0.5]), 1.0, 1.0))),
         ("t_start", dict(cfg=IntegratorConfig(np.zeros(2), 1.0))),
         ("t_end", dict(cfg=IntegratorConfig(0.0, np.ones(2)))),
     ]
