@@ -41,7 +41,8 @@ def flip_branch():
     ups = math.hypot(0.5 * chi, eps)
     params = AsyncTanhSech(eps, ups, chi)
     print("\nspin-flipping branch, gamma = 1/2:")
-    print(f"  constraint residual chi^2/4 + eps^2 - ups^2 = {check_flip_constraint(eps, ups, chi):.2e}")
+    residual = check_flip_constraint(eps, ups, chi)
+    print(f"  constraint residual chi^2/4 + eps^2 - ups^2 = {residual:.2e}")
     early, late = solve(params, 0.5, (1, 0, 0, 0), -25.0).asymptotes()
     print(f"  P1: {early[0]:.4f} -> {late[0]:.4f}")
     print(f"  P4: {early[3]:.4f} -> {late[3]:.4f}")

@@ -33,9 +33,9 @@ def splitting_scan():
     res = run_scan(spec)
     print("beta scan (gamma = 1/2, V/Omega = pi/2):")
     print("  beta    Z31      Z32      1/(1+beta^2)")
-    for row in res.rows[::4]:
-        bound = 1.0 / (1.0 + row.param**2)
-        print(f"  {row.param:4.1f}  {row.values[0]:+.4f}  {row.values[1]:+.4f}   {bound:.4f}")
+    for beta, (z31, z32) in zip(spec.grid[::4], res.values[::4]):
+        bound = 1.0 / (1.0 + beta**2)
+        print(f"  {beta:4.1f}  {z31:+.4f}  {z32:+.4f}   {bound:.4f}")
 
 
 def area_scan():
@@ -49,13 +49,13 @@ def area_scan():
     )
     res = run_scan(spec)
     print("\npulse area scan (gamma = 1, beta = 0):")
-    for row in res.rows[::4]:
+    for area, z31 in zip(spec.grid[::4], res.values[::4, 0]):
         marks = ""
-        if abs(row.values[0] - 1.0) < 1e-9:
+        if abs(z31 - 1.0) < 1e-9:
             marks = "  <- complete return"
-        if abs(row.values[0] + 1.0) < 1e-9:
+        if abs(z31 + 1.0) < 1e-9:
             marks = "  <- complete transfer"
-        print(f"  V/Omega = {row.param:6.4f}   Z31 = {row.values[0]:+.6f}{marks}")
+        print(f"  V/Omega = {area:6.4f}   Z31 = {z31:+.6f}{marks}")
 
 
 def angle_scan():
@@ -69,10 +69,10 @@ def angle_scan():
     res = run_scan(spec)
     print("\ncoupling angle scan (beta = 0, V/Omega = pi/2):")
     print("  gamma   Z31      Z32      Z31+Z32")
-    for row in res.rows[::5]:
-        total = row.values[0] + row.values[1]
-        print(f"  {row.param:5.2f}  {row.values[0]:+.4f}  {row.values[1]:+.4f}  {total:+.4f}")
-    worst = max(abs(r.values[0] + r.values[1] + 1.0) for r in res.rows)
+    totals = res.values.sum(axis=1)
+    for gamma, (z31, z32), total in zip(spec.grid[::5], res.values[::5], totals[::5]):
+        print(f"  {gamma:5.2f}  {z31:+.4f}  {z32:+.4f}  {total:+.4f}")
+    worst = np.max(np.abs(totals + 1.0))
     print(f"  max |Z31 + Z32 + 1| over the grid: {worst:.2e}")
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -155,11 +156,26 @@ class ScanRow(NamedTuple):
 
 @dataclass(frozen=True)
 class ScanResult:
-    """The rows of a scan, and the text of a fixed value that failed every row (else None)."""
+    """A scan as columns over its grid, and the text of a fixed value that failed every row.
+
+    values (N, k) holds the imbalances of the spec's observables, NaN where
+    a point failed; engines (N,) names the engine of every point and errors
+    (N,) its error text, None when it was solved.  refusal is None unless a
+    fixed value failed every row.
+    """
 
     spec: ScanSpec
-    rows: tuple
+    values: np.ndarray
+    engines: np.ndarray
+    errors: tuple
     refusal: str | None = None
+
+    @cached_property
+    def rows(self):
+        """The same result as one ScanRow per grid point, built on first use."""
+        values = map(tuple, self.values.tolist())
+        grid, engines = self.spec.grid.tolist(), self.engines.tolist()
+        return tuple(map(ScanRow, grid, values, engines, self.errors))
 
 
 def _point_setup(spec, x):
@@ -179,7 +195,7 @@ def _point_setup(spec, x):
 
 
 def run_scan(spec):
-    """One row per grid point; failures are recorded in-row, the scan continues.
+    """One result column per observable over the grid; a point that fails keeps its error.
 
     The grid becomes one stack of drives, and the branch gate routes every
     point at once.  The closed-form points are solved in one array pass, and
@@ -238,7 +254,7 @@ def run_scan(spec):
 
 
 def _scan_result(spec, values, engines, errors, refusal=None):
-    """The rows of a scan; refuses a solved row with |Z| > 1 + 1e-9."""
+    """The result of a scan; refuses a solved point with |Z| > 1 + 1e-9."""
     failed = np.array([error is not None for error in errors], dtype=bool)
     values[failed] = math.nan
     bad = np.argwhere(~(np.abs(values) <= 1.0 + 1e-9) & ~failed[:, None])
@@ -246,8 +262,7 @@ def _scan_result(spec, values, engines, errors, refusal=None):
         k, j = bad[0]
         v, x = float(values[k, j]), float(spec.grid[k])
         raise ValueError(f"imbalance {v} at {spec.swept}={x} is unphysical")
-    rows = map(ScanRow, spec.grid.tolist(), map(tuple, values.tolist()), engines.tolist(), errors)
-    return ScanResult(spec, tuple(rows), refusal)
+    return ScanResult(spec, values, engines, tuple(errors), refusal)
 
 
 def count_peaks(times, values, window, prominence):

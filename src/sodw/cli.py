@@ -8,13 +8,17 @@ trajectory; this module only parses and writes.  _write_bundle puts each
 dataset in `<name>_data.csv` with 17-significant-digit numbers, then a
 `<id>_plot.json` description (title, axis labels, series to column map) and
 a `<id>_meta` key=value file naming every parameter, engine and tolerance
-needed to re-run, and prints each path.  No timestamps anywhere, so identical
-invocations produce byte-identical files.  The default output directory is
-`SODW_OUT` from the environment, falling back to the working directory.
+needed to re-run, and prints each path.  A dataset is a set of columns; its
+CSV is written line by line, each row formatted from the columns as it is
+written, so no table is copied into rows and no file is held whole.  No
+timestamps anywhere, so identical invocations produce byte-identical files.
+The default output directory is `SODW_OUT` from the environment, falling
+back to the working directory.
 
 Config files are flat key=value lines (# starts a comment); command-line
 flags override config values.  A value that does not parse as a number is
-refused under its key.  Note argparse needs `--epoch=-inf` (with the equals
+refused under its key.  Every refusal exits 2, prints its reason on stderr
+and writes nothing.  Note argparse needs `--epoch=-inf` (with the equals
 sign) for negative non-numeric-looking values.
 """
 
@@ -36,26 +40,31 @@ from .figures import FIGURE_IDS, build_figure, evolve_bundle, scan_bundle
 from .sync import classify_sync_condition
 
 
+def _csv_lines(ds):
+    """A dataset's CSV lines, made one at a time: its header, then one line per row."""
+    # one %-format per table: 17 significant digits per number, text as it is
+    fmt = ",".join("%s" if column.dtype.kind == "U" else "%.17g" for column in ds.columns) + "\n"
+    yield ",".join(ds.header) + "\n"
+    for row in zip(*ds.columns, strict=True):
+        yield fmt % row
+
+
 def _bundle_files(bundle):
-    """(file name, text) of each file of a bundle, in the order they are written."""
+    """(file name, lines) of each file of a bundle, in the order they are written."""
     for ds in bundle.datasets:
-        # one %-format per table: 17 significant digits per number, strings as they are
-        first = ds.rows[0] if ds.rows else ()
-        fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first)
-        lines = [",".join(ds.header)] + [fmt % row for row in ds.rows]
-        yield f"{ds.name}_data.csv", "\n".join(lines) + "\n"
-    yield f"{bundle.id}_plot.json", json.dumps(bundle.plot, sort_keys=True, indent=2) + "\n"
-    yield f"{bundle.id}_meta", "".join(f"{key}={value}\n" for key, value in bundle.meta.items())
+        yield f"{ds.name}_data.csv", _csv_lines(ds)
+    yield f"{bundle.id}_plot.json", [json.dumps(bundle.plot, sort_keys=True, indent=2) + "\n"]
+    yield f"{bundle.id}_meta", [f"{key}={value}\n" for key, value in bundle.meta.items()]
 
 
 def _write_bundle(out, bundle):
     """Write a bundle's files under out (else $SODW_OUT, else .) and print each path."""
     out = out or os.environ.get("SODW_OUT") or "."
     os.makedirs(out, exist_ok=True)
-    for name, text in _bundle_files(bundle):
+    for name, lines in _bundle_files(bundle):
         path = os.path.join(out, name)
         with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(lines)
         print(path)
     return 0
 
@@ -68,7 +77,7 @@ def _read_config(path):
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise SystemExit(f"bad config line (expected key=value): {line!r}")
+                raise ValueError(f"bad config line (expected key=value): {line!r}")
             key, _, value = line.partition("=")
             cfg[key.strip()] = value.strip()
     return cfg
@@ -104,7 +113,7 @@ def _parse_amplitudes(cfg):
     state0 = as_state(amps)
     norm_gap = abs(float(np.sum(np.abs(state0) ** 2)) - 1.0)
     if norm_gap > 1e-6:
-        raise SystemExit(
+        raise ValueError(
             f"initial amplitudes rejected: |norm^2 - 1| = {norm_gap:.3g} exceeds 1e-6"
         )
     return state0
@@ -125,10 +134,10 @@ def _cmd_evolve(args):
     cfg = _read_config(args.config) if args.config else {}
     kind = args.protocol or cfg.get("protocol")
     if kind not in _DRIVES:
-        raise SystemExit("evolve needs protocol=sync or protocol=async (config or --protocol)")
+        raise ValueError("evolve needs protocol=sync or protocol=async (config or --protocol)")
     gamma = _float_setting(cfg, args, "gamma")
     if gamma is None:
-        raise SystemExit("evolve needs gamma (config or --gamma)")
+        raise ValueError("evolve needs gamma (config or --gamma)")
     drive, defaults = _DRIVES[kind]
     fields = {key: _float_setting(cfg, args, key, default) for key, default in defaults.items()}
     protocol = drive(**fields)
@@ -150,7 +159,7 @@ def _cmd_evolve(args):
 def _cmd_scan(args):
     cfg = _read_config(args.config)
     if "swept" not in cfg:
-        raise SystemExit("scan config needs swept=<beta|V_over_Omega|gamma|upsilon_over_chi>")
+        raise ValueError("scan config needs swept=<beta|V_over_Omega|gamma|upsilon_over_chi>")
     lo = _number("grid_lo", cfg.get("grid_lo", 0.0), float)
     hi = _number("grid_hi", cfg.get("grid_hi", 1.0), float)
     n = _number("grid_n", cfg.get("grid_n", 401), int)

@@ -104,6 +104,8 @@ class SyncSech2:
         for name, value in vars(self).items():
             _require_finite(name, value)
 
+    # far from the pulse cosh overflows to inf, which gives the limit sech -> 0
+    @np.errstate(over="ignore")
     def values(self, t):
         """(upsilon, epsilon) at t; t broadcasts against the fields, which may be stacked."""
         ups = self.V / np.cosh(self.Omega * t) ** 2
@@ -128,6 +130,7 @@ class AsyncTanhSech:
         for name, value in vars(self).items():
             _require_finite(name, value)
 
+    @np.errstate(over="ignore")
     def values(self, t):
         """(upsilon, epsilon) at t; t broadcasts against the fields, which may be stacked."""
         x = self.chi * t

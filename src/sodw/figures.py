@@ -4,8 +4,9 @@ Each figure id maps to a fully specified run (protocol, coupling, initial
 amplitudes, epoch, horizon).  Every command that writes files returns its
 result as a FigureData bundle from one builder here: build_figure for `sodw
 figure`, evolve_bundle for `sodw evolve` and scan_bundle for `sodw scan`.  A
-bundle is plain data (datasets of column headers plus row tuples, a plot
-description dict and a meta dict); the cli module writes it to files.
+bundle is plain data (datasets of column headers plus column arrays, a plot
+description dict and a meta dict); the cli module writes it to files.  The
+columns are the solvers' own arrays, so no table is ever copied into rows.
 
 One runner, _run_trajectory, serves the trajectory figures and evolve_bundle
 alike: one solve call for all starts and one integrate_batch call for the
@@ -106,11 +107,11 @@ _NUM_HEADER = tuple(name + "_num" for name in _TRAJ_HEADER[1:])
 
 @dataclass(frozen=True)
 class Dataset:
-    """One CSV-able table: column names plus row tuples."""
+    """One CSV-able table: column names plus one equal-length 1-d float or text array each."""
 
     name: str
     header: tuple
-    rows: tuple
+    columns: tuple
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ def _trajectory_dataset(name, times, *solutions):
     """Times plus the observable columns of each (n, 4) array; a second's are the _num overlay."""
     columns = [times] + [column for states in solutions for column in observable_columns(states)]
     header = (_TRAJ_HEADER + _NUM_HEADER)[: len(columns)]
-    return Dataset(name, header, tuple(map(tuple, np.column_stack(columns))))
+    return Dataset(name, header, tuple(columns))
 
 
 def _trajectory_plot(title, datasets, series):
@@ -272,7 +273,7 @@ def evolve_bundle(label, protocol, gamma, state0, epoch, horizon, samples, engin
 
 
 def scan_bundle(key, name, title, spec, bounds):
-    """Run spec and bundle its rows, plot and meta under name.
+    """Run spec and bundle its columns, plot and meta under name.
 
     key=name is the first meta entry and title starts the plot title; bounds
     (lo, hi) are the grid ends as given, which a one-point grid cannot show.
@@ -283,8 +284,8 @@ def scan_bundle(key, name, title, spec, bounds):
     if result.refusal is not None:
         raise ValueError(result.refusal)
     names = tuple(f"Z{s}{q}_inf" for s, q in spec.observables)
-    rows = tuple((row.param, *row.values, row.engine) for row in result.rows)
-    datasets = (Dataset(name, ("param", *names, "engine"), rows),)
+    columns = (spec.grid, *result.values.T, result.engines)
+    datasets = (Dataset(name, ("param", *names, "engine"), columns),)
     plot = {
         "title": f"{title}: asymptotic imbalances vs {spec.swept}",
         "x_label": spec.swept,
@@ -302,8 +303,9 @@ def scan_bundle(key, name, title, spec, bounds):
         "ic": _amplitude_text(spec.state0),
         **{field: f"{spec.fixed[field]:.17g}" for field in sorted(spec.fixed)},
     }
-    for k, row in enumerate(r for r in result.rows if r.error is not None):
-        meta[f"failure_{k}"] = f"{row.param:.17g}: {row.error}"
+    failures = [(x, e) for x, e in zip(spec.grid.tolist(), result.errors) if e is not None]
+    for k, (x, error) in enumerate(failures):
+        meta[f"failure_{k}"] = f"{x:.17g}: {error}"
     return FigureData(name, datasets, plot, meta)
 
 
@@ -328,8 +330,10 @@ def _build_surface(samples):
     if samples < 2:
         raise ValueError(f"a surface needs at least 2 samples per axis, got {samples}")
     grid = np.linspace(0.0, 2.0, samples)
-    rows = tuple((chi, eps, math.hypot(0.5 * chi, eps)) for chi in grid for eps in grid)
-    datasets = (Dataset("3c", ("chi", "epsilon", "upsilon"), rows),)
+    chi, eps = np.repeat(grid, samples), np.tile(grid, samples)
+    # math.hypot per point: np.hypot need not round the same way
+    ups = np.array([math.hypot(0.5 * c, e) for c, e in zip(chi.tolist(), eps.tolist())])
+    datasets = (Dataset("3c", ("chi", "epsilon", "upsilon"), (chi, eps, ups)),)
     plot = {
         "title": "figure 3c: spin-flip closed-form surface",
         "x_label": "chi",

@@ -37,10 +37,6 @@ def _flip_params(epsilon, chi):
     return AsyncTanhSech(epsilon, math.hypot(0.5 * chi, epsilon), chi)
 
 
-def _column(res, k):
-    return np.array([row.values[k] for row in res.rows])
-
-
 def test_default_horizon():
     assert default_horizon(SyncSech2(0.0, 1.0, 0.5)) == 50.0
     assert default_horizon(SyncSech2(0.0, 1.0, 2.0)) == 25.0
@@ -180,7 +176,7 @@ def test_pulse_area_scan_alternates_return_and_inversion():
         observables=((3, 1),),
     )
     res = run_scan(spec)
-    assert_allclose(_column(res, 0), [-1.0, 1.0, -1.0, 1.0], atol=1e-9)
+    assert_allclose(res.values[:, 0], [-1.0, 1.0, -1.0, 1.0], atol=1e-9)
 
 
 def test_angle_scan_sum_rule():
@@ -194,7 +190,7 @@ def test_angle_scan_sum_rule():
         epoch=0.0,
     )
     res = run_scan(spec)
-    total = _column(res, 0) + _column(res, 1)
+    total = res.values[:, 0] + res.values[:, 1]
     assert_allclose(total, -1.0, atol=1e-9)
 
 
@@ -210,7 +206,7 @@ def test_angle_scan_routes_async_branches():
     engines = [row.engine for row in res.rows]
     assert engines == [ENGINE_ASYNC, ENGINE_ASYNC, ENGINE_ASYNC, ENGINE_ORACLE]
     assert all(row.error is None for row in res.rows)
-    assert np.all(np.abs(_column(res, 0)) <= 1.0 + 1e-9)
+    assert np.all(np.abs(res.values[:, 0]) <= 1.0 + 1e-9)
 
 
 def test_pulse_ratio_scan_conserving_conditions():
@@ -223,7 +219,7 @@ def test_pulse_ratio_scan_conserving_conditions():
         observables=((3, 1),),
     )
     res = run_scan(spec)
-    z = _column(res, 0)
+    z = res.values[:, 0]
     # integer ratio returns the start value, half-integer inverts it
     assert abs(z[0] - 1.0) < 1e-9
     assert abs(z[1] + 1.0) < 1e-9
@@ -256,7 +252,8 @@ def test_late_epoch_scan_integrates_a_horizon_past_its_epoch():
     # the oracle window used to end at +horizon whatever the epoch, so a scan
     # whose epoch lies past the horizon failed every oracle row
     fixed = {"epsilon": 0.4, "upsilon": 1.1, "chi": 1.0}
-    spec = ScanSpec("gamma", np.linspace(0.1, 0.9, 5), fixed, _E3, epoch=30.0, observables=((3, 1),))
+    grid = np.linspace(0.1, 0.9, 5)
+    spec = ScanSpec("gamma", grid, fixed, _E3, epoch=30.0, observables=((3, 1),))
     res = run_scan(spec)
     proto = AsyncTanhSech(0.4, 1.1, 1.0)
     for row in res.rows:

@@ -63,6 +63,34 @@ def test_stacked_values_are_the_members_values(cls):
         assert np.array_equal(stacked[1][:, k], eps)
 
 
+_FAR = (400.0, -400.0, 800.0, -800.0, 1e6, -1e6)
+
+
+@pytest.mark.parametrize("t", _FAR)
+def test_drive_values_far_from_the_pulse_are_the_limits(t):
+    # cosh or its square overflowed there, and the warning is an error under -W error
+    ups, eps = AsyncTanhSech(0.4, 1.0, 1.0).values(t)
+    assert 0.0 <= ups < 1e-170 and eps == math.copysign(0.4, t)
+    assert SyncSech2(0.5, 1.0, 1.0).values(t) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("cls", [SyncSech2, AsyncTanhSech])
+def test_stacked_values_far_from_the_pulse_keep_every_finite_value(cls):
+    fields = np.array([[0.4, 1.0, 1.0], [1.5, 0.7, 0.5], [0.2, 2.0, 2.0]])
+    times = np.array(_FAR + (0.0, 3.0, -30.0, 200.0, 700.0))
+    ups, eps = cls(*fields.T).values(times[:, None])
+    with np.errstate(over="ignore"):
+        x = fields[:, 2] * times[:, None]
+        if cls is SyncSech2:
+            sech2 = fields[:, 1] / np.cosh(x) ** 2
+            want = sech2, fields[:, 0] * sech2
+        else:
+            want = fields[:, 1] / np.cosh(x), fields[:, 0] * np.tanh(x)
+    # bit for bit wherever cosh is finite, and the limit sech -> 0 beyond
+    assert np.array_equal(ups, want[0]) and np.array_equal(eps, want[1])
+    assert np.all(ups[np.abs(x) > 711.0] == 0.0)
+
+
 def test_hamiltonian_structure():
     ups, eps = 1.2, 0.4
     s = 1.2 * math.sin(0.3 * math.pi)

@@ -25,7 +25,7 @@ def test_detuned_trajectory_bundle():
     assert ds.name == "1d"
     assert ds.header[:9] == ("t", "P1", "P2", "P3", "P4", "Z31", "Z32", "ZLR", "norm2")
     assert ds.header[9:] == tuple(n + "_num" for n in ds.header[1:9])
-    table = np.array(ds.rows)
+    table = np.column_stack(ds.columns)
     assert table.shape == (201, 17)
     assert table[0, 0] == 0.0 and table[0, 3] == pytest.approx(1.0, abs=1e-15)
     # endpoint against the two-level formula
@@ -52,8 +52,8 @@ def test_splitting_scan_bundle():
     fig = build_figure("1a", samples=9)
     (ds,) = fig.datasets
     assert ds.header == ("param", "Z31_inf", "Z32_inf", "engine")
-    assert len(ds.rows) == 9
-    for beta, z31, z32, engine in ds.rows:
+    assert [len(column) for column in ds.columns] == [9] * 4
+    for beta, z31, z32, engine in zip(*ds.columns):
         assert engine == "sync-exact"
         r = math.hypot(1.0, beta)
         p2 = math.sin(r * 0.5 * math.pi) ** 2 / r**2
@@ -66,7 +66,7 @@ def test_flip_trajectory_uses_exact_engine():
     fig = build_figure("3b", samples=31)
     assert fig.meta["engine"] == "async-exact"
     assert fig.meta["protocol"] == "async"
-    table = np.array(fig.datasets[0].rows)
+    table = np.column_stack(fig.datasets[0].columns)
     np.testing.assert_allclose(table[:, 8], 1.0, atol=1e-9)
     assert np.max(np.abs(table[:, 1:9] - table[:, 9:])) < 1e-6
 
@@ -75,8 +75,8 @@ def test_surface_bundle_and_horizon_guard():
     fig = build_figure("3c", samples=5)
     (ds,) = fig.datasets
     assert ds.header == ("chi", "epsilon", "upsilon")
-    assert len(ds.rows) == 25
-    for chi, eps, ups in ds.rows:
+    assert [len(column) for column in ds.columns] == [25] * 3
+    for chi, eps, ups in zip(*ds.columns):
         assert ups == pytest.approx(math.hypot(0.5 * chi, eps), abs=1e-15)
     with pytest.raises(ValueError, match="horizon"):
         build_figure("3c", horizon=10.0)

@@ -7,12 +7,14 @@ digests do not depend on the BLAS or the floating-point unit.
 """
 
 import hashlib
+import math
 import pathlib
 
+import numpy as np
 import pytest
 
-from sodw.cli import main
-from sodw.figures import FIGURE_IDS, figure_kind
+from sodw.cli import _write_bundle, main
+from sodw.figures import FIGURE_IDS, Dataset, FigureData, figure_kind
 
 _SMALL_GRID = {"trajectory": "11", "scan": "5", "surface": "3"}
 
@@ -71,3 +73,26 @@ def test_output_format_is_pinned(bundle, tmp_path, capsys):
     assert main(_argv(bundle, tmp_path) + ["--out", str(out)]) == 0
     paths = [pathlib.Path(line) for line in capsys.readouterr().out.split()]
     assert _digest(paths) == _DIGESTS[bundle]
+
+
+_EDGES = (-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-5, 0.1, 1e16, 1e17)
+
+
+def test_csv_rows_are_17_significant_digits_and_text_as_is(tmp_path, capsys):
+    numbers = np.array(_EDGES)
+    tags = np.array([f"tag{k}" for k in range(numbers.size)])
+    tables = (
+        Dataset("edges", ("x", "tag", "minus_x"), (numbers, tags, -numbers)),
+        Dataset("one", ("a", "b"), (np.array([0.1]), np.array([1e17]))),
+    )
+    assert _write_bundle(str(tmp_path), FigureData("w", tables, {}, {})) == 0
+    for ds in tables:
+        rows = zip(*(column.tolist() for column in ds.columns))
+        lines = [",".join(ds.header)]
+        lines += [",".join(v if isinstance(v, str) else "%.17g" % v for v in row) for row in rows]
+        data = (tmp_path / f"{ds.name}_data.csv").read_bytes()
+        assert data == ("\n".join(lines) + "\n").encode()
+    assert (tmp_path / "one_data.csv").read_text() == "a,b\n0.10000000000000001,1e+17\n"
+    edges = (tmp_path / "edges_data.csv").read_text().splitlines()
+    assert edges[1:3] == ["-0,tag0,0", "nan,tag1,nan"]
+    assert edges[5] == "4.9406564584124654e-324,tag4,-4.9406564584124654e-324"
