@@ -8,10 +8,11 @@ is valid there: the synchronous closed form covers every synchronous
 protocol, the asynchronous closed form covers the spin-conserving branch
 (cos pi*gamma = +-1) and the spin-flipping branch on its parameter surface,
 and everything else falls back to the numeric oracle.  The engine used is
-recorded per row.  A scan builds its grid's parameters once, as a stack of
-drives, routes every point with the branch gate evaluated as a mask, and
-solves its closed-form points in one array pass.  Its oracle points go to
-integrate_batch as they are: one stack of drives with one window per member.
+recorded per row.  A ScanSpec builds its grid's parameters once, as a stack
+of drives, and so refuses a bad fixed value; run_scan routes every point
+with the branch gate evaluated as a mask, and solves its closed-form points
+in one array pass.  Its oracle points go to integrate_batch as they are: one
+stack of drives with one window per member.
 
 The branch gate itself is asynchronous.gate; _engines turns its answer into
 an engine per member and a refusal text.  select_engine and off_branch_reason
@@ -24,16 +25,17 @@ drive once and return its mode basis B(t), with a(t) = B(t) c, and limit
 matrices L-/+, with P(-/+inf) = |L-/+ c|^2.  Solution fixes c from the
 initial state, which may differ from member to member together with its
 time, and serves every engine alike; populations are plain arrays with the
-four levels on their last axis.  solve() also holds the one rule
-for a state given at t0 = -inf: the synchronous engine imposes it exactly,
-at B(-inf) (the rescaled time saturates at -V/Omega), and the asynchronous
-branches impose it at t = -default_horizon(protocol).
+four levels on their last axis.  solve() refuses a t0 that is neither
+finite nor -inf, and holds the one rule for a state given at t0 = -inf: the
+synchronous engine imposes it exactly, at B(-inf) (the rescaled time
+saturates at -V/Omega), and the asynchronous branches impose it at
+t = -default_horizon(protocol).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -42,7 +44,7 @@ import numpy as np
 from . import asynchronous as asyn
 from . import sync
 from .core import AsyncTanhSech, SyncSech2, as_state, as_states, coupling_values, imbalance
-from .core import _imbalance_keys
+from .core import _imbalance_keys, _require_epoch
 from .oracle import IntegratorConfig, integrate_batch
 
 __all__ = [
@@ -109,9 +111,10 @@ class ScanSpec:
 
     fixed supplies the protocol fields not being swept (sync: gamma, beta, V,
     Omega; async: gamma, epsilon, upsilon, chi).  epoch is the time at which
-    state0 holds: 0.0 or -inf.  observables are distinct (s, q) imbalance
+    state0 holds: finite or -inf.  observables are distinct (s, q) imbalance
     pairs with s, q in 1..4 or 'L'/'R'; an invalid or repeated pair is
-    refused under the name observables.
+    refused under the name observables.  The grid's stack of drives is built
+    here, once, so a missing or invalid fixed value is refused here too.
     """
 
     swept: str
@@ -120,6 +123,8 @@ class ScanSpec:
     state0: np.ndarray
     epoch: float = 0.0
     observables: tuple = ((3, 1), (3, 2))
+    # (gamma of every grid point, the grid's stack of drives), built once
+    _points: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.swept not in SWEPT_NAMES:
@@ -130,8 +135,7 @@ class ScanSpec:
         steps = np.diff(grid)
         if grid.size > 1 and not (np.all(steps > 0) or np.all(steps < 0)):
             raise ValueError("grid must be strictly monotone")
-        if math.isnan(self.epoch) or self.epoch == math.inf:
-            raise ValueError(f"epoch must be finite or -inf, got {self.epoch}")
+        _require_epoch("epoch", self.epoch)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "fixed", dict(self.fixed))
         object.__setattr__(self, "state0", as_state(self.state0))
@@ -143,6 +147,12 @@ class ScanSpec:
         if repeated:
             raise ValueError(f"observables repeat the pair {repeated[0]}")
         object.__setattr__(self, "observables", tuple((s, q) for s, q in self.observables))
+        try:
+            gamma, protocol = _point_setup(self, grid)
+        except KeyError as exc:
+            raise ValueError(f"missing fixed value {exc}") from None
+        gamma = np.broadcast_to(np.asarray(gamma, dtype=float), grid.shape)
+        object.__setattr__(self, "_points", (gamma, protocol))
 
 
 class ScanRow(NamedTuple):
@@ -156,19 +166,17 @@ class ScanRow(NamedTuple):
 
 @dataclass(frozen=True)
 class ScanResult:
-    """A scan as columns over its grid, and the text of a fixed value that failed every row.
+    """A scan as columns over its grid.
 
     values (N, k) holds the imbalances of the spec's observables, NaN where
     a point failed; engines (N,) names the engine of every point and errors
-    (N,) its error text, None when it was solved.  refusal is None unless a
-    fixed value failed every row.
+    (N,) its error text, None when it was solved.
     """
 
     spec: ScanSpec
     values: np.ndarray
     engines: np.ndarray
     errors: tuple
-    refusal: str | None = None
 
     @cached_property
     def rows(self):
@@ -197,26 +205,19 @@ def _point_setup(spec, x):
 def run_scan(spec):
     """One result column per observable over the grid; a point that fails keeps its error.
 
-    The grid becomes one stack of drives, and the branch gate routes every
-    point at once.  The closed-form points are solved in one array pass, and
-    the imbalance columns are taken from their (N, 4) populations at
-    t = +inf.  All oracle points go into one endpoint-only batch, each
-    integrated from the epoch to a default horizon past max(epoch, 0); if it
-    fails, each oracle row records the error.  A missing or invalid fixed
-    value fails every row and is the result's refusal; a gamma that is not
-    finite fails its own row.
+    The branch gate routes every point of the spec's stack of drives at
+    once.  The closed-form points are solved in one array pass, and the
+    imbalance columns are taken from their (N, 4) populations at t = +inf.
+    All oracle points go into one endpoint-only batch, each integrated from
+    the epoch to a default horizon past max(epoch, 0); if it fails, each
+    oracle row records the error.  A gamma that is not finite fails its own
+    row; a solved point with |Z| > 1 + 1e-9 refuses the scan.
     """
     grid = spec.grid
     values = np.full((grid.size, len(spec.observables)), math.nan)
     errors = [None] * grid.size
-    try:
-        gamma, protocol = _point_setup(spec, grid)
-        gamma = np.broadcast_to(np.asarray(gamma, dtype=float), grid.shape)
-        engines = _engines(protocol, gamma)[0]
-    except Exception as exc:
-        refusal = f"missing fixed value {exc}" if isinstance(exc, KeyError) else str(exc)
-        engines = np.full(grid.shape, ENGINE_ORACLE)
-        return _scan_result(spec, values, engines, [refusal] * grid.size, refusal)
+    gamma, protocol = spec._points
+    engines = _engines(protocol, gamma)[0]
     finite = np.isfinite(gamma)
     for k in np.flatnonzero(~finite):
         try:
@@ -250,11 +251,6 @@ def run_scan(spec):
         except Exception as exc:
             for k in idx:
                 errors[k] = str(exc)
-    return _scan_result(spec, values, engines, errors)
-
-
-def _scan_result(spec, values, engines, errors, refusal=None):
-    """The result of a scan; refuses a solved point with |Z| > 1 + 1e-9."""
     failed = np.array([error is not None for error in errors], dtype=bool)
     values[failed] = math.nan
     bad = np.argwhere(~(np.abs(values) <= 1.0 + 1e-9) & ~failed[:, None])
@@ -262,7 +258,7 @@ def _scan_result(spec, values, engines, errors, refusal=None):
         k, j = bad[0]
         v, x = float(values[k, j]), float(spec.grid[k])
         raise ValueError(f"imbalance {v} at {spec.swept}={x} is unphysical")
-    return ScanResult(spec, values, engines, tuple(errors), refusal)
+    return ScanResult(spec, values, engines, tuple(errors))
 
 
 def count_peaks(times, values, window, prominence):
@@ -355,9 +351,7 @@ def solve(protocol, gamma, state0, t0):
     (2, N, 4).  Raises ValueError with the gate's refusal text when no
     closed form covers (protocol, gamma).
     """
-    t0 = np.asarray(t0, dtype=float)
-    if not np.all(t0 < math.inf):
-        raise ValueError(f"initial conditions need t0 finite or -inf, got {t0}")
+    t0 = _require_epoch("t0", t0)
     if isinstance(protocol, SyncSech2):
         return Solution(*sync.modes(protocol, gamma), state0, t0)
     t_ref = np.where(np.isfinite(t0), t0, -default_horizon(protocol))

@@ -17,9 +17,11 @@ back to the working directory.
 
 Config files are flat key=value lines (# starts a comment); command-line
 flags override config values.  A value that does not parse as a number is
-refused under its key.  Every refusal exits 2, prints its reason on stderr
-and writes nothing.  Note argparse needs `--epoch=-inf` (with the equals
-sign) for negative non-numeric-looking values.
+refused under its key.  Every refusal is a ValueError raised where its input
+first enters (a ScanSpec refuses a scan, solve() a drive off the branches),
+before any file is written; main() alone prints it as "error: <reason>" and
+exits 2.  Note argparse needs `--epoch=-inf` (with the equals sign) for
+negative non-numeric-looking values.
 """
 
 from __future__ import annotations
@@ -147,11 +149,7 @@ def _cmd_evolve(args):
     grid_n = _number("grid", _setting(cfg, args, "grid", 2001), int)
     label = _setting(cfg, args, "label", "run")
 
-    reason = off_branch_reason(protocol, gamma)
-    engine = args.engine or ("exact" if reason is None else "oracle")
-    if engine in ("exact", "both") and reason is not None:
-        print("cannot use the exact engine: " + reason, file=sys.stderr)
-        return 2
+    engine = args.engine or ("exact" if off_branch_reason(protocol, gamma) is None else "oracle")
     bundle = evolve_bundle(label, protocol, gamma, state0, epoch, horizon, grid_n, engine)
     return _write_bundle(_setting(cfg, args, "out"), bundle)
 
@@ -163,6 +161,8 @@ def _cmd_scan(args):
     lo = _number("grid_lo", cfg.get("grid_lo", 0.0), float)
     hi = _number("grid_hi", cfg.get("grid_hi", 1.0), float)
     n = _number("grid_n", cfg.get("grid_n", 401), int)
+    if n < 0:
+        raise ValueError(f"grid_n must not be negative, got {n}")
     fixed = {
         key: _number(key, cfg[key], float)
         for key in ("gamma", "beta", "V", "Omega", "epsilon", "upsilon", "chi")
@@ -213,12 +213,10 @@ def _cmd_classify(args):
             residual_text = "0" if abs(residual) < 1e-12 else f"{residual:.6g}"
             lines.append(f"flip-constraint {state}, residual {residual_text}")
     if not lines:
-        print(
+        raise ValueError(
             "nothing to classify: give --V and --Omega (sync) and/or --upsilon and --chi "
-            "(async; add --epsilon for the flip constraint)",
-            file=sys.stderr,
+            "(async; add --epsilon for the flip constraint)"
         )
-        return 2
     print("\n".join(lines))
     return 0
 
@@ -229,8 +227,7 @@ def _cmd_verify(args):
         ids = {_number("criteria", token, int) for token in args.criteria.replace(",", " ").split()}
     records = acceptance.run_all(ids)
     if not records:
-        print("no matching criteria", file=sys.stderr)
-        return 2
+        raise ValueError("no matching criteria")
     for record in records:
         print(acceptance.format_record(record))
     n_pass = sum(record["passed"] for record in records)

@@ -63,6 +63,15 @@ def _require_finite(name, value):
     return v
 
 
+def _require_epoch(name, value):
+    """value as a float array; refused unless every member is finite or -inf."""
+    v = np.asarray(value, dtype=float)
+    bad = v[~(v < np.inf)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite or -inf, got {float(bad[0])!r}")
+    return v
+
+
 def coupling_values(gamma):
     """gamma as a float array; refused unless all finite."""
     return _require_finite("gamma", gamma)

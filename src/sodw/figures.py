@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import ScanSpec, default_horizon, run_scan, select_engine, solve
-from .core import AsyncTanhSech, SyncSech2
+from .core import AsyncTanhSech, SyncSech2, _require_epoch, imbalance
 from .oracle import IntegratorConfig, integrate_batch
 
 __all__ = [
@@ -137,10 +137,8 @@ def figure_kind(fig_id):
 def observable_columns(states):
     """P1..P4, Z31, Z32, ZLR and norm^2 columns from an (n, 4) amplitude array."""
     p = np.abs(states) ** 2
-    z31 = p[:, 2] - p[:, 0]
-    z32 = p[:, 2] - p[:, 1]
-    zlr = (p[:, 2] + p[:, 3]) - (p[:, 0] + p[:, 1])
-    return [p[:, 0], p[:, 1], p[:, 2], p[:, 3], z31, z32, zlr, p.sum(axis=1)]
+    imbalances = [imbalance(p, s, q) for s, q in ((3, 1), (3, 2), ("L", "R"))]
+    return [p[:, 0], p[:, 1], p[:, 2], p[:, 3], *imbalances, p.sum(axis=1)]
 
 
 def _amplitude_text(state):
@@ -161,8 +159,7 @@ def _trajectory_times(epoch, horizon, samples):
     Refuses an epoch of +inf or NaN, fewer than 2 samples and a horizon that
     is not finite and positive.
     """
-    if math.isnan(epoch) or epoch == math.inf:
-        raise ValueError(f"epoch must be finite or -inf, got {epoch}")
+    _require_epoch("epoch", epoch)
     if samples < 2 or not 0.0 < horizon < math.inf:
         raise ValueError(
             "a trajectory needs at least 2 samples and a finite horizon > 0, "
@@ -277,12 +274,8 @@ def scan_bundle(key, name, title, spec, bounds):
 
     key=name is the first meta entry and title starts the plot title; bounds
     (lo, hi) are the grid ends as given, which a one-point grid cannot show.
-    Raises ValueError with the scan's refusal when a fixed value fails every
-    row, so that nothing is written for it.
     """
     result = run_scan(spec)
-    if result.refusal is not None:
-        raise ValueError(result.refusal)
     names = tuple(f"Z{s}{q}_inf" for s, q in spec.observables)
     columns = (spec.grid, *result.values.T, result.engines)
     datasets = (Dataset(name, ("param", *names, "engine"), columns),)
@@ -311,6 +304,8 @@ def scan_bundle(key, name, title, spec, bounds):
 
 def _build_scan(fig_id, samples):
     cfg = _SCANS[fig_id]
+    if samples < 0:
+        raise ValueError(f"grid must not be negative, got {samples}")
     spec = ScanSpec(
         swept=cfg["swept"],
         grid=np.linspace(*cfg["bounds"], samples),

@@ -226,13 +226,9 @@ def test_pulse_ratio_scan_conserving_conditions():
     assert abs(z[2] - 1.0) < 1e-9
 
 
-def test_scan_failure_recorded_per_row():
-    spec = ScanSpec("beta", [0.0, 1.0], {"gamma": 0.5, "V": 1.0}, _E3)  # Omega missing
-    res = run_scan(spec)
-    assert len(res.rows) == 2
-    for row in res.rows:
-        assert row.error is not None
-        assert all(math.isnan(v) for v in row.values)
+def test_scan_spec_refuses_a_missing_fixed_value():
+    with pytest.raises(ValueError, match="^missing fixed value 'Omega'$"):
+        ScanSpec("beta", [0.0, 1.0], {"gamma": 0.5, "V": 1.0}, _E3)
 
 
 def test_oracle_point_agrees_with_manual_integration():
@@ -544,25 +540,20 @@ def test_batched_scan_rows_match_single_solutions(swept, grid, fixed, epoch, eng
         ("upsilon_over_chi", {"gamma": 2.0, "epsilon": math.nan, "chi": 1.0}),
     ],
 )
-def test_scan_with_nonfinite_fixed_value_fails_every_row(swept, fixed):
-    # the closed forms used to fill such a scan with NaN rows, which the
-    # |Z| <= 1 check then refused for the whole scan
-    res = run_scan(ScanSpec(swept, [0.0, 0.5, 1.0], fixed, _E3))
-    assert len(res.rows) == 3
-    for row in res.rows:
-        assert "must be finite" in row.error
-        assert all(math.isnan(v) for v in row.values)
+def test_scan_spec_refuses_a_nonfinite_fixed_value(swept, fixed):
+    with pytest.raises(ValueError, match="must be finite, got nan"):
+        ScanSpec(swept, [0.0, 0.5, 1.0], fixed, _E3)
 
 
 def test_only_a_fixed_value_refuses_the_whole_scan():
     fixed = {"gamma": 0.5, "V": math.nan, "Omega": 1.0}
-    res = run_scan(ScanSpec("beta", [0.0, 0.5], fixed, _E3))
-    assert res.refusal == "V must be finite, got nan"
+    with pytest.raises(ValueError, match="^V must be finite, got nan$"):
+        ScanSpec("beta", [0.0, 0.5], fixed, _E3)
     # a gamma that is not finite fails its own row, even as the only point
     flip = {"epsilon": 0.4, "upsilon": math.hypot(0.5, 0.4), "chi": 1.0}
-    res = run_scan(ScanSpec("gamma", [math.nan], flip, _E3))
-    assert res.refusal is None
-    assert "gamma must be finite" in res.rows[0].error
+    (row,) = run_scan(ScanSpec("gamma", [math.nan], flip, _E3)).rows
+    assert row.engine == ENGINE_ORACLE and math.isnan(row.values[0])
+    assert "gamma must be finite" in row.error
 
 
 _CONSERVING = AsyncTanhSech(0.3, 1.0, 1.0)

@@ -129,7 +129,7 @@ def test_evolve_exact_refuses_off_branch(tmp_path, capsys):
         ]
     )
     assert code == 2
-    assert "cannot use the exact engine" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: no closed form at gamma=0.3: ")
     assert not (tmp_path / "run_data.csv").exists()
 
 
@@ -178,6 +178,9 @@ def test_evolve_config_with_flag_override(tmp_path):
     assert meta["V"] == "0.78539816339744828"
 
 
+_OFF_BRANCH = ["--protocol", "async", "--gamma", "0.3"]
+
+
 @pytest.mark.parametrize(
     "verb,config,flags,refusal",
     [
@@ -186,18 +189,46 @@ def test_evolve_config_with_flag_override(tmp_path):
         ("evolve", None, ["--gamma", "0.5"], "evolve needs protocol"),
         ("evolve", None, ["--protocol", "sync"], "evolve needs gamma"),
         ("scan", "grid_n=5\ngamma=0.5\nV=1\nOmega=1\n", [], "scan config needs swept"),
+        ("evolve", None, [*_OFF_BRANCH, "--engine", "exact"], "no closed form at gamma=0.3: "),
+        ("evolve", None, [*_OFF_BRANCH, "--engine", "both"], "no closed form at gamma=0.3: "),
+        ("classify", None, [], "nothing to classify: give --V and --Omega"),
+        ("verify", None, ["--criteria", "99"], "no matching criteria\n"),
+        ("figure", None, ["--id", "1a", "--grid", "-5"], "grid must not be negative, got -5\n"),
+        (
+            "scan",
+            "swept=beta\ngrid_n=-3\ngamma=0.5\nV=1\nOmega=1\n",
+            [],
+            "grid_n must not be negative, got -3\n",
+        ),
     ],
-    ids=["bad-config-line", "unnormalised", "no-protocol", "no-gamma", "scan-no-swept"],
+    ids=[
+        "bad-config-line",
+        "unnormalised",
+        "no-protocol",
+        "no-gamma",
+        "scan-no-swept",
+        "exact-off-branch",
+        "both-off-branch",
+        "classify-nothing",
+        "verify-no-criteria",
+        "figure-negative-grid",
+        "scan-negative-grid_n",
+    ],
 )
 def test_cli_refusal_exits_2_and_writes_nothing(verb, config, flags, refusal, tmp_path, capsys):
-    # each used to raise SystemExit with bare text, which exits 1
+    # the first five used to exit 1, the next four printed no "error: " and the
+    # negative grids printed numpy's text, which names neither --grid nor grid_n
     if config is not None:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
         flags = flags + ["--config", str(cfg)]
     out = tmp_path / "out"
-    assert main([verb, *flags, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: " + refusal)
+    if verb in ("figure", "evolve", "scan"):
+        flags = flags + ["--out", str(out)]
+    assert main([verb, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: " + refusal)
+    assert captured.out == ""
     assert not out.exists()
 
 
