@@ -151,6 +151,8 @@ class ScanSpec:
             gamma, protocol = _point_setup(self, grid)
         except KeyError as exc:
             raise ValueError(f"missing fixed value {exc}") from None
+        if self.swept != "gamma":
+            coupling_values(gamma)  # a fixed gamma that is not finite refuses the whole scan
         gamma = np.broadcast_to(np.asarray(gamma, dtype=float), grid.shape)
         object.__setattr__(self, "_points", (gamma, protocol))
 

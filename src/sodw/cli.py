@@ -9,9 +9,10 @@ dataset in `<name>_data.csv` with 17-significant-digit numbers, then a
 `<id>_plot.json` description (title, axis labels, series to column map) and
 a `<id>_meta` key=value file naming every parameter, engine and tolerance
 needed to re-run, and prints each path.  A dataset is a set of columns; its
-CSV is written line by line, each row formatted from the columns as it is
-written, so no table is copied into rows and no file is held whole.  No
-timestamps anywhere, so identical invocations produce byte-identical files.
+CSV is written in blocks of rows, each formatted from the columns by numpy
+with bytes equal to "%.17g" % x for every number (the _csv module), so no
+table is copied into rows and no file is held whole.  No timestamps
+anywhere, so identical invocations produce byte-identical files.
 The default output directory is `SODW_OUT` from the environment, falling
 back to the working directory.
 
@@ -35,38 +36,32 @@ import sys
 import numpy as np
 
 from . import acceptance
+from ._csv import csv_blocks
 from .analysis import ScanSpec, off_branch_reason
 from .asynchronous import FLIP_CONSTRAINT_TOL, check_flip_constraint, classify_async_conserving
-from .core import AsyncTanhSech, SyncSech2, as_state
+from .core import AsyncTanhSech, SyncSech2, _require_finite, as_state
 from .figures import FIGURE_IDS, build_figure, evolve_bundle, scan_bundle
 from .sync import classify_sync_condition
 
 
-def _csv_lines(ds):
-    """A dataset's CSV lines, made one at a time: its header, then one line per row."""
-    # one %-format per table: 17 significant digits per number, text as it is
-    fmt = ",".join("%s" if column.dtype.kind == "U" else "%.17g" for column in ds.columns) + "\n"
-    yield ",".join(ds.header) + "\n"
-    for row in zip(*ds.columns, strict=True):
-        yield fmt % row
-
-
 def _bundle_files(bundle):
-    """(file name, lines) of each file of a bundle, in the order they are written."""
+    """(file name, bytes objects) of each file of a bundle, in the order they are written."""
     for ds in bundle.datasets:
-        yield f"{ds.name}_data.csv", _csv_lines(ds)
-    yield f"{bundle.id}_plot.json", [json.dumps(bundle.plot, sort_keys=True, indent=2) + "\n"]
-    yield f"{bundle.id}_meta", [f"{key}={value}\n" for key, value in bundle.meta.items()]
+        yield f"{ds.name}_data.csv", csv_blocks(ds)
+    plot = json.dumps(bundle.plot, sort_keys=True, indent=2) + "\n"
+    meta = "".join(f"{key}={value}\n" for key, value in bundle.meta.items())
+    yield f"{bundle.id}_plot.json", [plot.encode()]
+    yield f"{bundle.id}_meta", [meta.encode()]
 
 
 def _write_bundle(out, bundle):
     """Write a bundle's files under out (else $SODW_OUT, else .) and print each path."""
     out = out or os.environ.get("SODW_OUT") or "."
     os.makedirs(out, exist_ok=True)
-    for name, lines in _bundle_files(bundle):
+    for name, blocks in _bundle_files(bundle):
         path = os.path.join(out, name)
-        with open(path, "w", newline="\n") as fh:
-            fh.writelines(lines)
+        with open(path, "wb") as fh:
+            fh.writelines(blocks)
         print(path)
     return 0
 
@@ -160,6 +155,8 @@ def _cmd_scan(args):
         raise ValueError("scan config needs swept=<beta|V_over_Omega|gamma|upsilon_over_chi>")
     lo = _number("grid_lo", cfg.get("grid_lo", 0.0), float)
     hi = _number("grid_hi", cfg.get("grid_hi", 1.0), float)
+    _require_finite("grid_lo", lo)
+    _require_finite("grid_hi", hi)
     n = _number("grid_n", cfg.get("grid_n", 401), int)
     if n < 0:
         raise ValueError(f"grid_n must not be negative, got {n}")

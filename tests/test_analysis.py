@@ -538,6 +538,8 @@ def test_batched_scan_rows_match_single_solutions(swept, grid, fixed, epoch, eng
     [
         ("beta", {"gamma": 0.5, "V": math.nan, "Omega": 1.0}),
         ("upsilon_over_chi", {"gamma": 2.0, "epsilon": math.nan, "chi": 1.0}),
+        # a fixed gamma used to pass, and every row came out NaN
+        ("V_over_Omega", {"gamma": math.nan, "Omega": 1.0}),
     ],
 )
 def test_scan_spec_refuses_a_nonfinite_fixed_value(swept, fixed):

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,18 @@ _OFF_BRANCH = ["--protocol", "async", "--gamma", "0.3"]
             [],
             "grid_n must not be negative, got -3\n",
         ),
+        (
+            "scan",
+            "swept=gamma\ngrid_lo=0\ngrid_hi=inf\ngrid_n=2\nbeta=0\nV=1\nOmega=1\n",
+            [],
+            "grid_hi must be finite, got inf\n",
+        ),
+        (
+            "scan",
+            "swept=gamma\ngrid_lo=nan\ngrid_n=2\nbeta=0\nV=1\nOmega=1\n",
+            [],
+            "grid_lo must be finite, got nan\n",
+        ),
     ],
     ids=[
         "bad-config-line",
@@ -213,11 +226,14 @@ _OFF_BRANCH = ["--protocol", "async", "--gamma", "0.3"]
         "verify-no-criteria",
         "figure-negative-grid",
         "scan-negative-grid_n",
+        "scan-inf-grid_hi",
+        "scan-nan-grid_lo",
     ],
 )
 def test_cli_refusal_exits_2_and_writes_nothing(verb, config, flags, refusal, tmp_path, capsys):
-    # the first five used to exit 1, the next four printed no "error: " and the
-    # negative grids printed numpy's text, which names neither --grid nor grid_n
+    # the first five used to exit 1, the next four printed no "error: ", the
+    # negative grids printed numpy's text, which names neither --grid nor grid_n,
+    # and a grid end that is not finite was refused as a grid not monotone
     if config is not None:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
@@ -228,6 +244,40 @@ def test_cli_refusal_exits_2_and_writes_nothing(verb, config, flags, refusal, tm
     assert main([verb, *flags]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: " + refusal)
+    assert captured.out == ""
+    assert not out.exists()
+
+
+# a scan config that uses each key; a fixed gamma or beta is used when gamma is not swept
+_SYNC_SCAN = {"swept": "beta", "grid_n": "3", "gamma": "0.5", "V": "1", "Omega": "1"}
+_ASYNC_SCAN = {"swept": "gamma", "grid_n": "3", "epsilon": "0.4", "upsilon": "1", "chi": "1"}
+_SCAN_KEYS = {
+    **dict.fromkeys(("grid_lo", "grid_hi", "epoch", "gamma", "V", "Omega"), _SYNC_SCAN),
+    "beta": dict(_SYNC_SCAN, swept="V_over_Omega"),
+    **dict.fromkeys(("epsilon", "upsilon", "chi"), _ASYNC_SCAN),
+}
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        (key, value)
+        for key in _SCAN_KEYS
+        for value in ("nan", "inf", "-inf")
+        if (key, value) != ("epoch", "-inf")
+    ],
+)
+def test_scan_refuses_a_number_that_is_not_finite_under_its_key(key, value, tmp_path, capsys):
+    # a fixed gamma that is not finite used to give a table of NaN rows and exit 0
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in dict(_SCAN_KEYS[key], **{key: value}).items()))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 2
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {key} must be ")
     assert captured.out == ""
     assert not out.exists()
 

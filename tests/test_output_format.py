@@ -4,6 +4,10 @@ Each digest covers the files a command printed, in the order printed: the file
 name, then the whole `_meta` and `_plot.json` and only the header line of each
 CSV.  Those bytes hold parameters and text, not computed numbers, so the
 digests do not depend on the BLAS or the floating-point unit.
+
+The CSV rows are checked against a reference instead: the same columns
+formatted cell by cell with "%.17g" %, which the block writer must match byte
+for byte on every bundle, on a million seeded values and at block boundaries.
 """
 
 import hashlib
@@ -13,6 +17,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from sodw import _csv, cli
 from sodw.cli import _write_bundle, main
 from sodw.figures import FIGURE_IDS, Dataset, FigureData, figure_kind
 
@@ -96,3 +101,103 @@ def test_csv_rows_are_17_significant_digits_and_text_as_is(tmp_path, capsys):
     edges = (tmp_path / "edges_data.csv").read_text().splitlines()
     assert edges[1:3] == ["-0,tag0,0", "nan,tag1,nan"]
     assert edges[5] == "4.9406564584124654e-324,tag4,-4.9406564584124654e-324"
+
+
+def _reference_csv(ds):
+    """The CSV bytes of ds made row by row with one %-format, text as it is."""
+    fmt = ",".join("%s" if column.dtype.kind == "U" else "%.17g" for column in ds.columns)
+    rows = zip(*(column.tolist() for column in ds.columns), strict=True)
+    lines = [",".join(ds.header)] + [fmt % row for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _written_csv(ds):
+    return b"".join(_csv.csv_blocks(ds))
+
+
+@pytest.mark.parametrize("bundle", FIGURE_IDS + ("scan", "evolve"))
+def test_every_bundle_csv_matches_the_reference_rendering(bundle, tmp_path, monkeypatch):
+    written = []
+
+    def keep(out, data):
+        written.append(data)
+        return _write_bundle(out, data)
+
+    monkeypatch.setattr(cli, "_write_bundle", keep)
+    out = tmp_path / "out"
+    assert main(_argv(bundle, tmp_path) + ["--out", str(out)]) == 0
+    (data,) = written
+    for ds in data.datasets:
+        assert (out / f"{ds.name}_data.csv").read_bytes() == _reference_csv(ds), ds.name
+
+
+def _fuzz_values():
+    """About 10**6 seeded doubles: every exponent, powers of ten, decimals, ties, edges."""
+    rng = np.random.default_rng(20240518)
+    bits = rng.integers(0, 2**64, size=600_000, dtype=np.uint64)
+    powers = np.array([float(f"1e{e}") for e in range(-300, 301)])
+    near, up, down = [powers], powers, powers
+    for _ in range(3):
+        up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+        near += [up, down]
+    mantissas = rng.integers(1, 10 ** rng.integers(1, 18, size=150_000)).tolist()
+    exponents = rng.integers(-40, 40, size=len(mantissas)).tolist()
+    decimals = [float(f"{m}e{e}") for m, e in zip(mantissas, exponents)]
+    subnormal = rng.integers(1, 2**52, size=20_000, dtype=np.uint64).view(np.float64)
+    # exact rounding ties: odd multiples of 2**-m with 18 significant digits, the last a 5
+    ties = []
+    for m in range(3, 25):
+        low = -(-(2**m * 10**17) // 10**m)
+        ties.append((2 * rng.integers(low // 2, 5 * low, size=1000) + 1) * 2.0**-m)
+    edges = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-07, 5e-324, 2.2250738585072014e-308]
+    return np.concatenate([
+        bits.view(np.float64),
+        *near,
+        np.array(decimals),
+        2.0**53 + np.arange(-10_000, 10_000),
+        2.0**63 + 2048.0 * np.arange(-10_000, 10_000),
+        subnormal,
+        -subnormal,
+        *ties,
+        np.array(edges),
+        rng.uniform(-2.0, 2.0, size=100_000),
+        rng.uniform(0.0, 1.0, size=100_000),
+    ])
+
+
+def test_a_million_values_match_the_reference_rendering():
+    values = _fuzz_values()
+    assert values.size >= 10**6
+    ds = Dataset("fuzz", ("x",), (values,))
+    written, reference = _written_csv(ds), _reference_csv(ds)
+    if written != reference:
+        pairs = zip(written.split(b"\n"), reference.split(b"\n"))
+        bad = [(w, r) for w, r in pairs if w != r]
+        pytest.fail(f"{len(bad)} mismatches, first {bad[:3]}")
+    # log10 of the double nearest 1e-07 is -7, but the double is just below it
+    one = Dataset("one", ("x",), (np.array([1e-07]),))
+    assert _written_csv(one) == b"x\n9.9999999999999995e-08\n"
+
+
+@pytest.mark.parametrize("columns", [1, 3, 41])
+def test_block_boundaries_match_the_reference_rendering(columns):
+    step = _csv._BLOCK_CELLS // columns
+    rng = np.random.default_rng(columns)
+    for rows in (1, step - 1, step, step + 1, 2 * step + 1):
+        table = rng.standard_normal((columns, rows)) * 10.0 ** rng.integers(-30, 30, (columns, 1))
+        ds = Dataset("block", tuple(f"c{j}" for j in range(columns)), tuple(table))
+        blocks = list(_csv.csv_blocks(ds))
+        assert len(blocks) == 1 + -(-rows // step)
+        assert b"".join(blocks) == _reference_csv(ds), rows
+
+
+def test_narrow_table_with_text_matches_the_reference_rendering():
+    rows = _csv._BLOCK_CELLS // 4 + 1
+    rng = np.random.default_rng(7)
+    engines = np.array(["sync-exact", "oracle", "", "\u00fcber"])[rng.integers(0, 4, rows)]
+    columns = (rng.uniform(0, 4, rows), engines, rng.uniform(-1, 1, rows), engines)
+    ds = Dataset("text", ("param", "engine", "Z31_inf", "label"), columns)
+    assert _written_csv(ds) == _reference_csv(ds)
+    uneven = Dataset("uneven", ("a", "b"), (np.zeros(3), np.zeros(2)))
+    with pytest.raises(ValueError, match="unequal length"):
+        _written_csv(uneven)
