@@ -44,7 +44,7 @@ import numpy as np
 from . import asynchronous as asyn
 from . import sync
 from .core import AsyncTanhSech, SyncSech2, as_state, as_states, coupling_values, imbalance
-from .core import _imbalance_keys, _require_epoch
+from .core import _imbalance_keys, _require_epoch, _require_finite
 from .oracle import IntegratorConfig, integrate_batch
 
 __all__ = [
@@ -114,7 +114,8 @@ class ScanSpec:
     state0 holds: finite or -inf.  observables are distinct (s, q) imbalance
     pairs with s, q in 1..4 or 'L'/'R'; an invalid or repeated pair is
     refused under the name observables.  The grid's stack of drives is built
-    here, once, so a missing or invalid fixed value is refused here too.
+    here, once, so a missing or invalid fixed value is refused here too, and
+    so is a fixed value that is not finite, even one the sweep does not read.
     """
 
     swept: str
@@ -151,8 +152,9 @@ class ScanSpec:
             gamma, protocol = _point_setup(self, grid)
         except KeyError as exc:
             raise ValueError(f"missing fixed value {exc}") from None
-        if self.swept != "gamma":
-            coupling_values(gamma)  # a fixed gamma that is not finite refuses the whole scan
+        # a fixed value that is not finite refuses the whole scan, even one the sweep does not read
+        for name, value in self.fixed.items():
+            _require_finite(name, value)
         gamma = np.broadcast_to(np.asarray(gamma, dtype=float), grid.shape)
         object.__setattr__(self, "_points", (gamma, protocol))
 

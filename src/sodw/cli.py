@@ -28,6 +28,7 @@ negative non-numeric-looking values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -233,6 +234,12 @@ def _cmd_verify(args):
 
 
 def build_parser():
+    """The sodw argument parser, built once per process: parsing leaves it as it was."""
+    return _parser()
+
+
+@functools.cache
+def _parser():
     parser = argparse.ArgumentParser(
         prog="sodw",
         description="exact and numerical dynamics of a driven four-level double well",

@@ -15,9 +15,12 @@ of right-hand-side evaluations.  What it adds is that the system is linear
 with fixed matrices, dy/ds = u(s)*(T y) + e(s)*(z . y): T is the tunnel
 matrix and z the Zeeman diagonal, both scaled by -i times the window length,
 and u, e are the drive values.  One call gives the rate coefficients of all
-stages of a step from the stacked drive values, and each stage's rate is
-then u*(T y) + e*(z . y), with T y taken from the two entries in each row of
-T; no 4x4 stage matrix is built.  scipy itself is not needed.
+stages of a step from the stacked drive values, the three dense-output
+stages included when the step holds samples, and each stage's rate is then
+u*(T y) + e*(z . y), with T y taken from the two entries in each row of T;
+no 4x4 stage matrix is built.  The interpolant is evaluated in blocks of
+steps, with the same operations per sample as scipy's, so every sample is
+scipy's to the bit.  scipy itself is not needed.
 
 integrate_batch takes the stacked arguments that analysis.solve takes: a
 drive whose fields may be stacks, and a coupling, an initial state and a
@@ -147,6 +150,12 @@ def _rms(x):
 # the tableau as complex numbers, so that no product with K converts it first;
 # the conversion is exact, so the products are scipy's
 _A, _E5, _E3 = (x.astype(complex) for x in (_dop.A, _dop.E5, _dop.E3))
+# the nodes of the stages after the first: the 11 more of a step, its end, and
+# the three extra stages of dense output
+_C_NODES = _dop.C[1:]
+_C_STEP = _C_NODES[: _dop.N_STAGES]
+# queued dense steps are interpolated together once their terms F fill this many bytes
+_DENSE_BLOCK_BYTES = 256 * 1024
 
 # each row of H(gamma, 1, 0) couples its amplitude to the same spin (_SAME) and
 # to the other spin (_OTHER) in the other well; H(gamma, 0, 1) is diagonal
@@ -181,25 +190,31 @@ class BatchRate:
                 tunnel[:, _LEVELS, _OTHER],
             ]
         )
-        self.fixed = (-1j * length[:, None] * entries).reshape(3, -1)
+        # a coefficient is -i*length*entry*(drive value), so its real part is
+        # zero and its imaginary part is (drive value)*fixed
+        self.fixed = (-length[:, None] * entries).reshape(3, -1)
         blocks = 4 * np.arange(members)[:, None]
         self.gather = np.stack([blocks + _LEVELS, blocks + _SAME, blocks + _OTHER]).reshape(3, -1)
+        # where each coefficient's drive value sits in [epsilon | upsilon] of all members
+        member = np.repeat(np.arange(members), 4)
+        self.values_at = np.stack([member, member + members, member + members])
         self.drive = drive
         self.start = start
         self.length = length
-        self._buffer = np.empty((_dop.N_STAGES,) + self.fixed.shape, dtype=complex)
+        self._buffer = np.zeros((len(_C_NODES),) + self.fixed.shape, dtype=complex)
 
     def __call__(self, s):
-        """The rate's coefficients at the K <= 12 fractions s, shape (K, 3, 4B).
+        """The rate's coefficients at the K <= 15 fractions s, shape (K, 3, 4B).
 
         They are a view of a buffer that the next call overwrites: for a large
         batch, a new array at every step would be fresh memory, paid for in
-        page faults.
+        page faults.  Only the imaginary parts are written; the real parts stay
+        the zeros the buffer was made with.
         """
         ups, eps = self.drive.values(self.start + s[:, None] * self.length)
         out = self._buffer[: s.size]
-        scale = np.repeat(np.array([eps, ups, ups]), 4, axis=-1)
-        np.multiply(scale, self.fixed[:, None], out=out.swapaxes(0, 1))
+        values = np.concatenate((eps, ups), axis=1).take(self.values_at, axis=1)
+        np.multiply(values, self.fixed, out=out.imag)
         return out
 
     def rate(self, coefficients, y, out=None):
@@ -214,16 +229,20 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol):
 
     fun is a BatchRate: fun(s) maps an array of K times to the coefficients
     of the rate at those times, and fun.rate(coefficients, y) evaluates it.
-    One call gives the coefficients of all stages of a step, or of the three
-    extra stages of its dense output.  Otherwise this is the algorithm of
+    One call gives the coefficients of all stages of an attempted step, and of
+    the three extra stages of its dense output too when the step, if
+    accepted, holds t_eval points.  The interpolant of those steps is
+    evaluated in blocks of steps, each sample with the operations scipy
+    applies to it.  Otherwise this is the algorithm of
     scipy.integrate.solve_ivp(method="DOP853") step for step: its initial
     step, rtol clamped to >= 100*eps, its minimum step, SAFETY, MIN_FACTOR
     and MAX_FACTOR, the 5th/3rd-order error norm, the rejection rule, and
     dense output on the steps that hold t_eval points.  The stage states and
     error estimates are the same products as scipy's: the error estimate is a
     small difference of large terms, so any other summation order moves the
-    step sizes.  nfev counts the rate evaluations, which are scipy's
-    right-hand-side evaluations.  Only forward integration over a finite
+    step sizes.  So steps, nfev and samples are scipy's to the bit.  nfev
+    counts the rate evaluations, which are scipy's right-hand-side
+    evaluations.  Only forward integration over a finite
     span is supported: t_span[0] < t_span[1], and t_eval is an increasing
     grid within t_span.  A step size or error estimate that is not finite
     ends the solve with success=False.
@@ -239,17 +258,25 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol):
     rtol = max(float(rtol), 100 * _EPS)
     atol = float(atol)
     n = y.size
-    y_eval = np.empty((t_eval.size, n), dtype=complex)
+    dense = _DenseOutput(t_eval, n)
     rate = fun.rate
     K = np.empty((_dop.N_STAGES_EXTENDED, n), dtype=complex)
     end = _dop.N_STAGES
+    # stage s has the state y + (K[:s].T @ A[s, :s])*h and writes its rate to K[s]
+    stages = [(K[:s].T, _A[s, :s], K[s]) for s in range(1, _dop.N_STAGES_EXTENDED)]
+    step_stages, dense_stages = stages[:end], stages[end:]
+    k_error = K[: end + 1].T
 
-    def fill(first, coefficients, y, h):
-        """Stages first, first + 1, ... of the step of size h from y; the last stage's state."""
-        for s, c in enumerate(coefficients, start=first):
-            y_s = y + np.dot(K[:s].T, _A[s, :s]) * h
-            rate(c, y_s, out=K[s])
+    def fill(stages, coefficients, y, h):
+        """The stages of the step of size h from y, from their coefficients; the last's state."""
+        for (k, a, k_s), c in zip(stages, coefficients):
+            y_s = y + k.dot(a) * h
+            rate(c, y_s, out=k_s)
         return y_s
+
+    def result(success, message):
+        dense.evaluate()
+        return _result(t_eval, dense.y_eval, i_eval, nfev, success, message)
 
     # initial step (Hairer, Norsett & Wanner, Sec. II.4), as scipy's select_initial_step
     f = rate(fun(np.array([t]))[0], y)
@@ -273,24 +300,28 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol):
         rejected = False
         while True:
             if not math.isfinite(h_abs):
-                return _result(t_eval, y_eval, i_eval, nfev, False, _STEP_NOT_FINITE)
+                return result(False, _STEP_NOT_FINITE)
             if h_abs < min_step:
-                return _result(t_eval, y_eval, i_eval, nfev, False, _TOO_SMALL_STEP)
+                return result(False, _TOO_SMALL_STEP)
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
+            # a step that reaches a sample, if accepted, needs its dense-output
+            # stages too, so one call gives their coefficients as well
+            holds_samples = i_eval < len(samples) and samples[i_eval] <= t_new
+            coefficients = fun(t + (_C_NODES if holds_samples else _C_STEP) * h)
             K[0] = f
-            y_new = fill(1, fun(t + _dop.C[1 : end + 1] * h), y, h)
+            y_new = fill(step_stages, coefficients, y, h)
             nfev += end
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = float(np.linalg.norm(np.dot(K[: end + 1].T, _E5) / scale)) ** 2
-            err3 = float(np.linalg.norm(np.dot(K[: end + 1].T, _E3) / scale)) ** 2
+            err5 = float(np.linalg.norm(k_error.dot(_E5) / scale)) ** 2
+            err3 = float(np.linalg.norm(k_error.dot(_E3) / scale)) ** 2
             if err5 == 0 and err3 == 0:
                 error_norm = 0.0
             else:
                 error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * n)
             if not math.isfinite(error_norm):
-                return _result(t_eval, y_eval, i_eval, nfev, False, _ERROR_NOT_FINITE)
+                return result(False, _ERROR_NOT_FINITE)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -302,25 +333,71 @@ def solve_ivp(fun, t_span, y0, *, t_eval, rtol, atol):
             rejected = True
         t_old, y_old, f_old = t, y, f
         t, y, f = t_new, y_new, K[end].copy()
-        i_new = bisect.bisect_right(samples, t, i_eval)
-        if i_new > i_eval:
+        if holds_samples:
             # dense output (Sec. II.6): three more stages, then scipy's interpolant
-            fill(end + 1, fun(t_old + _dop.C[end + 1 :] * h), y_old, h)
+            fill(dense_stages, coefficients[end:], y_old, h)
             nfev += _dop.N_STAGES_EXTENDED - end - 1
-            delta_y = y - y_old
-            F = np.empty((_dop.INTERPOLATOR_POWER, n), dtype=complex)
-            F[0] = delta_y
-            F[1] = h * f_old - delta_y
-            F[2] = 2 * delta_y - h * (f + f_old)
-            F[3:] = h * np.dot(_dop.D, K)
-            x = ((t_eval[i_eval:i_new] - t_old) / (t - t_old))[:, None]
-            y_out = np.zeros((x.size, n), dtype=complex)
-            for i, f_i in enumerate(F[::-1]):
-                y_out += f_i
-                y_out *= x if i % 2 == 0 else 1 - x
-            y_eval[i_eval:i_new] = y_out + y_old
-            i_eval = i_new
-    return _result(t_eval, y_eval, i_eval, nfev, True, _FINISHED)
+            i_eval = bisect.bisect_right(samples, t, i_eval)
+            dense.add(i_eval, t_old, t, y_old, y, f_old, f, K)
+    return result(True, _FINISHED)
+
+
+class _DenseOutput:
+    """scipy's DOP853 interpolant at the samples of a solve, evaluated in blocks of steps.
+
+    add() computes a step's interpolant terms F as scipy's Dop853DenseOutput
+    does and queues them.  evaluate() then runs the Horner loop over the
+    samples of all queued steps at once, with the operations scipy applies to
+    each sample, so every value is scipy's.  A block is evaluated once its
+    terms fill _DENSE_BLOCK_BYTES, which bounds the memory it holds.
+    """
+
+    def __init__(self, t_eval, n):
+        self.t_eval = t_eval
+        self.y_eval = np.empty((t_eval.size, n), dtype=complex)
+        capacity = max(1, _DENSE_BLOCK_BYTES // (_dop.INTERPOLATOR_POWER * max(n, 1) * 16))
+        self.F = np.empty((capacity, _dop.INTERPOLATOR_POWER, n), dtype=complex)
+        self.y_old = np.empty((capacity, n), dtype=complex)
+        self.first = 0  # the first sample not evaluated yet
+        self.ends, self.spans = [], []  # per queued step: its last sample + 1, and (t_old, t)
+
+    def add(self, end, t_old, t, y_old, y, f_old, f, K):
+        """Queue the step from (t_old, y_old, f_old) to (t, y, f) with stages K.
+
+        Its samples are the ones not evaluated yet before sample end.
+        """
+        step = len(self.ends)
+        h = t - t_old
+        delta_y = y - y_old
+        F = self.F[step]
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (f + f_old)
+        F[3:] = h * np.dot(_dop.D, K)
+        self.y_old[step] = y_old
+        self.ends.append(end)
+        self.spans.append((t_old, t))
+        if step + 1 == len(self.F):
+            self.evaluate()
+
+    def evaluate(self):
+        """Evaluate the interpolant at the samples of every queued step, and empty the queue."""
+        if not self.ends:
+            return
+        first, last = self.first, self.ends[-1]
+        step = np.repeat(np.arange(len(self.ends)), np.diff(self.ends, prepend=first))
+        t_old, t = np.array(self.spans)[step].T
+        x = ((self.t_eval[first:last] - t_old) / (t - t_old))[:, None]
+        one_minus_x = 1 - x
+        y_out = self.y_eval[first:last]
+        y_out[...] = 0
+        for i in range(_dop.INTERPOLATOR_POWER):
+            y_out += self.F[step, -1 - i]
+            y_out *= one_minus_x if i % 2 else x
+        y_out += self.y_old[step]
+        self.first = last
+        self.ends.clear()
+        self.spans.clear()
 
 
 def _result(t_eval, y_eval, count, nfev, success, message):

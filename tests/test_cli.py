@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sodw.cli import main
+from sodw.cli import build_parser, main
 
 _E3_HEADER = "t,P1,P2,P3,P4,Z31,Z32,ZLR,norm2"
 
@@ -26,6 +26,15 @@ def _read_meta(path):
 def _csv_table(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def test_one_parser_serves_every_call(capsys):
+    assert build_parser() is build_parser()
+    # a refused command leaves the parser as it was for the next
+    with pytest.raises(SystemExit):
+        main(["figure", "--id", "9z"])
+    assert main(["classify", "--upsilon", "2", "--chi", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "CCPC (async, spin-conserving)"
 
 
 def test_classify_sync_ccpc(capsys):
@@ -256,21 +265,30 @@ _SCAN_KEYS = {
     "beta": dict(_SYNC_SCAN, swept="V_over_Omega"),
     **dict.fromkeys(("epsilon", "upsilon", "chi"), _ASYNC_SCAN),
 }
+# a scan config that leaves each fixed key unread: a beta sweep reads no fixed beta
+_UNREAD_SCAN_KEYS = {
+    **dict.fromkeys(("beta", "epsilon", "upsilon", "chi"), _SYNC_SCAN),
+    **dict.fromkeys(("gamma", "V", "Omega"), _ASYNC_SCAN),
+}
 
 
 @pytest.mark.parametrize(
-    "key,value",
+    "key,value,config",
     [
-        (key, value)
-        for key in _SCAN_KEYS
+        pytest.param(key, value, config, id=f"{key}-{value}{unread}")
+        for unread, configs in (("", _SCAN_KEYS), ("-unread", _UNREAD_SCAN_KEYS))
+        for key, config in configs.items()
         for value in ("nan", "inf", "-inf")
         if (key, value) != ("epoch", "-inf")
     ],
 )
-def test_scan_refuses_a_number_that_is_not_finite_under_its_key(key, value, tmp_path, capsys):
-    # a fixed gamma that is not finite used to give a table of NaN rows and exit 0
+def test_scan_refuses_a_number_that_is_not_finite_under_its_key(
+    key, value, config, tmp_path, capsys
+):
+    # a fixed gamma that is not finite used to give a table of NaN rows and exit
+    # 0, and an unread key that is not finite used to pass into _meta unchecked
     cfg = tmp_path / "scan.cfg"
-    cfg.write_text("".join(f"{k}={v}\n" for k, v in dict(_SCAN_KEYS[key], **{key: value}).items()))
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in dict(config, **{key: value}).items()))
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

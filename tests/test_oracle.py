@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 import sodw.acceptance
 import sodw.figures
 import sodw.oracle
+from sodw import _dop853_coefficients as _dop
 from sodw import (
     AsyncTanhSech,
     IntegratorConfig,
@@ -198,6 +199,19 @@ def test_solver_stops_on_what_is_not_finite(s_fail, value, message):
         sol = sodw.oracle.solve_ivp(rate, (0.0, 1.0), _E3, t_eval=[1.0], rtol=1e-10, atol=1e-12)
     assert not sol.success
     assert message in sol.message
+
+
+def test_failed_solve_returns_the_samples_it_reached():
+    t_eval = np.linspace(0.0, 1.0, 11)
+    options = dict(t_eval=t_eval, rtol=1e-10, atol=1e-12)
+    with _deadline():
+        failed = sodw.oracle.solve_ivp(_FailingRate(0.5, math.nan), (0.0, 1.0), _E3, **options)
+        whole = sodw.oracle.solve_ivp(_FailingRate(2.0, math.nan), (0.0, 1.0), _E3, **options)
+    assert not failed.success and whole.success
+    reached = failed.t.size
+    assert 0 < reached < t_eval.size
+    assert np.array_equal(failed.t, t_eval[:reached])
+    assert np.array_equal(failed.y, whole.y[:, :reached])
 
 
 def test_trajectory_record_accessors():
@@ -440,6 +454,14 @@ def _kick():
     integrate(0.3, drive, _E3, cfg, [-10.0, 2.5, 10.0])
 
 
+def _dense_blocks():
+    # 2001 samples on 80 amplitudes: the interpolant runs in several blocks
+    rng = np.random.default_rng(89)
+    gammas, states0, cfg = _mixed_batch(rng, 20)
+    drives = AsyncTanhSech(*rng.uniform([0.05, 0.5, 0.5], [1.0, 3.0, 2.0], size=(20, 3)).T)
+    integrate_batch(gammas, drives, states0, cfg, np.linspace(0.0, 1.0, 2001))
+
+
 _SCIPY_CASES = {
     "criterion-11": lambda: run_all({11}),
     "criterion-4": lambda: run_all({4}),
@@ -470,6 +492,7 @@ _SCIPY_CASES = {
         )
     ),
     "rejects-steps": _kick,
+    "dense-blocks": _dense_blocks,
 }
 
 
@@ -482,7 +505,7 @@ def test_dop853_matches_scipy_step_for_step(case, beside_scipy):
         assert ours.success and ref.success
         assert ours.nfev == ref.nfev
         assert np.array_equal(ours.t, ref.t)
-        assert np.max(np.abs(ours.y - ref.y)) <= 1e-12
+        assert np.array_equal(ours.y, ref.y)
     if case == "endpoint-only":
         assert [ours.t.tolist() for ours, _, _ in beside_scipy] == [[1.0]]
     if case == "rejects-steps":
@@ -491,3 +514,8 @@ def test_dop853_matches_scipy_step_for_step(case, beside_scipy):
         steps = dense.sol.ts.size - 1
         # 2 evaluations pick the first step, 12 go into every attempt, 3 into each interpolant
         assert dense.nfev - 2 - 3 * steps > 12 * steps
+    if case == "dense-blocks":
+        ((ours, _, rerun),) = beside_scipy
+        steps = rerun(dense_output=True).sol.ts.size - 1
+        terms = _dop.INTERPOLATOR_POWER * ours.y.shape[0] * ours.y.itemsize
+        assert steps > 3 * (sodw.oracle._DENSE_BLOCK_BYTES // terms)
