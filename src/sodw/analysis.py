@@ -9,10 +9,12 @@ protocol, the asynchronous closed form covers the spin-conserving branch
 (cos pi*gamma = +-1) and the spin-flipping branch on its parameter surface,
 and everything else falls back to the numeric oracle.  The engine used is
 recorded per row.  A ScanSpec builds its grid's parameters once, as a stack
-of drives, and so refuses a bad fixed value; run_scan routes every point
-with the branch gate evaluated as a mask, and solves its closed-form points
-in one array pass.  Its oracle points go to integrate_batch as they are: one
-stack of drives with one window per member.
+of drives, and so refuses a bad fixed value; run_scan solves the stack its
+ScanSpec built.  It routes every point with the branch gate evaluated as a
+mask and takes each group of points from the stack by index, the stacked
+fields only: its closed-form points are solved in one array pass, and its
+oracle points go to integrate_batch as one stack of drives with one window
+per member.
 
 The branch gate itself is asynchronous.gate; _engines turns its answer into
 an engine per member and a refusal text.  select_engine and off_branch_reason
@@ -35,7 +37,7 @@ t = -default_horizon(protocol).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -74,10 +76,14 @@ SWEPT_NAMES = ("beta", "V_over_Omega", "gamma", "upsilon_over_chi")
 def default_horizon(protocol):
     """Horizon T so that the drive envelope is negligible beyond |t| = T.
 
-    A float for one drive, an array with one horizon per member for a stack.
+    T = 25/min(rate, 1), with rate Omega (sync) or chi (async): a float for
+    one drive, an array with one horizon per member for a stack.  Refuses a
+    rate so small that T overflows.
     """
-    rate = protocol.Omega if isinstance(protocol, SyncSech2) else protocol.chi
-    horizon = 25.0 / np.minimum(rate, 1.0)
+    name = "Omega" if isinstance(protocol, SyncSech2) else "chi"
+    with np.errstate(over="ignore"):
+        horizon = 25.0 / np.minimum(getattr(protocol, name), 1.0)
+    horizon = _require_finite(f"default horizon 25/min({name}, 1)", horizon)
     return float(horizon) if horizon.ndim == 0 else horizon
 
 
@@ -124,7 +130,7 @@ class ScanSpec:
     state0: np.ndarray
     epoch: float = 0.0
     observables: tuple = ((3, 1), (3, 2))
-    # (gamma of every grid point, the grid's stack of drives), built once
+    # (gamma, the grid's stack of drives), built once: gamma is the grid when it is swept
     _points: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -155,7 +161,6 @@ class ScanSpec:
         # a fixed value that is not finite refuses the whole scan, even one the sweep does not read
         for name, value in self.fixed.items():
             _require_finite(name, value)
-        gamma = np.broadcast_to(np.asarray(gamma, dtype=float), grid.shape)
         object.__setattr__(self, "_points", (gamma, protocol))
 
 
@@ -190,77 +195,69 @@ class ScanResult:
         return tuple(map(ScanRow, grid, values, engines, self.errors))
 
 
-def _point_setup(spec, x):
-    """gamma and protocol at grid value x, or a stack of drives over an array of them."""
+def _point_setup(spec, grid):
+    """gamma and protocol over the grid: the swept fields are stacks, the fixed ones as given."""
     fixed = spec.fixed
     if spec.swept == "beta":
-        return fixed["gamma"], SyncSech2(x, fixed["V"], fixed["Omega"])
+        return fixed["gamma"], SyncSech2(grid, fixed["V"], fixed["Omega"])
     if spec.swept == "V_over_Omega":
         omega = fixed.get("Omega", 1.0)
-        return fixed["gamma"], SyncSech2(fixed.get("beta", 0.0), x * omega, omega)
+        return fixed["gamma"], SyncSech2(fixed.get("beta", 0.0), grid * omega, omega)
     if spec.swept == "gamma":
         if "chi" in fixed:
-            return x, AsyncTanhSech(fixed["epsilon"], fixed["upsilon"], fixed["chi"])
-        return x, SyncSech2(fixed.get("beta", 0.0), fixed["V"], fixed["Omega"])
+            return grid, AsyncTanhSech(fixed["epsilon"], fixed["upsilon"], fixed["chi"])
+        return grid, SyncSech2(fixed.get("beta", 0.0), fixed["V"], fixed["Omega"])
     chi = fixed["chi"]
-    return fixed["gamma"], AsyncTanhSech(fixed["epsilon"], x * chi, chi)
+    return fixed["gamma"], AsyncTanhSech(fixed["epsilon"], grid * chi, chi)
 
 
 def run_scan(spec):
     """One result column per observable over the grid; a point that fails keeps its error.
 
-    The branch gate routes every point of the spec's stack of drives at
-    once.  The closed-form points are solved in one array pass, and the
-    imbalance columns are taken from their (N, 4) populations at t = +inf.
-    All oracle points go into one endpoint-only batch, each integrated from
-    the epoch to a default horizon past max(epoch, 0); if it fails, each
-    oracle row records the error.  A gamma that is not finite fails its own
-    row; a solved point with |Z| > 1 + 1e-9 refuses the scan.
+    The scan solves the stack of drives its spec built.  The branch gate
+    routes every point at once, and each engine's points are taken from the
+    stack by index: the closed-form points are solved in one array pass for
+    their (N, 4) populations at t = +inf, and the oracle points in one
+    endpoint-only batch, each integrated from the epoch to a default horizon
+    past max(epoch, 0).  A group that fails records its error in each of its
+    rows, and a gamma that is not finite fails its own row.  A solved point
+    with |Z| > 1 + 1e-9 refuses the scan.
     """
-    grid = spec.grid
+    grid, (gamma, protocol) = spec.grid, spec._points
+    engines = _engines(protocol, np.broadcast_to(gamma, grid.shape))[0]
     values = np.full((grid.size, len(spec.observables)), math.nan)
     errors = [None] * grid.size
-    gamma, protocol = spec._points
-    engines = _engines(protocol, gamma)[0]
-    finite = np.isfinite(gamma)
-    for k in np.flatnonzero(~finite):
-        try:
-            coupling_values(gamma[k])
-        except ValueError as exc:
-            errors[k] = str(exc)
-
-    def record(idx, populations):
-        for j, (s, q) in enumerate(spec.observables):
-            values[idx, j] = imbalance(populations, s, q)
-
+    failed = np.zeros(grid.size, dtype=bool)
+    finite, oracle = np.isfinite(gamma), engines == ENGINE_ORACLE
     # a scan sweeps one drive class, so its closed-form points share one engine
-    idx = np.flatnonzero(finite & (engines != ENGINE_ORACLE))
-    if idx.size:
+    groups = [np.flatnonzero(finite & ~oracle), np.flatnonzero(finite & oracle)]
+    for idx in filter(len, groups + [[k] for k in np.flatnonzero(~finite)]):
         try:
-            members_gamma, members = _point_setup(spec, grid[idx])
-            solution = solve(members, members_gamma, spec.state0, spec.epoch)
-            record(idx, solution.asymptotes()[1])
+            # the points idx of the stack: each stacked field indexed, the fixed ones as given
+            members_gamma = gamma[idx] if np.ndim(gamma) else gamma
+            stacked = {name: value[idx] for name, value in vars(protocol).items() if np.ndim(value)}
+            members = replace(protocol, **stacked)
+            coupling_values(members_gamma)  # the refusal text of a gamma that is not finite
+            if oracle[idx[0]]:
+                horizon = default_horizon(members)
+                t0 = spec.epoch if math.isfinite(spec.epoch) else -horizon
+                window = IntegratorConfig(t0, max(spec.epoch, 0.0) + horizon)
+                batch = integrate_batch(members_gamma, members, spec.state0, window, [1.0])
+                populations = batch.population_array[0]
+            else:
+                solution = solve(members, members_gamma, spec.state0, spec.epoch)
+                populations = solution.asymptotes()[1]
         except Exception as exc:
+            failed[idx] = True
             for k in idx:
                 errors[k] = str(exc)
-    idx = np.flatnonzero(finite & (engines == ENGINE_ORACLE))
-    if idx.size:
-        try:
-            members_gamma, members = _point_setup(spec, grid[idx])
-            horizon = default_horizon(members)
-            t0 = spec.epoch if math.isfinite(spec.epoch) else -horizon
-            window = IntegratorConfig(t0, max(spec.epoch, 0.0) + horizon)
-            batch = integrate_batch(members_gamma, members, spec.state0, window, [1.0])
-            record(idx, batch.population_array[0])
-        except Exception as exc:
-            for k in idx:
-                errors[k] = str(exc)
-    failed = np.array([error is not None for error in errors], dtype=bool)
-    values[failed] = math.nan
+        else:
+            for j, (s, q) in enumerate(spec.observables):
+                values[idx, j] = imbalance(populations, s, q)
     bad = np.argwhere(~(np.abs(values) <= 1.0 + 1e-9) & ~failed[:, None])
     if bad.size:
         k, j = bad[0]
-        v, x = float(values[k, j]), float(spec.grid[k])
+        v, x = float(values[k, j]), float(grid[k])
         raise ValueError(f"imbalance {v} at {spec.swept}={x} is unphysical")
     return ScanResult(spec, values, engines, tuple(errors))
 

@@ -45,7 +45,9 @@ when the coupling component that branch's closed form drops is below 1e-9:
 |sin(pi*gamma)| on the conserving branch, |cos(pi*gamma)| on the flip branch
 (core.branch_signs, the only test of gamma).  gate() adds the flip-branch
 constraint and returns the one refusal text for a drive that neither branch
-covers; modes(), the engine selection and the CLI all read it.
+covers; modes(), the engine selection and the CLI all read it.  The
+constraint is tested within 1e-9 in one place, off_flip_constraint, which
+gate() and `sodw classify` both read.
 
 modes() holds both branches in one form: a basis B(t) of the mode functions
 with a(t) = B(t) c for the four pair constants c, and limit matrices L-/+
@@ -65,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONDITION_TOL, AsyncTanhSech, branch_signs, coupling_values
+from .core import CONDITION_TOL, AsyncTanhSech, _require_finite, branch_signs, coupling_values
 
 __all__ = [
     "AsyncConservingCondition",
@@ -74,6 +76,7 @@ __all__ = [
     "modes",
     "classify_async_conserving",
     "check_flip_constraint",
+    "off_flip_constraint",
 ]
 
 #: gating tolerance on the flip-branch parameter constraint chi^2/4 + eps^2 - ups^2
@@ -122,10 +125,11 @@ def classify_async_conserving(upsilon, chi):
     """CCPC iff |sin(pi ups/chi)| <= 1e-9; CCPI iff |cos(pi ups/chi)| <= 1e-9.
 
     Refuses a chi that is not > 0 and any argument that is not finite, as
-    the drive does.
+    the drive does, and a ratio ups/chi that overflows.
     """
     AsyncTanhSech(0.0, upsilon, chi)
-    ratio = upsilon / chi
+    ratio = float(upsilon) / float(chi)
+    _require_finite("upsilon/chi", ratio)
     sin_val = math.sin(math.pi * ratio)
     cos_val = math.cos(math.pi * ratio)
     if abs(sin_val) <= CONDITION_TOL:
@@ -140,8 +144,8 @@ def check_flip_constraint(epsilon, upsilon, chi):
     return 0.25 * chi * chi + epsilon * epsilon - upsilon * upsilon
 
 
-def _off_constraint(params):
-    """Flip-constraint residual of every member, and where it is not within tolerance (NaN too)."""
+def off_flip_constraint(params):
+    """Flip-constraint residual of every member, and where it is not within 1e-9 (NaN too)."""
     residual = np.asarray(check_flip_constraint(params.epsilon, params.upsilon, params.chi))
     return residual, ~(np.abs(residual) <= FLIP_CONSTRAINT_TOL)
 
@@ -163,7 +167,7 @@ def gate(params, gamma):
     None when every member is covered.
     """
     conserving, flip = branch_signs(gamma)
-    residual, off = _off_constraint(params)
+    residual, off = off_flip_constraint(params)
     conserving, flip, residual, off, gamma = np.broadcast_arrays(
         conserving, flip, residual, off, gamma
     )

@@ -39,7 +39,7 @@ import numpy as np
 from . import acceptance
 from ._csv import csv_blocks
 from .analysis import ScanSpec, off_branch_reason
-from .asynchronous import FLIP_CONSTRAINT_TOL, check_flip_constraint, classify_async_conserving
+from .asynchronous import classify_async_conserving, off_flip_constraint
 from .core import AsyncTanhSech, SyncSech2, _require_finite, as_state
 from .figures import FIGURE_IDS, build_figure, evolve_bundle, scan_bundle
 from .sync import classify_sync_condition
@@ -205,9 +205,9 @@ def _cmd_classify(args):
         else:
             lines.append(f"{cond.kind} (async, spin-conserving)")
         if args.epsilon is not None:
-            AsyncTanhSech(args.epsilon, args.upsilon, args.chi)
-            residual = check_flip_constraint(args.epsilon, args.upsilon, args.chi)
-            state = "satisfied" if abs(residual) <= FLIP_CONSTRAINT_TOL else "violated"
+            drive = AsyncTanhSech(args.epsilon, args.upsilon, args.chi)
+            residual, off = off_flip_constraint(drive)
+            state = "violated" if off else "satisfied"
             residual_text = "0" if abs(residual) < 1e-12 else f"{residual:.6g}"
             lines.append(f"flip-constraint {state}, residual {residual_text}")
     if not lines:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import ScanSpec, default_horizon, run_scan, select_engine, solve
-from .core import AsyncTanhSech, SyncSech2, _require_epoch, imbalance
+from .core import AsyncTanhSech, SyncSech2, _require_epoch, _require_finite, imbalance
 from .oracle import IntegratorConfig, integrate_batch
 
 __all__ = [
@@ -156,8 +156,8 @@ def _trajectory_times(epoch, horizon, samples):
     """Sample times of a trajectory whose start holds at epoch.
 
     [-horizon, horizon] for epoch -inf, else [epoch, epoch + horizon].
-    Refuses an epoch of +inf or NaN, fewer than 2 samples and a horizon that
-    is not finite and positive.
+    Refuses an epoch of +inf or NaN, fewer than 2 samples, a horizon that
+    is not finite and positive, and a window whose end or span overflows.
     """
     _require_epoch("epoch", epoch)
     if samples < 2 or not 0.0 < horizon < math.inf:
@@ -166,7 +166,9 @@ def _trajectory_times(epoch, horizon, samples):
             f"got {samples} samples and horizon {horizon:g}"
         )
     if epoch == -math.inf:
+        _require_finite("2*horizon", 2.0 * float(horizon))
         return np.linspace(-horizon, horizon, samples)
+    _require_finite("epoch + horizon", float(epoch) + float(horizon))
     return np.linspace(epoch, epoch + horizon, samples)
 
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONDITION_TOL, SyncSech2, branch_signs, coupling_values
+from .core import CONDITION_TOL, SyncSech2, _require_finite, branch_signs, coupling_values
 
 __all__ = [
     "EigenSystem",
@@ -197,10 +197,12 @@ def classify_sync_condition(beta, V, Omega):
     returns to its initial value.  CCPI(n): beta = 0 and
     2V/Omega = (n + 1/2)*pi (n >= 0) -- the left/right populations invert.
     Both tested within 1e-9.  Refuses an Omega that is not > 0 and any
-    argument that is not finite, as the drive does.
+    argument that is not finite, as the drive does, and a ratio 2V/Omega
+    that overflows.
     """
     SyncSech2(beta, V, Omega)
-    ratio = 2.0 * V / Omega
+    ratio = 2.0 * float(V) / float(Omega)
+    _require_finite("2V/Omega", ratio)
     beta_res = abs(float(beta))
     n_c = round(ratio / math.pi)
     res_c = abs(ratio - n_c * math.pi)

@@ -547,6 +547,37 @@ def test_scan_spec_refuses_a_nonfinite_fixed_value(swept, fixed):
         ScanSpec(swept, [0.0, 0.5, 1.0], fixed, _E3)
 
 
+def test_one_scan_mixes_closed_form_oracle_and_failed_rows():
+    grid = [0.0, 0.3, 0.5, 1.0, math.inf]
+    res = run_scan(ScanSpec("gamma", grid, _FLIP_FIXED, _E3, -math.inf))
+    # only the last row fails, with the coupling's own refusal text
+    assert res.errors == (None, None, None, None, "gamma must be finite, got inf")
+    assert np.all(np.isnan(res.values[4]))
+    drive = AsyncTanhSech(**_FLIP_FIXED)
+    for k in (0, 2, 3):
+        assert res.engines[k] == ENGINE_ASYNC
+        p_inf = solve(drive, grid[k], _E3, -math.inf).asymptotes()[1]
+        single = [imbalance(p_inf, 3, 1), imbalance(p_inf, 3, 2)]
+        assert np.array_equal(res.values[k], single), grid[k]
+    assert res.engines[1] == ENGINE_ORACLE
+    horizon = default_horizon(drive)
+    record = integrate(0.3, drive, _E3, IntegratorConfig(-horizon, horizon), [-horizon, horizon])
+    p_end = record.population_array[-1]
+    reference = [imbalance(p_end, 3, 1), imbalance(p_end, 3, 2)]
+    assert np.max(np.abs(res.values[1] - reference)) <= 1e-9
+
+
+def test_default_horizon_refuses_a_rate_that_overflows_it():
+    with pytest.raises(ValueError, match=r"^default horizon 25/min\(chi, 1\) must be finite"):
+        default_horizon(AsyncTanhSech(0.3, 1.0, 1e-308))
+    with pytest.raises(ValueError, match=r"^default horizon 25/min\(Omega, 1\) must be finite"):
+        default_horizon(SyncSech2(0.0, 1.0, [1.0, 1e-308]))
+    # an async scan fails its oracle rows under that name
+    fixed = {"epsilon": 0.3, "upsilon": 1.0, "chi": 1e-308}
+    res = run_scan(ScanSpec("gamma", [0.1, 0.3], fixed, _E3))
+    assert res.errors == ("default horizon 25/min(chi, 1) must be finite, got inf",) * 2
+
+
 def test_only_a_fixed_value_refuses_the_whole_scan():
     fixed = {"gamma": 0.5, "V": math.nan, "Omega": 1.0}
     with pytest.raises(ValueError, match="^V must be finite, got nan$"):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,11 @@ import pytest
 from sodw.cli import build_parser, main
 
 _E3_HEADER = "t,P1,P2,P3,P4,Z31,Z32,ZLR,norm2"
+
+# a child python imports sodw from this checkout's src, as the tests do
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+_CHILD_PATH = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+_CHILD_ENV = {**os.environ, "PYTHONPATH": _CHILD_PATH}
 
 
 def _read_meta(path):
@@ -57,6 +63,14 @@ def test_classify_async_and_flip_constraint(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("async (spin-conserving): neither")
     assert lines[1] == "flip-constraint satisfied, residual 0"
+    # the gate's verdict, within 1e-9, on each side of the tolerance
+    for upsilon, line in (
+        ("0.640312423", "flip-constraint satisfied, residual 9.51869e-10"),
+        ("0.6403124", "flip-constraint violated, residual 3.04062e-08"),
+        ("1.5", "flip-constraint violated, residual -1.84"),
+    ):
+        assert main(["classify", "--epsilon", "0.4", "--upsilon", upsilon, "--chi", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == line
 
     assert main(["classify", "--upsilon", "2", "--chi", "1"]) == 0
     assert capsys.readouterr().out.strip() == "CCPC (async, spin-conserving)"
@@ -222,6 +236,31 @@ _OFF_BRANCH = ["--protocol", "async", "--gamma", "0.3"]
             [],
             "grid_lo must be finite, got nan\n",
         ),
+        ("classify", None, ["--V", "1", "--Omega", "1e-308"], "2V/Omega must be finite, got inf\n"),
+        (
+            "classify",
+            None,
+            ["--upsilon", "1e308", "--chi", "1e-300"],
+            "upsilon/chi must be finite, got inf\n",
+        ),
+        (
+            "evolve",
+            None,
+            ["--protocol", "sync", "--gamma", "0.5", "--Omega", "1e-308", "--engine", "exact"],
+            "default horizon 25/min(Omega, 1) must be finite, got inf\n",
+        ),
+        (
+            "evolve",
+            None,
+            ["--protocol", "sync", "--gamma", "0.5", "--epoch", "1e308", "--horizon", "1e308"],
+            "epoch + horizon must be finite, got inf\n",
+        ),
+        (
+            "evolve",
+            None,
+            ["--protocol", "sync", "--gamma", "0.5", "--epoch=-inf", "--horizon", "1e308"],
+            "2*horizon must be finite, got inf\n",
+        ),
     ],
     ids=[
         "bad-config-line",
@@ -237,12 +276,18 @@ _OFF_BRANCH = ["--protocol", "async", "--gamma", "0.3"]
         "scan-negative-grid_n",
         "scan-inf-grid_hi",
         "scan-nan-grid_lo",
+        "classify-ratio-overflow",
+        "classify-async-ratio-overflow",
+        "evolve-default-horizon-overflow",
+        "evolve-window-end-overflow",
+        "evolve-window-span-overflow",
     ],
 )
 def test_cli_refusal_exits_2_and_writes_nothing(verb, config, flags, refusal, tmp_path, capsys):
     # the first five used to exit 1, the next four printed no "error: ", the
     # negative grids printed numpy's text, which names neither --grid nor grid_n,
-    # and a grid end that is not finite was refused as a grid not monotone
+    # and a grid end that is not finite was refused as a grid not monotone;
+    # a derived value that overflowed crashed, warned or named no argument
     if config is not None:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
@@ -478,6 +523,7 @@ def test_console_script_installed():
         [sys.executable, "-m", "sodw.cli", "classify", "--upsilon", "2", "--chi", "1"],
         capture_output=True,
         text=True,
+        env=_CHILD_ENV,
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "CCPC (async, spin-conserving)"
@@ -541,7 +587,9 @@ def test_closed_form_work_leaves_scipy_integrate_unimported(verb, tmp_path):
     if argv is not None:
         code += f"from sodw.cli import main\nassert main({argv!r}) == 0\n"
     code += "assert 'scipy.integrate' not in sys.modules\n"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_CHILD_ENV
+    )
     assert out.returncode == 0, out.stderr
 
 
@@ -557,7 +605,9 @@ def test_oracle_figure_and_verify_leave_scipy_unimported(tmp_path):
     code += "".join(f"assert main({argv!r}) == 0\n" for argv in commands)
     code += "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
     code += "assert not loaded, loaded\n"
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_CHILD_ENV
+    )
     assert run.returncode == 0, run.stderr
     assert "3/3 criteria passed" in run.stdout
 
