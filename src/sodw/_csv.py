@@ -17,7 +17,8 @@ built on first use.
 |x| outside [1e-280, 1e280], and scaled values within 1e-6 of a rounding half:
 exact ties, which % rounds half to even, and values that the double-double's
 error of about 1e-14 could put on the wrong side.
-Text columns are written as they are, UTF-8 encoded; they hold no NUL.
+Text columns are written as they are, UTF-8 encoded, each distinct string
+encoded once; they hold no NUL.
 """
 
 from __future__ import annotations
@@ -188,12 +189,16 @@ def _number_cells(x):
 
 
 def _text_cells(column):
-    """(len(column), width + 1) zero-padded UTF-8 bytes of each string, then a separator."""
-    encoded = np.array([text.encode() for text in column.tolist()], dtype=bytes)
+    """(len(column), width + 1) zero-padded UTF-8 bytes of each string, then a separator.
+
+    Each distinct string is encoded once, and its cell copied to every row that holds it.
+    """
+    texts, rows = np.unique(column, return_inverse=True)
+    encoded = np.array([text.encode() for text in texts.tolist()], dtype=bytes)
     width = encoded.dtype.itemsize
-    cells = np.full((column.size, width + 1), ord(","), np.uint8)
-    cells[:, :width] = encoded.view(np.uint8).reshape(column.size, width)
-    return cells
+    cells = np.full((texts.size, width + 1), ord(","), np.uint8)
+    cells[:, :width] = encoded.view(np.uint8).reshape(texts.size, width)
+    return cells[rows.reshape(-1)]
 
 
 def csv_blocks(ds):

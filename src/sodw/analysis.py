@@ -23,11 +23,12 @@ gives the same answer at the same (drive, gamma).
 
 solve() is the one entry point to the closed forms.  Each engine is only
 what differs between the drives: sync.modes and asynchronous.modes gate the
-drive once and return its mode basis B(t), with a(t) = B(t) c, and limit
-matrices L-/+, with P(-/+inf) = |L-/+ c|^2.  Solution fixes c from the
-initial state, which may differ from member to member together with its
-time, and serves every engine alike; populations are plain arrays with the
-four levels on their last axis.  solve() refuses a t0 that is neither
+drive once and return its mode basis B(t), with a(t) = B(t) c, the exact
+inverse B(t)^-1 that the engine builds from its own structure, and limit
+matrices L-/+, with P(-/+inf) = |L-/+ c|^2.  Solution fixes c = B(t0)^-1 a0
+from the initial state, which may differ from member to member together
+with its time, and serves every engine alike; populations are plain arrays
+with the four levels on their last axis.  solve() refuses a t0 that is neither
 finite nor -inf, and holds the one rule for a state given at t0 = -inf: the
 synchronous engine imposes it exactly, at B(-inf) (the rescaled time
 saturates at -V/Omega), and the asynchronous branches impose it at
@@ -179,13 +180,15 @@ class ScanResult:
 
     values (N, k) holds the imbalances of the spec's observables, NaN where
     a point failed; engines (N,) names the engine of every point and errors
-    (N,) its error text, None when it was solved.
+    (N,) its error text, None when it was solved; failed (N,) is True where
+    a point failed.
     """
 
     spec: ScanSpec
     values: np.ndarray
     engines: np.ndarray
     errors: tuple
+    failed: np.ndarray
 
     @cached_property
     def rows(self):
@@ -259,7 +262,7 @@ def run_scan(spec):
         k, j = bad[0]
         v, x = float(values[k, j]), float(grid[k])
         raise ValueError(f"imbalance {v} at {spec.swept}={x} is unphysical")
-    return ScanResult(spec, values, engines, tuple(errors))
+    return ScanResult(spec, values, engines, tuple(errors), failed)
 
 
 def count_peaks(times, values, window, prominence):
@@ -310,23 +313,24 @@ def _flank_min(side, peak):
 
 
 class Solution:
-    """Closed-form solution a(t) = basis(t) @ coeffs with state0 imposed at finite t0.
+    """Closed-form solution a(t) = basis(t) @ coeffs with state0 imposed at t0.
 
-    basis and limits are an engine's modes(): basis(t) of shape S_drive + (4, 4)
-    over the drive's members, limits of shape (2,) + S_drive + (4, 4).  The
-    coefficients solve basis(t0) @ coeffs = state0 for every member at once;
-    state0 (one state, or a stack of them) and t0 may differ from member to
-    member, and the members' shape S is the broadcast shape of S_drive,
-    state0 without its last axis and t0.  So one drive with an (N, 4) stack of
-    starts is N members that share one basis: states(times[:, None]) has
-    shape (K, N, 4) and asymptotes() (2, N, 4).
+    basis, inverse and limits are an engine's modes(): basis(t) of shape
+    S_drive + (4, 4) over the drive's members, inverse(t) its exact inverse,
+    and limits of shape (2,) + S_drive + (4, 4).  The coefficients are
+    coeffs = inverse(t0) @ state0 for every member at once, with no linear
+    system to solve; state0 (one state, or a stack of them) and t0 may differ
+    from member to member, and the members' shape S is the broadcast shape
+    of S_drive, state0 without its last axis and t0.  So one drive with an
+    (N, 4) stack of starts is N members that share one basis:
+    states(times[:, None]) has shape (K, N, 4) and asymptotes() (2, N, 4).
     """
 
-    def __init__(self, basis, limits, state0, t0):
+    def __init__(self, basis, inverse, limits, state0, t0):
         self.basis = basis
         # the limit axis next to the matrix axes, so that it broadcasts past S
         self.limits = np.moveaxis(limits, 0, -3)
-        self.coeffs = np.linalg.solve(basis(t0), as_states(state0)[..., None])[..., 0]
+        self.coeffs = (inverse(t0) @ as_states(state0)[..., None])[..., 0]
 
     def states(self, times):
         """Amplitudes at finite times, which broadcast against S (one member: T -> T + (4,))."""

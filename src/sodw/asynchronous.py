@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONDITION_TOL, AsyncTanhSech, _require_finite, branch_signs, coupling_values
+from .core import CONDITION_TOL, AsyncTanhSech, _require_fraction, branch_signs, coupling_values
 
 __all__ = [
     "AsyncConservingCondition",
@@ -125,11 +125,11 @@ def classify_async_conserving(upsilon, chi):
     """CCPC iff |sin(pi ups/chi)| <= 1e-9; CCPI iff |cos(pi ups/chi)| <= 1e-9.
 
     Refuses a chi that is not > 0 and any argument that is not finite, as
-    the drive does, and a ratio ups/chi that overflows.
+    the drive does, and a ratio ups/chi that overflows or reaches 2**52,
+    where no fractional digits are left.
     """
     AsyncTanhSech(0.0, upsilon, chi)
-    ratio = float(upsilon) / float(chi)
-    _require_finite("upsilon/chi", ratio)
+    ratio = _require_fraction("upsilon/chi", float(upsilon) / float(chi))
     sin_val = math.sin(math.pi * ratio)
     cos_val = math.cos(math.pi * ratio)
     if abs(sin_val) <= CONDITION_TOL:
@@ -201,21 +201,31 @@ def _blocks(pairs, *blocks):
 
 
 def _conserving(eps, ups, chi, sign):
-    """(basis, limits) of members on the spin-conserving branch."""
+    """(basis, inverse, limits) of members on the spin-conserving branch.
+
+    Each pair block is [[x, y], [x, -y]] with |x| = |y| = 1, whose inverse is
+    [[conj(x), conj(x)], [conj(y), -conj(y)]] / 2: the conjugate transpose
+    of the basis, halved.  Pair B's phases are pair A's conjugated and
+    swapped, so two exps per member serve both pairs.
+    """
 
     def basis(t):
         phi_u, pe = phase_integrals(eps, ups, chi, t)
         pu = sign * phi_u
         a1, a2 = np.exp(1j * (pu - pe)), np.exp(-1j * (pu + pe))
-        b1, b2 = np.exp(1j * (pu + pe)), np.exp(-1j * (pu - pe))
+        b1, b2 = np.conj(a2), np.conj(a1)
         return _blocks(_CONSERVING_PAIRS, (a1, a2, a1, -a2), (b1, b2, b1, -b2))
 
-    # phi_u at t = -/+inf; the diverging phase of each pair, e^{-i phi_e} on
-    # pair A and e^{+i phi_e} on pair B, is left out
-    pu = np.multiply.outer([-1.0, 1.0], sign * 0.5 * math.pi * ups / chi)
-    u1, u2 = np.exp(1j * pu), np.exp(-1j * pu)
+    def inverse(t):
+        return 0.5 * np.conj(np.swapaxes(basis(t), -1, -2))
+
+    # e^{i phi_u} at t = -inf, and its conjugate at +inf; the diverging phase
+    # of each pair, e^{-i phi_e} on pair A and e^{+i phi_e} on pair B, is left out
+    u_past = np.exp(-1j * (sign * 0.5 * math.pi * ups / chi))
+    u1 = np.stack([u_past, np.conj(u_past)])
+    u2 = np.conj(u1)
     pair = (u1, u2, u1, -u2)
-    return basis, _blocks(_CONSERVING_PAIRS, pair, pair)
+    return basis, inverse, _blocks(_CONSERVING_PAIRS, pair, pair)
 
 
 def _sqrt_sech_exp(x, sign):
@@ -233,32 +243,50 @@ _FLIP_LIMITS = math.sqrt(2.0) * np.stack(
 
 
 def _flip(eps, ups, chi, sign):
-    """(basis, limits) of members on the spin-flipping branch."""
+    """(basis, inverse, limits) of members on the spin-flipping branch.
+
+    Each pair block is inverted by its adjugate.  Its determinant is
+    +2*pref_c (pair C) or -2*pref_d (pair D), because decay^2 + grow^2 = 2
+    and e^{i eps t} e^{-i eps t} = 1.
+    """
     pref_c = (eps - 0.5j * chi) / (sign * ups)
     pref_d = (eps + 0.5j * chi) / (sign * ups)
+    half_c, half_d = 0.5 / pref_c, 0.5 / pref_d
+
+    def factors(t):
+        # e^{+/-i eps t} and the growing and decaying sqrt(sech(chi t)) e^{+/-chi t/2}
+        ep = np.exp(1j * eps * t)
+        return ep, np.conj(ep), _sqrt_sech_exp(chi * t, +1), _sqrt_sech_exp(chi * t, -1)
 
     def basis(t):
-        ep = np.exp(1j * eps * t)
-        em = np.conj(ep)
-        grow = _sqrt_sech_exp(chi * t, +1)
-        decay = _sqrt_sech_exp(chi * t, -1)
+        ep, em, grow, decay = factors(t)
         pair_c = (pref_c * decay * ep, -pref_c * grow * em, grow * ep, decay * em)
         pair_d = (-pref_d * grow * ep, pref_d * decay * em, decay * ep, grow * em)
         return _blocks(_FLIP_PAIRS, pair_c, pair_d)
 
-    return basis, np.broadcast_to(_FLIP_LIMITS[:, None], (2, sign.size, 4, 4))
+    def inverse(t):
+        # each block's adjugate over its determinant, entered transposed: _blocks
+        # lays entries out from constants to amplitudes, the inverse runs back
+        ep, em, grow, decay = factors(t)
+        pair_c = (half_c * decay * em, -half_c * grow * ep, 0.5 * grow * em, 0.5 * decay * ep)
+        pair_d = (-half_d * grow * em, half_d * decay * ep, 0.5 * decay * em, 0.5 * grow * ep)
+        return np.swapaxes(_blocks(_FLIP_PAIRS, pair_c, pair_d), -1, -2)
+
+    return basis, inverse, np.broadcast_to(_FLIP_LIMITS[:, None], (2, sign.size, 4, 4))
 
 
 def modes(params, gamma):
-    """(basis, limits) of an AsyncTanhSech drive, with a(t) = basis(t) @ c.
+    """(basis, inverse, limits) of an AsyncTanhSech drive, with a(t) = basis(t) @ c.
 
     Gates the drive once and raises ValueError with the gate's refusal text
     when a member has no closed form.  Each member may lie on either branch;
     its c holds the two pair constants, (A+, A-, B+, B-) or (C+, C-, D+, D-).
     basis(t) has shape S + (4, 4) for members of shape S; t must be finite
-    and broadcasts against S (one member: T + (4, 4)).  limits, shape
-    (2,) + S + (4, 4), gives P(-/+inf) = |limits @ c|^2: the conserving pair
-    blocks at the saturated phi_u and the sqrt(2) exchange of each flip pair.
+    and broadcasts against S (one member: T + (4, 4)).  inverse(t), of the
+    same shape, is the exact inverse of basis(t), built pair block by pair
+    block, so c = inverse(t0) @ a(t0).  limits, shape (2,) + S + (4, 4),
+    gives P(-/+inf) = |limits @ c|^2: the conserving pair blocks at the
+    saturated phi_u and the sqrt(2) exchange of each flip pair.
     """
     conserving, flip, refusal = gate(params, coupling_values(gamma))
     if refusal is not None:
@@ -267,7 +295,7 @@ def modes(params, gamma):
     shape = members[0].shape
     eps, ups, chi, conserving, flip = (np.ravel(x) for x in members)
     size = eps.size
-    # per branch: its members, the basis of their drives and their limits
+    # per branch: its members, then the basis, inverse and limits of their drives
     parts = []
     for signs, branch in ((conserving, _conserving), (flip, _flip)):
         idx = np.flatnonzero(signs)
@@ -279,17 +307,21 @@ def modes(params, gamma):
         if len(parts) == 1:
             return values[0]
         out = np.empty(lead + (size, 4, 4), dtype=complex)
-        for (idx, _, _), value in zip(parts, values):
+        for (idx, *_), value in zip(parts, values):
             out[..., idx, :, :] = value
         return out
 
-    def basis(times):
-        t = np.asarray(times, dtype=float)
-        t = np.broadcast_to(t, np.broadcast_shapes(t.shape, shape))
-        lead = t.shape[: t.ndim - len(shape)]
-        t = t.reshape(lead + (size,))
-        out = gather(lead, [part_basis(t[..., idx]) for idx, part_basis, _ in parts])
-        return out.reshape(lead + shape + (4, 4))
+    def every_member(k):
+        # the basis (k = 1) or the inverse (k = 2) of every member, at times
+        def at(times):
+            t = np.asarray(times, dtype=float)
+            t = np.broadcast_to(t, np.broadcast_shapes(t.shape, shape))
+            lead = t.shape[: t.ndim - len(shape)]
+            t = t.reshape(lead + (size,))
+            out = gather(lead, [part[k](t[..., part[0]]) for part in parts])
+            return out.reshape(lead + shape + (4, 4))
 
-    limits = gather((2,), [part_limits for _, _, part_limits in parts])
-    return basis, limits.reshape((2,) + shape + (4, 4))
+        return at
+
+    limits = gather((2,), [part[3] for part in parts])
+    return every_member(1), every_member(2), limits.reshape((2,) + shape + (4, 4))

@@ -15,7 +15,8 @@ The amplitudes obey i*da/dt = H(t)*a with the real symmetric matrix H built
 by :func:`hamiltonian_matrix` from the instantaneous Zeeman splitting
 ``epsilon(t)``, the tunneling rate ``upsilon(t)`` and the dimensionless
 spin-orbit coupling strength ``gamma`` (which enters only through sin(pi*gamma)
-and cos(pi*gamma)).
+and cos(pi*gamma)); every sine and cosine of it is taken of
+:func:`coupling_angle`, gamma reduced exactly modulo 4.
 
 Which closed form holds is decided in one place.  :func:`branch_signs` is the
 only test of gamma against the two coupling branches (|sin(pi*gamma)| < 1e-9
@@ -42,6 +43,7 @@ __all__ = [
     "as_state",
     "as_states",
     "branch_signs",
+    "coupling_angle",
     "hamiltonian_matrix",
     "imbalance",
     "stack_drives",
@@ -72,9 +74,33 @@ def _require_epoch(name, value):
     return v
 
 
+def _require_fraction(name, value):
+    """value as a float; refused unless |value| < 2**52, where a float keeps fractional digits.
+
+    A value that is not finite is refused as _require_finite refuses it.
+    """
+    v = float(_require_finite(name, value))
+    if not abs(v) < 2.0**52:
+        raise ValueError(f"{name} must be below 2**52 in magnitude to classify, got {v!r}")
+    return v
+
+
 def coupling_values(gamma):
     """gamma as a float array; refused unless all finite."""
     return _require_finite("gamma", gamma)
+
+
+def coupling_angle(gamma):
+    """gamma reduced exactly into (-4, 4), bit for bit unchanged where |gamma| < 4.
+
+    H reads gamma only through sin(pi*gamma) and cos(pi*gamma), whose period
+    2 divides 4, and the synchronous eigensystem reads sin and cos of
+    pi*gamma/2 as squares, of period 2 too.  np.fmod is exact, whereas
+    np.pi * gamma loses the reduction for a large gamma: every float above
+    2**53 is an even integer, yet sin(np.pi * 1e8) is -3.9e-8.  Every
+    trigonometric call on gamma reads it reduced here, once it is finite.
+    """
+    return np.fmod(np.asarray(gamma, dtype=float), 4.0)
 
 
 def branch_signs(gamma):
@@ -88,7 +114,7 @@ def branch_signs(gamma):
     """
     g = np.asarray(gamma, dtype=float)
     # a gamma that is not finite is evaluated at 1/4, which is on neither branch
-    x = np.pi * np.where(np.isfinite(g), g, 0.25)
+    x = np.pi * coupling_angle(np.where(np.isfinite(g), g, 0.25))
     sin_pg, cos_pg = np.sin(x), np.cos(x)
     conserving = np.where(np.abs(sin_pg) < SIN_BRANCH_TOL, np.copysign(1.0, cos_pg), 0.0)
     flip = np.where(np.abs(cos_pg) < SIN_BRANCH_TOL, np.copysign(1.0, sin_pg), 0.0)
@@ -197,7 +223,7 @@ def hamiltonian_matrix(gamma, upsilon_val, epsilon_val):
         H13 = H31 = -ups*cos(pi*gamma), H14 = H41 = -ups*sin(pi*gamma),
         H23 = H32 = +ups*sin(pi*gamma), H24 = H42 = -ups*cos(pi*gamma).
     """
-    g = coupling_values(gamma)
+    g = coupling_angle(coupling_values(gamma))
     ups = _require_finite("upsilon", upsilon_val)
     eps = _require_finite("epsilon", epsilon_val)
     uc = ups * np.cos(np.pi * g)

@@ -276,8 +276,15 @@ def scan_bundle(key, name, title, spec, bounds):
 
     key=name is the first meta entry and title starts the plot title; bounds
     (lo, hi) are the grid ends as given, which a one-point grid cannot show.
+    A scan whose every point fails is refused with the first point's error.
     """
     result = run_scan(spec)
+    failed = np.flatnonzero(result.failed).tolist()
+    if len(failed) == spec.grid.size:
+        raise ValueError(
+            f"every point of the scan failed, the first at {spec.swept}="
+            f"{spec.grid[0]:.17g}: {result.errors[0]}"
+        )
     names = tuple(f"Z{s}{q}_inf" for s, q in spec.observables)
     columns = (spec.grid, *result.values.T, result.engines)
     datasets = (Dataset(name, ("param", *names, "engine"), columns),)
@@ -298,9 +305,8 @@ def scan_bundle(key, name, title, spec, bounds):
         "ic": _amplitude_text(spec.state0),
         **{field: f"{spec.fixed[field]:.17g}" for field in sorted(spec.fixed)},
     }
-    failures = [(x, e) for x, e in zip(spec.grid.tolist(), result.errors) if e is not None]
-    for k, (x, error) in enumerate(failures):
-        meta[f"failure_{k}"] = f"{x:.17g}: {error}"
+    for n, k in enumerate(failed):
+        meta[f"failure_{n}"] = f"{spec.grid[k]:.17g}: {result.errors[k]}"
     return FigureData(name, datasets, plot, meta)
 
 

@@ -567,6 +567,17 @@ def test_one_scan_mixes_closed_form_oracle_and_failed_rows():
     assert np.max(np.abs(res.values[1] - reference)) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "drive,gamma",
+    [(AsyncTanhSech(0.3, 1.0, 1.0), 1e8), (AsyncTanhSech(0.3, 1.0, 1.0), 1e300)]
+    + [(_flip_params(0.4, 1.0), 1e8 + 0.5)],
+)
+def test_a_large_gamma_on_a_branch_takes_the_closed_form(drive, gamma):
+    # sin(pi * 1e8) evaluated to -3.9e-8, so these points went to the oracle
+    assert select_engine(drive, gamma) == ENGINE_ASYNC
+    assert off_branch_reason(drive, gamma) is None
+
+
 def test_default_horizon_refuses_a_rate_that_overflows_it():
     with pytest.raises(ValueError, match=r"^default horizon 25/min\(chi, 1\) must be finite"):
         default_horizon(AsyncTanhSech(0.3, 1.0, 1e-308))

@@ -257,3 +257,41 @@ def test_solve_gates_an_asynchronous_drive_once(params, gamma, monkeypatch):
         monkeypatch.setattr(f"{module}.branch_signs", counted, raising=False)
     solve(params, gamma, (0.6, 0.0, 0.0, 0.8), 0.0)
     assert len(calls) == 1
+
+
+_INVERSE_TIMES = (0.0, 3.7, -25.0, -250.0, 60.0)
+
+
+def _branch_members(rng, n, branch):
+    """Fields (epsilon, upsilon, chi) and gammas of n seeded drives on one branch."""
+    eps, chi = rng.uniform(-2.0, 2.0, n), rng.uniform(0.1, 3.0, n)
+    if branch == "conserving":
+        return (eps, rng.uniform(-3.0, 3.0, n), chi), rng.integers(-4, 5, n) * 1.0
+    # the flip constraint holds with either sign of upsilon
+    ups = rng.choice([-1.0, 1.0], n) * np.hypot(0.5 * chi, eps)
+    return (eps, ups, chi), rng.integers(-4, 4, n) + 0.5
+
+
+@pytest.mark.parametrize("branch", ["conserving", "flip"])
+def test_inverse_is_exact_on_every_member(branch):
+    # the inverse that replaced a batched LU solve: each pair block by its
+    # closed form, ([x, y], [x, -y]) or the flip block's adjugate
+    fields, gamma = _branch_members(np.random.default_rng(2025), 4000, branch)
+    basis, inverse, _ = modes(AsyncTanhSech(*fields), gamma)
+    for t in _INVERSE_TIMES:
+        residual = inverse(t) @ basis(t) - np.eye(4)
+        assert np.max(np.abs(residual)) <= 1e-14, t
+
+
+def test_solution_returns_every_start_at_its_epoch_on_a_mixed_stack():
+    rng = np.random.default_rng(9)
+    parts = [_branch_members(rng, 2000, branch) for branch in ("conserving", "flip")]
+    # the two branches' members interleaved
+    order = rng.permutation(4000)
+    fields = [np.concatenate(field)[order] for field in zip(*(f for f, _ in parts))]
+    gamma = np.concatenate([g for _, g in parts])[order]
+    states0 = rng.standard_normal((4000, 4)) + 1j * rng.standard_normal((4000, 4))
+    states0 /= np.linalg.norm(states0, axis=1, keepdims=True)
+    t0 = rng.choice(_INVERSE_TIMES, 4000)
+    solution = solve(AsyncTanhSech(*fields), gamma, states0, t0)
+    assert np.max(np.abs(solution.states(t0) - states0)) <= 1e-12

@@ -102,6 +102,29 @@ def test_classify_refuses_what_is_not_finite_by_name(argv, name, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["--V", "1e300", "--Omega", "1"], "2V/Omega"),
+        (["--V", str(2.0**51), "--Omega", "1"], "2V/Omega"),
+        (["--upsilon", "1e17", "--chi", "1"], "upsilon/chi"),
+        (["--upsilon", str(-(2.0**52)), "--chi", "1"], "upsilon/chi"),
+    ],
+)
+def test_classify_refuses_a_ratio_with_no_fractional_digits_left(argv, name, capsys):
+    # --V 1e300 --Omega 1 printed "sync: CCPC n=6366197723675814019..."
+    assert main(["classify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name} must be below 2**52 in magnitude")
+    assert captured.out == ""
+
+
+def test_classify_keeps_a_ratio_just_below_two_to_the_52(capsys):
+    assert main(["classify", "--V", str(2.0**50), "--Omega", "1"]) == 0
+    assert main(["classify", "--upsilon", str(2.0**52 - 1.0), "--chi", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_classify_without_enough_arguments(capsys):
     assert main(["classify", "--beta", "0.5"]) == 2
     assert "nothing to classify" in capsys.readouterr().err
@@ -441,6 +464,40 @@ def test_scan_whose_fixed_value_fails_every_row_exits_2(fixed, refusal, tmp_path
     assert not out.exists()
 
 
+def test_scan_whose_every_row_fails_exits_2(tmp_path, capsys):
+    # every row failed in run_scan, and the scan wrote three NaN rows and exited 0
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(
+        "swept=gamma\ngrid_lo=0.1\ngrid_hi=0.5\ngrid_n=3\nepsilon=0.3\nupsilon=1\nchi=1e-308\n"
+    )
+    out = tmp_path / "out"
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: every point of the scan failed, the first at gamma=0.10000000000000001: "
+        "default horizon 25/min(chi, 1) must be finite, got inf\n"
+    )
+    assert not out.exists()
+
+
+def test_scan_whose_oracle_rows_fail_keeps_its_closed_form_rows(tmp_path, monkeypatch):
+    def failing(*args):
+        raise RuntimeError("the oracle failed")
+
+    monkeypatch.setattr("sodw.analysis.integrate_batch", failing)
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("swept=gamma\ngrid_lo=0.5\ngrid_hi=2\ngrid_n=4\nepsilon=0.3\nupsilon=1\nchi=1\n")
+    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta = _read_meta(tmp_path / "scan_meta")
+    failures = {key: value for key, value in meta.items() if key.startswith("failure_")}
+    assert failures == {
+        "failure_0": "0.5: the oracle failed",
+        "failure_1": "1.5: the oracle failed",
+    }
+    _, rows = _csv_table(tmp_path / "scan_data.csv")
+    assert [row[-1] for row in rows] == ["oracle", "async-exact", "oracle", "async-exact"]
+    assert [row[1] == "nan" for row in rows] == [True, False, True, False]
+
+
 def test_figure_cli_deterministic_surface(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["figure", "--id", "3c", "--grid", "5", "--out", str(out1)]) == 0
@@ -626,6 +683,16 @@ def test_evolve_refuses_nonfinite_drive(argv, tmp_path, capsys):
     assert main(["evolve", *argv, "--engine", "exact", "--out", str(tmp_path)]) == 2
     assert "must be finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_evolve_at_a_large_gamma_is_the_evolve_at_its_reduced_value(tmp_path):
+    # gamma = 1e308 warned, wrote NaN rows and exited 0
+    for gamma, label in (("1e308", "large"), ("0", "reduced")):
+        argv = ["evolve", "--protocol", "sync", "--gamma", gamma, "--engine", "exact"]
+        assert main([*argv, "--label", label, "--out", str(tmp_path)]) == 0
+    large, reduced = (tmp_path / f"{label}_data.csv" for label in ("large", "reduced"))
+    assert large.read_bytes() == reduced.read_bytes()
+    assert "nan" not in large.read_text()
 
 
 @pytest.mark.parametrize("gamma", ["1.000001", "0.3"])

@@ -7,6 +7,8 @@ from sodw.core import (
     AsyncTanhSech,
     SyncSech2,
     as_state,
+    branch_signs,
+    coupling_angle,
     coupling_values,
     hamiltonian_matrix,
     imbalance,
@@ -107,6 +109,34 @@ def test_hamiltonian_structure():
     assert np.allclose(h, expected, atol=0.0)
     assert np.array_equal(h, h.T)
     assert h.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "gamma,signs",
+    [
+        (1e8, (1.0, 0.0)),
+        (1e8 + 1.0, (-1.0, 0.0)),
+        (1e8 + 0.5, (0.0, 1.0)),
+        (-1e8 - 0.5, (0.0, -1.0)),
+        (2.0**53 + 2.0, (1.0, 0.0)),
+        (1e300, (1.0, 0.0)),
+        (-1.7e308, (1.0, 0.0)),
+    ],
+)
+def test_branch_signs_of_a_large_gamma(gamma, signs):
+    # np.pi * gamma lost the reduction: branch_signs(1e8) was (0, 0), since
+    # sin(pi * 1e8) evaluated to -3.9e-8, and sin(pi * 1e300) to -0.90
+    assert tuple(map(float, branch_signs(gamma))) == signs
+
+
+def test_coupling_angle_reduces_exactly_and_keeps_a_small_gamma():
+    g = np.random.default_rng(41).uniform(-4.0, 4.0, 100_000)
+    assert np.array_equal(coupling_angle(g), g)
+    assert np.array_equal(coupling_angle([1e8, 1e8 + 0.5, -1e8 - 3.25, 1e300]), [0, 0.5, -3.25, 0])
+    # H at a large gamma is H at the reduced one, bit for bit
+    for large, reduced in ((1e300, 0.0), (1e8 + 2.5, 2.5)):
+        want = hamiltonian_matrix(reduced, [0.3, 1.2], 0.4)
+        assert np.array_equal(hamiltonian_matrix(large, [0.3, 1.2], 0.4), want)
 
 
 def test_hamiltonian_rejects_nonfinite():

@@ -37,3 +37,24 @@ def test_only_cli_main_writes_to_stderr():
     # every refusal is a ValueError; cli.main alone prints it and exits 2
     uses = [use for path in sorted((_ROOT / "src/sodw").glob("*.py")) for use in _stderr_uses(path)]
     assert not uses, f"sys.stderr outside cli.main: {', '.join(uses)}"
+
+
+def _linalg_inversions(path):
+    """Lines of path that call or import a linear-system solve or a matrix inverse."""
+    tree = ast.parse(path.read_text())
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("solve", "inv"):
+            if isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+                lines.append(node.lineno)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            if any(alias.name in ("solve", "inv") for alias in node.names):
+                lines.append(node.lineno)
+    return [f"{path.name}:{n}" for n in lines]
+
+
+def test_closed_forms_solve_no_linear_system():
+    # each engine's modes() supplies the exact inverse of its own basis
+    paths = sorted((_ROOT / "src/sodw").glob("*.py"))
+    uses = [use for path in paths for use in _linalg_inversions(path)]
+    assert not uses, f"linalg solve or inv in src/sodw: {', '.join(uses)}"

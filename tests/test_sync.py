@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from sodw import SyncSech2, classify_sync_condition, solve
 from sodw.core import hamiltonian_matrix, imbalance
-from sodw.sync import eigen_sync, tau_sech2
+from sodw.sync import eigen_sync, modes, tau_sech2
 
 
 def _tau_hamiltonian(beta, gamma):
@@ -266,3 +266,52 @@ def test_infinite_epoch_anchors_at_saturated_tau():
     for t0 in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite or -inf"):
             solve(proto, 0.6, (0, 0, 1, 0), t0)
+
+
+def _edge_members(rng, n):
+    """n seeded drives and gammas, the second half near beta = +/-1 and an integer gamma.
+
+    Those lie within 1e-6 of beta = +/-1; their gamma offsets from the
+    integer run from 1e-12 to 1e-6, across the branch gate at
+    |sin(pi*gamma)| = 1e-9, so both the decoupled blocks and the closed-form
+    vectors at their most ill-conditioned are drawn.
+    """
+    edge = n - n // 2
+    beta = rng.uniform(-4.0, 4.0, n)
+    gamma = rng.uniform(-3.0, 3.0, n)
+    beta[-edge:] = rng.choice([-1.0, 1.0], edge) + rng.uniform(-1e-6, 1e-6, edge)
+    offset = rng.choice([-1.0, 1.0], edge) * 10.0 ** rng.uniform(-12.0, -6.0, edge)
+    gamma[-edge:] = rng.integers(-3, 4, edge) + offset
+    return SyncSech2(beta, rng.uniform(0.1, 20.0, n), rng.uniform(0.2, 3.0, n)), gamma
+
+
+def test_inverse_is_exact_on_every_member():
+    # the inverse that replaced a batched LU solve: diag(exp(i lam tau)) vec
+    drive, gamma = _edge_members(np.random.default_rng(2024), 8000)
+    basis, inverse, limits = modes(drive, gamma)
+    for t in (-math.inf, -250.0, -25.0, 0.0, 3.7, 60.0):
+        residual = inverse(t) @ basis(t) - np.eye(4)
+        assert np.max(np.abs(residual)) <= 1e-14, t
+    assert np.array_equal(basis(-math.inf), limits[0])
+
+
+def test_solution_returns_every_start_at_its_epoch():
+    rng = np.random.default_rng(7)
+    drive, gamma = _edge_members(rng, 2000)
+    states0 = rng.standard_normal((2000, 4)) + 1j * rng.standard_normal((2000, 4))
+    states0 /= np.linalg.norm(states0, axis=1, keepdims=True)
+    t0 = rng.choice([0.0, 3.7, -25.0, -250.0, 60.0], 2000)
+    solution = solve(drive, gamma, states0, t0)
+    assert np.max(np.abs(solution.states(t0) - states0)) <= 1e-12
+
+
+def test_a_large_gamma_is_solved_at_its_reduced_value():
+    # sin(pi * 1e300) evaluated to -0.90 where it is 0, and gamma = 1e308
+    # gave an all-NaN trajectory
+    proto = SyncSech2(0.3, 1.2, 1.0)
+    times = np.linspace(-5.0, 5.0, 11)
+    for large, reduced in ((1e300, 0.0), (1e308, 0.0), (1e8 + 0.25, 0.25), (-1e8 - 3.5, -3.5)):
+        want = solve(proto, reduced, (0, 0, 1, 0), -math.inf)
+        got = solve(proto, large, (0, 0, 1, 0), -math.inf)
+        assert np.array_equal(got.states(times), want.states(times)), large
+        assert np.array_equal(got.asymptotes(), want.asymptotes()), large
