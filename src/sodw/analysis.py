@@ -25,14 +25,15 @@ solve() is the one entry point to the closed forms.  Each engine is only
 what differs between the drives: sync.modes and asynchronous.modes gate the
 drive once and return its mode basis B(t), with a(t) = B(t) c, the exact
 inverse B(t)^-1 that the engine builds from its own structure, and limit
-matrices L-/+, with P(-/+inf) = |L-/+ c|^2.  Solution fixes c = B(t0)^-1 a0
-from the initial state, which may differ from member to member together
-with its time, and serves every engine alike; populations are plain arrays
-with the four levels on their last axis.  solve() refuses a t0 that is neither
-finite nor -inf, and holds the one rule for a state given at t0 = -inf: the
-synchronous engine imposes it exactly, at B(-inf) (the rescaled time
-saturates at -V/Omega), and the asynchronous branches impose it at
-t = -default_horizon(protocol).
+matrices L-/+, with P(-/+inf) = |L-/+ c|^2; the synchronous drive and the
+conserving branch build them alike from the drive's pulse areas.  Solution
+fixes c = B(t0)^-1 a0 from the initial state, which may differ from member
+to member together with its time, and serves every engine alike;
+populations are plain arrays with the four levels on their last axis.
+solve() refuses a t0 that is neither finite nor -inf, and holds the one
+rule for a state given at t0 = -inf: the synchronous engine imposes it
+exactly, at B(-inf) (the rescaled time saturates at -V/Omega), and the
+asynchronous branches impose it at t = -default_horizon(protocol).
 """
 
 from __future__ import annotations

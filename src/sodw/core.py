@@ -25,6 +25,9 @@ members from it, and ``asynchronous.gate`` adds the flip-branch parameter
 constraint and the refusal text to it.  A drive is a SyncSech2 or an
 AsyncTanhSech, the two drives the closed forms solve; both refuse every
 parameter that is not finite, and values(t) gives both drive values at once.
+areas(t) gives the pulse areas (phi_u, phi_e), both values integrated from 0
+to t, and saturated_area() phi_u(+inf): all that the synchronous engine and
+the spin-conserving branch read of a drive.  Each refuses an overflow by name.
 stack_drives makes one drive of several of one class, whose fields are stacks.
 
 Everything here is dimensionless and immutable; all functions are pure and
@@ -33,6 +36,7 @@ safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -121,6 +125,13 @@ def branch_signs(gamma):
     return conserving, flip
 
 
+def _log_cosh(x):
+    # |x| - ln 2 + log1p(e^{-2|x|}) == ln cosh(x): no overflow in cosh, and
+    # exactly the |x| - ln 2 asymptote once |x| > 40, where log1p underflows
+    ax = np.abs(x)
+    return ax - math.log(2.0) + np.log1p(np.exp(-2.0 * ax))
+
+
 @dataclass(frozen=True)
 class SyncSech2:
     """Synchronous drive: upsilon(t) = V*sech^2(Omega*t), epsilon(t) = beta*upsilon(t).
@@ -146,6 +157,17 @@ class SyncSech2:
         ups = self.V / np.cosh(self.Omega * t) ** 2
         return ups, self.beta * ups
 
+    @np.errstate(over="ignore")
+    def saturated_area(self):
+        """phi_u(+inf) = V/Omega, refused by name unless every member's is finite."""
+        return _require_finite("V/Omega", self.V / self.Omega)
+
+    @np.errstate(over="ignore")
+    def areas(self, t):
+        """(phi_u, phi_e) at t: the rescaled time tau = (V/Omega) tanh(Omega t) and beta*tau."""
+        tau = self.saturated_area() * np.tanh(self.Omega * np.asarray(t, dtype=float))
+        return tau, self.beta * tau
+
 
 @dataclass(frozen=True)
 class AsyncTanhSech:
@@ -170,6 +192,23 @@ class AsyncTanhSech:
         """(upsilon, epsilon) at t; t broadcasts against the fields, which may be stacked."""
         x = self.chi * t
         return self.upsilon / np.cosh(x), self.epsilon * np.tanh(x)
+
+    @np.errstate(over="ignore")
+    def saturated_area(self):
+        """phi_u(+inf) = pi*upsilon/(2 chi), refused by name unless every member's is finite."""
+        return _require_finite("pi*upsilon/(2*chi)", 0.5 * math.pi * self.upsilon / self.chi)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def areas(self, t):
+        """(phi_u, phi_e) at finite t; phi_e grows without bound and is refused where it overflows.
+
+        phi_u = (2 ups/chi) arctan(tanh(chi t/2)) and phi_e = (eps/chi) ln cosh(chi t).
+        """
+        x = self.chi * np.asarray(t, dtype=float)
+        phi_u = _require_finite("2*upsilon/chi", 2.0 * self.upsilon / self.chi)
+        phi_u = phi_u * np.arctan(np.tanh(0.5 * x))
+        phi_e = (self.epsilon / self.chi) * _log_cosh(x)
+        return phi_u, _require_finite("phi_e = (epsilon/chi)*ln cosh(chi*t)", phi_e)
 
 
 def as_state(amplitudes):

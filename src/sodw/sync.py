@@ -1,11 +1,17 @@
 """Exact solution engine for the synchronous drive epsilon(t) = beta*upsilon(t).
 
-With upsilon(t) = V*sech^2(Omega*t) the substitution tau(t) = (V/Omega)*tanh(Omega*t)
-maps the four-level problem onto a constant-coefficient one,
+H(t) = upsilon(t) T + epsilon(t) Z commutes with itself at all times on this
+drive, H(t) = upsilon(t) H_tau, and on the asynchronous drive's
+spin-conserving branch, where sin(pi*gamma) = 0 gives [T, Z] = 0.  Both then
+take one closed form, a(t) = V exp(-i (Lambda_u phi_u(t) + Lambda_e phi_e(t)))
+V^T a(0), over orthonormal eigenvectors V and the pulse areas phi_u, phi_e
+of the drive's areas(t); _commuting_modes builds it for modes() here and
+for asynchronous.modes().  On this drive phi_u = tau(t) =
+(V/Omega)*tanh(Omega*t) gives a constant-coefficient problem,
 
     i da/dtau = H_tau a,      H_tau = hamiltonian_matrix(gamma, 1, beta),
 
-whose characteristic values come in opposite-sign pairs
+so Lambda_u holds its characteristic values, in opposite-sign pairs
 
     lambda_{1,2} = -/+ sqrt(1 + beta^2 - 2*beta*cos(pi*gamma)),
     lambda_{3,4} = -/+ sqrt(1 + beta^2 + 2*beta*cos(pi*gamma)),
@@ -16,28 +22,21 @@ with eigenvectors proportional to (1, alpha, 1, -alpha) for the first pair and
     alpha = (cos(pi*gamma) - beta + lambda) / sin(pi*gamma),
     eta   = (cos(pi*gamma) + beta - lambda) / sin(pi*gamma).
 
-The general solution is a_k(tau) = sum_m s_m vec[m]_k exp(-i lambda_m tau), so
-modes() returns the basis B(t)[k, m] = vec[m]_k exp(-i lambda_m tau(t)) with
-a(t) = B(t) s, and the limit matrices B(-inf), B(+inf), which are exact
-because tau saturates at -/+V/Omega.  The coefficients s_m are fixed by the
-state at one reference time (analysis.solve).
+modes() returns the basis B(t)[k, m] = vec[m]_k exp(-i lambda_m tau(t)), with
+a(t) = B(t) s and s fixed at one reference time (analysis.solve), and the
+exact limits B(-/+inf) at tau = -/+V/Omega.  An eigenvalue or a phase
+lambda*V/Omega that overflows is refused by name.
 
-Note on the basis: by their (1, x, 1, -x) / (1, y, -1, y) structure the four
-vectors are mutually orthogonal for EVERY (beta, gamma), including at the
-beta=0 spectral degeneracy lambda_1 = lambda_3 (any two vectors from different
-pairs have component products that cancel in the dot product, and within a
-pair alpha_plus*alpha_minus = eta_plus*eta_minus = -1, which _csc_roots
-imposes by construction).  Normalized, they are orthonormal, so the inverse
-of the basis is B(t)^-1 = diag(exp(i lambda tau(t))) vec, with no linear
-system to solve; modes() returns it next to the basis.  A seeded property
-test (tests/test_sync.py) holds inverse(t) @ basis(t) within 1e-14 of the
-identity over thousands of members, half of them within 1e-6 of beta = +/-1
-and within 1e-12 to 1e-6 of an integer gamma, at finite t and at t = -inf.
+The four vectors are orthogonal for EVERY (beta, gamma), the beta=0
+degeneracy lambda_1 = lambda_3 included: within a pair alpha_plus*alpha_minus
+= eta_plus*eta_minus = -1, which _csc_roots imposes by construction.  So
+B(t)^-1 = diag(exp(i lambda tau(t))) vec, with no linear system to solve; a
+seeded property test (tests/test_sync.py) holds it within 1e-14 of the
+inverse over thousands of members near beta = +/-1 and integer gamma.
 
 When |sin(pi*gamma)| < 1e-9 (core.branch_signs puts gamma on the conserving
-branch) the alpha/eta expressions are indeterminate; H_tau then decouples
-into the 2x2 blocks (a1,a3) and (a2,a4), and those members take the blocks'
-closed-form eigenpairs instead.
+branch) alpha and eta are indeterminate; H_tau decouples into the blocks
+(a1,a3) and (a2,a4), whose eigenvectors, _BLOCK_VECTORS, those members take.
 
 Every function works on a stack of members: beta, gamma and the pulse's V
 may be arrays, and each result gains their broadcast shape S in front of its
@@ -51,14 +50,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONDITION_TOL, SyncSech2, _require_fraction, branch_signs, coupling_angle
-from .core import coupling_values
+from .core import CONDITION_TOL, SyncSech2, _require_finite, _require_fraction, branch_signs
+from .core import coupling_angle, coupling_values
 
 __all__ = [
     "EigenSystem",
     "SyncCondition",
     "eigen_sync",
-    "tau_sech2",
     "modes",
     "classify_sync_condition",
 ]
@@ -129,8 +127,11 @@ def eigen_sync(beta, gamma):
     first = np.where(negative, one_plus_c, one_minus_c)
     second = np.where(negative, one_minus_c, one_plus_c)
     d = 1.0 - np.abs(beta)
-    r1 = np.sqrt(d * d + 2.0 * np.abs(beta) * first)
-    r2 = np.sqrt(d * d + 2.0 * np.abs(beta) * second)
+    with np.errstate(over="ignore"):
+        r1 = np.sqrt(d * d + 2.0 * np.abs(beta) * first)
+        r2 = np.sqrt(d * d + 2.0 * np.abs(beta) * second)
+    for r in (r1, r2):
+        _require_finite("eigenvalue sqrt((1 - |beta|)^2 + 2|beta|(1 -/+ cos(pi*gamma)))", r)
     sin_pg = np.sin(np.pi * g)
     alpha_minus, alpha_plus = _csc_roots(sign * (d - first), r1, sin_pg)
     eta_minus, eta_plus = _csc_roots(sign * (second - d), r2, sin_pg)
@@ -161,11 +162,36 @@ def eigen_sync(beta, gamma):
     return EigenSystem(lam, vec)
 
 
-def tau_sech2(V, Omega, t):
-    """Rescaled time tau(t) = (V/Omega)*tanh(Omega*t) for the sech^2 pulse."""
-    if not np.all(np.asarray(Omega) > 0):
-        raise ValueError(f"Omega must be > 0, got {Omega}")
-    return (V / Omega) * np.tanh(Omega * np.asarray(t, dtype=float))
+def _commuting_modes(vectors, drive, lam_u, lam_e=None):
+    """(basis, inverse, limits) of a drive whose H(t) commutes with itself at all times.
+
+    The rows of vectors are real orthonormal eigenvectors, lam_u (and lam_e)
+    their eigenvalues, with slots 1 and 3 the negated slots 0 and 2.
+    """
+    columns = np.swapaxes(vectors, -1, -2)
+    lam_u = lam_u[..., ::2, None]
+    lam_e = None if lam_e is None else lam_e[..., ::2, None]
+
+    def pairs(theta):
+        # exp(-i theta) of slots 0 and 2, then of slots 1 and 3 as their conjugates
+        pair = np.exp(-1j * theta)
+        return np.concatenate([pair, np.conj(pair)], axis=-1).reshape(pair.shape[:-2] + (4,))
+
+    def basis(t):
+        phi_u, phi_e = drive.areas(t)
+        theta = lam_u * phi_u[..., None, None]
+        if lam_e is not None:
+            theta = theta + lam_e * phi_e[..., None, None]
+        return columns * pairs(theta)[..., None, :]
+
+    def inverse(t):
+        return np.conj(np.swapaxes(basis(t), -1, -2))
+
+    # the largest phase of every mode, at phi_u(-inf) = -phi_u(+inf); +inf conjugates it
+    with np.errstate(over="ignore"):
+        theta = lam_u * -drive.saturated_area()[..., None, None]
+    past = pairs(_require_finite("mode phase lambda*phi_u(+inf)", theta))
+    return basis, inverse, columns * np.stack([past, np.conj(past)])[..., None, :]
 
 
 def modes(protocol, gamma):
@@ -173,32 +199,11 @@ def modes(protocol, gamma):
 
     basis(t)[..., k, m] = vec[m]_k exp(-i lam_m tau(t)) has shape S + (4, 4)
     for members of shape S (t broadcasts against S; one member: T + (4, 4)).
-    inverse(t)[..., m, k] = exp(i lam_m tau(t)) vec[m]_k, its conjugate
-    transpose, is its inverse, as the vectors are orthonormal and the phases
-    unimodular; both take t = -inf, where tau saturates.
+    inverse(t) is its conjugate transpose; both take t = -inf, as tau saturates.
     limits = basis(-/+inf), shape (2,) + S + (4, 4), so P(-/+inf) = |limits @ s|^2.
     """
     eig = eigen_sync(protocol.beta, gamma)
-    vectors = np.swapaxes(eig.vec, -1, -2)
-    # lam_1 = -lam_0 and lam_3 = -lam_2, so each pair's phases are conjugates
-    lam = eig.lam[..., ::2, None]
-
-    def phases(t):
-        # exp(-i lam_m tau(t)) of the four modes, from one exp per pair
-        tau = tau_sech2(protocol.V, protocol.Omega, t)
-        pair = np.exp(-1j * lam * tau[..., None, None])
-        return np.concatenate([pair, np.conj(pair)], axis=-1).reshape(pair.shape[:-2] + (4,))
-
-    def basis(t):
-        return vectors * phases(t)[..., None, :]
-
-    def inverse(t):
-        return np.conj(np.swapaxes(basis(t), -1, -2))
-
-    # tau(+inf) = -tau(-inf), so the phases at +inf conjugate those at -inf
-    shape = np.broadcast_shapes(eig.lam.shape[:-1], np.shape(protocol.V), np.shape(protocol.Omega))
-    past = phases(np.full(shape, -math.inf))
-    return basis, inverse, vectors * np.stack([past, np.conj(past)])[..., None, :]
+    return _commuting_modes(eig.vec, protocol, eig.lam)
 
 
 @dataclass(frozen=True)

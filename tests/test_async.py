@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from sodw import (
     AsyncTanhSech,
     IntegratorConfig,
+    SyncSech2,
     check_flip_constraint,
     classify_async_conserving,
     integrate,
@@ -18,7 +19,7 @@ from sodw import (
     solve,
 )
 from sodw.analysis import ENGINE_ASYNC
-from sodw.asynchronous import modes, phase_integrals
+from sodw.asynchronous import modes
 from sodw.core import branch_signs, stack_drives
 
 
@@ -37,25 +38,25 @@ def test_phase_integrals_match_quadrature():
         ref_u, err_u = quad(lambda u: ups / math.cosh(chi * u), 0.0, t)
         ref_e, err_e = quad(lambda u: eps * math.tanh(chi * u), 0.0, t)
         assert max(err_u, err_e) < 1e-8
-        phi_u, phi_e = phase_integrals(eps, ups, chi, t)
+        phi_u, phi_e = AsyncTanhSech(eps, ups, chi).areas(t)
         assert abs(phi_u - ref_u) < 1e-9
         assert abs(phi_e - ref_e) < 1e-9
 
 
 def test_phase_integrals_saturation_and_stability():
-    phi_u, _ = phase_integrals(0.5, 1.2, 1.0, 60.0)
+    drive = AsyncTanhSech(0.5, 1.2, 1.0)
+    phi_u, _ = drive.areas(60.0)
     assert phi_u == pytest.approx(0.5 * math.pi * 1.2, abs=1e-15)
+    assert drive.saturated_area() == 0.5 * math.pi * 1.2
     # ln cosh evaluated where cosh itself overflows float64
-    _, big = phase_integrals(0.5, 1.2, 1.0, 1000.0)
+    _, big = drive.areas(1000.0)
     assert math.isfinite(big)
     assert big == pytest.approx(0.5 * (1000.0 - math.log(2.0)), rel=1e-14)
-    phi_u, phi_e = phase_integrals(0.5, 1.2, 1.0, np.linspace(-3, 3, 7))
+    phi_u, phi_e = drive.areas(np.linspace(-3, 3, 7))
     assert phi_u.shape == (7,)
     # phi_u odd, phi_e even
     assert_allclose(phi_u, -phi_u[::-1], atol=1e-15)
     assert_allclose(phi_e, phi_e[::-1], atol=1e-15)
-    with pytest.raises(ValueError):
-        phase_integrals(0.5, 1.2, 0.0, 1.0)
 
 
 def test_branch_sign_gates():
@@ -112,6 +113,22 @@ def test_imbalance_inversion_when_pulse_area_is_half_integer():
         assert abs((p_plus[3] - p_plus[1]) + (p_minus[3] - p_minus[1])) < 1e-12
 
 
+def test_area_theorem_ties_the_conserving_branch_to_the_synchronous_drive():
+    # both closed forms need only the tunnelling area: at beta = 0 and sin(pi*gamma) = 0
+    # a sech^2 pulse with 2V/Omega = pi*ups/chi ends where the tanh/sech drive ends,
+    # whatever its epsilon, as phi_e is one phase on each pair
+    rng = np.random.default_rng(31)
+    n = 200
+    eps, ups, chi = rng.uniform(-2.0, 2.0, n), rng.uniform(-3.0, 3.0, n), rng.uniform(0.3, 3.0, n)
+    omega = rng.uniform(0.3, 3.0, n)
+    gamma = rng.integers(0, 4, n) * 1.0
+    states0 = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    states0 /= np.linalg.norm(states0, axis=1, keepdims=True)
+    sync = solve(SyncSech2(0.0, 0.5 * math.pi * ups * omega / chi, omega), gamma, states0, 0.0)
+    conserving = solve(AsyncTanhSech(eps, ups, chi), gamma, states0, 0.0)
+    assert np.max(np.abs(sync.asymptotes() - conserving.asymptotes())) <= 1e-13
+
+
 def test_classify_conserving_conditions():
     c = classify_async_conserving(2.0, 1.0)
     assert (c.kind, c.ratio) == ("CCPC", 2.0)
@@ -127,7 +144,7 @@ def test_balanced_pair_freezes_dynamics():
     params = AsyncTanhSech(0.6, 1.7, 1.1)
     r = 1.0 / math.sqrt(2.0)
     solution = solve(params, 0.0, (r, 0.0, r, 0.0), -3.0)
-    assert abs(solution.coeffs[1]) < 1e-15  # A-
+    assert abs(solution.coeffs[2]) < 1e-15  # the antisymmetric (a1, a3) mode
     t = np.linspace(-25.0, 25.0, 101)
     assert np.max(np.abs(_z31(solution, t))) < 1e-14
     p = np.abs(solution.states(t)) ** 2
@@ -274,8 +291,8 @@ def _branch_members(rng, n, branch):
 
 @pytest.mark.parametrize("branch", ["conserving", "flip"])
 def test_inverse_is_exact_on_every_member(branch):
-    # the inverse that replaced a batched LU solve: each pair block by its
-    # closed form, ([x, y], [x, -y]) or the flip block's adjugate
+    # the inverse that replaced a batched LU solve: the conjugate transpose of
+    # the conserving basis, or each flip pair block's adjugate
     fields, gamma = _branch_members(np.random.default_rng(2025), 4000, branch)
     basis, inverse, _ = modes(AsyncTanhSech(*fields), gamma)
     for t in _INVERSE_TIMES:

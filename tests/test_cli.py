@@ -228,6 +228,9 @@ def test_evolve_config_with_flag_override(tmp_path):
 _OFF_BRANCH = ["--protocol", "async", "--gamma", "0.3"]
 
 
+_EXACT_GRID_5 = ["--engine", "exact", "--grid", "5"]
+
+
 @pytest.mark.parametrize(
     "verb,config,flags,refusal",
     [
@@ -284,6 +287,31 @@ _OFF_BRANCH = ["--protocol", "async", "--gamma", "0.3"]
             ["--protocol", "sync", "--gamma", "0.5", "--epoch=-inf", "--horizon", "1e308"],
             "2*horizon must be finite, got inf\n",
         ),
+        (
+            "evolve",
+            None,
+            [*_EXACT_GRID_5, "--protocol", "sync", "--gamma", "0.5", "--beta", "1e308"],
+            "eigenvalue sqrt((1 - |beta|)^2 + 2|beta|(1 -/+ cos(pi*gamma))) must be finite, "
+            "got inf\n",
+        ),
+        (
+            "evolve",
+            None,
+            [*_EXACT_GRID_5, "--protocol", "sync", "--gamma", "0.5", "--beta", "2", "--V", "1e308"],
+            "mode phase lambda*phi_u(+inf) must be finite, got inf\n",
+        ),
+        (
+            "evolve",
+            None,
+            [*_EXACT_GRID_5, "--protocol", "async", "--gamma", "1", "--upsilon", "1e308"],
+            "2*upsilon/chi must be finite, got inf\n",
+        ),
+        (
+            "evolve",
+            None,
+            [*_EXACT_GRID_5, "--protocol", "async", "--gamma", "1", "--epsilon", "1e308"],
+            "phi_e = (epsilon/chi)*ln cosh(chi*t) must be finite, got inf\n",
+        ),
     ],
     ids=[
         "bad-config-line",
@@ -304,13 +332,18 @@ _OFF_BRANCH = ["--protocol", "async", "--gamma", "0.3"]
         "evolve-default-horizon-overflow",
         "evolve-window-end-overflow",
         "evolve-window-span-overflow",
+        "evolve-sync-eigenvalue-overflow",
+        "evolve-sync-phase-overflow",
+        "evolve-async-phi_u-overflow",
+        "evolve-async-phi_e-overflow",
     ],
 )
 def test_cli_refusal_exits_2_and_writes_nothing(verb, config, flags, refusal, tmp_path, capsys):
     # the first five used to exit 1, the next four printed no "error: ", the
     # negative grids printed numpy's text, which names neither --grid nor grid_n,
     # and a grid end that is not finite was refused as a grid not monotone;
-    # a derived value that overflowed crashed, warned or named no argument
+    # a derived value that overflowed crashed, warned or named no argument, and
+    # one that overflowed inside a closed form wrote NaN rows and exited 0
     if config is not None:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
@@ -693,6 +726,16 @@ def test_evolve_at_a_large_gamma_is_the_evolve_at_its_reduced_value(tmp_path):
     large, reduced = (tmp_path / f"{label}_data.csv" for label in ("large", "reduced"))
     assert large.read_bytes() == reduced.read_bytes()
     assert "nan" not in large.read_text()
+
+
+def test_evolve_at_a_large_phase_that_stays_finite_keeps_its_rows(tmp_path):
+    # the phase lambda*V/Omega = 1e308 is finite, so nothing is refused
+    argv = ["evolve", "--protocol", "sync", "--gamma", "0.5", "--beta", "0", "--V", "1e308"]
+    assert main([*argv, *_EXACT_GRID_5, "--out", str(tmp_path)]) == 0
+    header, rows = _csv_table(tmp_path / "run_data.csv")
+    values = np.array(rows, dtype=float)
+    assert values.shape == (5, len(header)) and np.all(np.isfinite(values))
+    assert np.max(np.abs(values[:, header.index("norm2")] - 1.0)) < 1e-12
 
 
 @pytest.mark.parametrize("gamma", ["1.000001", "0.3"])

@@ -58,3 +58,38 @@ def test_closed_forms_solve_no_linear_system():
     paths = sorted((_ROOT / "src/sodw").glob("*.py"))
     uses = [use for path in paths for use in _linalg_inversions(path)]
     assert not uses, f"linalg solve or inv in src/sodw: {', '.join(uses)}"
+
+
+def _top_level_names(tree):
+    """Names a module binds at its top level: definitions, assignments and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    return names
+
+
+def _exported_names(tree):
+    """The literal __all__ of a module, or () when it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return ()
+
+
+@pytest.mark.parametrize(
+    "path", sorted((_ROOT / "src/sodw").glob("*.py")), ids=lambda path: path.name
+)
+def test_every_name_in_all_is_bound_in_its_module(path):
+    # perfbench/tracing.py wraps each __all__ name through getattr, so a name
+    # left there after its definition is gone crashes every traced run
+    tree = ast.parse(path.read_text())
+    unbound = sorted(set(_exported_names(tree)) - _top_level_names(tree))
+    assert not unbound, f"{path.name} exports names it does not bind: {', '.join(unbound)}"

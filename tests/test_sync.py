@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from sodw import SyncSech2, classify_sync_condition, solve
 from sodw.core import hamiltonian_matrix, imbalance
-from sodw.sync import eigen_sync, modes, tau_sech2
+from sodw.sync import eigen_sync, modes
 
 
 def _tau_hamiltonian(beta, gamma):
@@ -117,17 +117,23 @@ def test_degenerate_coupling_angle_branch():
 
 
 def test_tau_map_matches_quadrature():
-    for V, Omega, t in [(0.5 * math.pi, 1.0, 1.7), (2.0, 0.6, -3.1), (1.3, 2.5, 0.4)]:
+    # phi_u of the drive's areas is the rescaled time tau, and phi_e = beta*tau
+    cases = [(0.0, 0.5 * math.pi, 1.0, 1.7), (0.7, 2.0, 0.6, -3.1), (-1.2, 1.3, 2.5, 0.4)]
+    for beta, V, Omega, t in cases:
         ref, err = quad(lambda u: V / math.cosh(Omega * u) ** 2, 0.0, t)
         assert err < 1e-12
-        assert abs(tau_sech2(V, Omega, t) - ref) < 1e-10
+        tau, phi_e = SyncSech2(beta, V, Omega).areas(t)
+        assert abs(tau - ref) < 1e-10
+        assert abs(phi_e - beta * ref) < 1e-10
 
 
 def test_tau_map_saturates_at_pulse_area():
-    assert tau_sech2(2.0, 0.5, math.inf) == pytest.approx(4.0, abs=1e-15)
-    assert tau_sech2(2.0, 0.5, -math.inf) == pytest.approx(-4.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        tau_sech2(1.0, 0.0, 1.0)
+    drive = SyncSech2(0.3, 2.0, 0.5)
+    assert drive.areas(math.inf)[0] == pytest.approx(4.0, abs=1e-15)
+    assert drive.areas(-math.inf)[0] == pytest.approx(-4.0, abs=1e-15)
+    assert drive.saturated_area() == 4.0
+    tau = drive.areas(np.linspace(-3.0, 3.0, 7))[0]
+    assert_allclose(tau, -tau[::-1], atol=1e-15)
 
 
 def test_equal_weight_coefficients_at_zero_splitting():
