@@ -33,7 +33,8 @@ populations are plain arrays with the four levels on their last axis.
 solve() refuses a t0 that is neither finite nor -inf, and holds the one
 rule for a state given at t0 = -inf: the synchronous engine imposes it
 exactly, at B(-inf) (the rescaled time saturates at -V/Omega), and the
-asynchronous branches impose it at t = -default_horizon(protocol).
+asynchronous branches impose it at t = -default_horizon(protocol), which is
+formed only then.
 """
 
 from __future__ import annotations
@@ -360,5 +361,7 @@ def solve(protocol, gamma, state0, t0):
     t0 = _require_epoch("t0", t0)
     if isinstance(protocol, SyncSech2):
         return Solution(*sync.modes(protocol, gamma), state0, t0)
-    t_ref = np.where(np.isfinite(t0), t0, -default_horizon(protocol))
-    return Solution(*asyn.modes(protocol, gamma), state0, t_ref)
+    if not np.all(np.isfinite(t0)):
+        # the horizon is formed only for a state given at -inf, the one place it is read
+        t0 = np.where(np.isfinite(t0), t0, -default_horizon(protocol))
+    return Solution(*asyn.modes(protocol, gamma), state0, t0)

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CONDITION_TOL, AsyncTanhSech, _require_fraction, branch_signs, coupling_values
-from .sync import _BLOCK_VECTORS, _commuting_modes
+from .sync import _commuting_modes
 
 __all__ = [
     "AsyncConservingCondition",
@@ -78,9 +78,12 @@ __all__ = [
 #: gating tolerance on the flip-branch parameter constraint chi^2/4 + eps^2 - ups^2
 FLIP_CONSTRAINT_TOL = 1e-9
 
-# the conserving modes: eigen_sync's degenerate vectors, paired (0, 3) and (1, 2)
-# as there, with their eigenvalues of T (times cos(pi*gamma)) and of Z
-_CONSERVING_VECTORS = _BLOCK_VECTORS[[0, 3, 1, 2]]
+# the conserving modes: the (a1, a3) symmetric and (a2, a4) antisymmetric
+# vectors, then the (a1, a3) antisymmetric and (a2, a4) symmetric ones, with
+# their eigenvalues of T (times cos(pi*gamma)) and of Z
+_CONSERVING_VECTORS = np.array(
+    [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, -1.0], [1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]
+) / math.sqrt(2.0)
 _CONSERVING_TUNNEL = np.array([-1.0, 1.0, 1.0, -1.0])
 _CONSERVING_ZEEMAN = np.array([1.0, -1.0, 1.0, -1.0])
 

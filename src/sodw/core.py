@@ -20,9 +20,9 @@ and cos(pi*gamma)); every sine and cosine of it is taken of
 
 Which closed form holds is decided in one place.  :func:`branch_signs` is the
 only test of gamma against the two coupling branches (|sin(pi*gamma)| < 1e-9
-or |cos(pi*gamma)| < 1e-9); the synchronous eigensystem takes its degenerate
-members from it, and ``asynchronous.gate`` adds the flip-branch parameter
-constraint and the refusal text to it.  A drive is a SyncSech2 or an
+or |cos(pi*gamma)| < 1e-9), and ``asynchronous.gate`` adds the flip-branch
+parameter constraint and the refusal text to it; the synchronous eigensystem
+has one formula for every gamma and reads no branch.  A drive is a SyncSech2 or an
 AsyncTanhSech, the two drives the closed forms solve; both refuse every
 parameter that is not finite, and values(t) gives both drive values at once.
 areas(t) gives the pulse areas (phi_u, phi_e), both values integrated from 0
@@ -98,11 +98,10 @@ def coupling_angle(gamma):
     """gamma reduced exactly into (-4, 4), bit for bit unchanged where |gamma| < 4.
 
     H reads gamma only through sin(pi*gamma) and cos(pi*gamma), whose period
-    2 divides 4, and the synchronous eigensystem reads sin and cos of
-    pi*gamma/2 as squares, of period 2 too.  np.fmod is exact, whereas
-    np.pi * gamma loses the reduction for a large gamma: every float above
-    2**53 is an even integer, yet sin(np.pi * 1e8) is -3.9e-8.  Every
-    trigonometric call on gamma reads it reduced here, once it is finite.
+    2 divides 4.  np.fmod is exact, whereas np.pi * gamma loses the
+    reduction for a large gamma: every float above 2**53 is an even integer,
+    yet sin(np.pi * 1e8) is -3.9e-8.  Every trigonometric call on gamma
+    reads it reduced here, once it is finite.
     """
     return np.fmod(np.asarray(gamma, dtype=float), 4.0)
 
@@ -112,9 +111,9 @@ def branch_signs(gamma):
 
     This is the one test of gamma against the branches.  conserving is the
     sign of cos(pi*gamma) where |sin(pi*gamma)| < 1e-9 (the coupling is
-    spin-conserving; the synchronous eigensystem decouples there) and flip
-    the sign of sin(pi*gamma) where |cos(pi*gamma)| < 1e-9.  A gamma that is
-    not finite lies on neither branch.
+    spin-conserving) and flip the sign of sin(pi*gamma) where
+    |cos(pi*gamma)| < 1e-9.  A gamma that is not finite lies on neither
+    branch.
     """
     g = np.asarray(gamma, dtype=float)
     # a gamma that is not finite is evaluated at 1/4, which is on neither branch

@@ -11,32 +11,34 @@ for asynchronous.modes().  On this drive phi_u = tau(t) =
 
     i da/dtau = H_tau a,      H_tau = hamiltonian_matrix(gamma, 1, beta),
 
-so Lambda_u holds its characteristic values, in opposite-sign pairs
+so Lambda_u holds its characteristic values.  With c, s = cos, sin(pi*gamma),
+H_tau leaves two planes invariant and acts on each as a symmetric 2x2 block
+[[p, q], [q, -p]]:
+
+    on (1, 0, 1, 0)/sqrt2, (0, 1, 0, -1)/sqrt2:   p = beta - c,  q = s,
+    on (1, 0, -1, 0)/sqrt2, (0, 1, 0, 1)/sqrt2:   p = beta + c,  q = -s.
+
+Each block has the eigenvalues -/+ r, r = hypot(p, q), and is diagonalised
+by one plane rotation (Golub & Van Loan, Matrix Computations, 8.5): the +r
+vector is (cos h, sin h) with the half angle h = atan2(q, p)/2, the -r vector
+that one turned by pi/2, signed so its first component is >= 0.  So
 
     lambda_{1,2} = -/+ sqrt(1 + beta^2 - 2*beta*cos(pi*gamma)),
     lambda_{3,4} = -/+ sqrt(1 + beta^2 + 2*beta*cos(pi*gamma)),
 
-with eigenvectors proportional to (1, alpha, 1, -alpha) for the first pair and
-(1, eta, -1, eta) for the second, where
-
-    alpha = (cos(pi*gamma) - beta + lambda) / sin(pi*gamma),
-    eta   = (cos(pi*gamma) + beta - lambda) / sin(pi*gamma).
+with eigenvectors of the layout (1, x, 1, -x) for the first pair and
+(1, x, -1, x) for the second.  One formula holds for every (beta, gamma): at
+sin(pi*gamma) = 0 the rotation is by 0 or pi/2, hypot cannot overflow on
+finite input, and the vectors are orthonormal to round-off, the beta = 0
+degeneracy lambda_1 = lambda_3 included.
 
 modes() returns the basis B(t)[k, m] = vec[m]_k exp(-i lambda_m tau(t)), with
 a(t) = B(t) s and s fixed at one reference time (analysis.solve), and the
-exact limits B(-/+inf) at tau = -/+V/Omega.  An eigenvalue or a phase
-lambda*V/Omega that overflows is refused by name.
-
-The four vectors are orthogonal for EVERY (beta, gamma), the beta=0
-degeneracy lambda_1 = lambda_3 included: within a pair alpha_plus*alpha_minus
-= eta_plus*eta_minus = -1, which _csc_roots imposes by construction.  So
+exact limits B(-/+inf) at tau = -/+V/Omega.  A phase lambda*V/Omega that
+overflows is refused by name.  As the vectors are orthonormal,
 B(t)^-1 = diag(exp(i lambda tau(t))) vec, with no linear system to solve; a
 seeded property test (tests/test_sync.py) holds it within 1e-14 of the
 inverse over thousands of members near beta = +/-1 and integer gamma.
-
-When |sin(pi*gamma)| < 1e-9 (core.branch_signs puts gamma on the conserving
-branch) alpha and eta are indeterminate; H_tau decouples into the blocks
-(a1,a3) and (a2,a4), whose eigenvectors, _BLOCK_VECTORS, those members take.
 
 Every function works on a stack of members: beta, gamma and the pulse's V
 may be arrays, and each result gains their broadcast shape S in front of its
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONDITION_TOL, SyncSech2, _require_finite, _require_fraction, branch_signs
+from .core import CONDITION_TOL, SyncSech2, _require_finite, _require_fraction
 from .core import coupling_angle, coupling_values
 
 __all__ = [
@@ -68,31 +70,13 @@ class EigenSystem:
 
     For members of shape S, lam has shape S + (4,) and vec S + (4, 4): the
     rows vec[..., m, :] satisfy H_tau vec[..., m, :] = lam[..., m] vec[..., m, :]
-    with lam[..., 0] = -lam[..., 1] and lam[..., 2] = -lam[..., 3].
+    with lam[..., 0] = -lam[..., 1] and lam[..., 2] = -lam[..., 3].  Each row
+    is normalized and has its first component >= 0.
     """
 
     lam: np.ndarray
     vec: np.ndarray
 
-
-def _csc_roots(base, radical, sin_pg):
-    """Both roots (base +/- radical)/sin_pg, avoiding cancellation.
-
-    The two roots multiply to -1 (since radical^2 - base^2 = sin_pg^2), so the
-    smaller-magnitude one is recovered from the stably computed larger one.
-    """
-    nonneg = base >= 0.0
-    large = np.where(nonneg, base + radical, base - radical) / sin_pg
-    small = -1.0 / large
-    return np.where(nonneg, small, large), np.where(nonneg, large, small)
-
-
-# eigenvectors of the decoupled blocks: (a1,a3) symmetric and antisymmetric,
-# then (a2,a4) symmetric and antisymmetric, with eigenvalues beta - c,
-# beta + c, -beta - c and -beta + c for c = cos(pi*gamma) = +/-1
-_BLOCK_VECTORS = np.array(
-    [[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, -1.0]]
-) / math.sqrt(2.0)
 
 # third component of each normalized (1, x, s, -s*x) vector, over the slots
 _PAIR_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
@@ -102,63 +86,25 @@ def eigen_sync(beta, gamma):
     """Eigen-decomposition of H_tau = hamiltonian_matrix(gamma, 1, beta).
 
     beta and gamma broadcast to the member shape S.  Returns an EigenSystem
-    with normalized vectors; members with |sin(pi*gamma)| < 1e-9 take the
-    decoupled 2x2-block eigenpairs.
+    with normalized vectors, one formula for every member.
     """
-    # the terms in gamma alone keep gamma's own shape; beta broadcasts them to S
     beta = np.asarray(beta, dtype=float)
-    gamma = coupling_angle(coupling_values(gamma))
-    # c = cos(pi*gamma) = +/-1 on the degenerate members, 0 elsewhere
-    c = branch_signs(gamma)[0]
-    degenerate = c != 0.0
-    # degenerate members run the closed-form branch at gamma = 1/2, where it
-    # is well defined, and take the block eigenpairs below
-    g = np.where(degenerate, 0.5, gamma)
-
-    # 1 -/+ cos(pi*gamma) as 2 sin^2 / 2 cos^2 of pi*gamma/2: near an integer
-    # gamma the direct difference loses every digit and r1 can round to 0.
-    # With d = 1 - |beta| both radicands are sums of non-negative terms,
-    # d^2 + 2|beta|(1 -/+ c) for beta >= 0; for beta < 0 the two swap roles.
-    half = 0.5 * np.pi * g
-    one_minus_c = 2.0 * np.sin(half) ** 2
-    one_plus_c = 2.0 * np.cos(half) ** 2
-    negative = beta < 0.0
-    sign = np.where(negative, -1.0, 1.0)
-    first = np.where(negative, one_plus_c, one_minus_c)
-    second = np.where(negative, one_minus_c, one_plus_c)
-    d = 1.0 - np.abs(beta)
-    with np.errstate(over="ignore"):
-        r1 = np.sqrt(d * d + 2.0 * np.abs(beta) * first)
-        r2 = np.sqrt(d * d + 2.0 * np.abs(beta) * second)
-    for r in (r1, r2):
-        _require_finite("eigenvalue sqrt((1 - |beta|)^2 + 2|beta|(1 -/+ cos(pi*gamma)))", r)
-    sin_pg = np.sin(np.pi * g)
-    alpha_minus, alpha_plus = _csc_roots(sign * (d - first), r1, sin_pg)
-    eta_minus, eta_plus = _csc_roots(sign * (second - d), r2, sin_pg)
-
-    lam = np.stack([-r1, r1, -r2, r2], axis=-1)
-    slopes = np.stack([alpha_minus, alpha_plus, eta_plus, eta_minus], axis=-1)
-    n = 1.0 / np.sqrt(2.0 + 2.0 * slopes * slopes)
-    vec = np.stack([n, slopes * n, _PAIR_SIGNS * n, -_PAIR_SIGNS * slopes * n], axis=-1)
-    if not degenerate.any():
-        return EigenSystem(lam, vec)
-
-    # degenerate members: the blocks' eigenpairs go to the lambda slots
-    # -|1 -/+ c*beta|, +|1 -/+ c*beta| so the slot formulas match the
-    # closed-form limits.  Slot 0 holds beta - c (the (a1,a3) symmetric
-    # vector) when beta <= c and c - beta ((a2,a4) antisymmetric) otherwise,
-    # slot 1 the other one; slots 2 and 3 likewise with beta + c and -beta - c.
-    low = np.abs(1.0 - c * beta)
-    high = np.abs(1.0 + c * beta)
-    order = np.concatenate(
-        [
-            np.where((beta <= c)[..., None], (0, 3), (3, 0)),
-            np.where((beta <= -c)[..., None], (1, 2), (2, 1)),
-        ],
-        axis=-1,
-    )
-    lam = np.where(degenerate[..., None], np.stack([-low, low, -high, high], axis=-1), lam)
-    vec = np.where(degenerate[..., None, None], _BLOCK_VECTORS[order], vec)
+    # c and s as hamiltonian_matrix forms them, so the vectors are those of its H
+    x = np.pi * coupling_angle(coupling_values(gamma))
+    c, s = np.cos(x), np.sin(x)
+    # [[p, q], [q, -p]] on each invariant plane, the last axis
+    p = np.stack([beta - c, beta + c], axis=-1)
+    q = np.stack([s, -s], axis=-1)
+    r = np.hypot(p, q)
+    half = 0.5 * np.arctan2(q, p)
+    # scaled by 1/sqrt2, the norm of the plane's basis vectors in the layout below
+    cos_h, sin_h = math.sqrt(0.5) * np.cos(half), math.sqrt(0.5) * np.sin(half)
+    # per plane the -r vector, (cos h, sin h) turned by pi/2 with first component >= 0, then +r
+    shape = r.shape[:-1] + (4,)
+    lam = np.stack([-r, r], axis=-1).reshape(shape)
+    first = np.stack([np.abs(sin_h), cos_h], axis=-1).reshape(shape)
+    second = np.stack([-np.copysign(cos_h, sin_h), sin_h], axis=-1).reshape(shape)
+    vec = np.stack([first, second, _PAIR_SIGNS * first, -_PAIR_SIGNS * second], axis=-1)
     return EigenSystem(lam, vec)
 
 

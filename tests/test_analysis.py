@@ -589,6 +589,21 @@ def test_default_horizon_refuses_a_rate_that_overflows_it():
     assert res.errors == ("default horizon 25/min(chi, 1) must be finite, got inf",) * 2
 
 
+def test_a_finite_start_needs_no_default_horizon():
+    # the horizon 25/min(chi, 1) overflows at chi = 1e-308 and refused these
+    # conserving drives, although a start at a finite t0 never reads it
+    p = solve(AsyncTanhSech(0.3, 1e-10, 1e-308), 1.0, _E3, 0.0).asymptotes()[1]
+    assert_allclose(p, [0.957, 0.0, 0.043, 0.0], atol=1e-3)
+    assert abs(p.sum() - 1.0) < 1e-12
+    fixed = {"gamma": 1.0, "epsilon": 0.3, "chi": 1e-308}
+    res = run_scan(ScanSpec("upsilon_over_chi", [1e298, 2e298], fixed, _E3, 0.0))
+    assert res.errors == (None, None) and not res.failed.any()
+    assert tuple(res.engines) == (ENGINE_ASYNC, ENGINE_ASYNC)
+    # a start at -inf still reads the horizon, and is refused by its name
+    with pytest.raises(ValueError, match=r"^default horizon 25/min\(chi, 1\) must be finite"):
+        solve(AsyncTanhSech(0.3, 1e-10, 1e-308), 1.0, _E3, -math.inf)
+
+
 def test_only_a_fixed_value_refuses_the_whole_scan():
     fixed = {"gamma": 0.5, "V": math.nan, "Omega": 1.0}
     with pytest.raises(ValueError, match="^V must be finite, got nan$"):

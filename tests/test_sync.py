@@ -279,8 +279,8 @@ def _edge_members(rng, n):
 
     Those lie within 1e-6 of beta = +/-1; their gamma offsets from the
     integer run from 1e-12 to 1e-6, across the branch gate at
-    |sin(pi*gamma)| = 1e-9, so both the decoupled blocks and the closed-form
-    vectors at their most ill-conditioned are drawn.
+    |sin(pi*gamma)| = 1e-9, where each plane rotation turns by nearly 0 or
+    pi/2.
     """
     edge = n - n // 2
     beta = rng.uniform(-4.0, 4.0, n)
@@ -321,3 +321,32 @@ def test_a_large_gamma_is_solved_at_its_reduced_value():
         got = solve(proto, large, (0, 0, 1, 0), -math.inf)
         assert np.array_equal(got.states(times), want.states(times)), large
         assert np.array_equal(got.asymptotes(), want.asymptotes()), large
+
+
+def test_trajectory_is_exact_at_the_gate_edges():
+    # members with |sin(pi*gamma)| < 1e-9 were solved as if sin(pi*gamma) = 0,
+    # 1.4e-9 away from the propagator of their own H_tau
+    betas = [sign + d for sign in (-1.0, 1.0) for d in (0.0, 1e-15, -1e-12, 1e-9, 1e-6, 0.5)]
+    offsets = (0.0, 1e-16, 1e-12, 3e-10, 9e-10, -9e-10, 1.01e-9, 1e-8)
+    gammas = [k + d for k in (0.0, 1.0, 2.0, -3.0) for d in offsets]
+    beta, gamma = (np.ravel(x) for x in np.meshgrid(betas, gammas))
+    rng = np.random.default_rng(23)
+    states0 = rng.standard_normal((beta.size, 4)) + 1j * rng.standard_normal((beta.size, 4))
+    states0 /= np.linalg.norm(states0, axis=1, keepdims=True)
+    V, Omega, t = 1.3, 0.9, 0.7
+    got = solve(SyncSech2(beta, V, Omega), gamma, states0, -math.inf).states(t)
+    # exp(-i H_tau (tau(t) - tau(-inf))) from a dense eigensolver
+    w, u = np.linalg.eigh(_tau_hamiltonian(beta, gamma))
+    dtau = (V / Omega) * (math.tanh(Omega * t) + 1.0)
+    phases = np.exp(-1j * w * dtau)[..., None]
+    want = (u @ (phases * (np.conj(np.swapaxes(u, -1, -2)) @ states0[..., None])))[..., 0]
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_a_huge_beta_keeps_the_norm():
+    # the eigenvector slopes reached 2 beta/sin(pi*gamma) and their square
+    # overflowed, so two vectors were 0 and the populations summed to 0.5
+    solution = solve(SyncSech2(1e150, 1.0, 1.0), 1e-8, (0.5, 0.5, 0.5, 0.5), 0.0)
+    norms = np.sum(np.abs(solution.states(np.linspace(-5.0, 5.0, 11))) ** 2, axis=-1)
+    assert np.max(np.abs(norms - 1.0)) <= 1e-12
+    assert np.max(np.abs(solution.asymptotes().sum(axis=-1) - 1.0)) <= 1e-12
