@@ -168,8 +168,8 @@ def _distances(cases):
     window = IntegratorConfig(t_start=t_lo, t_end=np.array(t_hi))
     oracle = integrate_batch(gammas, drives, states0, window, np.linspace(0.0, 1.0, C11_SAMPLES))
     solution = solve(drives, gammas, states0, t_lo)
-    # states() builds a (samples, members, 4, 4) basis: a block of samples at a
-    # time keeps that temporary, and so the peak memory of verify, small
+    # states() and the gaps hold a few (samples, members, 4) temporaries: a block
+    # of samples at a time keeps them, and so the peak memory of verify, small
     gaps = []
     for block in np.array_split(np.arange(C11_SAMPLES), C11_BLOCKS):
         gap = np.linalg.norm(solution.states(oracle.times[block]) - oracle.states[block], axis=-1)

@@ -23,18 +23,20 @@ gives the same answer at the same (drive, gamma).
 
 solve() is the one entry point to the closed forms.  Each engine is only
 what differs between the drives: sync.modes and asynchronous.modes gate the
-drive once and return its mode basis B(t), with a(t) = B(t) c, the exact
-inverse B(t)^-1 that the engine builds from its own structure, and limit
-matrices L-/+, with P(-/+inf) = |L-/+ c|^2; the synchronous drive and the
-conserving branch build them alike from the drive's pulse areas.  Solution
-fixes c = B(t0)^-1 a0 from the initial state, which may differ from member
-to member together with its time, and serves every engine alike;
-populations are plain arrays with the four levels on their last axis.
-solve() refuses a t0 that is neither finite nor -inf, and holds the one
-rule for a state given at t0 = -inf: the synchronous engine imposes it
-exactly, at B(-inf) (the rescaled time saturates at -V/Omega), and the
-asynchronous branches impose it at t = -default_horizon(protocol), which is
-formed only then.
+drive once and return what acts on states, built from the engine's own
+structure: evolve(t, c), the state a(t) of the four mode constants c;
+constants(t0, a0), the exact constants of a state a0 given at t0; and
+limits(c), the states at -/+inf, with P(-/+inf) = |limits(c)|^2.  The
+synchronous drive and the conserving branch build them alike from the
+drive's pulse areas.  Solution keeps c = constants(t0, a0), with the shape
+of the members and the four constants last, and builds no complex matrix per
+member or per sample; the initial state may differ from member to member
+together with its time, and populations are plain arrays with the four
+levels on their last axis.  solve() refuses a t0 that is neither finite nor
+-inf, and holds the one rule for a state given at t0 = -inf: the synchronous
+engine imposes it exactly, at tau(-inf) = -V/Omega, and the asynchronous
+branches impose it at t = -default_horizon, which is formed only for the
+members given at -inf.
 """
 
 from __future__ import annotations
@@ -315,24 +317,23 @@ def _flank_min(side, peak):
 
 
 class Solution:
-    """Closed-form solution a(t) = basis(t) @ coeffs with state0 imposed at t0.
+    """Closed-form solution with state0 imposed at t0, held as its four mode constants.
 
-    basis, inverse and limits are an engine's modes(): basis(t) of shape
-    S_drive + (4, 4) over the drive's members, inverse(t) its exact inverse,
-    and limits of shape (2,) + S_drive + (4, 4).  The coefficients are
-    coeffs = inverse(t0) @ state0 for every member at once, with no linear
-    system to solve; state0 (one state, or a stack of them) and t0 may differ
-    from member to member, and the members' shape S is the broadcast shape
-    of S_drive, state0 without its last axis and t0.  So one drive with an
-    (N, 4) stack of starts is N members that share one basis:
+    evolve, constants and limits are an engine's modes(): evolve(t, c) is the
+    state at t of the constants c, constants(t0, a0) the exact constants of
+    the state a0 given at t0, and limits(c) the states at -/+inf, shape
+    (2,) + S + (4,).  coeffs = constants(t0, state0), shape S + (4,), holds
+    every member's constants, with no linear system to solve and no complex
+    matrix built per member or per sample; state0 (one state, or a stack of them)
+    and t0 may differ from member to member, and the members' shape S is
+    the broadcast shape of the drive's members, state0 without its last axis
+    and t0.  So one drive with an (N, 4) stack of starts is N members:
     states(times[:, None]) has shape (K, N, 4) and asymptotes() (2, N, 4).
     """
 
-    def __init__(self, basis, inverse, limits, state0, t0):
-        self.basis = basis
-        # the limit axis next to the matrix axes, so that it broadcasts past S
-        self.limits = np.moveaxis(limits, 0, -3)
-        self.coeffs = (inverse(t0) @ as_states(state0)[..., None])[..., 0]
+    def __init__(self, evolve, constants, limits, state0, t0):
+        self._evolve, self._limits = evolve, limits
+        self.coeffs = constants(t0, as_states(state0))
 
     def states(self, times):
         """Amplitudes at finite times, which broadcast against S (one member: T -> T + (4,))."""
@@ -340,28 +341,30 @@ class Solution:
         bad = t[~np.isfinite(t)]
         if bad.size:
             raise ValueError(f"times must be finite, got {bad[0]}; asymptotes() gives t = -/+inf")
-        return (self.basis(t) @ self.coeffs[..., None])[..., 0]
+        return self._evolve(t, self.coeffs)
 
     def asymptotes(self):
         """Populations P(-inf) and P(+inf) of every member, shape (2,) + S + (4,)."""
-        amplitudes = (self.limits @ self.coeffs[..., None, :, None])[..., 0]
-        return np.moveaxis(np.abs(amplitudes) ** 2, -2, 0)
+        return np.abs(self._limits(self.coeffs)) ** 2
 
 
 def solve(protocol, gamma, state0, t0):
     """Closed-form Solution with state0 imposed at t0 (finite or -inf).
 
-    The drive type picks the engine, whose modes() gate the drive and build
-    its basis once.  The drive's fields, gamma, state0 (shape S + (4,)) and
-    t0 may be stacks of members.  One drive with an (N, 4) stack of starts
-    shares its basis: states(times[:, None]) is (K, N, 4) and asymptotes()
-    (2, N, 4).  Raises ValueError with the gate's refusal text when no
-    closed form covers (protocol, gamma).
+    The drive type picks the engine, whose modes() gate the drive once.  The
+    drive's fields, gamma, state0 (shape S + (4,)) and t0 may be stacks of
+    members.  One drive with an (N, 4) stack of starts shares its modes:
+    states(times[:, None]) is (K, N, 4) and asymptotes() (2, N, 4).  Raises
+    ValueError with the gate's refusal text when no closed form covers
+    (protocol, gamma).
     """
     t0 = _require_epoch("t0", t0)
     if isinstance(protocol, SyncSech2):
         return Solution(*sync.modes(protocol, gamma), state0, t0)
     if not np.all(np.isfinite(t0)):
-        # the horizon is formed only for a state given at -inf, the one place it is read
-        t0 = np.where(np.isfinite(t0), t0, -default_horizon(protocol))
+        # the horizon, which reads only chi, is formed for the members given at -inf alone
+        chi, t0 = np.broadcast_arrays(protocol.chi, t0)
+        past = np.isinf(t0)
+        t0 = np.array(t0)
+        t0[past] = -default_horizon(AsyncTanhSech(0.0, 0.0, chi[past]))
     return Solution(*asyn.modes(protocol, gamma), state0, t0)

@@ -45,11 +45,14 @@ covers; modes(), the engine selection and the CLI all read it.  The
 constraint is tested within 1e-9 in one place, off_flip_constraint, which
 gate() and `sodw classify` both read.
 
-modes() holds both branches in one form: a basis B(t) of the mode functions
-with a(t) = B(t) c for the four mode constants c, and limit matrices L-/+
-with P(-/+inf) = |L-/+ c|^2.  The phase phi_e diverges at large |t| but only
-as a phase common to a pair, so populations never depend on it, and the
-limits leave it out.
+modes() holds both branches in one form that acts on states: the state a(t)
+of the four mode constants c, the constants of a state given at t0, and the
+two limit states at -/+inf.  The conserving branch reads the synchronous
+form; the flip branch applies each pair's 2x2 formulas above and their
+adjugate, and its limits are the sqrt(2) keep and swap of each pair's
+constants.  No complex matrix is built per member or per sample.  The phase
+phi_e diverges at large |t| but only as a phase common to a pair, so
+populations never depend on it, and the limits leave it out.
 
 Every function works on a stack of members: the drive amplitudes, chi and
 gamma may be arrays that broadcast against each other (and against t), such
@@ -86,9 +89,6 @@ _CONSERVING_VECTORS = np.array(
 ) / math.sqrt(2.0)
 _CONSERVING_TUNNEL = np.array([-1.0, 1.0, 1.0, -1.0])
 _CONSERVING_ZEEMAN = np.array([1.0, -1.0, 1.0, -1.0])
-
-# amplitude indices of the flip branch's two pairs, C (a1, a4) and D (a2, a3)
-_FLIP_PAIRS = ((0, 3), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -167,118 +167,133 @@ def gate(params, gamma):
     return conserving, flip, refusal
 
 
-def _blocks(*blocks):
-    """4x4 matrices from the entries (m11, m12, m21, m22) of each flip pair's 2x2 block.
-
-    The amplitudes (a1, a4) take the constants c[0:2], (a2, a3) take c[2:4].
-    """
-    shape = np.broadcast_shapes(*(np.shape(m) for block in blocks for m in block))
-    out = np.zeros(shape + (4, 4), dtype=complex)
-    for (i, j), k, (m11, m12, m21, m22) in zip(_FLIP_PAIRS, (0, 2), blocks):
-        out[..., i, k], out[..., i, k + 1] = m11, m12
-        out[..., j, k], out[..., j, k + 1] = m21, m22
-    return out
-
-
 def _sqrt_sech_exp(x, sign):
     # sqrt(sech(x)) * e^{sign*x/2}, reduced so the exponent is never positive
     ax = np.abs(x)
     return math.sqrt(2.0) * np.exp(0.5 * (sign * x - ax)) / np.sqrt(1.0 + np.exp(-2.0 * ax))
 
 
-# at t = -inf only the decaying factor sqrt(sech)e^{-chi t/2} -> sqrt(2) of each
-# flip pair survives, at t = +inf only the growing one; phases left out
-_KEEP, _SWAP = (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0)
-_FLIP_LIMITS = math.sqrt(2.0) * np.stack([_blocks(_KEEP, _SWAP), _blocks(_SWAP, _KEEP)])
+def _conserving(eps, ups, chi, sign):
+    """(evolve, constants, limits) of members on the spin-conserving branch."""
+    drive, lam_u = AsyncTanhSech(eps, ups, chi), sign[..., None] * _CONSERVING_TUNNEL
+    return _commuting_modes(_CONSERVING_VECTORS, drive, lam_u, _CONSERVING_ZEEMAN)
 
 
 def _flip(eps, ups, chi, sign):
-    """(basis, inverse, limits) of members on the spin-flipping branch.
+    """(evolve, constants, limits) of members on the spin-flipping branch.
 
-    Each pair block is inverted by its adjugate.  Its determinant is
-    +2*pref_c (pair C) or -2*pref_d (pair D), because decay^2 + grow^2 = 2
-    and e^{i eps t} e^{-i eps t} = 1.
+    The constants c = (C+, C-, D+, D-) weight pair C (a1, a4) and pair D
+    (a2, a3).  Each pair's 2x2 block of mode functions is inverted by its
+    adjugate.  Its determinant is +2*pref_c (pair C) or -2*pref_d (pair D),
+    because decay^2 + grow^2 = 2 and e^{i eps t} e^{-i eps t} = 1.
     """
+    # the fields on a trailing axis of one, as are t and each constant below: one
+    # member's products then run on arrays, as a stack's do, since numpy rounds a
+    # product of two complex scalars differently
+    eps, ups, chi, sign = (np.asarray(x)[..., None] for x in (eps, ups, chi, sign))
     pref_c = (eps - 0.5j * chi) / (sign * ups)
     pref_d = (eps + 0.5j * chi) / (sign * ups)
     half_c, half_d = 0.5 / pref_c, 0.5 / pref_d
 
     def factors(t):
         # e^{+/-i eps t} and the growing and decaying sqrt(sech(chi t)) e^{+/-chi t/2}
+        t = np.asarray(t)[..., None]
         ep = np.exp(1j * eps * t)
         return ep, np.conj(ep), _sqrt_sech_exp(chi * t, +1), _sqrt_sech_exp(chi * t, -1)
 
-    def basis(t):
+    def evolve(t, c):
         ep, em, grow, decay = factors(t)
-        pair_c = (pref_c * decay * ep, -pref_c * grow * em, grow * ep, decay * em)
-        pair_d = (-pref_d * grow * ep, pref_d * decay * em, decay * ep, grow * em)
-        return _blocks(pair_c, pair_d)
+        cp, cm, dp, dm = (c[..., k : k + 1] for k in range(4))
+        out = np.empty(np.broadcast_shapes(ep.shape, cp.shape)[:-1] + (4,), dtype=complex)
+        out[..., 0:1] = pref_c * (decay * ep * cp - grow * em * cm)
+        out[..., 1:2] = pref_d * (decay * em * dm - grow * ep * dp)
+        out[..., 2:3] = decay * ep * dp + grow * em * dm
+        out[..., 3:4] = grow * ep * cp + decay * em * cm
+        return out
 
-    def inverse(t):
-        # each block's adjugate over its determinant, entered transposed: _blocks
-        # lays entries out from constants to amplitudes, the inverse runs back
-        ep, em, grow, decay = factors(t)
-        pair_c = (half_c * decay * em, -half_c * grow * ep, 0.5 * grow * em, 0.5 * decay * ep)
-        pair_d = (-half_d * grow * em, half_d * decay * ep, 0.5 * decay * em, 0.5 * grow * ep)
-        return np.swapaxes(_blocks(pair_c, pair_d), -1, -2)
+    def constants(t0, a0):
+        ep, em, grow, decay = factors(t0)
+        a1, a2, a3, a4 = (a0[..., k : k + 1] for k in range(4))
+        cp = em * (half_c * decay * a1 + 0.5 * grow * a4)
+        cm = ep * (0.5 * decay * a4 - half_c * grow * a1)
+        dp = em * (0.5 * decay * a3 - half_d * grow * a2)
+        dm = ep * (half_d * decay * a2 + 0.5 * grow * a3)
+        return np.concatenate([cp, cm, dp, dm], axis=-1)
 
-    return basis, inverse, np.broadcast_to(_FLIP_LIMITS[:, None], (2, sign.size, 4, 4))
+    def limits(c):
+        # at -inf only the decaying factor sqrt(sech)e^{-chi t/2} -> sqrt(2) of each
+        # pair survives, at +inf only the growing one; phases left out
+        return math.sqrt(2.0) * np.stack([c[..., [0, 3, 2, 1]], c[..., [1, 2, 3, 0]]])
+
+    return evolve, constants, limits
+
+
+def _gathered(shape, parts):
+    """(evolve, constants, limits) of a stack of members split between the branches.
+
+    parts holds (idx, modes) per branch: the flat indices of its members in
+    shape, and its modes over them.  Times and states broadcast against
+    shape on their last axes, which become one member axis.
+    """
+    size = math.prod(shape)
+
+    def flat(x, tail):
+        # x with the member axes before its tail broadcast to shape and flattened
+        ndim = len(shape) + len(tail)
+        x = x.reshape((1,) * (ndim - x.ndim) + x.shape)
+        lead = x.shape[: x.ndim - ndim]
+        return np.broadcast_to(x, lead + shape + tail).reshape(lead + (size,) + tail)
+
+    def every_member(k):
+        # evolve (k = 0) or constants (k = 1) of every member, on its part
+        def at(t, values):
+            t, values = flat(np.asarray(t, dtype=float), ()), flat(values, (4,))
+            lead = np.broadcast_shapes(t.shape[:-1], values.shape[:-2])
+            out = np.empty(lead + (size, 4), dtype=complex)
+            for idx, part in parts:
+                out[..., idx, :] = part[k](t[..., idx], values[..., idx, :])
+            return out.reshape(lead + shape + (4,))
+
+        return at
+
+    def limits(c):
+        c = flat(c, (4,))
+        out = np.empty((2,) + c.shape, dtype=complex)
+        for idx, part in parts:
+            out[..., idx, :] = part[2](c[..., idx, :])
+        return out.reshape((2,) + c.shape[:-2] + shape + (4,))
+
+    return every_member(0), every_member(1), limits
 
 
 def modes(params, gamma):
-    """(basis, inverse, limits) of an AsyncTanhSech drive, with a(t) = basis(t) @ c.
+    """(evolve, constants, limits) of an AsyncTanhSech drive: its closed form, acting on states.
 
     Gates the drive once and raises ValueError with the gate's refusal text
     when a member has no closed form.  Each member may lie on either branch;
-    its c holds the weights of its four orthonormal conserving modes,
-    sqrt(2)*(A+, B-, A-, B+), or the flip pair constants (C+, C-, D+, D-).
-    basis(t) has shape S + (4, 4) for members of shape S; t must be finite
-    and broadcasts against S (one member: T + (4, 4)).  inverse(t), of the
-    same shape, is the exact inverse of basis(t): the conjugate transpose
-    on the conserving branch, each pair block's adjugate on the flip branch,
-    so c = inverse(t0) @ a(t0).  limits, shape (2,) + S + (4, 4), gives
-    P(-/+inf) = |limits @ c|^2: the conserving modes at the saturated phi_u
-    and the sqrt(2) exchange of each flip pair.
+    its constants c are the weights of its four orthonormal conserving
+    modes, sqrt(2)*(A+, B-, A-, B+), or the flip pair constants
+    (C+, C-, D+, D-).  evolve(t, c) is the state at finite t, and
+    constants(t0, a0) the exact constants of the state a0 given at finite
+    t0: the conjugate phases times the projection on the conserving
+    branch, each pair block's adjugate on the flip branch.  For members of
+    shape S, t broadcasts against S and c, a0 have shape S + (4,) (one
+    member: T + (4,)).  limits(c), shape (2,) + S + (4,), holds the states
+    at -/+inf up to a phase per pair: the conserving modes at the saturated
+    phi_u, and the sqrt(2) keep and swap of each flip pair's constants.
     """
     conserving, flip, refusal = gate(params, coupling_values(gamma))
     if refusal is not None:
         raise ValueError(refusal)
     members = np.broadcast_arrays(params.epsilon, params.upsilon, params.chi, conserving, flip)
-    shape = members[0].shape
-    eps, ups, chi, conserving, flip = (np.ravel(x) for x in members)
-    size = eps.size
-    # per branch: its members, then the basis, inverse and limits of their drives
+    eps, ups, chi, conserving, flip = members
+    on_flip = flip != 0
+    if not on_flip.any():
+        return _conserving(eps, ups, chi, conserving)
+    if on_flip.all():
+        return _flip(eps, ups, chi, flip)
     parts = []
-    idx = np.flatnonzero(conserving)
-    if idx.size:
-        drive = AsyncTanhSech(eps[idx], ups[idx], chi[idx])
-        lam_u = conserving[idx, None] * _CONSERVING_TUNNEL
-        branch = _commuting_modes(_CONSERVING_VECTORS, drive, lam_u, _CONSERVING_ZEEMAN)
-        parts.append((idx, *branch))
-    idx = np.flatnonzero(flip)
-    if idx.size:
-        parts.append((idx, *_flip(eps[idx], ups[idx], chi[idx], flip[idx])))
-
-    def gather(lead, values):
-        # one value per part, over that part's members, into lead + (size, 4, 4)
-        if len(parts) == 1:
-            return values[0]
-        out = np.empty(lead + (size, 4, 4), dtype=complex)
-        for (idx, *_), value in zip(parts, values):
-            out[..., idx, :, :] = value
-        return out
-
-    def every_member(k):
-        # the basis (k = 1) or the inverse (k = 2) of every member, at times
-        def at(times):
-            t = np.asarray(times, dtype=float)
-            t = np.broadcast_to(t, np.broadcast_shapes(t.shape, shape))
-            lead = t.shape[: t.ndim - len(shape)]
-            t = t.reshape(lead + (size,))
-            out = gather(lead, [part[k](t[..., part[0]]) for part in parts])
-            return out.reshape(lead + shape + (4, 4))
-
-        return at
-
-    limits = gather((2,), [part[3] for part in parts])
-    return every_member(1), every_member(2), limits.reshape((2,) + shape + (4, 4))
+    for mask, branch, sign in ((~on_flip, _conserving, conserving), (on_flip, _flip, flip)):
+        idx = np.flatnonzero(mask)
+        parts.append((idx, branch(*(np.ravel(x)[idx] for x in (eps, ups, chi, sign)))))
+    return _gathered(eps.shape, parts)

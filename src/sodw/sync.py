@@ -32,13 +32,18 @@ sin(pi*gamma) = 0 the rotation is by 0 or pi/2, hypot cannot overflow on
 finite input, and the vectors are orthonormal to round-off, the beta = 0
 degeneracy lambda_1 = lambda_3 included.
 
-modes() returns the basis B(t)[k, m] = vec[m]_k exp(-i lambda_m tau(t)), with
-a(t) = B(t) s and s fixed at one reference time (analysis.solve), and the
-exact limits B(-/+inf) at tau = -/+V/Omega.  A phase lambda*V/Omega that
-overflows is refused by name.  As the vectors are orthonormal,
-B(t)^-1 = diag(exp(i lambda tau(t))) vec, with no linear system to solve; a
-seeded property test (tests/test_sync.py) holds it within 1e-14 of the
-inverse over thousands of members near beta = +/-1 and integer gamma.
+modes() acts on states and never forms the matrix exponential, nor any
+complex matrix per member or per sample (the eigenvector method; Moler & Van
+Loan, SIAM Rev. 45, 3 (2003)).  The state of the four mode constants c at t
+is a(t) = V (exp(-i lambda tau(t)) * c), and the constants of a state a0
+given at t0 are c = exp(i lambda tau(t0)) * (V^T a0), exact with no linear
+system to solve as V is orthonormal.  Only slots 0 and 2 are exponentiated;
+slots 1 and 3 are their conjugates.  Each member's sums run elementwise in a
+fixed order, so a stack computes every member bit for bit as it would alone.
+The limit states are those at tau = -/+V/Omega.  A phase lambda*V/Omega that
+overflows is refused by name.  A seeded property test (tests/test_sync.py)
+holds the constants of the state evolved from each unit constant within
+1e-14 of it over thousands of members near beta = +/-1 and integer gamma.
 
 Every function works on a stack of members: beta, gamma and the pulse's V
 may be arrays, and each result gains their broadcast shape S in front of its
@@ -108,45 +113,102 @@ def eigen_sync(beta, gamma):
     return EigenSystem(lam, vec)
 
 
+def _project(terms, members, a):
+    """V^T a, slot first: the weight of every eigenvector in the states a.
+
+    terms[m] lists the components k of eigenvector m with their entries
+    V[m, k] over the members, each member's sum in a fixed order.
+    """
+    a = np.asarray(a, dtype=complex)
+    weights = np.zeros((4,) + np.broadcast_shapes(a.shape[:-1], members), dtype=complex)
+    for m, entries in enumerate(terms):
+        for k, entry in entries:
+            weights[m] += entry * a[..., k]
+    return weights
+
+
+def _superpose(terms, members, pair, c):
+    """The states sum_m V[m] e_m c_m, e = (p0, conj p0, p2, conj p2) from pair = (p0, p2).
+
+    terms[m] lists the components k of eigenvector m with their entries
+    V[m, k] over the members.  Each member's sum runs over the slots in a
+    fixed order, one component at a time, and the amplitudes come back on
+    the last axis.
+    """
+    c = np.asarray(c, dtype=complex)
+    out = np.zeros((4,) + np.broadcast_shapes(np.shape(pair[0]), c.shape[:-1], members), complex)
+    for m, entries in enumerate(terms):
+        phase = pair[m // 2]
+        # c[..., m] keeps one member a 0-d array, never a numpy complex scalar,
+        # whose product with another scalar rounds apart from an array's
+        weight = (np.conj(phase) if m % 2 else phase) * c[..., m]
+        for k, entry in entries:
+            out[k] += entry * weight
+    return np.moveaxis(out, 0, -1)
+
+
 def _commuting_modes(vectors, drive, lam_u, lam_e=None):
-    """(basis, inverse, limits) of a drive whose H(t) commutes with itself at all times.
+    """(evolve, constants, limits) of a drive whose H(t) commutes with itself at all times.
 
     The rows of vectors are real orthonormal eigenvectors, lam_u (and lam_e)
-    their eigenvalues, with slots 1 and 3 the negated slots 0 and 2.
+    their eigenvalues, with slots 1 and 3 the negated slots 0 and 2.  The
+    work runs slot first: each entry V[m, k] is one contiguous array over the
+    members, an entry that is zero on every member takes no part, and each
+    slot and amplitude is one contiguous array over the members and samples.
     """
-    columns = np.swapaxes(vectors, -1, -2)
-    lam_u = lam_u[..., ::2, None]
-    lam_e = None if lam_e is None else lam_e[..., ::2, None]
+    members = np.shape(vectors)[:-2]
+    rows = np.ascontiguousarray(np.moveaxis(vectors, (-2, -1), (0, 1)))
+    nonzero = np.any(rows, axis=tuple(range(2, rows.ndim)))
+    terms = [[(k, rows[m, k]) for k in range(4) if nonzero[m, k]] for m in range(4)]
+    lam_u = np.moveaxis(lam_u, -1, 0)[::2]
+    lam_e = None if lam_e is None else np.moveaxis(lam_e, -1, 0)[::2]
 
-    def pairs(theta):
-        # exp(-i theta) of slots 0 and 2, then of slots 1 and 3 as their conjugates
-        pair = np.exp(-1j * theta)
-        return np.concatenate([pair, np.conj(pair)], axis=-1).reshape(pair.shape[:-2] + (4,))
-
-    def basis(t):
+    def phases(t):
+        # exp(-i theta(t)) of slots 0 and 2; slots 1 and 3 are their conjugates
         phi_u, phi_e = drive.areas(t)
-        theta = lam_u * phi_u[..., None, None]
+        theta = [lam_u[j] * phi_u for j in (0, 1)]
         if lam_e is not None:
-            theta = theta + lam_e * phi_e[..., None, None]
-        return columns * pairs(theta)[..., None, :]
+            theta = [theta[j] + lam_e[j] * phi_e for j in (0, 1)]
+        return [np.exp(-1j * x) for x in theta]
 
-    def inverse(t):
-        return np.conj(np.swapaxes(basis(t), -1, -2))
+    def evolve(t, c):
+        return _superpose(terms, members, phases(t), c)
+
+    def constants(t0, a0):
+        # exp(+i theta(t0)) of every slot times the weight of its eigenvector in a0
+        p0, p2 = phases(t0)
+        weights = _project(terms, members, a0)
+        c = np.empty((4,) + np.broadcast_shapes(np.shape(p0), weights.shape[1:]), dtype=complex)
+        for m, back in enumerate((np.conj(p0), p0, np.conj(p2), p2)):
+            c[m] = back * weights[m, ...]
+        return np.moveaxis(c, 0, -1)
 
     # the largest phase of every mode, at phi_u(-inf) = -phi_u(+inf); +inf conjugates it
+    area = drive.saturated_area()
     with np.errstate(over="ignore"):
-        theta = lam_u * -drive.saturated_area()[..., None, None]
-    past = pairs(_require_finite("mode phase lambda*phi_u(+inf)", theta))
-    return basis, inverse, columns * np.stack([past, np.conj(past)])[..., None, :]
+        theta = [lam_u[j] * -area for j in (0, 1)]
+    past = [np.exp(-1j * _require_finite("mode phase lambda*phi_u(+inf)", x)) for x in theta]
+    ends = [np.stack([p, np.conj(p)]) for p in past]
+
+    def limits(c):
+        # both limits at once: -inf and +inf on a leading axis, past every member axis of c
+        lead = (2,) + (1,) * (np.ndim(c) - ends[0].ndim)
+        pair = [end.reshape(lead + end.shape[1:]) for end in ends]
+        return _superpose(terms, members, pair, c)
+
+    return evolve, constants, limits
 
 
 def modes(protocol, gamma):
-    """(basis, inverse, limits) of a SyncSech2 drive, with a(t) = basis(t) @ s.
+    """(evolve, constants, limits) of a SyncSech2 drive: its closed form, acting on states.
 
-    basis(t)[..., k, m] = vec[m]_k exp(-i lam_m tau(t)) has shape S + (4, 4)
-    for members of shape S (t broadcasts against S; one member: T + (4, 4)).
-    inverse(t) is its conjugate transpose; both take t = -inf, as tau saturates.
-    limits = basis(-/+inf), shape (2,) + S + (4, 4), so P(-/+inf) = |limits @ s|^2.
+    With vec the rows of eigen_sync, the state of the constants c at t is
+    evolve(t, c) = sum_m vec[m] exp(-i lam_m tau(t)) c_m, and the constants of
+    a state a0 given at t0 are constants(t0, a0) = exp(i lam tau(t0)) (vec a0),
+    exact as the rows are orthonormal.  For members of shape S, t broadcasts
+    against S and c, a0 have shape S + (4,) (one member: T + (4,)); both take
+    t = -inf, as tau saturates.  limits(c) holds the states at -/+inf, shape
+    (2,) + S + (4,), at tau = -/+V/Omega.
     """
     eig = eigen_sync(protocol.beta, gamma)
     return _commuting_modes(eig.vec, protocol, eig.lam)

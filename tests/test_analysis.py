@@ -1,6 +1,7 @@
 """Scan driver, engine routing, peak counting, asymptotic extraction."""
 
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -602,6 +603,52 @@ def test_a_finite_start_needs_no_default_horizon():
     # a start at -inf still reads the horizon, and is refused by its name
     with pytest.raises(ValueError, match=r"^default horizon 25/min\(chi, 1\) must be finite"):
         solve(AsyncTanhSech(0.3, 1e-10, 1e-308), 1.0, _E3, -math.inf)
+
+
+def test_a_stack_forms_the_default_horizon_only_for_its_starts_at_minus_inf():
+    # a stack with mixed epochs formed every member's horizon, so the chi = 1e-308
+    # member, which starts at 0, refused the chi = 1 member's start at -inf
+    stack = solve(AsyncTanhSech(0.3, 1e-10, np.array([1.0, 1e-308])), 1.0, _E3, [-math.inf, 0.0])
+    alone = solve(AsyncTanhSech(0.3, 1e-10, 1e-308), 1.0, _E3, 0.0)
+    assert np.array_equal(stack.asymptotes()[:, 1], alone.asymptotes())
+    assert np.array_equal(stack.coeffs[1], alone.coeffs)
+    assert_allclose(alone.asymptotes()[1], [0.957, 0.0, 0.043, 0.0], atol=1e-3)
+    # a start at -inf at chi = 1e-308 still reads the horizon, and is refused by its name
+    with pytest.raises(ValueError, match=r"^default horizon 25/min\(chi, 1\) must be finite"):
+        solve(AsyncTanhSech(0.3, 1e-10, np.array([1.0, 1e-308])), 1.0, _E3, [0.0, -math.inf])
+
+
+def _peak_over_result(solution, times):
+    """Peak traced bytes of solution.states(times), after a warm-up, over the bytes it returns."""
+    solution.states(times)
+    tracemalloc.start()
+    try:
+        states = solution.states(times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / states.nbytes
+
+
+def test_states_hold_no_matrix_per_sample():
+    # states() built a (samples, members, 4, 4) basis and its product with the
+    # constants: 6 to 8 times the bytes of the states it returned
+    rng = np.random.default_rng(29)
+    n = 50
+    eps, chi = rng.uniform(-2.0, 2.0, 2 * n), rng.uniform(0.1, 3.0, 2 * n)
+    ups = np.concatenate([rng.uniform(-3.0, 3.0, n), np.hypot(0.5 * chi[n:], eps[n:])])
+    gamma = np.concatenate([rng.integers(-4, 5, n) * 1.0, rng.integers(-4, 4, n) + 0.5])
+    states0 = rng.standard_normal((2 * n, 4)) + 1j * rng.standard_normal((2 * n, 4))
+    states0 /= np.linalg.norm(states0, axis=1, keepdims=True)
+    beta, V, omega = rng.uniform(-3.0, 3.0, n), rng.uniform(0.1, 3.0, n), rng.uniform(0.3, 2.0, n)
+    times = np.linspace(-20.0, 20.0, 121)[:, None]
+    cases = [
+        (solve(AsyncTanhSech(eps, ups, chi), gamma, states0, 0.0), times),
+        (solve(SyncSech2(beta, V, omega), rng.uniform(-2.0, 2.0, n), states0[:n], -3.0), times),
+        (solve(SyncSech2(0.4, 1.3, 0.8), 0.3, states0[0], -math.inf), np.linspace(-25, 25, 2001)),
+    ]
+    for k, (solution, t) in enumerate(cases):
+        assert _peak_over_result(solution, t) < 3.0, k
 
 
 def test_only_a_fixed_value_refuses_the_whole_scan():

@@ -291,12 +291,14 @@ def _branch_members(rng, n, branch):
 
 @pytest.mark.parametrize("branch", ["conserving", "flip"])
 def test_inverse_is_exact_on_every_member(branch):
-    # the inverse that replaced a batched LU solve: the conjugate transpose of
-    # the conserving basis, or each flip pair block's adjugate
+    # the constants of the state that each unit constant e_k evolves to, from the
+    # conjugate phases and projection on the conserving branch or each flip pair
+    # block's adjugate: stacked over k, the identity of every member
     fields, gamma = _branch_members(np.random.default_rng(2025), 4000, branch)
-    basis, inverse, _ = modes(AsyncTanhSech(*fields), gamma)
+    evolve, constants, _ = modes(AsyncTanhSech(*fields), gamma)
+    units = np.eye(4)[:, None, :]
     for t in _INVERSE_TIMES:
-        residual = inverse(t) @ basis(t) - np.eye(4)
+        residual = constants(t, evolve(t, units)) - units
         assert np.max(np.abs(residual)) <= 1e-14, t
 
 

@@ -54,7 +54,7 @@ def _linalg_inversions(path):
 
 
 def test_closed_forms_solve_no_linear_system():
-    # each engine's modes() supplies the exact inverse of its own basis
+    # each engine's modes() gives the exact constants of a state from its own structure
     paths = sorted((_ROOT / "src/sodw").glob("*.py"))
     uses = [use for path in paths for use in _linalg_inversions(path)]
     assert not uses, f"linalg solve or inv in src/sodw: {', '.join(uses)}"

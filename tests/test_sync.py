@@ -292,13 +292,15 @@ def _edge_members(rng, n):
 
 
 def test_inverse_is_exact_on_every_member():
-    # the inverse that replaced a batched LU solve: diag(exp(i lam tau)) vec
+    # the constants exp(i lam tau) (vec a) of the state that each unit constant
+    # e_k evolves to: stacked over k, the identity of every member
     drive, gamma = _edge_members(np.random.default_rng(2024), 8000)
-    basis, inverse, limits = modes(drive, gamma)
+    evolve, constants, limits = modes(drive, gamma)
+    units = np.eye(4)[:, None, :]
     for t in (-math.inf, -250.0, -25.0, 0.0, 3.7, 60.0):
-        residual = inverse(t) @ basis(t) - np.eye(4)
+        residual = constants(t, evolve(t, units)) - units
         assert np.max(np.abs(residual)) <= 1e-14, t
-    assert np.array_equal(basis(-math.inf), limits[0])
+    assert np.array_equal(evolve(-math.inf, units), limits(units)[0])
 
 
 def test_solution_returns_every_start_at_its_epoch():
