@@ -159,13 +159,13 @@ class ScanSpec:
         if repeated:
             raise ValueError(f"observables repeat the pair {repeated[0]}")
         object.__setattr__(self, "observables", tuple((s, q) for s, q in self.observables))
+        # a fixed value that is not finite refuses the whole scan, even one the sweep does not read
+        for name, value in self.fixed.items():
+            _require_finite(name, value)
         try:
             gamma, protocol = _point_setup(self, grid)
         except KeyError as exc:
             raise ValueError(f"missing fixed value {exc}") from None
-        # a fixed value that is not finite refuses the whole scan, even one the sweep does not read
-        for name, value in self.fixed.items():
-            _require_finite(name, value)
         object.__setattr__(self, "_points", (gamma, protocol))
 
 
@@ -228,7 +228,8 @@ def run_scan(spec):
     endpoint-only batch, each integrated from the epoch to a default horizon
     past max(epoch, 0).  A group that fails records its error in each of its
     rows, and a gamma that is not finite fails its own row.  A solved point
-    with |Z| > 1 + 1e-9 refuses the scan.
+    with |Z| > 1 + 1e-9 refuses the scan, and an oracle point fails by its
+    epoch where a default horizon past it rounds away.
     """
     grid, (gamma, protocol) = spec.grid, spec._points
     engines = _engines(protocol, np.broadcast_to(gamma, grid.shape))[0]
@@ -248,7 +249,10 @@ def run_scan(spec):
             if oracle[idx[0]]:
                 horizon = default_horizon(members)
                 t0 = spec.epoch if math.isfinite(spec.epoch) else -horizon
-                window = IntegratorConfig(t0, max(spec.epoch, 0.0) + horizon)
+                end = max(spec.epoch, 0.0) + horizon
+                if not np.all(end > t0):
+                    raise ValueError(f"epoch {spec.epoch:g} + default horizon rounds to the epoch")
+                window = IntegratorConfig(t0, end)
                 batch = integrate_batch(members_gamma, members, spec.state0, window, [1.0])
                 populations = batch.population_array[0]
             else:

@@ -14,9 +14,10 @@ Lambda_e = (1, -1, 1, -1) of Z.  With (phi_u, phi_e) = AsyncTanhSech.areas(t),
     a3(t) = A+ e^{ i(c phi_u - phi_e)} - A- e^{-i(c phi_u + phi_e)},
     Z31(t) = -4 Re(A+ conj(A-) e^{2i c phi_u(t)}),
 
-which is constant at t -> +/-inf because phi_u saturates at +/-pi*ups/(2 chi);
-population conservation (CCPC) holds iff sin(pi ups/chi) = 0 and inversion
-(CCPI) iff cos(pi ups/chi) = 0.
+which is constant at t -> +/-inf because phi_u saturates at +/-pi*ups/(2 chi).
+So the pulse area A = pi*ups/chi decides, under the one rule of both drives
+(core.area_condition): populations are conserved (CCPC) iff |ups/chi| is an
+integer and invert within each pair (CCPI) iff it is a half-integer.
 
 Spin-flipping branch, sin(pi*gamma) = +/-1.  The pairs are (a1, a4) and
 (a2, a3); closed forms exist when the parameters satisfy the constraint
@@ -62,15 +63,13 @@ as the points of a scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONDITION_TOL, AsyncTanhSech, _require_fraction, branch_signs, coupling_values
+from .core import AsyncTanhSech, _require_fraction, area_condition, branch_signs, coupling_values
 from .sync import _commuting_modes
 
 __all__ = [
-    "AsyncConservingCondition",
     "gate",
     "modes",
     "classify_async_conserving",
@@ -91,36 +90,20 @@ _CONSERVING_TUNNEL = np.array([-1.0, 1.0, 1.0, -1.0])
 _CONSERVING_ZEEMAN = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-@dataclass(frozen=True)
-class AsyncConservingCondition:
-    """Classification of a conserving-branch drive by its pulse area ratio ups/chi."""
-
-    kind: str  # "CCPC", "CCPI" or "neither"
-    ratio: float
-    sin_val: float
-    cos_val: float
-
-
 def classify_async_conserving(upsilon, chi):
-    """CCPC iff |sin(pi ups/chi)| <= 1e-9; CCPI iff |cos(pi ups/chi)| <= 1e-9.
+    """(upsilon, chi) under core.area_condition, with the pulse area A = pi*upsilon/chi.
 
-    Refuses a chi that is not > 0 and any argument that is not finite, as
-    the drive does, and a ratio ups/chi that overflows or reaches 2**52,
-    where no fractional digits are left.
+    The rule reads |A|/pi as |upsilon/chi|, which is exact.  Refuses what
+    the drive refuses, and an upsilon/chi that overflows or reaches 2**52.
     """
     AsyncTanhSech(0.0, upsilon, chi)
     ratio = _require_fraction("upsilon/chi", float(upsilon) / float(chi))
-    sin_val = math.sin(math.pi * ratio)
-    cos_val = math.cos(math.pi * ratio)
-    if abs(sin_val) <= CONDITION_TOL:
-        return AsyncConservingCondition("CCPC", ratio, sin_val, cos_val)
-    if abs(cos_val) <= CONDITION_TOL:
-        return AsyncConservingCondition("CCPI", ratio, sin_val, cos_val)
-    return AsyncConservingCondition("neither", ratio, sin_val, cos_val)
+    return area_condition(math.pi * ratio, abs(ratio))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_flip_constraint(epsilon, upsilon, chi):
-    """Residual chi^2/4 + epsilon^2 - upsilon^2 of the flip-branch constraint."""
+    """Residual chi^2/4 + epsilon^2 - upsilon^2 of the flip constraint; inf or NaN on overflow."""
     return 0.25 * chi * chi + epsilon * epsilon - upsilon * upsilon
 
 

@@ -103,7 +103,7 @@ def _float_setting(cfg, args, key, default=None):
 
 def _parse_amplitudes(cfg):
     def part(key):
-        return _number(key, cfg.get(key, 0.0), float)
+        return float(_require_finite(key, _number(key, cfg.get(key, 0.0), float)))
 
     amps = [complex(part(f"a{k}_re"), part(f"a{k}_im")) for k in (1, 2, 3, 4)]
     if not any(abs(a) > 0 for a in amps):
@@ -161,6 +161,8 @@ def _cmd_scan(args):
     n = _number("grid_n", cfg.get("grid_n", 401), int)
     if n < 0:
         raise ValueError(f"grid_n must not be negative, got {n}")
+    if n == 0 or (n > 1 and lo == hi):
+        raise ValueError(f"grid_lo={lo:g}, grid_hi={hi:g} and grid_n={n} make no monotone grid")
     fixed = {
         key: _number(key, cfg[key], float)
         for key in ("gamma", "beta", "V", "Omega", "epsilon", "upsilon", "chi")
@@ -184,24 +186,19 @@ def _cmd_classify(args):
     # every line is made before any is printed, so a refused argument prints none
     lines = []
     if args.V is not None and args.Omega is not None:
-        cond = classify_sync_condition(args.beta or 0.0, args.V, args.Omega)
+        beta = args.beta or 0.0
+        cond = classify_sync_condition(beta, args.V, args.Omega)
         if cond.kind == "neither":
-            lines.append(
-                "sync: neither CCPC nor CCPI "
-                f"(pulse-area ratio {cond.ratio:.6g}, nearest residual {cond.grid_residual:.3g})"
-            )
+            verdict = f"neither CCPC nor CCPI (pulse-area ratio {cond.area:.6g}, nearest"
         else:
-            lines.append(
-                f"sync: {cond.kind} n={cond.n} "
-                f"(beta residual {cond.beta_residual:.3g}, grid residual {cond.grid_residual:.3g})"
-            )
+            verdict = f"{cond.kind} n={cond.n} (beta residual {abs(beta):.3g}, grid"
+        lines.append(f"sync: {verdict} residual {cond.residual:.3g})")
     if args.upsilon is not None and args.chi is not None:
         cond = classify_async_conserving(args.upsilon, args.chi)
         if cond.kind == "neither":
-            lines.append(
-                "async (spin-conserving): neither CCPC nor CCPI "
-                f"(sin(pi*upsilon/chi) = {cond.sin_val:.3g}, cos = {cond.cos_val:.3g})"
-            )
+            sin, cos = math.sin(cond.area), math.cos(cond.area)
+            verdict = f"neither CCPC nor CCPI (sin(pi*upsilon/chi) = {sin:.3g}, cos = {cos:.3g})"
+            lines.append(f"async (spin-conserving): {verdict}")
         else:
             lines.append(f"{cond.kind} (async, spin-conserving)")
         if args.epsilon is not None:

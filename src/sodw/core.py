@@ -28,6 +28,9 @@ parameter that is not finite, and values(t) gives both drive values at once.
 areas(t) gives the pulse areas (phi_u, phi_e), both values integrated from 0
 to t, and saturated_area() phi_u(+inf): all that the synchronous engine and
 the spin-conserving branch read of a drive.  Each refuses an overflow by name.
+The tunnelling pulse area A = 2*phi_u(+inf) decides both drives' return and
+inversion by one rule, area_condition: CCPC where |A| = n*pi, CCPI where
+|A| = (n + 1/2)*pi, zero and negative A too, and beta = 0 on the sync drive.
 stack_drives makes one drive of several of one class, whose fields are stacks.
 
 Everything here is dimensionless and immutable; all functions are pure and
@@ -42,8 +45,10 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 __all__ = [
+    "AreaCondition",
     "SyncSech2",
     "AsyncTanhSech",
+    "area_condition",
     "as_state",
     "as_states",
     "branch_signs",
@@ -79,14 +84,38 @@ def _require_epoch(name, value):
 
 
 def _require_fraction(name, value):
-    """value as a float; refused unless |value| < 2**52, where a float keeps fractional digits.
-
-    A value that is not finite is refused as _require_finite refuses it.
-    """
+    """value as a float; refused unless finite and below 2**52, where fractions are left."""
     v = float(_require_finite(name, value))
     if not abs(v) < 2.0**52:
         raise ValueError(f"{name} must be below 2**52 in magnitude to classify, got {v!r}")
     return v
+
+
+@dataclass(frozen=True)
+class AreaCondition:
+    """The verdict of area_condition: kind CCPC, CCPI or neither (n None), and its residual."""
+
+    kind: str
+    n: int | None
+    area: float
+    residual: float
+
+
+def area_condition(area, turns, beta=0.0):
+    """The CCPC/CCPI rule of both drives, on the tunnelling pulse area A = integral of upsilon dt.
+
+    turns is r = |A|/pi as exactly as the drive gives it.  CCPC(n) holds iff
+    pi*|r - n| <= CONDITION_TOL and CCPI(n) iff pi*|r - n - 1/2| <= it, and
+    each only where the synchronous Zeeman ratio beta is within it of 0.
+    The residual, the nearer of the two distances, is formed from r, so it
+    does not cancel at a large n.
+    """
+    n, m = round(turns), round(turns - 0.5)
+    to_c, to_i = math.pi * abs(turns - n), math.pi * abs(turns - m - 0.5)
+    kind, n, residual = ("CCPC", n, to_c) if to_c <= to_i else ("CCPI", m, to_i)
+    if not (abs(beta) <= CONDITION_TOL and residual <= CONDITION_TOL):
+        kind, n = "neither", None
+    return AreaCondition(kind, n, area, residual)
 
 
 def coupling_values(gamma):
@@ -131,6 +160,16 @@ def _log_cosh(x):
     return ax - math.log(2.0) + np.log1p(np.exp(-2.0 * ax))
 
 
+def _check_drive(drive, rate):
+    """Refuse a rate not > 0 and a field not finite; keep a stacked field as its float array."""
+    if not np.all(np.asarray(getattr(drive, rate)) > 0):
+        raise ValueError(f"{rate} must be > 0, got {getattr(drive, rate)}")
+    for name, value in vars(drive).items():
+        stack = _require_finite(name, value)
+        if stack.ndim:  # a list then computes as its array does; a scalar stays as given
+            object.__setattr__(drive, name, stack)
+
+
 @dataclass(frozen=True)
 class SyncSech2:
     """Synchronous drive: upsilon(t) = V*sech^2(Omega*t), epsilon(t) = beta*upsilon(t).
@@ -142,12 +181,10 @@ class SyncSech2:
     beta: float
     V: float
     Omega: float
+    AREA_NAME = "V/Omega"  # saturated_area(), phi_u(+inf), as refusals name it
 
     def __post_init__(self):
-        if not np.all(np.asarray(self.Omega) > 0):
-            raise ValueError(f"Omega must be > 0, got {self.Omega}")
-        for name, value in vars(self).items():
-            _require_finite(name, value)
+        _check_drive(self, "Omega")
 
     # far from the pulse cosh overflows to inf, which gives the limit sech -> 0
     @np.errstate(over="ignore")
@@ -159,7 +196,7 @@ class SyncSech2:
     @np.errstate(over="ignore")
     def saturated_area(self):
         """phi_u(+inf) = V/Omega, refused by name unless every member's is finite."""
-        return _require_finite("V/Omega", self.V / self.Omega)
+        return _require_finite(self.AREA_NAME, self.V / self.Omega)
 
     @np.errstate(over="ignore")
     def areas(self, t):
@@ -179,12 +216,10 @@ class AsyncTanhSech:
     epsilon: float
     upsilon: float
     chi: float
+    AREA_NAME = "pi*upsilon/(2*chi)"  # saturated_area(), phi_u(+inf), as refusals name it
 
     def __post_init__(self):
-        if not np.all(np.asarray(self.chi) > 0):
-            raise ValueError(f"chi must be > 0, got {self.chi}")
-        for name, value in vars(self).items():
-            _require_finite(name, value)
+        _check_drive(self, "chi")
 
     @np.errstate(over="ignore")
     def values(self, t):
@@ -195,7 +230,7 @@ class AsyncTanhSech:
     @np.errstate(over="ignore")
     def saturated_area(self):
         """phi_u(+inf) = pi*upsilon/(2 chi), refused by name unless every member's is finite."""
-        return _require_finite("pi*upsilon/(2*chi)", 0.5 * math.pi * self.upsilon / self.chi)
+        return _require_finite(self.AREA_NAME, 0.5 * math.pi * self.upsilon / self.chi)
 
     @np.errstate(over="ignore", invalid="ignore")
     def areas(self, t):

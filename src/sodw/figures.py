@@ -157,7 +157,8 @@ def _trajectory_times(epoch, horizon, samples):
 
     [-horizon, horizon] for epoch -inf, else [epoch, epoch + horizon].
     Refuses an epoch of +inf or NaN, fewer than 2 samples, a horizon that
-    is not finite and positive, and a window whose end or span overflows.
+    is not finite and positive, a window whose end or span overflows, and
+    one too short for its epoch to give strictly increasing times.
     """
     _require_epoch("epoch", epoch)
     if samples < 2 or not 0.0 < horizon < math.inf:
@@ -167,9 +168,13 @@ def _trajectory_times(epoch, horizon, samples):
         )
     if epoch == -math.inf:
         _require_finite("2*horizon", 2.0 * float(horizon))
-        return np.linspace(-horizon, horizon, samples)
-    _require_finite("epoch + horizon", float(epoch) + float(horizon))
-    return np.linspace(epoch, epoch + horizon, samples)
+        times = np.linspace(-horizon, horizon, samples)
+    else:
+        _require_finite("epoch + horizon", float(epoch) + float(horizon))
+        times = np.linspace(epoch, epoch + horizon, samples)
+    if not np.all(np.diff(times) > 0):
+        raise ValueError(f"epoch {epoch:g} and horizon {horizon:g} give sample times that repeat")
+    return times
 
 
 def _trajectory_dataset(name, times, *solutions):

@@ -57,12 +57,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONDITION_TOL, SyncSech2, _require_finite, _require_fraction
+from .core import SyncSech2, _require_finite, _require_fraction, area_condition
 from .core import coupling_angle, coupling_values
 
 __all__ = [
     "EigenSystem",
-    "SyncCondition",
     "eigen_sync",
     "modes",
     "classify_sync_condition",
@@ -187,7 +186,7 @@ def _commuting_modes(vectors, drive, lam_u, lam_e=None):
     area = drive.saturated_area()
     with np.errstate(over="ignore"):
         theta = [lam_u[j] * -area for j in (0, 1)]
-    past = [np.exp(-1j * _require_finite("mode phase lambda*phi_u(+inf)", x)) for x in theta]
+    past = [np.exp(-1j * _require_finite(f"mode phase lambda*{drive.AREA_NAME}", x)) for x in theta]
     ends = [np.stack([p, np.conj(p)]) for p in past]
 
     def limits(c):
@@ -214,37 +213,14 @@ def modes(protocol, gamma):
     return _commuting_modes(eig.vec, protocol, eig.lam)
 
 
-@dataclass(frozen=True)
-class SyncCondition:
-    """Classification of a synchronous drive against the exact return/inversion conditions."""
-
-    kind: str  # "CCPC", "CCPI" or "neither"
-    n: int | None
-    ratio: float  # 2V/Omega
-    beta_residual: float
-    grid_residual: float
-
-
 def classify_sync_condition(beta, V, Omega):
-    """Classify (beta, V, Omega).
+    """(beta, V, Omega) under core.area_condition, with the pulse area A = 2V/Omega.
 
-    CCPC(n): beta = 0 and 2V/Omega = n*pi (n >= 1) -- every population
-    returns to its initial value.  CCPI(n): beta = 0 and
-    2V/Omega = (n + 1/2)*pi (n >= 0) -- the left/right populations invert.
-    Both tested within 1e-9.  Refuses an Omega that is not > 0 and any
-    argument that is not finite, as the drive does, and a ratio 2V/Omega
-    that overflows or reaches 2**52, where no fractional digits are left.
+    CCPC(n): beta = 0 and |A| = n*pi, every population returns.  CCPI(n):
+    beta = 0 and |A| = (n + 1/2)*pi, the two wells trade populations.
+    Refuses what the drive refuses, and a 2V/Omega that overflows or
+    reaches 2**52.
     """
     SyncSech2(beta, V, Omega)
-    ratio = _require_fraction("2V/Omega", 2.0 * float(V) / float(Omega))
-    beta_res = abs(float(beta))
-    n_c = round(ratio / math.pi)
-    res_c = abs(ratio - n_c * math.pi)
-    n_i = round(ratio / math.pi - 0.5)
-    res_i = abs(ratio - (n_i + 0.5) * math.pi)
-    if beta_res <= CONDITION_TOL:
-        if n_c >= 1 and res_c <= CONDITION_TOL:
-            return SyncCondition("CCPC", n_c, ratio, beta_res, res_c)
-        if n_i >= 0 and res_i <= CONDITION_TOL:
-            return SyncCondition("CCPI", n_i, ratio, beta_res, res_i)
-    return SyncCondition("neither", None, ratio, beta_res, min(res_c, res_i))
+    area = _require_fraction("2V/Omega", 2.0 * float(V) / float(Omega))
+    return area_condition(area, abs(area) / math.pi, float(beta))

@@ -131,7 +131,7 @@ def test_area_theorem_ties_the_conserving_branch_to_the_synchronous_drive():
 
 def test_classify_conserving_conditions():
     c = classify_async_conserving(2.0, 1.0)
-    assert (c.kind, c.ratio) == ("CCPC", 2.0)
+    assert (c.kind, c.n, c.area, c.residual) == ("CCPC", 2, 2.0 * math.pi, 0.0)
     assert classify_async_conserving(1.5, 1.0).kind == "CCPI"
     assert classify_async_conserving(0.5, 1.0).kind == "CCPI"
     assert classify_async_conserving(0.8, 1.0).kind == "neither"

@@ -290,8 +290,28 @@ _EXACT_GRID_5 = ["--engine", "exact", "--grid", "5"]
         (
             "evolve",
             None,
+            [*_EXACT_GRID_5, "--protocol", "sync", "--gamma", "0.3", "--epoch", "1e300"],
+            "epoch 1e+300 and horizon 25 give sample times that repeat\n",
+        ),
+        (
+            "evolve",
+            None,
+            ["--engine", "oracle", "--grid", "5", "--protocol", "sync", "--gamma", "0.3",
+             "--epoch=-1e300"],
+            "epoch -1e+300 and horizon 25 give sample times that repeat\n",
+        ),
+        (
+            "evolve",
+            None,
+            ["--engine", "both", "--grid", "5", "--protocol", "sync", "--gamma", "0.3",
+             "--epoch", "1e17", "--horizon", "1"],
+            "epoch 1e+17 and horizon 1 give sample times that repeat\n",
+        ),
+        (
+            "evolve",
+            None,
             [*_EXACT_GRID_5, "--protocol", "sync", "--gamma", "0.5", "--beta", "2", "--V", "1e308"],
-            "mode phase lambda*phi_u(+inf) must be finite, got inf\n",
+            "mode phase lambda*V/Omega must be finite, got inf\n",
         ),
         (
             "evolve",
@@ -304,6 +324,20 @@ _EXACT_GRID_5 = ["--engine", "exact", "--grid", "5"]
             None,
             [*_EXACT_GRID_5, "--protocol", "async", "--gamma", "1", "--epsilon", "1e308"],
             "phi_e = (epsilon/chi)*ln cosh(chi*t) must be finite, got inf\n",
+        ),
+        ("evolve", "protocol=sync\ngamma=0.5\na3_re=nan\n", [], "a3_re must be finite, got nan\n"),
+        ("scan", "swept=beta\ngamma=0.5\nV=1\nOmega=1\na1_im=inf\n", [], "a1_im must be finite"),
+        (
+            "scan",
+            "swept=beta\ngrid_n=0\ngamma=0.5\nV=1\nOmega=1\n",
+            [],
+            "grid_lo=0, grid_hi=1 and grid_n=0 make no monotone grid\n",
+        ),
+        (
+            "scan",
+            "swept=beta\ngrid_hi=0\ngrid_n=3\ngamma=0.5\nV=1\nOmega=1\n",
+            [],
+            "grid_lo=0, grid_hi=0 and grid_n=3 make no monotone grid\n",
         ),
     ],
     ids=[
@@ -325,9 +359,16 @@ _EXACT_GRID_5 = ["--engine", "exact", "--grid", "5"]
         "evolve-default-horizon-overflow",
         "evolve-window-end-overflow",
         "evolve-window-span-overflow",
+        "evolve-exact-window-collapses",
+        "evolve-oracle-window-collapses",
+        "evolve-both-window-collapses",
         "evolve-sync-phase-overflow",
         "evolve-async-phi_u-overflow",
         "evolve-async-phi_e-overflow",
+        "evolve-nan-amplitude",
+        "scan-inf-amplitude",
+        "scan-no-grid-point",
+        "scan-equal-grid-ends",
     ],
 )
 def test_cli_refusal_exits_2_and_writes_nothing(verb, config, flags, refusal, tmp_path, capsys):
@@ -335,7 +376,11 @@ def test_cli_refusal_exits_2_and_writes_nothing(verb, config, flags, refusal, tm
     # negative grids printed numpy's text, which names neither --grid nor grid_n,
     # and a grid end that is not finite was refused as a grid not monotone;
     # a derived value that overflowed crashed, warned or named no argument, and
-    # one that overflowed inside a closed form wrote NaN rows and exited 0
+    # one that overflowed inside a closed form wrote NaN rows and exited 0; a
+    # window that collapsed at its epoch wrote one repeated t under the exact
+    # engine and named no argument under the oracle; a NaN amplitude was read
+    # as no amplitude, so the default start ran and the command exited 0; and
+    # a grid of no point or of equal ends was refused as "grid must be ..."
     if config is not None:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
@@ -521,6 +566,20 @@ def test_scan_whose_oracle_rows_fail_keeps_its_closed_form_rows(tmp_path, monkey
     _, rows = _csv_table(tmp_path / "scan_data.csv")
     assert [row[-1] for row in rows] == ["oracle", "async-exact", "oracle", "async-exact"]
     assert [row[1] == "nan" for row in rows] == [True, False, True, False]
+
+
+def test_scan_whose_oracle_window_collapses_at_its_epoch_names_the_epoch(tmp_path):
+    # the oracle rows failed with "need t_end > t_start, got [1e+300, 1e+300]"
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("swept=gamma\ngrid_n=5\nepsilon=0.4\nupsilon=1\nchi=1\nepoch=1e300\n")
+    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta = _read_meta(tmp_path / "scan_meta")
+    failures = {key: value for key, value in meta.items() if key.startswith("failure_")}
+    refusal = "epoch 1e+300 + default horizon rounds to the epoch"
+    points = ("0.25", "0.5", "0.75")
+    assert failures == {f"failure_{n}": f"{x}: {refusal}" for n, x in enumerate(points)}
+    _, rows = _csv_table(tmp_path / "scan_data.csv")
+    assert [row[-1] for row in rows] == ["async-exact", "oracle", "oracle", "oracle", "async-exact"]
 
 
 def test_figure_cli_deterministic_surface(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sodw import classify_async_conserving, classify_sync_condition, integrate_batch, solve
 from sodw.core import (
     AsyncTanhSech,
     SyncSech2,
@@ -13,6 +14,7 @@ from sodw.core import (
     hamiltonian_matrix,
     imbalance,
 )
+from sodw.oracle import IntegratorConfig
 
 
 def test_coupling_rejects_nonfinite():
@@ -204,3 +206,71 @@ def test_drives_refuse_nonfinite_fields(cls, field, stacked, bad):
     values[field] = np.array([values[field], bad, values[field]]) if stacked else bad
     with pytest.raises(ValueError, match="must be"):
         cls(*values)
+
+
+# the grid points of the area rule, in units of pi, and their verdicts
+_GRID = [(0.0, "CCPC", 0), (0.5, "CCPI", 0), (1.0, "CCPC", 1), (1.5, "CCPI", 1), (7.0, "CCPC", 7)]
+_AREAS = [
+    pytest.param(
+        sign * turns * math.pi + shift,
+        kind if abs(shift) < 1e-9 else "neither",
+        n,
+        id=f"{sign * turns:g}pi{shift:+.1e}",
+    )
+    for turns, kind, n in _GRID + [(0.8, "neither", None)]
+    for sign in (1.0, -1.0)
+    for shift in (0.0, -0.5e-9, 0.5e-9, -2e-9, 2e-9)
+    if sign > 0 or turns > 0
+]
+
+
+@pytest.mark.parametrize("area,kind,n", _AREAS)
+def test_one_area_rule_decides_both_drives(area, kind, n):
+    # the sync rule tested 2V/Omega = n*pi with n >= 1, so it called the areas 0,
+    # -pi and -pi/2 neither; the async rule tested |sin(pi*upsilon/chi)| instead
+    sync = classify_sync_condition(0.0, 0.5 * area, 1.0)
+    conserving = classify_async_conserving(area / math.pi, 1.0)
+    verdict = (kind, None if kind == "neither" else n)
+    assert (sync.kind, sync.n) == (conserving.kind, conserving.n) == verdict
+    assert abs(sync.residual - conserving.residual) <= 1e-15
+    rng = np.random.default_rng(25)
+    starts = rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4))
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+    gamma = rng.uniform(0.0, 3.0, 20)
+    p_sync = solve(SyncSech2(0.0, 0.5 * area, 1.0), gamma, starts, -math.inf).asymptotes()
+    drive = AsyncTanhSech(rng.uniform(-2.0, 2.0, 20), area / math.pi, 1.0)
+    p_conserving = solve(drive, rng.integers(0, 4, 20) * 1.0, starts, 0.0).asymptotes()
+    if kind == "CCPC":
+        assert np.max(np.abs(p_sync[1] - p_sync[0])) <= 1e-9
+        assert np.max(np.abs(p_conserving[1] - p_conserving[0])) <= 1e-9
+    if kind == "CCPI":
+        z_lr = imbalance(p_sync, "L", "R")
+        assert np.max(np.abs(z_lr[1] + z_lr[0])) <= 1e-9
+        z31 = imbalance(p_conserving, 3, 1)
+        assert np.max(np.abs(z31[1] + z31[0])) <= 1e-9
+
+
+_LIST_DRIVES = [
+    pytest.param(SyncSech2, ([0.1, 0.2], 1.0, 1.0), 0.3, id="sync-beta"),
+    pytest.param(SyncSech2, (0.1, 1.0, [1.0, 2.0]), 0.3, id="sync-Omega"),
+    pytest.param(AsyncTanhSech, (0.3, [1.0, 2.0], 1.0), 1.0, id="async-upsilon"),
+    pytest.param(AsyncTanhSech, (0.3, 1e-10, [1.0, 1e-308]), 1.0, id="async-chi"),
+]
+
+
+@pytest.mark.parametrize("cls,fields,gamma", _LIST_DRIVES)
+def test_a_list_valued_stack_computes_as_its_array(cls, fields, gamma):
+    # each raised a TypeError far from its input, such as "can't multiply
+    # sequence by non-int of type 'numpy.float64'"
+    listed = cls(*fields)
+    arrays = cls(*(np.array(value) if isinstance(value, list) else value for value in fields))
+    e3 = (0.0, 0.0, 1.0, 0.0)
+    expected = solve(arrays, gamma, e3, 0.0).asymptotes()
+    np.testing.assert_array_equal(solve(listed, gamma, e3, 0.0).asymptotes(), expected)
+    window = IntegratorConfig(0.0, 5.0)
+    expected = integrate_batch(gamma, arrays, e3, window, [0.5, 1.0]).states
+    states = integrate_batch(gamma, listed, e3, window, [0.5, 1.0]).states
+    np.testing.assert_array_equal(states, expected)
+    # a scalar field is kept as given, so every meta file prints it as before
+    kinds = [np.ndarray if isinstance(value, list) else float for value in fields]
+    assert [type(value) for value in vars(listed).values()] == kinds

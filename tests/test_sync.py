@@ -183,18 +183,18 @@ def test_left_well_empties_at_half_pi_area():
 def test_classify_return_and_inversion_grid():
     c = classify_sync_condition(0.0, 0.5 * math.pi, 1.0)
     assert (c.kind, c.n) == ("CCPC", 1)
-    assert c.beta_residual == 0.0 and c.grid_residual < 1e-15
+    assert c.area == math.pi and c.residual < 1e-15
 
     c = classify_sync_condition(0.0, 0.25 * math.pi, 1.0)
     assert (c.kind, c.n) == ("CCPI", 0)
 
     c = classify_sync_condition(0.0, 1.25 * math.pi, 2.0)  # 2V/Omega = 1.25*pi
     assert c.kind == "neither" and c.n is None
-    assert c.grid_residual == pytest.approx(0.25 * math.pi, abs=1e-12)
+    assert c.residual == pytest.approx(0.25 * math.pi, abs=1e-12)
 
     c = classify_sync_condition(0.3, 0.5 * math.pi, 1.0)  # splitting breaks both
-    assert c.kind == "neither"
-    assert c.beta_residual == pytest.approx(0.3)
+    assert c.kind == "neither" and c.n is None
+    assert c.residual < 1e-15  # the area is on the grid, so beta alone breaks them
 
     with pytest.raises(ValueError):
         classify_sync_condition(0.0, 1.0, 0.0)
