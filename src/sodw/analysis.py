@@ -10,33 +10,26 @@ protocol, the asynchronous closed form covers the spin-conserving branch
 and everything else falls back to the numeric oracle.  The engine used is
 recorded per row.  A ScanSpec builds its grid's parameters once, as a stack
 of drives, and so refuses a bad fixed value; run_scan solves the stack its
-ScanSpec built.  It routes every point with the branch gate evaluated as a
-mask and takes each group of points from the stack by index, the stacked
+ScanSpec built, taking each group of points from it by index, the stacked
 fields only: its closed-form points are solved in one array pass, and its
 oracle points go to integrate_batch as one stack of drives with one window
 per member.
 
-The branch gate itself is asynchronous.gate; _engines turns its answer into
-an engine per member and a refusal text.  select_engine and off_branch_reason
-read it for one drive, and solve() raises the same text, so every entry point
-gives the same answer at the same (drive, gamma).
+_route reads the branch gate, route(), of the drive's engine (sync or
+asynchronous, keyed by its KIND): a code per member, 0 where no closed form
+covers it, and the one refusal text.  solve(), run_scan, select_engine and
+off_branch_reason all read it, so every entry point gives the same answer at
+the same (drive, gamma), and a scan gates its points once.
 
-solve() is the one entry point to the closed forms.  Each engine is only
-what differs between the drives: sync.modes and asynchronous.modes gate the
-drive once and return what acts on states, built from the engine's own
-structure: evolve(t, c), the state a(t) of the four mode constants c;
-constants(t0, a0), the exact constants of a state a0 given at t0; and
-limits(c), the states at -/+inf, with P(-/+inf) = |limits(c)|^2.  The
-synchronous drive and the conserving branch build them alike from the
-drive's pulse areas.  Solution keeps c = constants(t0, a0), with the shape
-of the members and the four constants last, and builds no complex matrix per
-member or per sample; the initial state may differ from member to member
-together with its time, and populations are plain arrays with the four
-levels on their last axis.  solve() refuses a t0 that is neither finite nor
--inf, and holds the one rule for a state given at t0 = -inf: the synchronous
-engine imposes it exactly, at tau(-inf) = -V/Omega, and the asynchronous
-branches impose it at t = -default_horizon, which is formed only for the
-members given at -inf.
+solve() is the one entry point to the closed forms.  Each engine's
+modes(drive, gamma, codes) takes the gate's codes and returns what acts on
+states: evolve(t, c), the state a(t) of the four mode constants c;
+constants(t0, a0), the exact constants of a state a0 given at t0, finite or
+-inf; and limits(c), the states at -/+inf, with P(-/+inf) = |limits(c)|^2.
+Solution keeps c = constants(t0, a0), with the shape of the members and the
+four constants last, and builds no complex matrix per member or per sample;
+the initial state may differ from member to member together with its time,
+and populations are plain arrays with the four levels on their last axis.
 """
 
 from __future__ import annotations
@@ -50,8 +43,8 @@ import numpy as np
 
 from . import asynchronous as asyn
 from . import sync
-from .core import AsyncTanhSech, SyncSech2, as_state, as_states, coupling_values, imbalance
-from .core import _imbalance_keys, _require_epoch, _require_finite
+from .core import AsyncTanhSech, SyncSech2, as_state, as_states, coupling_values, default_horizon
+from .core import _imbalance_keys, _require_epoch, _require_finite, imbalance
 from .oracle import IntegratorConfig, integrate_batch
 
 __all__ = [
@@ -78,42 +71,25 @@ ENGINE_ORACLE = "oracle"
 
 SWEPT_NAMES = ("beta", "V_over_Omega", "gamma", "upsilon_over_chi")
 
-def default_horizon(protocol):
-    """Horizon T so that the drive envelope is negligible beyond |t| = T.
+# the closed-form engine of each drive KIND, and its name in a scan's rows
+_ENGINES = {"sync": (sync, ENGINE_SYNC), "async": (asyn, ENGINE_ASYNC)}
 
-    T = 25/min(rate, 1), with rate Omega (sync) or chi (async): a float for
-    one drive, an array with one horizon per member for a stack.  Refuses a
-    rate so small that T overflows.
-    """
-    name = "Omega" if isinstance(protocol, SyncSech2) else "chi"
-    with np.errstate(over="ignore"):
-        horizon = 25.0 / np.minimum(getattr(protocol, name), 1.0)
-    horizon = _require_finite(f"default horizon 25/min({name}, 1)", horizon)
-    return float(horizon) if horizon.ndim == 0 else horizon
+
+def _route(protocol, gamma):
+    """(engine, names, codes, refusal): the drive's engine, its route() and each engine name."""
+    engine, name = _ENGINES[protocol.KIND]
+    codes, refusal = engine.route(protocol, gamma)
+    return engine, np.where(codes != 0, name, ENGINE_ORACLE), codes, refusal
 
 
 def select_engine(protocol, gamma):
     """Pick the analytic engine valid for (protocol, gamma), else the oracle."""
-    return _engines(protocol, coupling_values(gamma))[0].item()
+    return _route(protocol, coupling_values(gamma))[1].item()
 
 
 def off_branch_reason(protocol, gamma):
     """Why no closed form applies at (protocol, gamma), or None where one does."""
-    return _engines(protocol, coupling_values(gamma))[1]
-
-
-def _engines(protocol, gamma):
-    """(engines, refusal) of a (stacked) protocol: the branch gate's answer per member.
-
-    engines holds the engine name of every member; refusal is the text for
-    the first member no closed form covers, or None.  On the asynchronous
-    drive a gamma that is not finite is on neither branch.
-    """
-    if isinstance(protocol, SyncSech2):
-        shape = np.broadcast_shapes(np.shape(gamma), np.shape(protocol.beta), np.shape(protocol.V))
-        return np.full(shape, ENGINE_SYNC), None
-    conserving, flip, refusal = asyn.gate(protocol, gamma)
-    return np.where((conserving != 0) | (flip != 0), ENGINE_ASYNC, ENGINE_ORACLE), refusal
+    return _route(protocol, coupling_values(gamma))[3]
 
 
 @dataclass(frozen=True)
@@ -232,11 +208,11 @@ def run_scan(spec):
     epoch where a default horizon past it rounds away.
     """
     grid, (gamma, protocol) = spec.grid, spec._points
-    engines = _engines(protocol, np.broadcast_to(gamma, grid.shape))[0]
+    engine, engines, codes, _ = _route(protocol, np.broadcast_to(gamma, grid.shape))
     values = np.full((grid.size, len(spec.observables)), math.nan)
     errors = [None] * grid.size
     failed = np.zeros(grid.size, dtype=bool)
-    finite, oracle = np.isfinite(gamma), engines == ENGINE_ORACLE
+    finite, oracle = np.isfinite(gamma), codes == 0
     # a scan sweeps one drive class, so its closed-form points share one engine
     groups = [np.flatnonzero(finite & ~oracle), np.flatnonzero(finite & oracle)]
     for idx in filter(len, groups + [[k] for k in np.flatnonzero(~finite)]):
@@ -256,8 +232,8 @@ def run_scan(spec):
                 batch = integrate_batch(members_gamma, members, spec.state0, window, [1.0])
                 populations = batch.population_array[0]
             else:
-                solution = solve(members, members_gamma, spec.state0, spec.epoch)
-                populations = solution.asymptotes()[1]
+                modes = engine.modes(members, members_gamma, codes[idx])
+                populations = Solution(*modes, spec.state0, spec.epoch).asymptotes()[1]
         except Exception as exc:
             failed[idx] = True
             for k in idx:
@@ -355,20 +331,15 @@ class Solution:
 def solve(protocol, gamma, state0, t0):
     """Closed-form Solution with state0 imposed at t0 (finite or -inf).
 
-    The drive type picks the engine, whose modes() gate the drive once.  The
-    drive's fields, gamma, state0 (shape S + (4,)) and t0 may be stacks of
-    members.  One drive with an (N, 4) stack of starts shares its modes:
-    states(times[:, None]) is (K, N, 4) and asymptotes() (2, N, 4).  Raises
-    ValueError with the gate's refusal text when no closed form covers
-    (protocol, gamma).
+    The branch gate routes the drive once, and the drive's engine builds its
+    modes from the codes.  The drive's fields, gamma, state0 (shape S + (4,))
+    and t0 may be stacks of members.  One drive with an (N, 4) stack of
+    starts shares its modes: states(times[:, None]) is (K, N, 4) and
+    asymptotes() (2, N, 4).  Raises ValueError with the gate's refusal text
+    when no closed form covers (protocol, gamma).
     """
     t0 = _require_epoch("t0", t0)
-    if isinstance(protocol, SyncSech2):
-        return Solution(*sync.modes(protocol, gamma), state0, t0)
-    if not np.all(np.isfinite(t0)):
-        # the horizon, which reads only chi, is formed for the members given at -inf alone
-        chi, t0 = np.broadcast_arrays(protocol.chi, t0)
-        past = np.isinf(t0)
-        t0 = np.array(t0)
-        t0[past] = -default_horizon(AsyncTanhSech(0.0, 0.0, chi[past]))
-    return Solution(*asyn.modes(protocol, gamma), state0, t0)
+    engine, _, codes, refusal = _route(protocol, coupling_values(gamma))
+    if refusal is not None:
+        raise ValueError(refusal)
+    return Solution(*engine.modes(protocol, gamma, codes), state0, t0)

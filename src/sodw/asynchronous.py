@@ -37,23 +37,25 @@ exponent is never positive, so nothing overflows at any finite t.
 Populations always cross over: P1(-inf) = P4(+inf) = 2|C+|^2 and
 P4(-inf) = P1(+inf) = 2|C-|^2.
 
-gate() is the one branch gate of this drive.  A gamma counts as on a branch
+route() is the one branch gate of this drive.  A gamma counts as on a branch
 when the coupling component that branch's closed form drops is below 1e-9:
 |sin(pi*gamma)| on the conserving branch, |cos(pi*gamma)| on the flip branch
-(core.branch_signs, the only test of gamma).  gate() adds the flip-branch
-constraint and returns the one refusal text for a drive that neither branch
-covers; modes(), the engine selection and the CLI all read it.  The
-constraint is tested within 1e-9 in one place, off_flip_constraint, which
-gate() and `sodw classify` both read.
+(core.branch_signs, the only test of gamma).  route() adds the flip-branch
+constraint, tested within 1e-9 in one place (off_flip_constraint, which
+`sodw classify` reads too), and returns each member's code, its branch
+times its coupling sign (+/-1 conserving, +/-2 flip, 0 for neither), with
+the one refusal text for a member that neither branch covers.
 
-modes() holds both branches in one form that acts on states: the state a(t)
-of the four mode constants c, the constants of a state given at t0, and the
-two limit states at -/+inf.  The conserving branch reads the synchronous
-form; the flip branch applies each pair's 2x2 formulas above and their
-adjugate, and its limits are the sqrt(2) keep and swap of each pair's
-constants.  No complex matrix is built per member or per sample.  The phase
-phi_e diverges at large |t| but only as a phase common to a pair, so
-populations never depend on it, and the limits leave it out.
+modes() takes those codes as given and holds both branches in one form that
+acts on states: the state a(t) of the four mode constants c, the constants
+of a state given at t0 (at -default_horizon for t0 = -inf), and the two
+limit states at -/+inf.  The conserving branch reads the synchronous form;
+the flip branch applies each pair's 2x2 formulas above and their adjugate,
+and its limits are the sqrt(2) keep and swap of each pair's constants.  A
+stack on both branches runs each branch on its own members.  No complex
+matrix is built per member or per sample.  The phase phi_e diverges at
+large |t| but only as a phase common to a pair, so populations never depend
+on it, and the limits leave it out.
 
 Every function works on a stack of members: the drive amplitudes, chi and
 gamma may be arrays that broadcast against each other (and against t), such
@@ -66,11 +68,11 @@ import math
 
 import numpy as np
 
-from .core import AsyncTanhSech, _require_fraction, area_condition, branch_signs, coupling_values
+from .core import AsyncTanhSech, _require_fraction, area_condition, branch_signs, default_horizon
 from .sync import _commuting_modes
 
 __all__ = [
-    "gate",
+    "route",
     "modes",
     "classify_async_conserving",
     "check_flip_constraint",
@@ -113,41 +115,33 @@ def off_flip_constraint(params):
     return residual, ~(np.abs(residual) <= FLIP_CONSTRAINT_TOL)
 
 
-def _constraint_refusal(residual):
-    return (
-        "flip-branch constraint chi^2/4 + epsilon^2 - upsilon^2 = 0 "
-        f"violated (residual {residual:.6g})"
-    )
+def route(params, gamma):
+    """The branch gate over a stack of drives: (codes, refusal).
 
-
-def gate(params, gamma):
-    """The branch gate over a stack of drives: (conserving, flip, refusal).
-
-    conserving and flip hold every member's coupling sign on that branch
-    (+/-1), or 0 where the member is not on it; a member on the flip angle
-    counts only when its drive meets the flip constraint within 1e-9.
-    refusal is the text for the first member that no closed form covers, or
-    None when every member is covered.
+    codes holds each member's branch times its coupling sign: +/-1 conserving,
+    +/-2 flip (only where the drive meets the flip constraint within 1e-9),
+    0 where no closed form covers it.  refusal is the text for the first
+    member that no closed form covers, or None.
     """
     conserving, flip = branch_signs(gamma)
     residual, off = off_flip_constraint(params)
-    conserving, flip, residual, off, gamma = np.broadcast_arrays(
-        conserving, flip, residual, off, gamma
-    )
     refused = (flip != 0) & off
-    flip = np.where(refused, 0.0, flip)
-    missing = np.flatnonzero((conserving == 0) & (flip == 0))
+    codes = conserving + 2.0 * np.where(refused, 0.0, flip)
+    codes, refused, residual, gamma = np.broadcast_arrays(codes, refused, residual, gamma)
+    missing = np.flatnonzero(codes == 0)
     if not missing.size:
-        return conserving, flip, None
+        return codes, None
     k = missing[0]
     if refused.flat[k]:
-        return conserving, flip, _constraint_refusal(residual.flat[k])
-    refusal = (
+        return codes, (
+            "flip-branch constraint chi^2/4 + epsilon^2 - upsilon^2 = 0 "
+            f"violated (residual {residual.flat[k]:.6g})"
+        )
+    return codes, (
         f"no closed form at gamma={float(gamma.flat[k])!r}: the drive needs "
         "|sin(pi*gamma)| < 1e-9 (spin-conserving) or |cos(pi*gamma)| < 1e-9 "
         "(spin-flipping)"
     )
-    return conserving, flip, refusal
 
 
 def _sqrt_sech_exp(x, sign):
@@ -211,72 +205,67 @@ def _flip(eps, ups, chi, sign):
     return evolve, constants, limits
 
 
-def _gathered(shape, parts):
-    """(evolve, constants, limits) of a stack of members split between the branches.
+def modes(params, gamma, codes):
+    """(evolve, constants, limits) of an AsyncTanhSech drive: its closed form, acting on states.
 
-    parts holds (idx, modes) per branch: the flat indices of its members in
-    shape, and its modes over them.  Times and states broadcast against
-    shape on their last axes, which become one member axis.
+    codes are route()'s, taken as given, none 0.  A member's constants c are
+    the weights of its four orthonormal conserving modes, sqrt(2)*(A+, B-,
+    A-, B+), or the flip pair constants (C+, C-, D+, D-).  evolve(t, c) is
+    the state at finite t, and constants(t0, a0) the exact constants of the
+    state a0 given at t0 (at -default_horizon for t0 = -inf): the conjugate
+    phases times the projection on the conserving branch, each pair block's
+    adjugate on the flip branch.  For members of shape S, t broadcasts
+    against S and c, a0 have shape S + (4,) (one member: T + (4,)).
+    limits(c), shape (2,) + S + (4,), holds the states at -/+inf up to a
+    phase per pair: the conserving modes at the saturated phi_u, and the
+    sqrt(2) keep and swap of each flip pair's constants.
     """
-    size = math.prod(shape)
+    eps, ups, chi, codes = np.broadcast_arrays(params.epsilon, params.upsilon, params.chi, codes)
+    on_flip, sign = np.abs(codes) == 2, np.sign(codes)
+    if not on_flip.any():
+        evolve, constants, limits = _conserving(eps, ups, chi, sign)
+    elif on_flip.all():
+        evolve, constants, limits = _flip(eps, ups, chi, sign)
+    else:
+        evolve, constants, limits = _split(on_flip, eps, ups, chi, sign)
 
-    def flat(x, tail):
-        # x with the member axes before its tail broadcast to shape and flattened
-        ndim = len(shape) + len(tail)
-        x = x.reshape((1,) * (ndim - x.ndim) + x.shape)
-        lead = x.shape[: x.ndim - ndim]
-        return np.broadcast_to(x, lead + shape + tail).reshape(lead + (size,) + tail)
+    def anchored(t0, a0):
+        # a state given at -inf holds at -default_horizon, formed for those members alone
+        t0 = np.asarray(t0, dtype=float)
+        if np.isinf(t0).any():
+            chi_t0, t0 = np.broadcast_arrays(params.chi, t0)
+            past, t0 = np.isinf(t0), t0.copy()
+            t0[past] = -default_horizon(AsyncTanhSech(0.0, 0.0, chi_t0[past]))
+        return constants(t0, a0)
 
-    def every_member(k):
-        # evolve (k = 0) or constants (k = 1) of every member, on its part
-        def at(t, values):
-            t, values = flat(np.asarray(t, dtype=float), ()), flat(values, (4,))
-            lead = np.broadcast_shapes(t.shape[:-1], values.shape[:-2])
-            out = np.empty(lead + (size, 4), dtype=complex)
-            for idx, part in parts:
-                out[..., idx, :] = part[k](t[..., idx], values[..., idx, :])
-            return out.reshape(lead + shape + (4,))
+    return evolve, anchored, limits
+
+
+def _split(on_flip, eps, ups, chi, sign):
+    """(evolve, constants, limits) of a stack on both branches, each run on its own members."""
+    parts = [
+        (mask, branch(*(x[mask] for x in (eps, ups, chi, sign))))
+        for branch, mask in ((_conserving, ~on_flip), (_flip, on_flip))
+    ]
+
+    def pick(x, mask, tail):
+        # the members of mask in x, whose tail axes follow the members' axes
+        head = np.shape(x)[: np.ndim(x) - len(tail)]
+        x = np.broadcast_to(x, np.broadcast_shapes(head, mask.shape) + tail)
+        return x[(Ellipsis, mask) + (slice(None),) * len(tail)]
+
+    def split(k):
+        # evolve (k = 0) and constants (1) of (t, c), limits (2) of (c,): the four
+        # levels of c follow the members' axes, against which t broadcasts
+        def at(*args):
+            *times, c = args
+            members = np.broadcast_shapes(*map(np.shape, times), np.shape(c)[:-1], on_flip.shape)
+            out = np.empty((2,) * (k == 2) + members + (4,), dtype=complex)  # limits: -/+inf
+            for mask, part in parts:
+                picked = [pick(t, mask, ()) for t in times] + [pick(c, mask, (4,))]
+                out[..., mask, :] = part[k](*picked)
+            return out
 
         return at
 
-    def limits(c):
-        c = flat(c, (4,))
-        out = np.empty((2,) + c.shape, dtype=complex)
-        for idx, part in parts:
-            out[..., idx, :] = part[2](c[..., idx, :])
-        return out.reshape((2,) + c.shape[:-2] + shape + (4,))
-
-    return every_member(0), every_member(1), limits
-
-
-def modes(params, gamma):
-    """(evolve, constants, limits) of an AsyncTanhSech drive: its closed form, acting on states.
-
-    Gates the drive once and raises ValueError with the gate's refusal text
-    when a member has no closed form.  Each member may lie on either branch;
-    its constants c are the weights of its four orthonormal conserving
-    modes, sqrt(2)*(A+, B-, A-, B+), or the flip pair constants
-    (C+, C-, D+, D-).  evolve(t, c) is the state at finite t, and
-    constants(t0, a0) the exact constants of the state a0 given at finite
-    t0: the conjugate phases times the projection on the conserving
-    branch, each pair block's adjugate on the flip branch.  For members of
-    shape S, t broadcasts against S and c, a0 have shape S + (4,) (one
-    member: T + (4,)).  limits(c), shape (2,) + S + (4,), holds the states
-    at -/+inf up to a phase per pair: the conserving modes at the saturated
-    phi_u, and the sqrt(2) keep and swap of each flip pair's constants.
-    """
-    conserving, flip, refusal = gate(params, coupling_values(gamma))
-    if refusal is not None:
-        raise ValueError(refusal)
-    members = np.broadcast_arrays(params.epsilon, params.upsilon, params.chi, conserving, flip)
-    eps, ups, chi, conserving, flip = members
-    on_flip = flip != 0
-    if not on_flip.any():
-        return _conserving(eps, ups, chi, conserving)
-    if on_flip.all():
-        return _flip(eps, ups, chi, flip)
-    parts = []
-    for mask, branch, sign in ((~on_flip, _conserving, conserving), (on_flip, _flip, flip)):
-        idx = np.flatnonzero(mask)
-        parts.append((idx, branch(*(np.ravel(x)[idx] for x in (eps, ups, chi, sign)))))
-    return _gathered(eps.shape, parts)
+    return split(0), split(1), split(2)

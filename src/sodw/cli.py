@@ -102,17 +102,25 @@ def _float_setting(cfg, args, key, default=None):
 
 
 def _parse_amplitudes(cfg):
-    def part(key):
-        return float(_require_finite(key, _number(key, cfg.get(key, 0.0), float)))
+    """The state of the keys a1_re..a4_im, (0, 0, 1, 0) where all are 0; refusals name keys.
 
-    amps = [complex(part(f"a{k}_re"), part(f"a{k}_im")) for k in (1, 2, 3, 4)]
+    A component above sqrt(1 + 1e-6) in magnitude, in no state normalized
+    within 1e-6, is refused before its square can overflow.
+    """
+    parts = {}
+    for key in (f"a{k}_{part}" for k in (1, 2, 3, 4) for part in ("re", "im")):
+        parts[key] = value = float(_require_finite(key, _number(key, cfg.get(key, 0.0), float)))
+        if not abs(value) <= math.sqrt(1.0 + 1e-6):
+            raise ValueError(f"{key} must be at most sqrt(1 + 1e-6) in magnitude, got {value!r}")
+    amps = [complex(parts[f"a{k}_re"], parts[f"a{k}_im"]) for k in (1, 2, 3, 4)]
     if not any(abs(a) > 0 for a in amps):
         amps = [0j, 0j, 1 + 0j, 0j]
     state0 = as_state(amps)
     norm_gap = abs(float(np.sum(np.abs(state0) ** 2)) - 1.0)
     if norm_gap > 1e-6:
+        given = ", ".join(key for key, value in parts.items() if value)
         raise ValueError(
-            f"initial amplitudes rejected: |norm^2 - 1| = {norm_gap:.3g} exceeds 1e-6"
+            f"initial amplitudes {given} rejected: |norm^2 - 1| = {norm_gap:.3g} exceeds 1e-6"
         )
     return state0
 
@@ -204,6 +212,11 @@ def _cmd_classify(args):
         if args.epsilon is not None:
             drive = AsyncTanhSech(args.epsilon, args.upsilon, args.chi)
             residual, off = off_flip_constraint(drive)
+            if not np.isfinite(residual):
+                raise ValueError(
+                    "flip-constraint residual chi^2/4 + epsilon^2 - upsilon^2 overflows at "
+                    f"epsilon={args.epsilon:g}, upsilon={args.upsilon:g}, chi={args.chi:g}"
+                )
             state = "violated" if off else "satisfied"
             residual_text = "0" if abs(residual) < 1e-12 else f"{residual:.6g}"
             lines.append(f"flip-constraint {state}, residual {residual_text}")

@@ -20,11 +20,13 @@ and cos(pi*gamma)); every sine and cosine of it is taken of
 
 Which closed form holds is decided in one place.  :func:`branch_signs` is the
 only test of gamma against the two coupling branches (|sin(pi*gamma)| < 1e-9
-or |cos(pi*gamma)| < 1e-9), and ``asynchronous.gate`` adds the flip-branch
+or |cos(pi*gamma)| < 1e-9), and ``asynchronous.route`` adds the flip-branch
 parameter constraint and the refusal text to it; the synchronous eigensystem
-has one formula for every gamma and reads no branch.  A drive is a SyncSech2 or an
-AsyncTanhSech, the two drives the closed forms solve; both refuse every
-parameter that is not finite, and values(t) gives both drive values at once.
+has one formula for every gamma.  A drive is a SyncSech2 or an AsyncTanhSech,
+the two drives the closed forms solve.  Each names its RATE (Omega, chi),
+all that default_horizon reads, and its KIND (sync, async), which picks its
+engine, so no module tests a drive's class.  Both refuse every parameter
+that is not finite, and values(t) gives both drive values at once.
 areas(t) gives the pulse areas (phi_u, phi_e), both values integrated from 0
 to t, and saturated_area() phi_u(+inf): all that the synchronous engine and
 the spin-conserving branch read of a drive.  Each refuses an overflow by name.
@@ -53,6 +55,7 @@ __all__ = [
     "as_states",
     "branch_signs",
     "coupling_angle",
+    "default_horizon",
     "hamiltonian_matrix",
     "imbalance",
     "stack_drives",
@@ -160,18 +163,21 @@ def _log_cosh(x):
     return ax - math.log(2.0) + np.log1p(np.exp(-2.0 * ax))
 
 
-def _check_drive(drive, rate):
-    """Refuse a rate not > 0 and a field not finite; keep a stacked field as its float array."""
-    if not np.all(np.asarray(getattr(drive, rate)) > 0):
-        raise ValueError(f"{rate} must be > 0, got {getattr(drive, rate)}")
-    for name, value in vars(drive).items():
-        stack = _require_finite(name, value)
-        if stack.ndim:  # a list then computes as its array does; a scalar stays as given
-            object.__setattr__(drive, name, stack)
+class _Drive:
+    """A drive's checks: its RATE field > 0 and every field finite, a stacked one as an array."""
+
+    def __post_init__(self):
+        rate = getattr(self, self.RATE)
+        if not np.all(np.asarray(rate) > 0):
+            raise ValueError(f"{self.RATE} must be > 0, got {rate}")
+        for name, value in vars(self).items():
+            stack = _require_finite(name, value)
+            if stack.ndim:  # a list then computes as its array does; a scalar stays as given
+                object.__setattr__(self, name, stack)
 
 
 @dataclass(frozen=True)
-class SyncSech2:
+class SyncSech2(_Drive):
     """Synchronous drive: upsilon(t) = V*sech^2(Omega*t), epsilon(t) = beta*upsilon(t).
 
     beta, V and Omega may be arrays of one shape: a stack of drives, such as
@@ -182,9 +188,7 @@ class SyncSech2:
     V: float
     Omega: float
     AREA_NAME = "V/Omega"  # saturated_area(), phi_u(+inf), as refusals name it
-
-    def __post_init__(self):
-        _check_drive(self, "Omega")
+    RATE, KIND = "Omega", "sync"  # the field default_horizon reads, and the engine's key
 
     # far from the pulse cosh overflows to inf, which gives the limit sech -> 0
     @np.errstate(over="ignore")
@@ -206,7 +210,7 @@ class SyncSech2:
 
 
 @dataclass(frozen=True)
-class AsyncTanhSech:
+class AsyncTanhSech(_Drive):
     """Asynchronous drive: upsilon(t) = upsilon*sech(chi*t), epsilon(t) = epsilon*tanh(chi*t).
 
     epsilon, upsilon and chi may be arrays of one shape: a stack of drives,
@@ -217,9 +221,7 @@ class AsyncTanhSech:
     upsilon: float
     chi: float
     AREA_NAME = "pi*upsilon/(2*chi)"  # saturated_area(), phi_u(+inf), as refusals name it
-
-    def __post_init__(self):
-        _check_drive(self, "chi")
+    RATE, KIND = "chi", "async"  # the field default_horizon reads, and the engine's key
 
     @np.errstate(over="ignore")
     def values(self, t):
@@ -243,6 +245,19 @@ class AsyncTanhSech:
         phi_u = phi_u * np.arctan(np.tanh(0.5 * x))
         phi_e = (self.epsilon / self.chi) * _log_cosh(x)
         return phi_u, _require_finite("phi_e = (epsilon/chi)*ln cosh(chi*t)", phi_e)
+
+
+def default_horizon(protocol):
+    """Horizon T = 25/min(rate, 1), beyond which the drive envelope is negligible.
+
+    rate is the drive's RATE field, Omega or chi; T is a float for one drive,
+    an array of one horizon per member for a stack, and refused where it
+    overflows.
+    """
+    with np.errstate(over="ignore"):
+        horizon = 25.0 / np.minimum(getattr(protocol, protocol.RATE), 1.0)
+    horizon = _require_finite(f"default horizon 25/min({protocol.RATE}, 1)", horizon)
+    return float(horizon) if horizon.ndim == 0 else horizon
 
 
 def as_state(amplitudes):

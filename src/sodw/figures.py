@@ -147,9 +147,9 @@ def _amplitude_text(state):
 
 
 def _protocol_meta(protocol):
-    """Meta entries protocol=sync|async and the drive's fields, 17 significant digits each."""
-    kind = "sync" if isinstance(protocol, SyncSech2) else "async"
-    return {"protocol": kind, **{key: f"{value:.17g}" for key, value in vars(protocol).items()}}
+    """Meta entries protocol=<its KIND> and the drive's fields, 17 significant digits each."""
+    fields = {key: f"{value:.17g}" for key, value in vars(protocol).items()}
+    return {"protocol": protocol.KIND, **fields}
 
 
 def _trajectory_times(epoch, horizon, samples):

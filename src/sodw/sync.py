@@ -63,6 +63,7 @@ from .core import coupling_angle, coupling_values
 __all__ = [
     "EigenSystem",
     "eigen_sync",
+    "route",
     "modes",
     "classify_sync_condition",
 ]
@@ -198,9 +199,16 @@ def _commuting_modes(vectors, drive, lam_u, lam_e=None):
     return evolve, constants, limits
 
 
-def modes(protocol, gamma):
+def route(protocol, gamma):
+    """(codes, None) of a SyncSech2 drive: code 1 for every member of gamma and the fields."""
+    shape = np.broadcast_shapes(np.shape(gamma), *map(np.shape, vars(protocol).values()))
+    return np.ones(shape), None
+
+
+def modes(protocol, gamma, codes):
     """(evolve, constants, limits) of a SyncSech2 drive: its closed form, acting on states.
 
+    codes, route()'s, are all ones, as one formula holds for every (beta, gamma).
     With vec the rows of eigen_sync, the state of the constants c at t is
     evolve(t, c) = sum_m vec[m] exp(-i lam_m tau(t)) c_m, and the constants of
     a state a0 given at t0 are constants(t0, a0) = exp(i lam tau(t0)) (vec a0),

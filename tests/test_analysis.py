@@ -28,7 +28,8 @@ from sodw.analysis import (
     prominent_peaks,
 )
 from sodw.acceptance import IC_RAMP, IC_THIRD
-from sodw.asynchronous import modes as async_modes
+from sodw import asynchronous
+from sodw.asynchronous import route as async_route
 from sodw.core import imbalance, stack_drives
 
 _E3 = (0, 0, 1, 0)
@@ -65,12 +66,13 @@ def test_stacked_drives_get_a_horizon_per_member():
 
 
 def _branch_members(branch, rng, count=12):
-    """(gamma, protocol) pairs drawn on one closed-form branch."""
+    """(gamma, protocol) pairs drawn on one closed-form branch, or on both async ones in turn."""
     members = []
-    for _ in range(count):
-        if branch == "sync":
+    for k in range(count):
+        kind = ("conserving", "flip")[k % 2] if branch == "mixed" else branch
+        if kind == "sync":
             members.append((rng.uniform(0, 2), SyncSech2(*rng.uniform([0, 0.3, 0.5], [2, 2, 2]))))
-        elif branch == "conserving":
+        elif kind == "conserving":
             gamma = float(rng.choice([0.0, 1.0, 2.0, 3.0]))
             members.append((gamma, AsyncTanhSech(*rng.uniform([0, 0.05, 0.4], [2, 2, 2]))))
         else:
@@ -79,7 +81,7 @@ def _branch_members(branch, rng, count=12):
     return members
 
 
-@pytest.mark.parametrize("branch", ["sync", "conserving", "flip"])
+@pytest.mark.parametrize("branch", ["sync", "conserving", "flip", "mixed"])
 def test_stack_with_a_start_per_member_is_member_by_member(branch):
     # one stack with its own state0 and t0 per member, one of them at -inf,
     # evaluated at its own times, is bit for bit the single-member solutions
@@ -568,6 +570,32 @@ def test_one_scan_mixes_closed_form_oracle_and_failed_rows():
     assert np.max(np.abs(res.values[1] - reference)) <= 1e-9
 
 
+_CONSERVING_SCAN = {"gamma": 1.0, "epsilon": 0.3, "chi": 1.0}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_scan(ScanSpec("upsilon_over_chi", np.linspace(0, 2, 9), _CONSERVING_SCAN, _E3)),
+        # conserving, flip and oracle points at once
+        lambda: run_scan(ScanSpec("gamma", np.linspace(0, 2, 9), _FLIP_FIXED, _E3, -math.inf)),
+        lambda: solve(AsyncTanhSech(**_FLIP_FIXED), [0.5, 1.0], _E3, -math.inf),
+    ],
+    ids=["conserving-scan", "mixed-scan", "solve"],
+)
+def test_the_branch_gate_runs_once_per_call(call, monkeypatch):
+    # a scan gated its points, then solve() gated its closed-form points again
+    calls = []
+
+    def counted(protocol, gamma):
+        calls.append(gamma)
+        return async_route(protocol, gamma)
+
+    monkeypatch.setattr(asynchronous, "route", counted)
+    call()
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "drive,gamma",
     [(AsyncTanhSech(0.3, 1.0, 1.0), 1e8), (AsyncTanhSech(0.3, 1.0, 1.0), 1e300)]
@@ -697,9 +725,8 @@ def test_every_entry_point_gives_the_gates_answer(protocol, gamma):
     assert (engine == ENGINE_ORACLE) == (reason is not None) == (refusal is not None)
     if refusal is not None:
         assert refusal == reason
-        with pytest.raises(ValueError) as direct:
-            async_modes(protocol, gamma)
-        assert str(direct.value) == reason
+        codes, direct = async_route(protocol, gamma)
+        assert codes == 0 and direct == reason
     # the drive's fields are the scan's fixed values under the same names
     (row,) = run_scan(ScanSpec("gamma", [gamma], vars(protocol), _E3)).rows
     assert row.engine == engine and row.error is None

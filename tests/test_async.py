@@ -19,7 +19,7 @@ from sodw import (
     solve,
 )
 from sodw.analysis import ENGINE_ASYNC
-from sodw.asynchronous import modes
+from sodw.asynchronous import modes, route
 from sodw.core import branch_signs, stack_drives
 
 
@@ -155,10 +155,11 @@ def test_flip_constraint_residual():
     assert check_flip_constraint(0.4, math.hypot(0.5, 0.4), 1.0) == pytest.approx(0.0, abs=1e-15)
     assert check_flip_constraint(0.0, 1.0, 1.0) == pytest.approx(-0.75)
     params = AsyncTanhSech(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="flip-branch constraint"):
+    with pytest.raises(ValueError, match="flip-branch constraint") as refused:
         solve(params, 0.5, (1.0, 0.0, 0.0, 0.0), 0.0)
-    with pytest.raises(ValueError, match="residual"):
-        modes(params, 0.5)
+    codes, refusal = route(params, 0.5)
+    assert codes == 0 and "residual" in refusal
+    assert str(refused.value) == refusal
 
 
 def test_flip_pair_norm_constant_and_bounded_far_out():
@@ -204,8 +205,10 @@ def test_flip_full_state_assembly():
 
 def test_off_branch_angle_rejected():
     params = AsyncTanhSech(0.2, 1.0, 1.0)
-    with pytest.raises(ValueError, match="no closed form"):
-        modes(params, 0.3)
+    with pytest.raises(ValueError, match="no closed form") as refused:
+        solve(params, 0.3, (1.0, 0.0, 0.0, 0.0), 0.0)
+    codes, refusal = route(params, 0.3)
+    assert codes == 0 and str(refused.value) == refusal
 
 
 def _oracle_states(params, gamma, state0, times):
@@ -295,7 +298,10 @@ def test_inverse_is_exact_on_every_member(branch):
     # conjugate phases and projection on the conserving branch or each flip pair
     # block's adjugate: stacked over k, the identity of every member
     fields, gamma = _branch_members(np.random.default_rng(2025), 4000, branch)
-    evolve, constants, _ = modes(AsyncTanhSech(*fields), gamma)
+    drive = AsyncTanhSech(*fields)
+    codes, refusal = route(drive, gamma)
+    assert refusal is None and np.all(np.abs(codes) == (1 if branch == "conserving" else 2))
+    evolve, constants, _ = modes(drive, gamma, codes)
     units = np.eye(4)[:, None, :]
     for t in _INVERSE_TIMES:
         residual = constants(t, evolve(t, units)) - units

@@ -44,6 +44,8 @@ _SCANS = {
     ),
 }
 _CLASSIFY = ["--beta=0", "--V=1", "--Omega=1", "--epsilon=0.4", "--upsilon=1", "--chi=1"]
+# the config keys of the initial amplitudes, which evolve and scan both read
+_AMPLITUDE_KEYS = [f"a{k}_{part}" for k in (1, 2, 3, 4) for part in ("re", "im")]
 
 
 class _OverBudget(Exception):
@@ -108,13 +110,13 @@ def _scan_problem(out):
 
 
 def _problem(argv, name, written):
-    """None where the case passes, else what went wrong."""
+    """None where the case passes, else what went wrong; written(stdout) judges an exit 0."""
     try:
-        code, _, err = _run(argv)
+        code, out, err = _run(argv)
     except _OverBudget as exc:
         return str(exc)
     if code == 0:
-        return written()
+        return written(out)
     if _refused_well(code, err, name):
         return None
     return f"exit {code}: {err.strip()!r}"
@@ -133,7 +135,7 @@ def test_evolve_answers_every_extreme(fixed, engine, name, tmp_path):
     for value in VALUES:
         out = tmp_path / value
         argv = ["evolve", *fixed, "--engine", engine, "--grid", "5", f"--{name}={value}"]
-        problem = _problem([*argv, "--out", str(out)], name, lambda: _evolve_problem(out))
+        problem = _problem([*argv, "--out", str(out)], name, lambda _: _evolve_problem(out))
         if problem:
             problems.append(f"--{name}={value}: {problem}")
     assert not problems, "\n".join(problems)
@@ -174,10 +176,39 @@ def test_scan_answers_every_extreme(config, key, tmp_path):
         cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
         out = tmp_path / value
         argv = ["scan", "--config", str(cfg), "--out", str(out)]
-        problem = _problem(argv, key, lambda: _scan_problem(out))
+        problem = _problem(argv, key, lambda _: _scan_problem(out))
         if problem:
             problems.append(f"{key}={value}: {problem}")
     assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize("command", ["evolve", "scan"])
+@pytest.mark.parametrize("key", _AMPLITUDE_KEYS)
+def test_amplitudes_answer_every_extreme(key, command, tmp_path):
+    # a component of 1e300 overflowed when squared and was refused as
+    # "|norm^2 - 1| = inf", which names no key
+    base = {
+        "evolve": dict(protocol="sync", gamma="0.3", grid="5"),
+        "scan": dict(swept="beta", grid_hi="2", grid_n="5", gamma="0.5", V="1", Omega="1"),
+    }[command]
+    written = {"evolve": _evolve_problem, "scan": _scan_problem}[command]
+    problems = []
+    for value in VALUES:
+        cfg = tmp_path / f"{value}.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in {**base, key: value}.items()))
+        out = tmp_path / value
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        problem = _problem(argv, key, lambda _: written(out))
+        if problem:
+            problems.append(f"{key}={value}: {problem}")
+    assert not problems, "\n".join(problems)
+
+
+def _classify_problem(stdout):
+    # "flip-constraint violated, residual inf" exited 0 on an epsilon of 1e300
+    if re.search(r"(?<![A-Za-z])(inf|nan)(?![A-Za-z])", stdout):
+        return f"a number that is not finite: {stdout.strip()!r}"
+    return None
 
 
 @pytest.mark.parametrize("name", ["beta", "V", "Omega", "epsilon", "upsilon", "chi"])
@@ -185,7 +216,7 @@ def test_classify_answers_every_extreme(name):
     problems = []
     for value in VALUES:
         argv = [flag for flag in _CLASSIFY if not flag.startswith(f"--{name}=")]
-        problem = _problem(["classify", *argv, f"--{name}={value}"], name, lambda: None)
+        problem = _problem(["classify", *argv, f"--{name}={value}"], name, _classify_problem)
         if problem:
             problems.append(f"--{name}={value}: {problem}")
     assert not problems, "\n".join(problems)

@@ -60,6 +60,30 @@ def test_closed_forms_solve_no_linear_system():
     assert not uses, f"linalg solve or inv in src/sodw: {', '.join(uses)}"
 
 
+_DRIVE_CLASSES = {"SyncSech2", "AsyncTanhSech"}
+
+
+def _drive_class_tests(path):
+    """Lines of path that call isinstance with a drive class among its classes."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            classes = node.args[1:] if len(node.args) == 2 else []
+            nodes = [n for c in classes for n in ast.walk(c)]
+            names = {getattr(n, "id", getattr(n, "attr", None)) for n in nodes}
+            if names & _DRIVE_CLASSES:
+                lines.append(node.lineno)
+    return [f"{path.name}:{n}" for n in lines]
+
+
+def test_no_module_tests_the_drive_class():
+    # each drive names its RATE and KIND, and its engine's route() gates it, so
+    # a new drive class is taught in one place
+    paths = sorted((_ROOT / "src/sodw").glob("*.py"))
+    uses = [use for path in paths for use in _drive_class_tests(path)]
+    assert not uses, f"isinstance of a drive class in src/sodw: {', '.join(uses)}"
+
+
 def _top_level_names(tree):
     """Names a module binds at its top level: definitions, assignments and imports."""
     names = set()

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from sodw import SyncSech2, classify_sync_condition, solve
 from sodw.core import hamiltonian_matrix, imbalance
-from sodw.sync import eigen_sync, modes
+from sodw.sync import eigen_sync, modes, route
 
 
 def _tau_hamiltonian(beta, gamma):
@@ -295,7 +295,9 @@ def test_inverse_is_exact_on_every_member():
     # the constants exp(i lam tau) (vec a) of the state that each unit constant
     # e_k evolves to: stacked over k, the identity of every member
     drive, gamma = _edge_members(np.random.default_rng(2024), 8000)
-    evolve, constants, limits = modes(drive, gamma)
+    codes, refusal = route(drive, gamma)
+    assert refusal is None and np.array_equal(codes, np.ones(8000))
+    evolve, constants, limits = modes(drive, gamma, codes)
     units = np.eye(4)[:, None, :]
     for t in (-math.inf, -250.0, -25.0, 0.0, 3.7, 60.0):
         residual = constants(t, evolve(t, units)) - units
