@@ -3,7 +3,9 @@
 Each criterion function returns (passed, details).  run_all executes all of
 them (or a subset by id), timing each; the cli verify verb prints one line
 per criterion and exits nonzero when any check fails.  Tolerances are stated
-inline in the details so a failing line is self-explanatory.
+inline in the details so a failing line is self-explanatory.  Criteria 1-3,
+5-10, 12 and 13 take drive, coupling and starts from figures._TRAJECTORIES,
+so they check the runs the figures draw; only criteria 4 and 11 build drives.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from . import sync
 from .analysis import count_peaks, solve
 from .core import AsyncTanhSech, SyncSech2, hamiltonian_matrix, imbalance, stack_drives
-from .figures import IC_RAMP, IC_THIRD, ICS_13, ICS_14, ICS_LR_MIX
+from .figures import _TRAJECTORIES, IC_THIRD
 from .oracle import IntegratorConfig, integrate, integrate_batch
 
 __all__ = ["CRITERIA", "run_all", "format_record"]
@@ -29,21 +31,21 @@ C11_SAMPLES = 121
 C11_BLOCKS = 11
 
 
-def _sync_endpoint_z(protocol, gamma, targets):
-    """Asymptotic (Z31, Z32) for a pulse-center start in the third level."""
-    p_inf = solve(protocol, gamma, IC_THIRD, 0.0).asymptotes()[1]
+def _sync_endpoint_z(fig_id, targets):
+    """Asymptotic (Z31, Z32) of a figure's one start, given at the pulse center."""
+    drive, gamma, (start,), _ = _TRAJECTORIES[fig_id]
+    p_inf = solve(drive, gamma, start, 0.0).asymptotes()[1]
     z31, z32 = imbalance(p_inf, 3, 1), imbalance(p_inf, 3, 2)
-    t31, t32 = targets
-    ok = abs(z31 - t31) < 2e-3 and abs(z32 - t32) < 2e-3
+    ok = all(abs(z - target) < 2e-3 for z, target in zip((z31, z32), targets))
     return ok, z31, z32
 
 
 def _criterion_01():
-    protocol = SyncSech2(0.5, math.pi / 2, 1.0)
-    ok, z31, z32 = _sync_endpoint_z(protocol, 0.5, (0.2272, -0.5456))
+    ok, z31, z32 = _sync_endpoint_z("1d", (0.2272, -0.5456))
+    drive, gamma, (start,), _ = _TRAJECTORIES["1d"]
     grid = np.linspace(0.0, 25.0, 251)
     cfg = IntegratorConfig(t_start=0.0, t_end=25.0, rel_tol=1e-12, abs_tol=1e-14)
-    p = np.abs(integrate(0.5, protocol, IC_THIRD, cfg, grid).states[-1]) ** 2
+    p = np.abs(integrate(gamma, drive, start, cfg, grid).states[-1]) ** 2
     gap = max(abs(z31 - (p[2] - p[0])), abs(z32 - (p[2] - p[1])))
     ok = ok and gap < 1e-9
     return ok, (
@@ -53,12 +55,12 @@ def _criterion_01():
 
 
 def _criterion_02():
-    ok, z31, z32 = _sync_endpoint_z(SyncSech2(0.0, 2.0, 1.0), 1.0, (-0.6536, 0.1732))
+    ok, z31, z32 = _sync_endpoint_z("1e", (-0.6536, 0.1732))
     return ok, f"Z31={z31:.6f} (want -0.6536), Z32={z32:.6f} (want 0.1732) within 2e-3"
 
 
 def _criterion_03():
-    ok, z31, z32 = _sync_endpoint_z(SyncSech2(0.0, math.pi / 2, 1.0), 0.35, (-0.2061, -0.7939))
+    ok, z31, z32 = _sync_endpoint_z("1f", (-0.2061, -0.7939))
     sum_gap = abs(z31 + z32 + 1.0)
     ok = ok and sum_gap < 1e-9
     return ok, (
@@ -81,38 +83,46 @@ def _criterion_04():
     )
 
 
-def _ends(protocol, gamma, starts, T):
-    """Closed form of N starts given at -T, and their populations at -/+T, shape (2, N, 4)."""
-    solution = solve(protocol, gamma, starts, -T)
+def _ends(fig_id, T):
+    """Closed form of a figure's starts given at -T, and their populations at -/+T, (2, N, 4)."""
+    solution = solve(*_TRAJECTORIES[fig_id][:3], -T)
     return solution, np.abs(solution.states(np.array([[-T], [T]]))) ** 2
 
 
+def _sampled(fig_id, k, T):
+    """2001 times over [-T, T] and the states there of a figure's start k, given at -T."""
+    drive, gamma, starts, _ = _TRAJECTORIES[fig_id]
+    times = np.linspace(-T, T, 2001)
+    return times, solve(drive, gamma, starts[k], -T).states(times)
+
+
 def _criterion_05():
-    protocol = SyncSech2(0.0, math.pi / 2, 1.0)
     T = 25.0
-    pe = _ends(protocol, 0.15, [IC_RAMP], T)[1]
+    pe = _ends("2a", T)[1]
     gap_exact = float(np.max(np.abs(pe[1] - pe[0])))
+    drive, gamma, (start,), _ = _TRAJECTORIES["2a"]
     cfg = IntegratorConfig(t_start=-T, t_end=T)
-    pn = np.abs(integrate(0.15, protocol, IC_RAMP, cfg, [-T, T]).states) ** 2
+    pn = np.abs(integrate(gamma, drive, start, cfg, [-T, T]).states) ** 2
     gap_num = float(np.max(np.abs(pn[1] - pn[0])))
     ok = gap_exact < 1e-6 and gap_num < 1e-6
     return ok, f"max |P(+T)-P(-T)|: exact {gap_exact:.2e}, oracle {gap_num:.2e} (<1e-6)"
 
 
 def _criterion_06():
-    zlr = imbalance(_ends(SyncSech2(0.0, math.pi / 4, 1.0), 0.15, ICS_LR_MIX, 25.0)[1], "L", "R")
+    zlr = imbalance(_ends("2b", 25.0)[1], "L", "R")
     worst = float(np.max(np.abs(zlr[1] + zlr[0])))
     return worst < 1e-6, f"max |Z_LR(+T)+Z_LR(-T)| = {worst:.2e} over five starts (<1e-6)"
 
 
 def _criterion_07():
-    p = solve(SyncSech2(0.0, math.pi / 4, 1.0), 0.25, IC_THIRD, -math.inf).asymptotes()[1]
+    drive, gamma, (start,), _ = _TRAJECTORIES["2c"]
+    p = solve(drive, gamma, start, -math.inf).asymptotes()[1]
     gap = max(abs(p[0] - 0.5), abs(p[1] - 0.5))
     return gap < 1e-6, f"P1={p[0]:.8f}, P2={p[1]:.8f} (want 0.5 each; off by {gap:.2e}, <1e-6)"
 
 
 def _criterion_08():
-    z = imbalance(_ends(AsyncTanhSech(1.0, 1.0, 1.0), 2.0, ICS_13, 25.0)[1], 3, 1)
+    z = imbalance(_ends("3a", 25.0)[1], 3, 1)
     worst_sym = float(np.max(np.abs(z[1] - z[0])))
     worst_anchor = float(np.max(np.abs(z[0] - np.array([1.0, 0.5, 0.0, -0.5, -1.0]))))
     ok = worst_sym < 1e-6 and worst_anchor < 1e-12
@@ -124,10 +134,10 @@ def _criterion_08():
 
 def _criterion_09():
     T = 12.5
-    solution, p = _ends(AsyncTanhSech(1.0, 1.0, 2.0), 2.0, ICS_13, T)
+    solution, p = _ends("3b", T)
     z = imbalance(p, 3, 1)
     worst = float(np.max(np.abs(z[1] + z[0])))
-    # the equal-pair start ICS_13[2] over the whole pulse
+    # the equal-pair start, the third, over the whole pulse
     p = np.abs(solution.states(np.linspace(-T, T, 2001)[:, None])[:, 2]) ** 2
     cdt = float(np.max(np.abs(imbalance(p, 3, 1))))
     ok = worst < 1e-6 and cdt < 1e-9
@@ -138,7 +148,7 @@ def _criterion_09():
 
 
 def _criterion_10():
-    solution, p = _ends(AsyncTanhSech(math.sqrt(0.21), 0.5, 0.4), 0.5, ICS_14, 62.5)
+    solution, p = _ends("3d", 62.5)
     z41 = imbalance(p, 4, 1)
     worst_sym = float(np.max(np.abs(z41[1] + z41[0])))
     worst_asym = float(np.max(np.abs(p[1] - solution.asymptotes()[1])[:, [0, 3]]))
@@ -216,17 +226,14 @@ def _criterion_12():
     worst_res = float(np.max(np.abs(h @ vectors - vectors * eig.lam[..., None, :])))
     pairing_ok = bool(np.all(eig.lam[..., 0::2] + eig.lam[..., 1::2] == 0.0))
     drifts = []
-    for protocol, gamma, start, T in (
-        (SyncSech2(0.5, math.pi / 2, 1.0), 0.5, IC_THIRD, 25.0),
-        (AsyncTanhSech(1.0, 1.0, 1.0), 2.0, ICS_13[1], 25.0),
-        (AsyncTanhSech(math.sqrt(0.21), 0.5, 0.4), 0.5, ICS_14[1], 62.5),
-    ):
-        states = solve(protocol, gamma, start, -T).states(np.linspace(-T, T, 2001))
+    for fig_id, k, T in (("1d", 0, 25.0), ("3a", 1, 25.0), ("3d", 1, 62.5)):
+        states = _sampled(fig_id, k, T)[1]
         drifts.append(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
     ana_drift = float(max(drifts))
+    drive, gamma, (start,), _ = _TRAJECTORIES["1d"]
     grid = np.linspace(0.0, 25.0, 501)
     cfg = IntegratorConfig(t_start=0.0, t_end=25.0)
-    num_drift = integrate(0.5, SyncSech2(0.5, math.pi / 2, 1.0), IC_THIRD, cfg, grid).norm_drift_max
+    num_drift = integrate(gamma, drive, start, cfg, grid).norm_drift_max
     ok = (
         worst_res < 1e-12
         and pairing_ok
@@ -244,16 +251,14 @@ def _criterion_12():
 
 def _criterion_13():
     window = (-5.0, 5.0)
-    times = np.linspace(-25.0, 25.0, 2001)
-    p = np.abs(solve(SyncSech2(0.0, math.pi / 2, 1.0), 0.15, IC_RAMP, -25.0).states(times)) ** 2
-    n_return = count_peaks(times, p[:, 0], window, 0.01)
-    states = solve(AsyncTanhSech(1.0, 1.0, 1.0), 2.0, IC_THIRD, -25.0).states(times)
-    z = np.abs(states[:, 2]) ** 2 - np.abs(states[:, 0]) ** 2
-    n_cons = count_peaks(times, z, window, 0.01) + count_peaks(times, -z, window, 0.01)
-    tb = np.linspace(-12.5, 12.5, 2001)
-    states = solve(AsyncTanhSech(1.0, 1.0, 2.0), 2.0, IC_THIRD, -12.5).states(tb)
-    zb = np.abs(states[:, 2]) ** 2 - np.abs(states[:, 0]) ** 2
-    n_inv = count_peaks(tb, zb, window, 0.01) + count_peaks(tb, -zb, window, 0.01)
+    times, states = _sampled("2a", 0, 25.0)
+    n_return = count_peaks(times, np.abs(states[:, 0]) ** 2, window, 0.01)
+    counts = []
+    for fig_id, T in (("3a", 25.0), ("3b", 12.5)):
+        times, states = _sampled(fig_id, 0, T)
+        z = np.abs(states[:, 2]) ** 2 - np.abs(states[:, 0]) ** 2
+        counts.append(count_peaks(times, z, window, 0.01) + count_peaks(times, -z, window, 0.01))
+    n_cons, n_inv = counts
     ok = n_return == 1 and n_cons == 1 and n_inv == 0
     return ok, (
         f"returning-pulse P1 {n_return} (want 1), "

@@ -4,17 +4,17 @@ Each verb that writes files (figure, evolve, scan) parses its arguments,
 makes one call to a builder of the figures module (build_figure,
 evolve_bundle, scan_bundle) and hands the bundle it returns to _write_bundle,
 the one writer.  The figures module owns what the files hold and runs every
-trajectory; this module only parses and writes.  _write_bundle puts each
-dataset in `<name>_data.csv` with 17-significant-digit numbers, then a
-`<id>_plot.json` description (title, axis labels, series to column map) and
-a `<id>_meta` key=value file naming every parameter, engine and tolerance
-needed to re-run, and prints each path.  A dataset is a set of columns; its
-CSV is written in blocks of rows, each formatted from the columns by numpy
-with bytes equal to "%.17g" % x for every number (the _csv module), so no
-table is copied into rows and no file is held whole.  No timestamps
-anywhere, so identical invocations produce byte-identical files.
-The default output directory is `SODW_OUT` from the environment, falling
-back to the working directory.
+trajectory; this module only parses, names the files and writes them.
+_write_bundle puts each dataset in `<name>_data.csv` with 17-significant-digit
+numbers, then a `<id>_plot.json` description (title, axis labels, series to
+column map, and those CSV names as "files") and a `<id>_meta` key=value file
+naming every parameter, engine and tolerance needed to re-run, and prints
+each path.  A dataset is a set of columns; its CSV is written in blocks of
+rows, each formatted from the columns by numpy with bytes equal to "%.17g" % x
+for every number (the _csv module), so no table is copied into rows and no
+file is held whole.  No timestamps anywhere, so identical invocations produce
+byte-identical files.  The default output directory is `SODW_OUT` from the
+environment, falling back to the working directory.
 
 Config files are flat key=value lines (# starts a comment); command-line
 flags override config values.  A value that does not parse as a number is
@@ -47,9 +47,9 @@ from .sync import classify_sync_condition
 
 def _bundle_files(bundle):
     """(file name, bytes objects) of each file of a bundle, in the order they are written."""
-    for ds in bundle.datasets:
-        yield f"{ds.name}_data.csv", csv_blocks(ds)
-    plot = json.dumps(bundle.plot, sort_keys=True, indent=2) + "\n"
+    files = [f"{ds.name}_data.csv" for ds in bundle.datasets]
+    yield from zip(files, map(csv_blocks, bundle.datasets))
+    plot = json.dumps({**bundle.plot, "files": files}, sort_keys=True, indent=2) + "\n"
     meta = "".join(f"{key}={value}\n" for key, value in bundle.meta.items())
     yield f"{bundle.id}_plot.json", [plot.encode()]
     yield f"{bundle.id}_meta", [meta.encode()]

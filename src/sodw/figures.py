@@ -1,12 +1,14 @@
 """Built-in demonstration datasets, and the one owner of the output format.
 
 Each figure id maps to a fully specified run (protocol, coupling, initial
-amplitudes, epoch, horizon).  Every command that writes files returns its
-result as a FigureData bundle from one builder here: build_figure for `sodw
-figure`, evolve_bundle for `sodw evolve` and scan_bundle for `sodw scan`.  A
-bundle is plain data (datasets of column headers plus column arrays, a plot
-description dict and a meta dict); the cli module writes it to files.  The
-columns are the solvers' own arrays, so no table is ever copied into rows.
+amplitudes, epoch, horizon); _TRAJECTORIES owns the trajectory figures' runs,
+which the acceptance criteria read too.  Every command that writes files
+returns its result as a FigureData bundle from one builder here: build_figure
+for `sodw figure`, evolve_bundle for `sodw evolve` and scan_bundle for `sodw
+scan`.  A bundle is plain data (datasets of column headers plus column arrays,
+a plot description dict and a meta dict); the cli module names its files and
+writes them.  The columns are the solvers' own arrays, so no table is ever
+copied into rows.
 
 One runner, _run_trajectory, serves the trajectory figures and evolve_bundle
 alike: one solve call for all starts and one integrate_batch call for the
@@ -63,22 +65,19 @@ ICS_14 = (
     (1.0, 0.0, 0.0, 0.0),
 )
 
-# trajectory figures: coupling gamma, drive, initial states as one stack and
-# the epoch at which they hold (0 = pulse center, -inf = infinite past)
+# trajectory figures as the arguments of solve: the drive, the coupling gamma,
+# the initial states as one stack and the epoch at which they hold (0 = pulse
+# center, -inf = infinite past)
 _TRAJECTORIES = {
-    "1d": dict(gamma=0.5, drive=SyncSech2(0.5, math.pi / 2, 1.0), epoch=0.0, ics=(IC_THIRD,)),
-    "1e": dict(gamma=1.0, drive=SyncSech2(0.0, 2.0, 1.0), epoch=0.0, ics=(IC_THIRD,)),
-    "1f": dict(gamma=0.35, drive=SyncSech2(0.0, math.pi / 2, 1.0), epoch=0.0, ics=(IC_THIRD,)),
-    "2a": dict(gamma=0.15, drive=SyncSech2(0.0, math.pi / 2, 1.0), epoch=-math.inf, ics=(IC_RAMP,)),
-    "2b": dict(gamma=0.15, drive=SyncSech2(0.0, math.pi / 4, 1.0), epoch=-math.inf, ics=ICS_LR_MIX),
-    "2c": dict(
-        gamma=0.25, drive=SyncSech2(0.0, math.pi / 4, 1.0), epoch=-math.inf, ics=(IC_THIRD,)
-    ),
-    "3a": dict(gamma=2.0, drive=AsyncTanhSech(1.0, 1.0, 1.0), epoch=-math.inf, ics=ICS_13),
-    "3b": dict(gamma=2.0, drive=AsyncTanhSech(1.0, 1.0, 2.0), epoch=-math.inf, ics=ICS_13),
-    "3d": dict(
-        gamma=0.5, drive=AsyncTanhSech(math.sqrt(0.21), 0.5, 0.4), epoch=-math.inf, ics=ICS_14
-    ),
+    "1d": (SyncSech2(0.5, math.pi / 2, 1.0), 0.5, (IC_THIRD,), 0.0),
+    "1e": (SyncSech2(0.0, 2.0, 1.0), 1.0, (IC_THIRD,), 0.0),
+    "1f": (SyncSech2(0.0, math.pi / 2, 1.0), 0.35, (IC_THIRD,), 0.0),
+    "2a": (SyncSech2(0.0, math.pi / 2, 1.0), 0.15, (IC_RAMP,), -math.inf),
+    "2b": (SyncSech2(0.0, math.pi / 4, 1.0), 0.15, ICS_LR_MIX, -math.inf),
+    "2c": (SyncSech2(0.0, math.pi / 4, 1.0), 0.25, (IC_THIRD,), -math.inf),
+    "3a": (AsyncTanhSech(1.0, 1.0, 1.0), 2.0, ICS_13, -math.inf),
+    "3b": (AsyncTanhSech(1.0, 1.0, 2.0), 2.0, ICS_13, -math.inf),
+    "3d": (AsyncTanhSech(math.sqrt(0.21), 0.5, 0.4), 0.5, ICS_14, -math.inf),
 }
 
 _SCANS = {
@@ -184,14 +183,13 @@ def _trajectory_dataset(name, times, *solutions):
     return Dataset(name, header, tuple(columns))
 
 
-def _trajectory_plot(title, datasets, series):
+def _trajectory_plot(title, series):
     """Plot description of trajectory datasets: the named series drawn against t."""
     return {
         "title": f"{title}: populations and imbalances vs time",
         "x_label": "t",
         "y_label": "population / imbalance",
         "series": {name: name for name in series},
-        "files": [f"{d.name}_data.csv" for d in datasets],
     }
 
 
@@ -222,12 +220,11 @@ def _run_trajectory(name, protocol, gamma, starts, epoch, times, engine):
 
 
 def _build_trajectory(fig_id, samples, horizon):
-    cfg = _TRAJECTORIES[fig_id]
-    protocol, gamma, epoch, ics = cfg["drive"], cfg["gamma"], cfg["epoch"], cfg["ics"]
+    protocol, gamma, ics, epoch = _TRAJECTORIES[fig_id]
     T = default_horizon(protocol) if horizon is None else float(horizon)
     times = _trajectory_times(epoch, T, samples)
     datasets, _, record = _run_trajectory(fig_id, protocol, gamma, ics, epoch, times, "both")
-    plot = _trajectory_plot(f"figure {fig_id}", datasets, _TRAJ_HEADER[1:])
+    plot = _trajectory_plot(f"figure {fig_id}", _TRAJ_HEADER[1:])
     plot["overlay_series"] = {name: name for name in _NUM_HEADER}
     meta = {
         "figure": fig_id,
@@ -272,7 +269,7 @@ def evolve_bundle(label, protocol, gamma, state0, epoch, horizon, samples, engin
     if engine == "both":
         deviation = float(np.max(np.linalg.norm(solutions[0] - solutions[1], axis=-1)))
         meta["max_deviation"] = f"{deviation:.17g}"
-    plot = _trajectory_plot(label, (dataset,), dataset.header[1:])
+    plot = _trajectory_plot(label, dataset.header[1:])
     return FigureData(label, (dataset,), plot, meta)
 
 
@@ -298,7 +295,6 @@ def scan_bundle(key, name, title, spec, bounds):
         "x_label": spec.swept,
         "y_label": "asymptotic imbalance",
         "series": {column: column for column in names},
-        "files": [f"{name}_data.csv"],
     }
     lo, hi = bounds
     meta = {
@@ -347,7 +343,6 @@ def _build_surface(samples):
         "x_label": "chi",
         "y_label": "epsilon",
         "z_label": "upsilon",
-        "files": ["3c_data.csv"],
     }
     meta = {
         "figure": "3c",

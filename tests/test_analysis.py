@@ -27,7 +27,7 @@ from sodw.analysis import (
     default_horizon,
     prominent_peaks,
 )
-from sodw.acceptance import IC_RAMP, IC_THIRD
+from sodw.figures import IC_RAMP, IC_THIRD
 from sodw import asynchronous
 from sodw.asynchronous import route as async_route
 from sodw.core import imbalance, stack_drives
@@ -443,24 +443,28 @@ def test_solution_reproduces_anchor_and_asymptotes(case, t0):
     ],
 )
 def test_scan_is_continuous_across_the_branch_gate(center, fixed):
-    # the gate sits at |gamma - center| = 1e-9/pi; rows just inside come from
-    # the closed form, rows just outside from the oracle
-    offsets = np.array([-1e-9, -1e-10, 1e-10, 1e-9])
+    # the gate sits at |gamma - center| = 1e-9/pi: of the rows at center + k*3e-10,
+    # k = -1, 0, 1 come from the closed form and the five on each side from the
+    # oracle; at each epoch neighbouring rows, across the gate too, agree within 1e-8
+    grid = center + 3e-10 * np.arange(-6, 7)
     rng = np.random.default_rng(45)
     state0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    spec = ScanSpec(
-        "gamma",
-        center + offsets,
-        fixed,
-        state0 / np.linalg.norm(state0),
-        epoch=-math.inf,
-        observables=((3, 1), (4, 2), ("L", "R")),
-    )
-    res = run_scan(spec)
-    engines = [row.engine for row in res.rows]
-    assert engines == [ENGINE_ORACLE, ENGINE_ASYNC, ENGINE_ASYNC, ENGINE_ORACLE]
-    values = np.array([row.values for row in res.rows])
-    assert np.max(values.max(axis=0) - values.min(axis=0)) < 1e-6
+    gaps = {}
+    for epoch in (0.0, -3.0, -math.inf):
+        spec = ScanSpec(
+            "gamma",
+            grid,
+            fixed,
+            state0 / np.linalg.norm(state0),
+            epoch=epoch,
+            observables=((3, 1), (4, 2), ("L", "R")),
+        )
+        res = run_scan(spec)
+        engines = [row.engine for row in res.rows]
+        assert engines == [ENGINE_ORACLE] * 5 + [ENGINE_ASYNC] * 3 + [ENGINE_ORACLE] * 5, epoch
+        values = np.array([row.values for row in res.rows])
+        gaps[epoch] = np.max(np.abs(np.diff(values, axis=0)))
+    assert max(gaps.values()) < 1e-8, gaps
 
 
 def test_failed_oracle_batch_is_recorded_in_every_oracle_row(monkeypatch):

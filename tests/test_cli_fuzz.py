@@ -5,7 +5,8 @@ thread of its own.  A case passes when the command either exits 0 having
 written only finite numbers (t strictly increasing in a trajectory, and a
 scan row of NaN only beside its failure_k meta line), or exits 2 with a
 refusal that names the argument, or that is the oracle's own text for a
-drive too strong to integrate.
+drive too strong to integrate.  An integer flag given a value that is no
+integer is refused by argparse, whose last line names the flag.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from sodw.cli import main
+from sodw.figures import FIGURE_IDS
 
 VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-308")
 BUDGET_S = 2.0
@@ -63,7 +65,10 @@ def _run(argv):
     signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a flag that does not parse
+                code = exc.code
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -219,4 +224,41 @@ def test_classify_answers_every_extreme(name):
         problem = _problem(["classify", *argv, f"--{name}={value}"], name, _classify_problem)
         if problem:
             problems.append(f"--{name}={value}: {problem}")
+    assert not problems, "\n".join(problems)
+
+
+def _figure_problem(out):
+    for path in sorted(out.glob("*_data.csv")):
+        header, values = _table(path)
+        if not np.all(np.isfinite(values)):
+            return f"{path.name}: a number that is not finite"
+        if "t" in header and not np.all(np.diff(values[:, header.index("t")]) > 0):
+            return f"{path.name}: t not strictly increasing"
+    return None
+
+
+@pytest.mark.parametrize("flag", ["grid", "horizon"])
+@pytest.mark.parametrize("fig_id", FIGURE_IDS)
+def test_figure_answers_every_extreme(fig_id, flag, tmp_path):
+    # --grid is build_figure's samples, so its refusals may say samples
+    problems = []
+    for value in VALUES:
+        out = tmp_path / value
+        argv = ["figure", "--id", fig_id, f"--{flag}={value}", "--out", str(out)]
+        try:
+            code, _, err = _run(argv)
+        except _OverBudget as exc:
+            problems.append(f"--{flag}={value}: {exc}")
+            continue
+        last = err.strip().splitlines()[-1] if err.strip() else ""
+        if code == 0:
+            problem = _figure_problem(out)
+        elif _refused_well(code, err, flag) or (flag == "grid" and _names(err, "samples")):
+            problem = None
+        elif code == 2 and err.startswith("usage: ") and _names(last, f"--{flag}"):
+            problem = None
+        else:
+            problem = f"exit {code}: {err.strip()!r}"
+        if problem:
+            problems.append(f"--{flag}={value}: {problem}")
     assert not problems, "\n".join(problems)

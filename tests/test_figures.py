@@ -1,11 +1,19 @@
 """Figure dataset bundles: registry, columns, overlays, metadata."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from sodw.cli import _write_bundle
 from sodw.figures import FIGURE_IDS, build_figure, figure_kind
+
+
+def _plot_files(fig, out):
+    """The "files" list of the plot description the writer puts beside fig's CSVs."""
+    _write_bundle(str(out), fig)
+    return json.loads((out / f"{fig.id}_plot.json").read_text())["files"]
 
 
 def test_figure_kind_covers_registry():
@@ -18,7 +26,7 @@ def test_figure_kind_covers_registry():
         figure_kind("9z")
 
 
-def test_detuned_trajectory_bundle():
+def test_detuned_trajectory_bundle(tmp_path):
     fig = build_figure("1d", samples=201)
     assert fig.meta["kind"] == "trajectory" and fig.meta["engine"] == "sync-exact"
     (ds,) = fig.datasets
@@ -36,14 +44,17 @@ def test_detuned_trajectory_bundle():
     # closed form and restarted oracle stay glued together
     assert np.max(np.abs(table[:, 1:9] - table[:, 9:])) < 1e-6
     assert fig.meta["protocol"] == "sync" and fig.meta["beta"] == "0.5"
-    assert fig.plot["files"] == ["1d_data.csv"]
+    assert _plot_files(fig, tmp_path) == ["1d_data.csv"]
 
 
-def test_multi_start_figure_emits_one_dataset_per_start():
+def test_multi_start_figure_emits_one_dataset_per_start(tmp_path):
     fig = build_figure("2b", samples=41)
     names = [ds.name for ds in fig.datasets]
     assert names == [f"2b_ic{k}" for k in range(1, 6)]
-    assert fig.plot["files"] == [f"{n}_data.csv" for n in names]
+    assert _plot_files(fig, tmp_path) == [f"{n}_data.csv" for n in names]
+    assert sorted(path.name for path in tmp_path.glob("*_data.csv")) == sorted(
+        f"{n}_data.csv" for n in names
+    )
     for k in range(1, 6):
         assert f"ic{k}" in fig.meta
 

@@ -7,7 +7,7 @@ import pytest
 
 _ROOT = pathlib.Path(__file__).parents[1]
 # perfbench/ is the benchmark's own tree and keeps its own conventions
-_DIRS = ("src/sodw", "tests", "demos")
+_DIRS = ("src/sodw", "tests", "demos", "tools")
 _SOURCES = [path for d in _DIRS for path in sorted((_ROOT / d).glob("*.py"))]
 
 
