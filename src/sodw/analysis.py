@@ -44,7 +44,7 @@ import numpy as np
 from . import asynchronous as asyn
 from . import sync
 from .core import AsyncTanhSech, SyncSech2, as_state, as_states, coupling_values, default_horizon
-from .core import _imbalance_keys, _require_epoch, _require_finite, imbalance
+from .core import _imbalance_keys, _require_epoch, _require_finite, imbalance, start_time
 from .oracle import IntegratorConfig, integrate_batch
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "prominent_peaks",
     "select_engine",
     "off_branch_reason",
-    "default_horizon",
     "Solution",
     "solve",
 ]
@@ -201,11 +200,11 @@ def run_scan(spec):
     routes every point at once, and each engine's points are taken from the
     stack by index: the closed-form points are solved in one array pass for
     their (N, 4) populations at t = +inf, and the oracle points in one
-    endpoint-only batch, each integrated from the epoch to a default horizon
-    past max(epoch, 0).  A group that fails records its error in each of its
-    rows, and a gamma that is not finite fails its own row.  A solved point
-    with |Z| > 1 + 1e-9 refuses the scan, and an oracle point fails by its
-    epoch where a default horizon past it rounds away.
+    endpoint-only batch, each integrated from core.start_time(epoch) to a
+    default horizon past max(epoch, 0).  A group that fails records its
+    error in each of its rows, and a gamma that is not finite fails its own
+    row.  A solved point with |Z| > 1 + 1e-9 refuses the scan, and an oracle
+    point fails by its epoch where a default horizon past it rounds away.
     """
     grid, (gamma, protocol) = spec.grid, spec._points
     engine, engines, codes, _ = _route(protocol, np.broadcast_to(gamma, grid.shape))
@@ -223,9 +222,8 @@ def run_scan(spec):
             members = replace(protocol, **stacked)
             coupling_values(members_gamma)  # the refusal text of a gamma that is not finite
             if oracle[idx[0]]:
-                horizon = default_horizon(members)
-                t0 = spec.epoch if math.isfinite(spec.epoch) else -horizon
-                end = max(spec.epoch, 0.0) + horizon
+                t0 = start_time(members, spec.epoch)
+                end = max(spec.epoch, 0.0) + default_horizon(members)
                 if not np.all(end > t0):
                     raise ValueError(f"epoch {spec.epoch:g} + default horizon rounds to the epoch")
                 window = IntegratorConfig(t0, end)
@@ -303,12 +301,10 @@ class Solution:
     state at t of the constants c, constants(t0, a0) the exact constants of
     the state a0 given at t0, and limits(c) the states at -/+inf, shape
     (2,) + S + (4,).  coeffs = constants(t0, state0), shape S + (4,), holds
-    every member's constants, with no linear system to solve and no complex
-    matrix built per member or per sample; state0 (one state, or a stack of them)
-    and t0 may differ from member to member, and the members' shape S is
-    the broadcast shape of the drive's members, state0 without its last axis
-    and t0.  So one drive with an (N, 4) stack of starts is N members:
-    states(times[:, None]) has shape (K, N, 4) and asymptotes() (2, N, 4).
+    every member's constants.  The members' shape S is the broadcast shape
+    of the drive's members, state0 without its last axis and t0, so one
+    drive with an (N, 4) stack of starts is N members: states(times[:, None])
+    has shape (K, N, 4) and asymptotes() (2, N, 4).
     """
 
     def __init__(self, evolve, constants, limits, state0, t0):
@@ -332,11 +328,9 @@ def solve(protocol, gamma, state0, t0):
     """Closed-form Solution with state0 imposed at t0 (finite or -inf).
 
     The branch gate routes the drive once, and the drive's engine builds its
-    modes from the codes.  The drive's fields, gamma, state0 (shape S + (4,))
-    and t0 may be stacks of members.  One drive with an (N, 4) stack of
-    starts shares its modes: states(times[:, None]) is (K, N, 4) and
-    asymptotes() (2, N, 4).  Raises ValueError with the gate's refusal text
-    when no closed form covers (protocol, gamma).
+    modes from the codes; the drive's fields, gamma, state0 and t0 may be
+    stacks of members, as Solution says.  Raises ValueError with the gate's
+    refusal text when no closed form covers (protocol, gamma).
     """
     t0 = _require_epoch("t0", t0)
     engine, _, codes, refusal = _route(protocol, coupling_values(gamma))

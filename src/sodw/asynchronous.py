@@ -48,8 +48,9 @@ the one refusal text for a member that neither branch covers.
 
 modes() takes those codes as given and holds both branches in one form that
 acts on states: the state a(t) of the four mode constants c, the constants
-of a state given at t0 (at -default_horizon for t0 = -inf), and the two
-limit states at -/+inf.  The conserving branch reads the synchronous form;
+of a state given at t0, and the two limit states at -/+inf.  A state given
+at -inf holds at core.start_time(t0), -default_horizon, the start that the
+oracle's runs read too.  The conserving branch reads the synchronous form;
 the flip branch applies each pair's 2x2 formulas above and their adjugate,
 and its limits are the sqrt(2) keep and swap of each pair's constants.  A
 stack on both branches runs each branch on its own members.  No complex
@@ -68,7 +69,7 @@ import math
 
 import numpy as np
 
-from .core import AsyncTanhSech, _require_fraction, area_condition, branch_signs, default_horizon
+from .core import AsyncTanhSech, _require_fraction, area_condition, branch_signs, start_time
 from .sync import _commuting_modes
 
 __all__ = [
@@ -212,7 +213,7 @@ def modes(params, gamma, codes):
     the weights of its four orthonormal conserving modes, sqrt(2)*(A+, B-,
     A-, B+), or the flip pair constants (C+, C-, D+, D-).  evolve(t, c) is
     the state at finite t, and constants(t0, a0) the exact constants of the
-    state a0 given at t0 (at -default_horizon for t0 = -inf): the conjugate
+    state a0 given at t0, taken at core.start_time(t0): the conjugate
     phases times the projection on the conserving branch, each pair block's
     adjugate on the flip branch.  For members of shape S, t broadcasts
     against S and c, a0 have shape S + (4,) (one member: T + (4,)).
@@ -228,17 +229,8 @@ def modes(params, gamma, codes):
         evolve, constants, limits = _flip(eps, ups, chi, sign)
     else:
         evolve, constants, limits = _split(on_flip, eps, ups, chi, sign)
-
-    def anchored(t0, a0):
-        # a state given at -inf holds at -default_horizon, formed for those members alone
-        t0 = np.asarray(t0, dtype=float)
-        if np.isinf(t0).any():
-            chi_t0, t0 = np.broadcast_arrays(params.chi, t0)
-            past, t0 = np.isinf(t0), t0.copy()
-            t0[past] = -default_horizon(AsyncTanhSech(0.0, 0.0, chi_t0[past]))
-        return constants(t0, a0)
-
-    return evolve, anchored, limits
+    # a state given at -inf holds where core.start_time puts it
+    return evolve, lambda t0, a0: constants(start_time(params, t0), a0), limits
 
 
 def _split(on_flip, eps, ups, chi, sign):

@@ -24,9 +24,10 @@ or |cos(pi*gamma)| < 1e-9), and ``asynchronous.route`` adds the flip-branch
 parameter constraint and the refusal text to it; the synchronous eigensystem
 has one formula for every gamma.  A drive is a SyncSech2 or an AsyncTanhSech,
 the two drives the closed forms solve.  Each names its RATE (Omega, chi),
-all that default_horizon reads, and its KIND (sync, async), which picks its
-engine, so no module tests a drive's class.  Both refuse every parameter
-that is not finite, and values(t) gives both drive values at once.
+all that start_time reads to put a state given at -inf at -default_horizon
+for the async closed form and the oracle, and its KIND (sync, async), which
+picks its engine, so no module tests a drive's class.  Both refuse every
+parameter that is not finite, and values(t) gives both drive values at once.
 areas(t) gives the pulse areas (phi_u, phi_e), both values integrated from 0
 to t, and saturated_area() phi_u(+inf): all that the synchronous engine and
 the spin-conserving branch read of a drive.  Each refuses an overflow by name.
@@ -59,6 +60,7 @@ __all__ = [
     "hamiltonian_matrix",
     "imbalance",
     "stack_drives",
+    "start_time",
 ]
 
 #: branch threshold on |sin(pi*gamma)| and |cos(pi*gamma)|, used by branch_signs
@@ -250,14 +252,28 @@ class AsyncTanhSech(_Drive):
 def default_horizon(protocol):
     """Horizon T = 25/min(rate, 1), beyond which the drive envelope is negligible.
 
-    rate is the drive's RATE field, Omega or chi; T is a float for one drive,
-    an array of one horizon per member for a stack, and refused where it
-    overflows.
+    rate is the drive's RATE field, Omega or chi.  T = -start_time(protocol,
+    -inf): a float for one drive, one horizon per member for a stack.
     """
-    with np.errstate(over="ignore"):
-        horizon = 25.0 / np.minimum(getattr(protocol, protocol.RATE), 1.0)
-    horizon = _require_finite(f"default horizon 25/min({protocol.RATE}, 1)", horizon)
+    horizon = -start_time(protocol, -math.inf)
     return float(horizon) if horizon.ndim == 0 else horizon
+
+
+def start_time(protocol, t0):
+    """t0 as a float array, each member given at -inf moved to -default_horizon.
+
+    The one place a state at -inf gets a finite time, for the async closed
+    form and the oracle alike.  The horizon is formed for those members
+    alone, and refused by name where it overflows.
+    """
+    t0 = np.asarray(t0, dtype=float)
+    if np.isneginf(t0).any():
+        rate, t0 = np.broadcast_arrays(getattr(protocol, protocol.RATE), t0)
+        past, t0 = np.isneginf(t0), t0.copy()
+        with np.errstate(over="ignore"):
+            horizon = 25.0 / np.minimum(rate[past], 1.0)
+        t0[past] = -_require_finite(f"default horizon 25/min({protocol.RATE}, 1)", horizon)
+    return t0
 
 
 def as_state(amplitudes):

@@ -12,9 +12,9 @@ copied into rows.
 
 One runner, _run_trajectory, serves the trajectory figures and evolve_bundle
 alike: one solve call for all starts and one integrate_batch call for the
-oracle, which under both engines restarts from the closed form at the first
-sample.  Its columns (suffixed _num) sit next to the closed-form ones for a
-point-by-point comparison; each builder keeps its own meta and plot.
+oracle, which starts where the closed form holds them (core.start_time), or
+under both engines at the closed form's first sample.  Its _num columns sit
+next to the closed-form ones; each builder keeps its own meta and plot.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import ScanSpec, default_horizon, run_scan, select_engine, solve
-from .core import AsyncTanhSech, SyncSech2, _require_epoch, _require_finite, imbalance
+from .analysis import ScanSpec, run_scan, select_engine, solve
+from .core import AsyncTanhSech, SyncSech2, _require_epoch, _require_finite, default_horizon
+from .core import imbalance, start_time
 from .oracle import IntegratorConfig, integrate_batch
 
 __all__ = [
@@ -193,22 +194,30 @@ def _trajectory_plot(title, series):
     }
 
 
-def _run_trajectory(name, protocol, gamma, starts, epoch, times, engine):
-    """Trajectories of a stack of starts held at epoch, sampled at times.
+def _run_trajectory(name, protocol, gamma, starts, epoch, horizon, samples, engine):
+    """Trajectories of a stack of starts held at epoch, at _trajectory_times' samples.
 
-    engine "exact" is the closed form, "oracle" the oracle from the starts at
-    times[0], and "both" the closed form plus the oracle restarted from it at
-    times[0].  Each engine is one call for all starts.  Returns one dataset
-    per start (name, or name_ic1, name_ic2, ...), the state arrays, each of
-    shape (len(times), len(starts), 4), and the oracle's record or None.
+    horizon None is the drive's default_horizon.  engine "exact" is the closed
+    form, "both" adds the oracle restarted from it at the first sample, and
+    "oracle" is the oracle alone from start_time(epoch), led in to a later
+    first sample by one endpoint-only solve.  Each engine is one call for all
+    starts.  Returns a dataset per start (name, or name_ic1, ...), the state
+    arrays, each (samples, len(starts), 4), the oracle's record or None, and
+    the horizon.
     """
+    horizon = default_horizon(protocol) if horizon is None else float(horizon)
+    times = _trajectory_times(epoch, horizon, samples)
     solutions, record = [], None
     if engine != "oracle":
         solutions.append(solve(protocol, gamma, starts, epoch).states(times[:, None]))
     if engine != "exact":
+        anchor = solutions[0][0] if solutions else starts
+        t0 = times[0] if solutions else start_time(protocol, epoch)
+        if t0 < times[0]:
+            lead_in = IntegratorConfig(t_start=t0, t_end=times[0])
+            anchor = integrate_batch(gamma, protocol, anchor, lead_in, [1.0]).states[0]
         ocfg = IntegratorConfig(t_start=times[0], t_end=times[-1])
         fractions = (times - times[0]) / (times[-1] - times[0])
-        anchor = solutions[0][0] if solutions else starts
         record = integrate_batch(gamma, protocol, anchor, ocfg, fractions)
         solutions.append(record.states)
     names = [name] if len(starts) == 1 else [f"{name}_ic{k + 1}" for k in range(len(starts))]
@@ -216,14 +225,13 @@ def _run_trajectory(name, protocol, gamma, starts, epoch, times, engine):
         _trajectory_dataset(label, times, *(states[:, k] for states in solutions))
         for k, label in enumerate(names)
     )
-    return datasets, solutions, record
+    return datasets, solutions, record, horizon
 
 
 def _build_trajectory(fig_id, samples, horizon):
     protocol, gamma, ics, epoch = _TRAJECTORIES[fig_id]
-    T = default_horizon(protocol) if horizon is None else float(horizon)
-    times = _trajectory_times(epoch, T, samples)
-    datasets, _, record = _run_trajectory(fig_id, protocol, gamma, ics, epoch, times, "both")
+    run = _run_trajectory(fig_id, protocol, gamma, ics, epoch, horizon, samples, "both")
+    datasets, _, record, T = run
     plot = _trajectory_plot(f"figure {fig_id}", _TRAJ_HEADER[1:])
     plot["overlay_series"] = {name: name for name in _NUM_HEADER}
     meta = {
@@ -248,10 +256,8 @@ def evolve_bundle(label, protocol, gamma, state0, epoch, horizon, samples, engin
     The meta names the oracle's solver when it ran and, under "both", the
     largest distance between the two solutions' states as max_deviation.
     """
-    horizon = default_horizon(protocol) if horizon is None else horizon
-    times = _trajectory_times(epoch, horizon, samples)
-    run = _run_trajectory(label, protocol, gamma, (state0,), epoch, times, engine)
-    (dataset,), solutions, record = run
+    run = _run_trajectory(label, protocol, gamma, (state0,), epoch, horizon, samples, engine)
+    (dataset,), solutions, record, horizon = run
     params = _protocol_meta(protocol)
     meta = {
         "label": label,

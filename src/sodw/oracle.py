@@ -93,10 +93,9 @@ class IntegratorConfig:
             _require_finite(name, getattr(self, name))
         if np.ndim(self.rel_tol) or np.ndim(self.abs_tol):
             raise ValueError("rel_tol and abs_tol must be scalars, one pair for the whole batch")
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError(
-                f"tolerances must be > 0, got rel_tol={self.rel_tol}, abs_tol={self.abs_tol}"
-            )
+        for name, tol in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
+            if not 0 < tol < 1:  # a tolerance of 1 or more holds no digit of a unit-norm state
+                raise ValueError(f"tolerances must be > 0 and below 1, got {name}={tol:g}")
         if not np.all(np.asarray(self.t_end) > np.asarray(self.t_start)):
             raise ValueError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
 

@@ -19,18 +19,11 @@ from sodw import (
     select_engine,
     solve,
 )
-from sodw.analysis import (
-    ENGINE_ASYNC,
-    ENGINE_ORACLE,
-    ENGINE_SYNC,
-    count_peaks,
-    default_horizon,
-    prominent_peaks,
-)
+from sodw.analysis import ENGINE_ASYNC, ENGINE_ORACLE, ENGINE_SYNC, count_peaks, prominent_peaks
 from sodw.figures import IC_RAMP, IC_THIRD
-from sodw import asynchronous
+from sodw import asynchronous, sync
 from sodw.asynchronous import route as async_route
-from sodw.core import imbalance, stack_drives
+from sodw.core import default_horizon, imbalance, stack_drives
 
 _E3 = (0, 0, 1, 0)
 
@@ -609,6 +602,20 @@ def test_a_large_gamma_on_a_branch_takes_the_closed_form(drive, gamma):
     # sin(pi * 1e8) evaluated to -3.9e-8, so these points went to the oracle
     assert select_engine(drive, gamma) == ENGINE_ASYNC
     assert off_branch_reason(drive, gamma) is None
+
+
+def test_a_scan_refuses_an_unphysical_imbalance(monkeypatch):
+    # no engine gives one: limits that double every amplitude stand in for a broken one
+    modes = sync.modes
+
+    def doubled(*args):
+        evolve, constants, limits = modes(*args)
+        return evolve, constants, lambda c: 2.0 * limits(c)
+
+    monkeypatch.setattr(sync, "modes", doubled)
+    fixed = {"gamma": 0.5, "V": 1.0, "Omega": 1.0}
+    with pytest.raises(ValueError, match=r"^imbalance \S+ at beta=0\.0 is unphysical$"):
+        run_scan(ScanSpec("beta", [0.0, 0.5], fixed, _E3))
 
 
 def test_default_horizon_refuses_a_rate_that_overflows_it():

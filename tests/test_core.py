@@ -13,6 +13,8 @@ from sodw.core import (
     coupling_values,
     hamiltonian_matrix,
     imbalance,
+    stack_drives,
+    start_time,
 )
 from sodw.oracle import IntegratorConfig
 
@@ -155,6 +157,9 @@ def test_as_state_validation():
         as_state([1, 0, 0])
     with pytest.raises(ValueError):
         as_state([math.inf, 0, 0, 0])
+    text = r"^amplitude vectors must have 4 levels on the last axis, got \(2, 3\)$"
+    with pytest.raises(ValueError, match=text):
+        solve(SyncSech2(0.0, 1.0, 1.0), 0.3, np.zeros((2, 3)), 0.0)
 
 
 def test_populations_and_imbalance():
@@ -274,3 +279,31 @@ def test_a_list_valued_stack_computes_as_its_array(cls, fields, gamma):
     # a scalar field is kept as given, so every meta file prints it as before
     kinds = [np.ndarray if isinstance(value, list) else float for value in fields]
     assert [type(value) for value in vars(listed).values()] == kinds
+
+
+def test_start_time_moves_only_the_members_at_minus_inf():
+    drive = AsyncTanhSech(0.3, 1.0, np.array([0.5, 1e-308, 2.0]))
+    assert np.array_equal(start_time(drive, [-math.inf, 0.0, -math.inf]), [-50.0, 0.0, -25.0])
+    # finite starts come back as given, bit for bit, the chi = 1e-308 member's too
+    finite = np.array([-3.0, 1e-300, 7.5])
+    assert np.array_equal(start_time(drive, finite), finite)
+    assert start_time(SyncSech2(0.0, 1.0, 1e-308), -2.5) == -2.5
+    # one start at -inf broadcasts against the members
+    assert np.array_equal(start_time(AsyncTanhSech(0.3, 1.0, [0.5, 2.0]), -math.inf), [-50, -25])
+    assert start_time(SyncSech2(0.0, 1.0, 0.5), -math.inf) == -50.0
+
+
+def test_start_time_refuses_an_overflowing_horizon_only_for_members_at_minus_inf():
+    drive = AsyncTanhSech(0.3, 1.0, np.array([1.0, 1e-308]))
+    assert np.array_equal(start_time(drive, [-math.inf, 0.0]), [-25.0, 0.0])
+    with pytest.raises(ValueError, match=r"^default horizon 25/min\(chi, 1\) must be finite"):
+        start_time(drive, [0.0, -math.inf])
+    with pytest.raises(ValueError, match=r"^default horizon 25/min\(Omega, 1\) must be finite"):
+        start_time(SyncSech2(0.0, 1.0, 1e-308), -math.inf)
+
+
+def test_stack_drives_refuses_mixed_drive_classes():
+    drives = [SyncSech2(0.0, 1.0, 1.0), AsyncTanhSech(0.3, 1.0, 1.0)]
+    text = r"^protocols must share one drive class, got \['AsyncTanhSech', 'SyncSech2'\]$"
+    with pytest.raises(ValueError, match=text):
+        stack_drives(drives)

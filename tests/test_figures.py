@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import sodw.figures
+from sodw import AsyncTanhSech, SyncSech2
 from sodw.cli import _write_bundle
-from sodw.figures import FIGURE_IDS, build_figure, figure_kind
+from sodw.figures import FIGURE_IDS, IC_THIRD, build_figure, evolve_bundle, figure_kind
 
 
 def _plot_files(fig, out):
@@ -93,3 +95,46 @@ def test_surface_bundle_and_horizon_guard():
         build_figure("3c", horizon=10.0)
     with pytest.raises(ValueError, match="horizon"):
         build_figure("1a", horizon=10.0)
+
+
+# a drive and coupling on each closed form: sync, spin-conserving and spin-flipping
+_LONE_ORACLE = {
+    "sync": (SyncSech2(0.0, math.pi / 2, 1.0), 0.3),
+    "conserving": (AsyncTanhSech(0.3, 1.0, 1.0), 1.0),
+    "flip": (AsyncTanhSech(0.4, math.sqrt(0.41), 1.0), 0.5),
+}
+
+
+def _populations(drive, horizon, engine):
+    protocol, gamma = _LONE_ORACLE[drive]
+    bundle = evolve_bundle("run", protocol, gamma, IC_THIRD, -math.inf, horizon, 101, engine)
+    return np.column_stack(bundle.datasets[0].columns[1:5])
+
+
+@pytest.mark.parametrize("horizon", [2.0, 5.0])
+@pytest.mark.parametrize("drive", _LONE_ORACLE)
+def test_a_lone_oracle_holds_a_start_at_minus_inf_where_the_closed_form_does(drive, horizon):
+    # the oracle alone started the state at the window's edge -horizon, so it
+    # missed the closed form by up to 0.27 in a population at horizon 2
+    oracle, exact = (_populations(drive, horizon, engine) for engine in ("oracle", "exact"))
+    assert np.max(np.abs(oracle - exact)) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "epoch,horizon,solves",
+    [(-math.inf, 2.0, 2), (-math.inf, None, 1), (-math.inf, 40.0, 1), (-2.0, 2.0, 1)],
+)
+def test_only_a_window_after_the_start_takes_a_lead_in(monkeypatch, epoch, horizon, solves):
+    # the oracle alone reaches a first sample after start_time(epoch) by one
+    # endpoint-only solve; default and longer horizons and finite epochs need none
+    calls = []
+    batch = sodw.figures.integrate_batch
+
+    def counted(*args):
+        calls.append(args)
+        return batch(*args)
+
+    monkeypatch.setattr(sodw.figures, "integrate_batch", counted)
+    protocol, gamma = _LONE_ORACLE["conserving"]
+    evolve_bundle("run", protocol, gamma, IC_THIRD, epoch, horizon, 11, "oracle")
+    assert len(calls) == solves

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import re
 import signal
 
 import numpy as np
@@ -123,6 +124,13 @@ def test_config_validation():
         IntegratorConfig(1.0, 1.0)
     with pytest.raises(ValueError, match="tolerances"):
         IntegratorConfig(0.0, 1.0, rel_tol=0.0)
+    # a tolerance of 1 or more holds no digit of a unit-norm state: at rel_tol
+    # = 1e300 the norm^2 of a sync run on [-5, 5] reached 69
+    for name, value in (("rel_tol", 1e300), ("rel_tol", 1.0), ("abs_tol", 1e300), ("abs_tol", 1.0)):
+        text = re.escape(f"tolerances must be > 0 and below 1, got {name}={value:g}")
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            IntegratorConfig(0.0, 1.0, **{name: value})
+        assert getattr(IntegratorConfig(0.0, 1.0, **{name: 0.5}), name) == 0.5
     # windows may be stacks, tolerances may not
     with pytest.raises(ValueError, match="t_end > t_start"):
         IntegratorConfig(np.zeros(3), np.array([1.0, 0.0, 1.0]))
@@ -301,10 +309,12 @@ def test_batch_validation():
     drive = SyncSech2(0.0, 1.0, 1.0)
     empty = integrate_batch(0.5, SyncSech2(0.0, np.array([]), 1.0), _E3, cfg, [0.0, 1.0])
     assert empty.states.shape == (2, 0, 4)
-    with pytest.raises(ValueError, match="non-empty"):
+    with pytest.raises(ValueError, match="^fractions must be a non-empty 1-d sequence$"):
         integrate_batch(0.5, drive, _E3, cfg, [])
-    with pytest.raises(ValueError, match="exceed"):
+    with pytest.raises(ValueError, match=r"^fractions \[0.5, 1.5\] exceed \[0, 1\]$"):
         integrate_batch(0.5, drive, _E3, cfg, [0.5, 1.5])
+    with pytest.raises(ValueError, match=r"^fractions \[-0.5, 0.5\] exceed \[0, 1\]$"):
+        integrate_batch(0.5, drive, _E3, cfg, [-0.5, 0.5])
     with pytest.raises(ValueError, match="fractions must be strictly increasing"):
         integrate_batch(0.5, drive, _E3, cfg, [0.0, 0.7, 0.3, 1.0])
     # a NaN passed every comparison and failed only after the whole solve
