@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import ScanSpec, run_scan, select_engine, solve
+from .analysis import ScanSpec, off_branch_reason, run_scan, select_engine, solve
 from .core import AsyncTanhSech, SyncSech2, _require_epoch, _require_finite, default_horizon
 from .core import imbalance, start_time
 from .oracle import IntegratorConfig, integrate_batch
@@ -249,13 +249,15 @@ def _build_trajectory(fig_id, samples, horizon):
     return FigureData(fig_id, datasets, plot, meta)
 
 
-def evolve_bundle(label, protocol, gamma, state0, epoch, horizon, samples, engine):
+def evolve_bundle(label, protocol, gamma, state0, epoch, horizon, samples, engine=None):
     """Run one start under engine (exact, oracle or both) and bundle it under label.
 
-    state0 holds at epoch, and horizon None is the drive's default_horizon.
-    The meta names the oracle's solver when it ran and, under "both", the
-    largest distance between the two solutions' states as max_deviation.
+    state0 holds at epoch, horizon None is the drive's default_horizon and
+    engine None is exact where a closed form holds, else oracle.  The meta
+    names the oracle's solver when it ran and, under "both", the largest
+    distance between the two solutions' states as max_deviation.
     """
+    engine = engine or ("exact" if off_branch_reason(protocol, gamma) is None else "oracle")
     run = _run_trajectory(label, protocol, gamma, (state0,), epoch, horizon, samples, engine)
     (dataset,), solutions, record, horizon = run
     params = _protocol_meta(protocol)

@@ -2,6 +2,7 @@
 
 import pytest
 
+import sodw.acceptance
 from sodw.acceptance import CRITERIA, format_record, run_all
 
 _TEST_IDS = [
@@ -16,3 +17,13 @@ def test_acceptance_criterion(cid, capsys):
         print(format_record(record))
     assert record["passed"], record["details"]
     assert not record["details"].startswith(record["name"]), "details repeat the name"
+
+
+def test_a_criterion_that_raises_is_a_failed_record_that_names_the_error(monkeypatch):
+    def broken():
+        raise ZeroDivisionError("no rows")
+
+    monkeypatch.setattr(sodw.acceptance, "CRITERIA", ((99, "broken", broken),))
+    (record,) = run_all()
+    assert (record["id"], record["name"], record["passed"]) == (99, "broken", False)
+    assert record["details"] == "raised ZeroDivisionError: no rows"

@@ -339,6 +339,25 @@ _EXACT_GRID_5 = ["--engine", "exact", "--grid", "5"]
             [],
             "grid_lo=0, grid_hi=0 and grid_n=3 make no monotone grid\n",
         ),
+        # one non-finite drive value through every verb, whether or not the verb reads it
+        ("scan", "swept=beta\ngamma=0.5\nV=1\nOmega=1\nchi=nan\n", [],
+         "chi must be finite, got nan\n"),
+        ("evolve", None, ["--protocol", "sync", "--gamma", "0.5", "--chi", "nan"],
+         "chi must be finite, got nan\n"),
+        ("evolve", None, ["--protocol", "async", "--gamma", "1", "--beta", "inf"],
+         "beta must be finite, got inf\n"),
+        ("classify", None, ["--beta", "nan", "--upsilon", "1", "--chi", "1"],
+         "beta must be finite, got nan\n"),
+        ("classify", None, ["--epsilon", "nan", "--V", "1", "--Omega", "1"],
+         "epsilon must be finite, got nan\n"),
+        ("scan", "swept=beta\ngamma=0.5\nV=1\nOmega=1\nepcoh=-inf\n", [],
+         "unknown scan config key 'epcoh'\n"),
+        ("scan", "swept=beta\ngamma=0.5\nV=1\nOmega=1\nobservable=LR\n", [],
+         "unknown scan config key 'observable'\n"),
+        ("evolve", "protocol=sync\ngamma=0.5\nhorizn=3\n", [],
+         "unknown evolve config key 'horizn'\n"),
+        ("evolve", "protocol=sync\ngamma=0.5\nengine=oracle\n", [],
+         "unknown evolve config key 'engine'\n"),
     ],
     ids=[
         "bad-config-line",
@@ -369,6 +388,15 @@ _EXACT_GRID_5 = ["--engine", "exact", "--grid", "5"]
         "scan-inf-amplitude",
         "scan-no-grid-point",
         "scan-equal-grid-ends",
+        "scan-unread-nan-chi",
+        "evolve-sync-unread-nan-chi",
+        "evolve-async-unread-inf-beta",
+        "classify-async-unread-nan-beta",
+        "classify-sync-unread-nan-epsilon",
+        "scan-misspelled-epoch",
+        "scan-misspelled-observables",
+        "evolve-misspelled-horizon",
+        "evolve-config-engine",
     ],
 )
 def test_cli_refusal_exits_2_and_writes_nothing(verb, config, flags, refusal, tmp_path, capsys):
@@ -380,7 +408,10 @@ def test_cli_refusal_exits_2_and_writes_nothing(verb, config, flags, refusal, tm
     # window that collapsed at its epoch wrote one repeated t under the exact
     # engine and named no argument under the oracle; a NaN amplitude was read
     # as no amplitude, so the default start ran and the command exited 0; and
-    # a grid of no point or of equal ends was refused as "grid must be ..."
+    # a grid of no point or of equal ends was refused as "grid must be ...";
+    # evolve and classify took a drive value they do not read that was not
+    # finite, classify printing "CCPC (async, spin-conserving)", and a
+    # misspelled config key was read as absent (engine is a flag only)
     if config is not None:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)

@@ -307,3 +307,38 @@ def test_stack_drives_refuses_mixed_drive_classes():
     text = r"^protocols must share one drive class, got \['AsyncTanhSech', 'SyncSech2'\]$"
     with pytest.raises(ValueError, match=text):
         stack_drives(drives)
+
+
+# the 8th-order central difference of the first derivative: weights of f(t + k*h) - f(t - k*h)
+_STENCIL = ((1, 4 / 5), (2, -1 / 5), (3, 4 / 105), (4, -1 / 280))
+
+
+def _branch_members(branch, rng, n):
+    """(drive, gamma) of n random members of one closed-form branch."""
+    if branch == "sync":
+        beta, v, omega = rng.uniform([-2.0, 0.1, 0.3], [2.0, 3.0, 2.0], size=(n, 3)).T
+        return SyncSech2(beta, v, omega), rng.uniform(-2.0, 2.0, n)
+    epsilon, chi = rng.uniform([-1.5, 0.3], [1.5, 2.0], size=(n, 2)).T
+    if branch == "conserving":
+        upsilon = rng.uniform(0.1, 3.0, n)
+        return AsyncTanhSech(epsilon, upsilon, chi), rng.integers(-2, 3, n).astype(float)
+    upsilon = np.hypot(0.5 * chi, epsilon)
+    return AsyncTanhSech(epsilon, upsilon, chi), rng.integers(-2, 2, n) + 0.5
+
+
+@pytest.mark.parametrize("branch,seed", [("sync", 31), ("conserving", 37), ("flip", 41)])
+def test_closed_forms_solve_the_schrodinger_equation(branch, seed):
+    # i*da/dt = H*a by central differences at random times, with no oracle
+    rng = np.random.default_rng(seed)
+    n, h = 300, 1e-3
+    drive, gamma = _branch_members(branch, rng, n)
+    raw = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    starts = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    epochs = np.where(rng.random(n) < 0.5, -math.inf, rng.uniform(-3.0, 3.0, n))
+    solution = solve(drive, gamma, starts, epochs)
+    t = rng.uniform(-6.0, 6.0, n)
+    states = solution.states
+    derivative = sum(w * (states(t + k * h) - states(t - k * h)) for k, w in _STENCIL) / h
+    hamiltonian = hamiltonian_matrix(gamma, *drive.values(t))
+    residual = 1j * derivative - np.einsum("nij,nj->ni", hamiltonian, states(t))
+    assert np.max(np.abs(residual)) < 1e-9

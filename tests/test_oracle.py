@@ -209,6 +209,45 @@ def test_solver_stops_on_what_is_not_finite(s_fail, value, message):
     assert message in sol.message
 
 
+class _Growth:
+    """The rate dy/ds = k*y: its one coefficient is k at every time."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __call__(self, s):
+        return np.full(np.shape(s), self.k)
+
+    def rate(self, coefficients, y, out=None):
+        return np.multiply(coefficients, y, out=out)
+
+
+@pytest.mark.parametrize(
+    "t_span,t_eval,message",
+    [
+        ((1.0, 0.0), [1.0], r"t_span must be finite and increasing, got \(1.0, 0.0\)"),
+        ((0.0, 0.0), [0.0], r"t_span must be finite and increasing"),
+        ((0.0, math.inf), [1.0], r"t_span must be finite and increasing"),
+        ((math.nan, 1.0), [1.0], r"t_span must be finite and increasing"),
+        ((0.0, 1.0), [0.5, 0.5], r"Values in `t_eval` are not properly sorted."),
+        ((0.0, 1.0), [0.8, 0.2], r"Values in `t_eval` are not properly sorted."),
+    ],
+)
+def test_solver_refuses_a_bad_span_or_an_unsorted_grid(t_span, t_eval, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        sodw.oracle.solve_ivp(_Growth(1.0), t_span, _E3, t_eval=t_eval, rtol=1e-10, atol=1e-12)
+
+
+def test_batch_refuses_amplitudes_that_are_not_finite_from_a_solve_that_succeeded(monkeypatch):
+    def solved_to_inf(fun, t_span, y0, *, t_eval, rtol, atol):
+        y = np.full((np.size(y0), len(t_eval)), complex(math.inf, 0.0))
+        return sodw.oracle.IvpResult(np.asarray(t_eval), y, 0, True, "")
+
+    monkeypatch.setattr(sodw.oracle, "solve_ivp", solved_to_inf)
+    with pytest.raises(RuntimeError, match="^integration produced non-finite amplitudes$"):
+        integrate(0.5, SyncSech2(0.0, 1.0, 1.0), _E3, IntegratorConfig(0.0, 1.0), [0.5, 1.0])
+
+
 def test_failed_solve_returns_the_samples_it_reached():
     t_eval = np.linspace(0.0, 1.0, 11)
     options = dict(t_eval=t_eval, rtol=1e-10, atol=1e-12)
@@ -472,6 +511,12 @@ def _dense_blocks():
     integrate_batch(gammas, drives, states0, cfg, np.linspace(0.0, 1.0, 2001))
 
 
+def _too_small_step():
+    # numbers near 1e16 are 2 apart, far more than the step a rate of 1e8*y asks for
+    span = (1e16, 1e16 + 64)
+    sodw.oracle.solve_ivp(_Growth(1e8), span, _E3, t_eval=[span[1]], rtol=1e-10, atol=1e-12)
+
+
 _SCIPY_CASES = {
     "criterion-11": lambda: run_all({11}),
     "criterion-4": lambda: run_all({4}),
@@ -503,6 +548,7 @@ _SCIPY_CASES = {
     ),
     "rejects-steps": _kick,
     "dense-blocks": _dense_blocks,
+    "too-small-step": _too_small_step,
 }
 
 
@@ -512,10 +558,17 @@ def test_dop853_matches_scipy_step_for_step(case, beside_scipy):
     _SCIPY_CASES[case]()
     assert beside_scipy
     for ours, ref, _ in beside_scipy:
-        assert ours.success and ref.success
+        assert ours.success == ref.success == (case != "too-small-step")
+        assert ours.message == ref.message
         assert ours.nfev == ref.nfev
         assert np.array_equal(ours.t, ref.t)
-        assert np.array_equal(ours.y, ref.y)
+        if len(ref.t):
+            assert np.array_equal(ours.y, ref.y)
+        else:  # scipy leaves t and y empty lists when the solve reached no sample
+            assert ours.y.size == 0 and len(ref.y) == 0
+    if case == "too-small-step":
+        ((ours, _, _),) = beside_scipy
+        assert (ours.message, ours.nfev) == (sodw.oracle._TOO_SMALL_STEP, 14)
     if case == "endpoint-only":
         assert [ours.t.tolist() for ours, _, _ in beside_scipy] == [[1.0]]
     if case == "rejects-steps":
