@@ -9,11 +9,11 @@ protocol, the asynchronous closed form covers the spin-conserving branch
 (cos pi*gamma = +-1) and the spin-flipping branch on its parameter surface,
 and everything else falls back to the numeric oracle.  The engine used is
 recorded per row.  A ScanSpec builds its grid's parameters once, as a stack
-of drives, and so refuses a bad fixed value; run_scan solves the stack its
-ScanSpec built, taking each group of points from it by index, the stacked
-fields only: its closed-form points are solved in one array pass, and its
-oracle points go to integrate_batch as one stack of drives with one window
-per member.
+of drives, and so refuses a bad fixed or swept value; run_scan solves the
+stack its ScanSpec built, taking each engine's points from it by index, the
+stacked fields only: its closed-form points are solved in one array pass, and
+its oracle points go to integrate_batch as one stack of drives with one
+window per member, so a row that fails names the engine that failed it.
 
 _route reads the branch gate, route(), of the drive's engine (sync or
 asynchronous, keyed by its KIND): a code per member, 0 where no closed form
@@ -44,7 +44,7 @@ import numpy as np
 from . import asynchronous as asyn
 from . import sync
 from .core import AsyncTanhSech, SyncSech2, as_state, as_states, coupling_values, default_horizon
-from .core import _imbalance_keys, _require_epoch, _require_finite, imbalance, start_time
+from .core import _imbalance_keys, _require_drive_value, _require_epoch, imbalance, start_time
 from .oracle import IntegratorConfig, integrate_batch
 
 __all__ = [
@@ -100,8 +100,9 @@ class ScanSpec:
     state0 holds: finite or -inf.  observables are distinct (s, q) imbalance
     pairs with s, q in 1..4 or 'L'/'R'; an invalid or repeated pair is
     refused under the name observables.  The grid's stack of drives is built
-    here, once, so a missing or invalid fixed value is refused here too, and
-    so is a fixed value that is not finite, even one the sweep does not read.
+    here, once, so a bad fixed value is refused here as its drive would
+    refuse it, even one the sweep does not read, and so is a swept value
+    that is not finite, by the field it sets (beta, V, gamma or upsilon).
     """
 
     swept: str
@@ -119,9 +120,6 @@ class ScanSpec:
         grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ValueError("grid must be a non-empty 1-d sequence")
-        steps = np.diff(grid)
-        if grid.size > 1 and not (np.all(steps > 0) or np.all(steps < 0)):
-            raise ValueError("grid must be strictly monotone")
         _require_epoch("epoch", self.epoch)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "fixed", dict(self.fixed))
@@ -134,13 +132,15 @@ class ScanSpec:
         if repeated:
             raise ValueError(f"observables repeat the pair {repeated[0]}")
         object.__setattr__(self, "observables", tuple((s, q) for s, q in self.observables))
-        # a fixed value that is not finite refuses the whole scan, even one the sweep does not read
+        # a fixed value refuses the whole scan as its drive would, even one the sweep does not read
         for name, value in self.fixed.items():
-            _require_finite(name, value)
+            _require_drive_value(name, value)
         try:
             gamma, protocol = _point_setup(self, grid)
         except KeyError as exc:
             raise ValueError(f"missing fixed value {exc}") from None
+        if not (np.all(grid[1:] > grid[:-1]) or np.all(grid[1:] < grid[:-1])):
+            raise ValueError("grid must be strictly monotone")
         object.__setattr__(self, "_points", (gamma, protocol))
 
 
@@ -177,6 +177,7 @@ class ScanResult:
         return tuple(map(ScanRow, grid, values, engines, self.errors))
 
 
+@np.errstate(over="ignore")  # a swept ratio times its rate that overflows is refused by name
 def _point_setup(spec, grid):
     """gamma and protocol over the grid: the swept fields are stacks, the fixed ones as given."""
     fixed = spec.fixed
@@ -186,9 +187,10 @@ def _point_setup(spec, grid):
         omega = fixed.get("Omega", 1.0)
         return fixed["gamma"], SyncSech2(fixed.get("beta", 0.0), grid * omega, omega)
     if spec.swept == "gamma":
+        gamma = coupling_values(grid)
         if "chi" in fixed:
-            return grid, AsyncTanhSech(fixed["epsilon"], fixed["upsilon"], fixed["chi"])
-        return grid, SyncSech2(fixed.get("beta", 0.0), fixed["V"], fixed["Omega"])
+            return gamma, AsyncTanhSech(fixed["epsilon"], fixed["upsilon"], fixed["chi"])
+        return gamma, SyncSech2(fixed.get("beta", 0.0), fixed["V"], fixed["Omega"])
     chi = fixed["chi"]
     return fixed["gamma"], AsyncTanhSech(fixed["epsilon"], grid * chi, chi)
 
@@ -196,31 +198,29 @@ def _point_setup(spec, grid):
 def run_scan(spec):
     """One result column per observable over the grid; a point that fails keeps its error.
 
-    The scan solves the stack of drives its spec built.  The branch gate
-    routes every point at once, and each engine's points are taken from the
-    stack by index: the closed-form points are solved in one array pass for
-    their (N, 4) populations at t = +inf, and the oracle points in one
-    endpoint-only batch, each integrated from core.start_time(epoch) to a
-    default horizon past max(epoch, 0).  A group that fails records its
-    error in each of its rows, and a gamma that is not finite fails its own
-    row.  A solved point with |Z| > 1 + 1e-9 refuses the scan, and an oracle
-    point fails by its epoch where a default horizon past it rounds away.
+    The scan solves the stack of drives its spec built and judged.  The
+    branch gate routes every point at once, and each engine's points are
+    taken from the stack by index: the closed-form points are solved in one
+    array pass for their (N, 4) populations at t = +inf, and the oracle
+    points in one endpoint-only batch, each integrated from
+    core.start_time(epoch) to a default horizon past max(epoch, 0).  A group
+    that fails records its engine's error in each of its rows.  A solved
+    point with |Z| > 1 + 1e-9 refuses the scan, and an oracle point fails by
+    its epoch where a default horizon past it rounds away.
     """
     grid, (gamma, protocol) = spec.grid, spec._points
     engine, engines, codes, _ = _route(protocol, np.broadcast_to(gamma, grid.shape))
     values = np.full((grid.size, len(spec.observables)), math.nan)
-    errors = [None] * grid.size
+    errors = np.full(grid.size, None, dtype=object)
     failed = np.zeros(grid.size, dtype=bool)
-    finite, oracle = np.isfinite(gamma), codes == 0
+    oracle = codes == 0
     # a scan sweeps one drive class, so its closed-form points share one engine
-    groups = [np.flatnonzero(finite & ~oracle), np.flatnonzero(finite & oracle)]
-    for idx in filter(len, groups + [[k] for k in np.flatnonzero(~finite)]):
+    for idx in filter(len, (np.flatnonzero(~oracle), np.flatnonzero(oracle))):
         try:
             # the points idx of the stack: each stacked field indexed, the fixed ones as given
             members_gamma = gamma[idx] if np.ndim(gamma) else gamma
             stacked = {name: value[idx] for name, value in vars(protocol).items() if np.ndim(value)}
             members = replace(protocol, **stacked)
-            coupling_values(members_gamma)  # the refusal text of a gamma that is not finite
             if oracle[idx[0]]:
                 t0 = start_time(members, spec.epoch)
                 end = max(spec.epoch, 0.0) + default_horizon(members)
@@ -233,9 +233,7 @@ def run_scan(spec):
                 modes = engine.modes(members, members_gamma, codes[idx])
                 populations = Solution(*modes, spec.state0, spec.epoch).asymptotes()[1]
         except Exception as exc:
-            failed[idx] = True
-            for k in idx:
-                errors[k] = str(exc)
+            failed[idx], errors[idx] = True, str(exc)
         else:
             for j, (s, q) in enumerate(spec.observables):
                 values[idx, j] = imbalance(populations, s, q)

@@ -21,12 +21,14 @@ Config files are flat key=value lines (# starts a comment).  evolve, scan
 and classify read one map, _settings: the config, a key the verb does not
 read refused by name, with each flag that was given laid over it.  gamma
 and the drive fields are read from it by _drive_values alone, each refused
-by key unless finite, whether or not the verb reads it.  A value that does
-not parse as a number is refused under its key.  Every refusal is a
-ValueError raised where its input first enters (a ScanSpec refuses a scan,
-solve() a drive off the branches), before any file is written; main() alone
-prints it as "error: <reason>" and exits 2.  Note argparse needs
-`--epoch=-inf` (with the equals sign) for negative non-numeric-looking values.
+by key unless finite, and a rate (Omega, chi) unless > 0, whether or not the
+verb reads it.  A value that does not parse as a number is refused under its
+key, and so is a scan grid whose span grid_hi - grid_lo overflows.  Every
+refusal is a ValueError raised where its input first enters (a ScanSpec
+refuses a scan, solve() a drive off the branches), before any file is
+written; main() alone prints it as "error: <reason>" and exits 2.  Note
+argparse needs `--epoch=-inf` (with the equals sign) for negative
+non-numeric-looking values.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from . import acceptance
 from ._csv import csv_blocks
 from .analysis import SWEPT_NAMES, ScanSpec
 from .asynchronous import classify_async_conserving, off_flip_constraint
-from .core import AsyncTanhSech, SyncSech2, _require_finite, as_state
+from .core import AsyncTanhSech, SyncSech2, _require_drive_value, _require_finite, as_state
 from .figures import FIGURE_IDS, build_figure, evolve_bundle, scan_bundle
 from .sync import classify_sync_condition
 
@@ -115,9 +117,9 @@ def _settings(args):
 
 
 def _drive_values(settings):
-    """gamma and the drive fields that settings give, each refused by key unless finite."""
-    given = [key for key in _DRIVE_KEYS if key in settings]
-    return {key: float(_require_finite(key, _number(key, settings[key], float))) for key in given}
+    """gamma and the drive fields that settings give, each refused by key as its drive would."""
+    values = {key: _number(key, settings[key], float) for key in _DRIVE_KEYS if key in settings}
+    return {key: float(_require_drive_value(key, value)) for key, value in values.items()}
 
 
 def _parse_amplitudes(settings):
@@ -182,6 +184,7 @@ def _cmd_scan(args):
     hi = _number("grid_hi", settings.get("grid_hi", 1.0), float)
     _require_finite("grid_lo", lo)
     _require_finite("grid_hi", hi)
+    _require_finite("grid_hi - grid_lo", hi - lo)  # the span np.linspace steps over
     n = _number("grid_n", settings.get("grid_n", 401), int)
     if n < 0:
         raise ValueError(f"grid_n must not be negative, got {n}")

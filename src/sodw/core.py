@@ -27,7 +27,10 @@ the two drives the closed forms solve.  Each names its RATE (Omega, chi),
 all that start_time reads to put a state given at -inf at -default_horizon
 for the async closed form and the oracle, and its KIND (sync, async), which
 picks its engine, so no module tests a drive's class.  Both refuse every
-parameter that is not finite, and values(t) gives both drive values at once.
+parameter that is not finite and a RATE that is not > 0, by one rule,
+_require_drive_value, which also judges a value that builds no drive, such
+as a scan's fixed value that its sweep does not read; values(t) gives both
+drive values at once.
 areas(t) gives the pulse areas (phi_u, phi_e), both values integrated from 0
 to t, and saturated_area() phi_u(+inf): all that the synchronous engine and
 the spin-conserving branch read of a drive.  Each refuses an overflow by name.
@@ -169,11 +172,8 @@ class _Drive:
     """A drive's checks: its RATE field > 0 and every field finite, a stacked one as an array."""
 
     def __post_init__(self):
-        rate = getattr(self, self.RATE)
-        if not np.all(np.asarray(rate) > 0):
-            raise ValueError(f"{self.RATE} must be > 0, got {rate}")
         for name, value in vars(self).items():
-            stack = _require_finite(name, value)
+            stack = _require_drive_value(name, value)
             if stack.ndim:  # a list then computes as its array does; a scalar stays as given
                 object.__setattr__(self, name, stack)
 
@@ -247,6 +247,14 @@ class AsyncTanhSech(_Drive):
         phi_u = phi_u * np.arctan(np.tanh(0.5 * x))
         phi_e = (self.epsilon / self.chi) * _log_cosh(x)
         return phi_u, _require_finite("phi_e = (epsilon/chi)*ln cosh(chi*t)", phi_e)
+
+
+def _require_drive_value(name, value):
+    """gamma or a drive field as a float array: refused by name unless finite, a RATE unless > 0."""
+    v = _require_finite(name, value)
+    if name in (SyncSech2.RATE, AsyncTanhSech.RATE) and not np.all(v > 0):
+        raise ValueError(f"{name} must be > 0, got {value}")
+    return v
 
 
 def default_horizon(protocol):

@@ -99,7 +99,8 @@ _SCANS = {
     ),
 }
 
-FIGURE_IDS = ("1a", "1b", "1c", "1d", "1e", "1f", "2a", "2b", "2c", "3a", "3b", "3c", "3d")
+_SURFACE = "3c"  # the spin-flip solvability surface, the one figure of neither table
+FIGURE_IDS = tuple(sorted([*_TRAJECTORIES, *_SCANS, _SURFACE]))
 
 _TRAJ_HEADER = ("t", "P1", "P2", "P3", "P4", "Z31", "Z32", "ZLR", "norm2")
 _NUM_HEADER = tuple(name + "_num" for name in _TRAJ_HEADER[1:])
@@ -129,7 +130,7 @@ def figure_kind(fig_id):
         return "trajectory"
     if fig_id in _SCANS:
         return "scan"
-    if fig_id == "3c":
+    if fig_id == _SURFACE:
         return "surface"
     raise ValueError(f"unknown figure id {fig_id!r}; known ids: {', '.join(FIGURE_IDS)}")
 
@@ -323,14 +324,7 @@ def _build_scan(fig_id, samples):
     cfg = _SCANS[fig_id]
     if samples < 0:
         raise ValueError(f"grid must not be negative, got {samples}")
-    spec = ScanSpec(
-        swept=cfg["swept"],
-        grid=np.linspace(*cfg["bounds"], samples),
-        fixed=cfg["fixed"],
-        state0=IC_THIRD,
-        epoch=0.0,
-        observables=((3, 1), (3, 2)),
-    )
+    spec = ScanSpec(cfg["swept"], np.linspace(*cfg["bounds"], samples), cfg["fixed"], IC_THIRD)
     return scan_bundle("figure", fig_id, f"figure {fig_id}", spec, cfg["bounds"])
 
 
@@ -345,20 +339,20 @@ def _build_surface(samples):
     chi, eps = np.repeat(grid, samples), np.tile(grid, samples)
     # math.hypot per point: np.hypot need not round the same way
     ups = np.array([math.hypot(0.5 * c, e) for c, e in zip(chi.tolist(), eps.tolist())])
-    datasets = (Dataset("3c", ("chi", "epsilon", "upsilon"), (chi, eps, ups)),)
+    datasets = (Dataset(_SURFACE, ("chi", "epsilon", "upsilon"), (chi, eps, ups)),)
     plot = {
-        "title": "figure 3c: spin-flip closed-form surface",
+        "title": f"figure {_SURFACE}: spin-flip closed-form surface",
         "x_label": "chi",
         "y_label": "epsilon",
         "z_label": "upsilon",
     }
     meta = {
-        "figure": "3c",
+        "figure": _SURFACE,
         "kind": "surface",
         "grid": f"0:2:{samples} x 0:2:{samples}",
         "relation": "upsilon = sqrt(chi^2/4 + epsilon^2)",
     }
-    return FigureData("3c", datasets, plot, meta)
+    return FigureData(_SURFACE, datasets, plot, meta)
 
 
 def build_figure(fig_id, samples=None, horizon=None):

@@ -1,6 +1,7 @@
 """Scan driver, engine routing, peak counting, asymptotic extraction."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import astuple
 
@@ -547,12 +548,65 @@ def test_scan_spec_refuses_a_nonfinite_fixed_value(swept, fixed):
         ScanSpec(swept, [0.0, 0.5, 1.0], fixed, _E3)
 
 
+# each sweep, a fixed drive it reads, and the field its swept value sets
+_SWEEPS = {
+    "beta": ({"gamma": 0.5, "V": 1.0, "Omega": 1.0}, "beta"),
+    "V_over_Omega": ({"gamma": 1.0, "Omega": 1.0}, "V"),
+    "gamma": (_FLIP_FIXED, "gamma"),
+    "upsilon_over_chi": ({"gamma": 1.0, "epsilon": 0.3, "chi": 1.0}, "upsilon"),
+}
+_PLACEMENTS = {
+    "only": lambda v: [v],
+    "end": lambda v: [v, 0.1, 0.5] if v < 0 else [0.1, 0.5, v],
+    "inside": lambda v: [0.1, v, 0.5, 0.9],
+}
+
+
+@pytest.mark.parametrize("placement", _PLACEMENTS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("swept", _SWEEPS)
+def test_scan_spec_refuses_a_nonfinite_swept_value(swept, value, placement):
+    # refused by the field it sets, before the monotone test, and with no
+    # warning on the way (tier-1 makes a warning an error)
+    fixed, field = _SWEEPS[swept]
+    grid = _PLACEMENTS[placement](value)
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        ScanSpec(swept, grid, fixed, _E3)
+
+
+@pytest.mark.parametrize(
+    "swept,fixed,field",
+    [
+        ("upsilon_over_chi", {"gamma": 1.0, "epsilon": 0.3, "chi": 1e10}, "upsilon"),
+        ("V_over_Omega", {"gamma": 1.0, "Omega": 1e10}, "V"),
+    ],
+)
+def test_an_overflowing_swept_ratio_is_refused_by_its_field(swept, fixed, field):
+    # the product ratio * rate raised numpy's overflow warning before the refusal
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got inf$"):
+        ScanSpec(swept, [0.0, 1e300], fixed, _E3)
+
+
+@pytest.mark.parametrize(
+    "swept,fixed,refusal",
+    [
+        ("beta", {"gamma": 0.5, "V": 1.0, "Omega": 1.0, "chi": -1.0}, "chi must be > 0, got -1.0"),
+        ("gamma", {**_FLIP_FIXED, "Omega": 0.0}, "Omega must be > 0, got 0.0"),
+    ],
+    ids=["unread-chi", "unread-Omega"],
+)
+def test_scan_spec_refuses_a_rate_that_is_not_positive(swept, fixed, refusal):
+    # a rate the sweep does not read is refused as its drive would refuse it
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        ScanSpec(swept, [0.0, 0.5], fixed, _E3)
+
+
 def test_one_scan_mixes_closed_form_oracle_and_failed_rows():
-    grid = [0.0, 0.3, 0.5, 1.0, math.inf]
+    # a failed group beside solved rows is checked by
+    # test_failed_oracle_batch_is_recorded_in_every_oracle_row
+    grid = [0.0, 0.3, 0.5, 1.0]
     res = run_scan(ScanSpec("gamma", grid, _FLIP_FIXED, _E3, -math.inf))
-    # only the last row fails, with the coupling's own refusal text
-    assert res.errors == (None, None, None, None, "gamma must be finite, got inf")
-    assert np.all(np.isnan(res.values[4]))
+    assert res.errors == (None, None, None, None)
     drive = AsyncTanhSech(**_FLIP_FIXED)
     for k in (0, 2, 3):
         assert res.engines[k] == ENGINE_ASYNC
@@ -694,11 +748,10 @@ def test_only_a_fixed_value_refuses_the_whole_scan():
     fixed = {"gamma": 0.5, "V": math.nan, "Omega": 1.0}
     with pytest.raises(ValueError, match="^V must be finite, got nan$"):
         ScanSpec("beta", [0.0, 0.5], fixed, _E3)
-    # a gamma that is not finite fails its own row, even as the only point
+    # a swept gamma that is not finite refuses the whole scan as well
     flip = {"epsilon": 0.4, "upsilon": math.hypot(0.5, 0.4), "chi": 1.0}
-    (row,) = run_scan(ScanSpec("gamma", [math.nan], flip, _E3)).rows
-    assert row.engine == ENGINE_ORACLE and math.isnan(row.values[0])
-    assert "gamma must be finite" in row.error
+    with pytest.raises(ValueError, match="^gamma must be finite, got nan$"):
+        ScanSpec("gamma", [math.nan], flip, _E3)
 
 
 _CONSERVING = AsyncTanhSech(0.3, 1.0, 1.0)

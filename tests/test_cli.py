@@ -358,6 +358,22 @@ _EXACT_GRID_5 = ["--engine", "exact", "--grid", "5"]
          "unknown evolve config key 'horizn'\n"),
         ("evolve", "protocol=sync\ngamma=0.5\nengine=oracle\n", [],
          "unknown evolve config key 'engine'\n"),
+        # a grid or a swept ratio that overflowed printed numpy's warnings first
+        ("scan", "swept=beta\ngrid_lo=-1.7e308\ngrid_hi=1.7e308\ngrid_n=5\ngamma=0.5\nV=1\n"
+         "Omega=1\n", [], "grid_hi - grid_lo must be finite, got inf\n"),
+        ("scan", "swept=upsilon_over_chi\ngrid_hi=1e300\ngrid_n=2\ngamma=1\nepsilon=0.3\n"
+         "chi=1e10\n", [], "upsilon must be finite, got inf\n"),
+        ("scan", "swept=V_over_Omega\ngrid_hi=1e300\ngrid_n=2\ngamma=1\nOmega=1e10\n", [],
+         "V must be finite, got inf\n"),
+        # a rate of 0 or less that the verb does not read exited 0
+        ("evolve", None, ["--protocol", "sync", "--gamma", "0.5", "--chi", "-1"],
+         "chi must be > 0, got -1.0\n"),
+        ("classify", None, ["--V", "1", "--Omega", "1", "--chi", "0"],
+         "chi must be > 0, got 0.0\n"),
+        ("classify", None, ["--upsilon", "1", "--chi", "1", "--Omega", "-2"],
+         "Omega must be > 0, got -2.0\n"),
+        ("scan", "swept=beta\ngamma=0.5\nV=1\nOmega=1\nchi=-1\n", [],
+         "chi must be > 0, got -1.0\n"),
     ],
     ids=[
         "bad-config-line",
@@ -397,6 +413,13 @@ _EXACT_GRID_5 = ["--engine", "exact", "--grid", "5"]
         "scan-misspelled-observables",
         "evolve-misspelled-horizon",
         "evolve-config-engine",
+        "scan-grid-span-overflow",
+        "scan-upsilon-ratio-overflow",
+        "scan-V-ratio-overflow",
+        "evolve-sync-unread-negative-chi",
+        "classify-sync-unread-zero-chi",
+        "classify-async-unread-negative-Omega",
+        "scan-unread-negative-chi",
     ],
 )
 def test_cli_refusal_exits_2_and_writes_nothing(verb, config, flags, refusal, tmp_path, capsys):
